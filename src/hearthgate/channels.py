@@ -305,7 +305,7 @@ class PublicChannel:
 
 @dataclass(frozen=True)
 class AdversaryAction:
-    action: str            # deliver | drop | replay | tamper | inject
+    action: str            # deliver | drop | replay | tamper | delay | inject
     index: int | None = None
     dst: str | None = None
     data: bytes | None = None
@@ -334,9 +334,11 @@ class DeliverAll:
 class Scripted:
     """Plays a fixed list of rules keyed on public-channel message index.
 
-    Each rule is ``{"on": <message index>, "action": <name>, ...params}``.
-    Messages without a rule are delivered in order. Unconsumed rules simply
-    never fire (the message they target may not exist in a given run).
+    Each rule is ``{"on": <message index>, "action": <name>, ...params}``:
+    ``tamper`` takes ``bit``, ``delay`` takes ``seconds`` (default 40),
+    ``inject`` takes ``dst`` and ``data``. Messages without a rule are
+    delivered in order. Unconsumed rules simply never fire (the message
+    they target may not exist in a given run).
     """
 
     def __init__(self, rules: list[dict]):
@@ -350,15 +352,15 @@ class Scripted:
         if rule is None:
             return AdversaryAction("deliver", index=entry.index)
         action = rule["action"]
-        if action == "deliver":
-            return AdversaryAction("deliver", index=entry.index)
-        if action == "drop":
-            return AdversaryAction("drop", index=entry.index)
-        if action == "replay":
-            return AdversaryAction("replay", index=entry.index)
+        if action in ("deliver", "drop", "replay"):
+            return AdversaryAction(action, index=entry.index)
         if action == "tamper":
             return AdversaryAction("tamper", index=entry.index,
                                    bit=int(rule.get("bit", 0)))
+        if action == "delay":
+            # The bit field carries the delay in seconds.
+            return AdversaryAction("delay", index=entry.index,
+                                   bit=int(rule.get("seconds", 40)))
         if action == "inject":
             return AdversaryAction("inject", dst=rule["dst"],
                                    data=rule["data"], index=entry.index)

@@ -15,10 +15,10 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__, bench, harness, ledger, risk, wire
-from .channels import Trace
+from .channels import SecureChannel, Trace
 from .config import Config, ConfigError, load_config
-from .crypto import CryptoError, RoleTag, gen_link_key, sig_keygen
-from .ledger import ChannelName, LedgerNetwork, MembershipRegistry, OrgIdentity, OrgRole
+from .crypto import CryptoError, gen_link_key
+from .ledger import ChannelName, LedgerNetwork, OrgRole
 from .roles import (
     Authenticator,
     Device,
@@ -29,7 +29,6 @@ from .roles import (
     provision_device,
 )
 from .runtime import SimClock, seeded_rng
-from .channels import SecureChannel
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -37,9 +36,7 @@ EXIT_USAGE = 2
 EXIT_CORRUPT = 3
 EXIT_VIOLATION = 4
 
-DEMO_ORGS = (
-    ("server-org", OrgRole.SERVER),
-    ("risk-engine", OrgRole.RISK_ENGINE),
+DEMO_ORGS = ledger.CORE_ORGS + (
     ("acme-devices", OrgRole.MANUFACTURER),
     ("homesure", OrgRole.INSURER),
     ("fire-dept", OrgRole.EMERGENCY_SERVICE),
@@ -66,18 +63,10 @@ def run_demo(cfg: Config) -> tuple[int, list[str], DemoState]:
     clock = SimClock()
     trace = Trace()
 
-    membership = MembershipRegistry()
-    orgs = {}
-    org_rng = rng.child("orgs")
-    for org_id, role in DEMO_ORGS:
-        cred = sig_keygen(RoleTag.ORG_CREDENTIAL, 10 * 365 * 86_400.0,
-                          org_rng, clock.now())
-        orgs[org_id] = OrgIdentity(org_id, role, cred)
-        membership.register(orgs[org_id])
-    network = LedgerNetwork(membership, mu=cfg.mu,
-                            max_block_txs=cfg.max_block_txs,
-                            block_interval=cfg.block_interval,
-                            access_overrides=cfg.access_overrides)
+    network, orgs = ledger.build_consortium(
+        DEMO_ORGS, rng.child("orgs"), clock.now(), mu=cfg.mu,
+        max_block_txs=cfg.max_block_txs, block_interval=cfg.block_interval,
+        access_overrides=cfg.access_overrides)
     rules = risk.load_rules(cfg.rules) if cfg.rules else list(risk.DEFAULT_RULES)
     engine = risk.RiskEngine(rules, orgs["risk-engine"])
     engine.attach(network)

@@ -49,20 +49,6 @@ _SCHEMA = {
     "demo": {"snapshot": str, "provisioning_delay": float, "retries": int},
 }
 
-_FIELD_OF = {
-    ("core", "seed"): "seed",
-    ("core", "totp_step"): "totp_step",
-    ("core", "key_ttl"): "key_ttl",
-    ("core", "kem"): "kem",
-    ("ledger", "mu"): "mu",
-    ("ledger", "max_block_txs"): "max_block_txs",
-    ("ledger", "block_interval"): "block_interval",
-    ("risk", "rules"): "rules",
-    ("demo", "snapshot"): "snapshot",
-    ("demo", "provisioning_delay"): "provisioning_delay",
-    ("demo", "retries"): "retries",
-}
-
 _POSITIVE = {"totp_step", "key_ttl", "mu", "max_block_txs", "block_interval"}
 
 
@@ -103,12 +89,11 @@ def _assign(cfg: Config, section: str, key: str, raw: str) -> None:
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: expected {caster.__name__}, got {raw!r}") from None
-    name = _FIELD_OF[(section, key)]
-    if name in _POSITIVE and value <= 0:
+    if key in _POSITIVE and value <= 0:
         raise ConfigError(f"[{section}] {key}: must be positive")
-    if name in ("retries", "seed") and value < 0:
+    if key in ("retries", "seed") and value < 0:
         raise ConfigError(f"[{section}] {key}: must be nonnegative")
-    setattr(cfg, name, value)
+    setattr(cfg, key, value)
 
 
 def load_config(path: str | None = None,

@@ -119,18 +119,9 @@ class World:
         self.h_p = PublicChannel(self.knowledge)
         self.adv_rng = self.rng.child("adversary")
 
-        membership = ledger.MembershipRegistry()
-        org_rng = self.rng.child("orgs")
-        self.orgs = {}
-        for org_id, role in (("server-org", ledger.OrgRole.SERVER),
-                             ("risk-engine", ledger.OrgRole.RISK_ENGINE)):
-            cred = crypto.sig_keygen(crypto.RoleTag.ORG_CREDENTIAL,
-                                     10 * 365 * 86_400.0, org_rng,
-                                     self.clock.now())
-            self.orgs[org_id] = ledger.OrgIdentity(org_id, role, cred)
-            membership.register(self.orgs[org_id])
-        self.network = ledger.LedgerNetwork(
-            membership, mu=spec.mu, max_block_txs=spec.max_block_txs,
+        self.network, self.orgs = ledger.build_consortium(
+            ledger.CORE_ORGS, self.rng.child("orgs"), self.clock.now(),
+            mu=spec.mu, max_block_txs=spec.max_block_txs,
             block_interval=spec.block_interval)
         self.risk_engine = risk.RiskEngine(
             rules if rules is not None else list(risk.DEFAULT_RULES),
@@ -550,9 +541,9 @@ def run_attack(name: str, seed: int = 7) -> AttackOutcome:
             f"unknown attack script {name!r}; known: {sorted(ATTACK_SCRIPTS)}"
         ) from None
     spec = ScenarioSpec(devices=1, reports=(), retries=script.retries)
-    strategy = _ScriptedWithDelay([dict(r) for r in script.rules])
+    strategy = Scripted(script.rules)
 
-    def prepare(world: World, strat: _ScriptedWithDelay) -> None:
+    def prepare(world: World, strat: Scripted) -> None:
         # Forged payloads need provisioned state, so they are built here.
         if script.needs_forge == "own-keys":
             strat.rules[0] = {"on": 0, "action": "inject", "dst": "server",
@@ -626,31 +617,8 @@ def run_script_file(path: str, seed: int = 7,
     run and its property verdicts."""
     rules = load_attack_rules(path)
     spec = spec or ScenarioSpec(devices=1, reports=(), retries=0)
-    result = run_scenario(spec, _ScriptedWithDelay(rules), seed)
+    result = run_scenario(spec, Scripted(rules), seed)
     return result, check_all(result)
-
-
-class _ScriptedWithDelay(Scripted):
-    """Scripted strategy whose delay rules carry seconds in the bit field."""
-
-    def decide(self, channel: PublicChannel, rng: Rng) -> AdversaryAction | None:
-        if not channel.pending:
-            return None
-        entry = channel.pending[0]
-        rule = self.rules.pop(entry.index, None)
-        if rule is None:
-            return AdversaryAction("deliver", index=entry.index)
-        action = rule["action"]
-        if action == "delay":
-            return AdversaryAction("delay", index=entry.index,
-                                   bit=int(rule.get("seconds", 40)))
-        if action == "inject":
-            return AdversaryAction("inject", dst=rule["dst"], data=rule["data"],
-                                   index=entry.index)
-        if action == "tamper":
-            return AdversaryAction("tamper", index=entry.index,
-                                   bit=int(rule.get("bit", 0)))
-        return AdversaryAction(action, index=entry.index)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .payloads import (
     decode_payload,
     encode_payload,
 )
+from .runtime import Rng
 
 
 class LedgerError(Exception):
@@ -176,28 +177,26 @@ class Block:
     block_hash: bytes
 
     def body_bytes(self) -> bytes:
-        return wire.pack_fields(
-            [struct.pack(">Q", self.height), self.prev_hash]
-            + [tx.canonical_bytes() for tx in self.txs]
-        )
+        return encode_block_body(self.height, self.prev_hash, self.txs)
 
     def canonical_bytes(self) -> bytes:
         return self.body_bytes() + self.block_hash
 
 
-def _hash_block_body(height: int, prev_hash: bytes,
-                     txs: Iterable[LedgerTransaction]) -> bytes:
-    body = wire.pack_fields(
+def encode_block_body(height: int, prev_hash: bytes,
+                      txs: tuple[LedgerTransaction, ...]) -> bytes:
+    """The bytes a block hash covers: height, previous hash, transactions."""
+    return wire.pack_fields(
         [struct.pack(">Q", height), prev_hash]
         + [tx.canonical_bytes() for tx in txs]
     )
-    return crypto.sha256(body)
 
 
 def build_block(height: int, prev_hash: bytes,
                 txs: Iterable[LedgerTransaction]) -> Block:
     txs = tuple(txs)
-    return Block(height, prev_hash, txs, _hash_block_body(height, prev_hash, txs))
+    return Block(height, prev_hash, txs,
+                 crypto.sha256(encode_block_body(height, prev_hash, txs)))
 
 
 def decode_block(data: bytes) -> Block:
@@ -469,6 +468,29 @@ class LedgerNetwork:
         return verify_blocks(self.chains[channel], channel, self.membership)
 
 
+# The organizations every consortium holds: the server writes identity and
+# data records, the risk engine writes alerts.
+CORE_ORGS: tuple[tuple[str, OrgRole], ...] = (
+    ("server-org", OrgRole.SERVER),
+    ("risk-engine", OrgRole.RISK_ENGINE),
+)
+ORG_CREDENTIAL_TTL = 10 * 365 * 86_400.0
+
+
+def build_consortium(orgs: Iterable[tuple[str, OrgRole]], rng: Rng, now: float,
+                     **network_params) -> tuple[LedgerNetwork, dict[str, OrgIdentity]]:
+    """Give each ``(org_id, role)`` in turn a credential drawn from ``rng``
+    and open a :class:`LedgerNetwork` whose members are exactly those orgs."""
+    membership = MembershipRegistry()
+    identities = {}
+    for org_id, role in orgs:
+        credential = crypto.sig_keygen(crypto.RoleTag.ORG_CREDENTIAL,
+                                       ORG_CREDENTIAL_TTL, rng, now)
+        identities[org_id] = OrgIdentity(org_id, role, credential)
+        membership.register(identities[org_id])
+    return LedgerNetwork(membership, **network_params), identities
+
+
 def verify_blocks(blocks: list[Block], channel: ChannelName,
                   membership: MembershipRegistry) -> tuple[bool, int, str]:
     """Check hash linkage, heights, and every transaction signature from genesis."""
@@ -478,7 +500,7 @@ def verify_blocks(blocks: list[Block], channel: ChannelName,
             return False, expected_height, "height discontinuity"
         if block.prev_hash != prev_hash:
             return False, block.height, "previous-hash linkage broken"
-        if _hash_block_body(block.height, block.prev_hash, block.txs) != block.block_hash:
+        if crypto.sha256(block.body_bytes()) != block.block_hash:
             return False, block.height, "block hash mismatch"
         for idx, tx in enumerate(block.txs):
             if tx.channel is not channel:

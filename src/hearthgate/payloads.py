@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 
-from .wire import Truncated, pack_fields, unpack_fields
+from .wire import Truncated, _f64, _parse_f64, pack_fields, unpack_fields
 
 
 class DeviceStatus(Enum):
@@ -97,16 +97,6 @@ class RiskAlert:
 Payload = DeviceRecord | DataEntry | RiskAlert
 
 _TYPE_TAGS = {DeviceRecord: 1, DataEntry: 2, RiskAlert: 3}
-
-
-def _f64(x: float) -> bytes:
-    return struct.pack(">d", x)
-
-
-def _parse_f64(b: bytes) -> float:
-    if len(b) != 8:
-        raise Truncated("expected 8-byte float")
-    return struct.unpack(">d", b)[0]
 
 
 def _u32(x: int) -> bytes:

@@ -28,7 +28,7 @@ from .crypto import (
     RoleTag,
 )
 from .ledger import ChannelName, LedgerError, LedgerNetwork, OrgIdentity, make_transaction
-from .payloads import DataEntry, DeviceRecord, DeviceStatus
+from .payloads import DataEntry, DeviceRecord, DeviceStatus, Payload
 from .runtime import Rng
 
 
@@ -347,18 +347,22 @@ class Device:
             SigT(self._token_signature.signer_tag.name, enc_token_t),
         )))
 
-    def build_registration_request(self) -> Outgoing:
-        now = self.clock.now()
-        if self.phase is not DevicePhase.PROVISIONED:
-            raise NotProvisioned(f"cannot register in phase {self.phase.value}")
+    def _registration_request(self, **trace_fields: str) -> Outgoing:
         payload = wire.encode_registration_payload(
             self.keys.public, self.uid.value, self._encrypted_token,
             self._token_signature)
-        ct = crypto.hybrid_encrypt(self.server_public.kem, payload, self.rng, now)
+        ct = crypto.hybrid_encrypt(self.server_public.kem, payload, self.rng,
+                                   self.clock.now())
         self.phase = DevicePhase.REQUEST_SENT
-        self.trace.record(self.name, ch.DEVICE_REQUEST_SENT, uid=self.uid.hex)
+        self.trace.record(self.name, ch.DEVICE_REQUEST_SENT, uid=self.uid.hex,
+                          **trace_fields)
         return Outgoing("public", "server", wire.RegistrationRequest(ct),
                         self._request_term(), src=self.name)
+
+    def build_registration_request(self) -> Outgoing:
+        if self.phase is not DevicePhase.PROVISIONED:
+            raise NotProvisioned(f"cannot register in phase {self.phase.value}")
+        return self._registration_request()
 
     def wants_retry(self) -> bool:
         return self.phase is DevicePhase.REQUEST_SENT and self.retries_left > 0
@@ -366,18 +370,10 @@ class Device:
     def retry_request(self) -> Outgoing:
         """Re-send the registration request after silence; extension beyond the
         base flow, bounded by the configured retry budget."""
-        now = self.clock.now()
         if not self.wants_retry():
             raise NotProvisioned("no retry budget or wrong phase")
         self.retries_left -= 1
-        payload = wire.encode_registration_payload(
-            self.keys.public, self.uid.value, self._encrypted_token,
-            self._token_signature)
-        ct = crypto.hybrid_encrypt(self.server_public.kem, payload, self.rng, now)
-        self.trace.record(self.name, ch.DEVICE_REQUEST_SENT, uid=self.uid.hex,
-                          retry=str(self.retries_left))
-        return Outgoing("public", "server", wire.RegistrationRequest(ct),
-                        self._request_term(), src=self.name)
+        return self._registration_request(retry=str(self.retries_left))
 
     def handle_activation(self, msg: wire.ActivationResponse) -> None:
         now = self.clock.now()
@@ -627,7 +623,7 @@ class Server:
             try:
                 return session, crypto.hybrid_decrypt(session.keys.kem,
                                                       ciphertext, now)
-            except DecryptionFailure:
+            except (DecryptionFailure, KeyExpired):
                 continue
         return None, None
 
@@ -639,22 +635,14 @@ class Server:
         server_keys = crypto.generate_role_keys(RoleTag.SERVER_FOR_DEVICE,
                                                 self.key_ttl, self.rng, now,
                                                 kem_algo=self.kem_algo)
-        record = DeviceRecord(
-            device_token=device_token.value,
-            server_device_public=wire.encode_role_public(server_keys.public),
-            device_public=wire.encode_role_public(device_public),
-            auth_public=wire.encode_role_public(session.auth_public),
-            device_uid=bytes.fromhex(uid_hex),
-            status=DeviceStatus.ACTIVE,
-            timestamp=now,
-        )
-        self._submit_record(record, now)
-
         term = activation_term(device_token.value, server_keys.public)
-        self.registry[uid_hex] = RegistryEntry(
+        entry = RegistryEntry(
             uid_hex=uid_hex, device_public=device_public,
             server_keys=server_keys, device_token=device_token.value,
             status=DeviceStatus.ACTIVE, activation_term=term)
+        self._commit_record(entry, session.auth_public, DeviceStatus.ACTIVE,
+                            now, ch.DEVICE_REQUEST_REJECTED)
+        self.registry[uid_hex] = entry
         self.trace.record(self.name, ch.REGISTRATION_SUCCESS, uid=uid_hex,
                           token=digits, nonce=session.nonce_hex)
         self.trace.record(self.name, ch.KEYPAIR_DELIVERED, uid=uid_hex,
@@ -674,23 +662,40 @@ class Server:
             Outgoing("secure", session.session_id, notice),
         ]
 
-    def _submit_record(self, record: DeviceRecord, now: float) -> None:
+    def _commit_record(self, entry: RegistryEntry, auth_public: RolePublic,
+                       status: DeviceStatus, now: float,
+                       rejected_kind: str) -> None:
+        """Record ``entry`` with ``status`` on the identity channel."""
+        record = DeviceRecord(
+            device_token=entry.device_token,
+            server_device_public=wire.encode_role_public(entry.server_keys.public),
+            device_public=wire.encode_role_public(entry.device_public),
+            auth_public=wire.encode_role_public(auth_public),
+            device_uid=bytes.fromhex(entry.uid_hex),
+            status=status,
+            timestamp=now,
+        )
+        self._submit(ChannelName.IDENTITY, record, now, rejected_kind,
+                     entry.uid_hex, status=status.value)
+
+    def _submit(self, channel: ChannelName, payload: Payload, now: float,
+                rejected_kind: str, uid_hex: str, **commit_fields: str) -> None:
+        """Commit one payload to the ledger; a refusal is traced as the
+        caller's ``rejected_kind`` with error LedgerRejected, then raised."""
         if self.network is None or self.identity is None:
             return
         try:
-            tx = make_transaction(ChannelName.IDENTITY, record, self.identity, now)
+            tx = make_transaction(channel, payload, self.identity, now)
             seq = self.network.submit(tx, now)
             self.network.settle()
             receipt = self.network.receipt(seq)
         except LedgerError as exc:
-            self._reject_request("LedgerRejected", str(exc),
-                                 uid=record.device_uid.hex())
+            self.trace.record(self.name, rejected_kind, error="LedgerRejected",
+                              detail=str(exc), uid=uid_hex)
             raise LedgerRejected(str(exc)) from exc
-        self.trace.record(self.name, ch.LEDGER_COMMIT,
-                          channel=ChannelName.IDENTITY.value,
-                          height=str(receipt.height),
-                          status=record.status.value,
-                          uid=record.device_uid.hex())
+        self.trace.record(self.name, ch.LEDGER_COMMIT, channel=channel.value,
+                          height=str(receipt.height), uid=uid_hex,
+                          **commit_fields)
 
     # -- data ingestion -----------------------------------------------------------
 
@@ -728,19 +733,7 @@ class Server:
             device_public_ref=crypto.sha256(
                 wire.encode_role_public(registered.device_public)),
         )
-        if self.network is not None and self.identity is not None:
-            try:
-                tx = make_transaction(ChannelName.DATA, payload, self.identity, now)
-                seq = self.network.submit(tx, now)
-                self.network.settle()
-                receipt = self.network.receipt(seq)
-            except LedgerError as exc:
-                self.trace.record(self.name, ch.DATA_REJECTED,
-                                  error="LedgerRejected", uid=uid_hex)
-                raise LedgerRejected(str(exc)) from exc
-            self.trace.record(self.name, ch.LEDGER_COMMIT,
-                              channel=ChannelName.DATA.value,
-                              height=str(receipt.height), uid=uid_hex)
+        self._submit(ChannelName.DATA, payload, now, ch.DATA_REJECTED, uid_hex)
         self.trace.record(self.name, ch.DATA_ACCEPTED, uid=uid_hex,
                           metric=metric, value=str(value))
 
@@ -749,7 +742,7 @@ class Server:
             try:
                 return entry, crypto.hybrid_decrypt(entry.server_keys.kem,
                                                     ciphertext, now)
-            except DecryptionFailure:
+            except (DecryptionFailure, KeyExpired):
                 continue
         return None, None
 
@@ -779,16 +772,8 @@ class Server:
                               error="AlreadyRevoked", uid=uid_hex)
             raise AlreadyRevoked(f"device {uid_hex} already revoked")
 
-        record = DeviceRecord(
-            device_token=entry.device_token,
-            server_device_public=wire.encode_role_public(entry.server_keys.public),
-            device_public=wire.encode_role_public(entry.device_public),
-            auth_public=wire.encode_role_public(session.auth_public),
-            device_uid=uid,
-            status=DeviceStatus.DEACTIVATED,
-            timestamp=now,
-        )
-        self._submit_record(record, now)
+        self._commit_record(entry, session.auth_public, DeviceStatus.DEACTIVATED,
+                            now, ch.REVOCATION_REJECTED)
         entry.status = DeviceStatus.DEACTIVATED
         entry.device_token = None  # long-lived token invalidated
         self.crl.add(entry.device_public.kem.key)

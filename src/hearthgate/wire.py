@@ -344,8 +344,7 @@ def encode(message: Message) -> bytes:
         box = message.box
         body = pack_fields([box.nonce, box.body, box.tag])
     else:
-        ct = message.ciphertext
-        body = pack_fields([ct.encapsulation, ct.aead_nonce, ct.body, ct.auth_tag])
+        body = encode_hybrid(message.ciphertext)
     framed = _u8(tag) + body
     return struct.pack(">I", len(framed)) + framed
 

@@ -6,33 +6,13 @@ from pathlib import Path
 # wire_fixtures and friends live next to the tests.
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hearthgate import crypto, ledger
-from hearthgate.crypto import RoleTag
+from hearthgate import ledger
+from hearthgate.cli import DEMO_ORGS
 from hearthgate.runtime import Rng
 
 NOW = 1_700_000_010.0
-ORG_TTL = 10 * 365 * 86_400.0
-
-
-def make_org(org_id: str, role: ledger.OrgRole, rng: Rng,
-             now: float = NOW) -> ledger.OrgIdentity:
-    credential = crypto.sig_keygen(RoleTag.ORG_CREDENTIAL, ORG_TTL, rng, now)
-    return ledger.OrgIdentity(org_id, role, credential)
-
-
-def standard_orgs(rng: Rng, now: float = NOW) -> dict[str, ledger.OrgIdentity]:
-    return {
-        "server-org": make_org("server-org", ledger.OrgRole.SERVER, rng, now),
-        "risk-engine": make_org("risk-engine", ledger.OrgRole.RISK_ENGINE, rng, now),
-        "acme-devices": make_org("acme-devices", ledger.OrgRole.MANUFACTURER, rng, now),
-        "homesure": make_org("homesure", ledger.OrgRole.INSURER, rng, now),
-        "fire-dept": make_org("fire-dept", ledger.OrgRole.EMERGENCY_SERVICE, rng, now),
-    }
 
 
 def make_network(rng: Rng, now: float = NOW, **params):
-    orgs = standard_orgs(rng, now)
-    membership = ledger.MembershipRegistry()
-    for org in orgs.values():
-        membership.register(org)
-    return ledger.LedgerNetwork(membership, **params), orgs
+    """The demo's five-org consortium, credentials drawn from ``rng``."""
+    return ledger.build_consortium(DEMO_ORGS, rng, now, **params)

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from conftest import NOW, make_network, make_org
+from conftest import NOW, make_network
 from hearthgate import ledger
 from hearthgate.ledger import (
     BadSignature,
@@ -90,7 +90,8 @@ def test_wrong_payload_type_for_channel():
 def test_unknown_identity_rejected():
     rng = seeded_rng(4)
     net, _ = make_network(rng)
-    ghost = make_org("ghost", OrgRole.SERVER, rng)
+    _, members = ledger.build_consortium([("ghost", OrgRole.SERVER)], rng, NOW)
+    ghost = members["ghost"]
     tx = make_transaction(ChannelName.DATA, sample_entry(rng), ghost, NOW)
     with pytest.raises(UnknownIdentity):
         net.submit(tx, NOW)

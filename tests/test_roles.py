@@ -245,6 +245,42 @@ def test_ledger_policy_denial_aborts_activation():
     assert not w.trace.by_kind(ch.REGISTRATION_SUCCESS)
 
 
+def test_revocation_ledger_failure_traced_as_revocation_rejection():
+    w = World()
+    w.onboard()
+    # Past registration, the server's ledger identity loses write access to
+    # the identity channel: a manufacturer may not write it.
+    w.server.identity = w.orgs["acme-devices"]
+    with pytest.raises(LedgerRejected):
+        w.server.handle_revocation(w.auth.build_revocation(w.device.uid.hex))
+    rejected = w.trace.by_kind(ch.REVOCATION_REJECTED)
+    assert [e.get("error") for e in rejected] == ["LedgerRejected"]
+    assert not w.trace.by_kind(ch.DEVICE_REQUEST_REJECTED)
+    assert w.server.registry[w.device.uid.hex].status is DeviceStatus.ACTIVE
+
+
+def test_expired_earlier_session_skipped_by_trial_decryption():
+    w = World(key_ttl=100.0)
+    w.session()  # session-0: its keys expire at NOW + 100
+    stale_key = w.server.sessions[w.session_id].keys.kem.public
+    stale = wire.RegistrationRequest(crypto.hybrid_encrypt(
+        stale_key, b"for the old session only", w.rng, w.clock.now()))
+    w.clock.advance(90.0)
+    w.session()  # session-1, same TOTP step as the request below
+    deliver_token(w.auth, w.server, w.session_id, w.h_s)
+    provision_device(w.auth, w.device)
+    request = w.device.build_registration_request()
+    w.clock.advance(20.0)
+
+    w.server.handle_registration(request.message, "device-1")
+    assert w.device.uid.hex in w.server.registry
+    with pytest.raises(Malformed):
+        w.server.handle_registration(stale, "device-1")
+    rejected = w.trace.by_kind(ch.DEVICE_REQUEST_REJECTED)
+    assert [e.get("error") for e in rejected] == ["Malformed"]
+    assert rejected[0].get("detail") == "request not decryptable"
+
+
 def test_data_report_lifecycle_and_revocation():
     w = World()
     w.onboard()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import pathlib
 
 import pytest
@@ -39,6 +40,16 @@ def test_golden_bytes():
     assert set(golden) == set(messages)
     for name, msg in messages.items():
         assert wire.encode(msg) == golden[name], name
+
+
+def test_wire_doc_is_current():
+    # docs/wire_format.md is generated; a format change that skips
+    # regenerating it fails here.
+    tool = pathlib.Path(__file__).parent.parent / "tools" / "gen_wire_docs.py"
+    spec = importlib.util.spec_from_file_location("gen_wire_docs", tool)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert gen.OUT.read_text() == gen.render()
 
 
 def test_decode_empty_is_truncated():

@@ -11,6 +11,7 @@ import struct
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUT = ROOT / "docs" / "wire_format.md"
 sys.path.insert(0, str(ROOT / "tests"))
 
 from hearthgate import wire  # noqa: E402
@@ -111,20 +112,23 @@ def annotate(name: str, encoded: bytes) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:
-    messages = build_fixture_messages()
+def render() -> str:
+    """The whole of docs/wire_format.md, built from the fixtures."""
     parts = [HEADER]
-    for name, msg in messages.items():
+    for name, msg in build_fixture_messages().items():
         encoded = wire.encode(msg)
         parts.append(f"\n## {name} (tag 0x{encoded[4]:02x}, "
                      f"{len(encoded)} bytes)\n")
         parts.append("```")
         parts.append(annotate(name, encoded))
         parts.append("```")
-    out = ROOT / "docs" / "wire_format.md"
-    out.parent.mkdir(exist_ok=True)
-    out.write_text("\n".join(parts) + "\n")
-    print(f"wrote {out}")
+    return "\n".join(parts) + "\n"
+
+
+def main() -> None:
+    OUT.parent.mkdir(exist_ok=True)
+    OUT.write_text(render())
+    print(f"wrote {OUT}")
 
 
 if __name__ == "__main__":
