@@ -44,6 +44,10 @@ LEDGER_COMMIT = "LedgerCommit"
 ADVERSARY_ACTION = "AdversaryAction"
 MESSAGE_REJECTED = "MessageRejected"
 
+# Every kind that records a rejected message, whichever role rejected it.
+REJECTION_KINDS = (DEVICE_REQUEST_REJECTED, ACTIVATION_REJECTED, DATA_REJECTED,
+                   REVOCATION_REJECTED, MESSAGE_REJECTED)
+
 
 @dataclass(frozen=True)
 class TraceEvent:

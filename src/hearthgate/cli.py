@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__, bench, harness, ledger, risk, wire
-from .channels import SecureChannel, Trace
+from .channels import REJECTION_KINDS, SecureChannel, Trace
 from .config import Config, ConfigError, load_config
 from .crypto import CryptoError, gen_link_key
 from .ledger import ChannelName, LedgerNetwork, OrgRole
@@ -294,8 +294,7 @@ def _attack_from_file(args) -> int:
         return EXIT_USAGE
     holds = {k: v.holds for k, v in verdicts.items()}
     rejections = [f"{e.get('error')}({e.get('detail')})"
-                  for kind in (("DeviceRequestRejected", "DataRejected"))
-                  for e in result.trace.by_kind(kind)]
+                  for e in result.trace.events if e.kind in REJECTION_KINDS]
     print(f"script file {args.script_file}: "
           f"{len(rejections)} rejection(s): {', '.join(rejections) or 'none'}")
     print(f"properties: {json.dumps(holds, sort_keys=True)}")

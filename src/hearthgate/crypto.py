@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -71,6 +71,7 @@ DEVICE_TOKEN_LEN = 32
 TOTP_SECRET_LEN = 20
 TOTP_DIGITS = 8
 TOTP_STEP = 30
+KEY_ID_LEN = 8
 
 DEFAULT_KEM = "x25519"
 SIG_ALGO = "ed25519"
@@ -156,14 +157,14 @@ class _X25519Backend:
         raw = eph.exchange(peer)
         return encapsulation, self._kdf(raw, encapsulation, peer_public)
 
-    def decaps(self, secret: bytes, encapsulation: bytes) -> bytes:
+    def decaps(self, secret: bytes, encapsulation: bytes,
+               own_public: bytes) -> bytes:
         try:
             sk = X25519PrivateKey.from_private_bytes(secret)
             eph_pub = X25519PublicKey.from_public_bytes(encapsulation)
         except ValueError as exc:
             raise MalformedKey(str(exc)) from exc
         raw = sk.exchange(eph_pub)
-        own_public = sk.public_key().public_bytes_raw()
         return self._kdf(raw, encapsulation, own_public)
 
     @staticmethod
@@ -184,7 +185,9 @@ class _MlKem512Backend:
         except ValueError as exc:
             raise MalformedKey(str(exc)) from exc
 
-    def decaps(self, secret: bytes, encapsulation: bytes) -> bytes:
+    def decaps(self, secret: bytes, encapsulation: bytes,
+               own_public: bytes) -> bytes:
+        # The decapsulation key embeds the public key; no need to pass it.
         try:
             return mlkem.decaps(secret, encapsulation)
         except ValueError as exc:
@@ -283,6 +286,10 @@ class HybridCiphertext:
     aead_nonce: bytes
     body: bytes
     auth_tag: bytes
+    # Recipient KEM key id (KEY_ID_LEN bytes), a routing hint in the clear.
+    # Only top-level message frames carry it; the canonical ciphertext bytes
+    # that get signed do not, so it takes no part in equality.
+    key_id: bytes = field(default=b"", compare=False)
 
 
 def hybrid_encrypt(public: PublicKey, plaintext: bytes, rng: Rng,
@@ -293,7 +300,8 @@ def hybrid_encrypt(public: PublicKey, plaintext: bytes, rng: Rng,
     _ensure_fresh(public, now)
     encapsulation, shared = kem_backend(public.algo).encaps(public.key, rng)
     box = aead_seal(shared, plaintext, rng, aad=encapsulation)
-    return HybridCiphertext(encapsulation, box.nonce, box.body, box.tag)
+    return HybridCiphertext(encapsulation, box.nonce, box.body, box.tag,
+                            key_id=bytes.fromhex(public.key_id))
 
 
 def hybrid_decrypt(pair: KeyPair, ciphertext: HybridCiphertext,
@@ -301,7 +309,8 @@ def hybrid_decrypt(pair: KeyPair, ciphertext: HybridCiphertext,
     _ensure_fresh(pair, now)
     try:
         shared = kem_backend(pair.algo).decaps(pair.secret_key,
-                                               ciphertext.encapsulation)
+                                               ciphertext.encapsulation,
+                                               pair.public_key)
         box = AeadBox(ciphertext.aead_nonce, ciphertext.body, ciphertext.auth_tag)
         return aead_open(shared, box, aad=ciphertext.encapsulation)
     except (MalformedKey, DecryptionFailure, ValueError) as exc:

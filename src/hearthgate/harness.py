@@ -300,26 +300,38 @@ class RunResult:
         return derive_closure(self.knowledge)
 
 
-def forge_registration(world: World) -> bytes | None:
-    """A concrete injection: a registration request built entirely from the
-    adversary's own keys. The server must refuse its signature."""
+def _forged_request(world: World, label: str,
+                    token: tuple[crypto.HybridCiphertext, crypto.Signature]
+                    | None = None) -> bytes:
+    """Registration request for a fresh pseudo-identity with fresh device
+    keys, encrypted to device 0's server key. ``token`` is the (encrypted
+    token, signature) pair it carries; without one, the adversary encrypts a
+    made-up token and signs it with its own key."""
     device = world.devices[0]
-    if device.server_public is None:
-        return None
+    rng = world.adv_rng.child(label)
     now = world.clock.now()
-    rng = world.adv_rng.child("forge")
     keys = crypto.generate_role_keys(crypto.RoleTag.DEVICE_FOR_SERVER,
                                      world.spec.key_ttl, rng, now,
                                      kem_algo=world.spec.kem_algo)
-    sig_keys = crypto.sig_keygen(crypto.RoleTag.AUTH_FOR_SERVER,
-                                 world.spec.key_ttl, rng, now)
-    fake_token = crypto.hybrid_encrypt(device.server_public.kem, b"00000000",
-                                       rng, now)
-    fake_sig = crypto.sign(sig_keys, wire.encode_hybrid(fake_token), now)
+    if token is None:
+        sig_keys = crypto.sig_keygen(crypto.RoleTag.AUTH_FOR_SERVER,
+                                     world.spec.key_ttl, rng, now)
+        fake_token = crypto.hybrid_encrypt(device.server_public.kem,
+                                           b"00000000", rng, now)
+        token = (fake_token,
+                 crypto.sign(sig_keys, wire.encode_hybrid(fake_token), now))
     payload = wire.encode_registration_payload(keys.public, rng.bytes(16),
-                                               fake_token, fake_sig)
+                                               *token)
     ct = crypto.hybrid_encrypt(device.server_public.kem, payload, rng, now)
     return wire.encode(wire.RegistrationRequest(ct))
+
+
+def forge_registration(world: World) -> bytes | None:
+    """A concrete injection: a registration request built entirely from the
+    adversary's own keys. The server must refuse its signature."""
+    if world.devices[0].server_public is None:
+        return None
+    return _forged_request(world, "forge")
 
 
 def run_scenario(spec: ScenarioSpec, adversary, seed: int,
@@ -521,16 +533,8 @@ def _forge_reuse_token(world: World) -> bytes:
     """Compromised-device fixture: reuse the honest device's (encrypted token,
     signature) under a fresh pseudo-identity."""
     device = world.devices[0]
-    rng = world.adv_rng.child("swap")
-    now = world.clock.now()
-    keys = crypto.generate_role_keys(crypto.RoleTag.DEVICE_FOR_SERVER,
-                                     world.spec.key_ttl, rng, now,
-                                     kem_algo=world.spec.kem_algo)
-    payload = wire.encode_registration_payload(
-        keys.public, rng.bytes(16), device._encrypted_token,
-        device._token_signature)
-    ct = crypto.hybrid_encrypt(device.server_public.kem, payload, rng, now)
-    return wire.encode(wire.RegistrationRequest(ct))
+    return _forged_request(world, "swap", token=(device._encrypted_token,
+                                                 device._token_signature))
 
 
 def run_attack(name: str, seed: int = 7) -> AttackOutcome:

@@ -466,6 +466,10 @@ class Server:
         self.sessions: dict[str, Session] = {}
         self.pending: list[PendingRegistration] = []
         self.registry: dict[str, RegistryEntry] = {}
+        # Recipient KEM key id -> the established session or registry entry
+        # holding that key. A ciphertext names its key, so it is decrypted
+        # once, with that key alone.
+        self.routes: dict[bytes, Session | RegistryEntry] = {}
         self.crl: set[bytes] = set()
         self.used_nonces: set[str] = set()
         self._session_counter = 0
@@ -524,6 +528,7 @@ class Server:
     def complete_session(self, session_id: str) -> None:
         session = self.sessions[session_id]
         session.established = True
+        self.routes[bytes.fromhex(session.keys.kem.key_id)] = session
         self.trace.record(self.name, ch.SESSION_ESTABLISHED,
                           session=session_id, nonce=session.nonce_hex)
 
@@ -560,10 +565,10 @@ class Server:
         use of that token.
         """
         now = self.clock.now()
-        session, raw = self._decrypt_with_sessions(msg.ciphertext, now)
+        session, raw = self._route(msg.ciphertext, Session, now)
         if session is None:
             self._reject_request("Malformed", "request not decryptable")
-            raise Malformed("request not decryptable with any session key")
+            raise Malformed("request not decryptable by the session key it names")
         try:
             device_public, uid, encrypted_token, signature = \
                 wire.decode_registration_payload(raw)
@@ -616,16 +621,19 @@ class Server:
         return self._activate_device(session, device_public, uid_hex, digits,
                                      reply_to, now)
 
-    def _decrypt_with_sessions(self, ciphertext, now):
-        for session in self.sessions.values():
-            if not session.established:
-                continue
-            try:
-                return session, crypto.hybrid_decrypt(session.keys.kem,
-                                                      ciphertext, now)
-            except (DecryptionFailure, KeyExpired):
-                continue
-        return None, None
+    def _route(self, ciphertext, kind, now):
+        """Decrypt with the key the ciphertext's key id names, if a ``kind``
+        (Session or RegistryEntry) holds it. Returns (holder, plaintext), or
+        (None, None) when the key is unknown, of the other kind, expired, or
+        does not open the ciphertext."""
+        holder = self.routes.get(ciphertext.key_id)
+        if not isinstance(holder, kind):
+            return None, None
+        keys = holder.keys if kind is Session else holder.server_keys
+        try:
+            return holder, crypto.hybrid_decrypt(keys.kem, ciphertext, now)
+        except (DecryptionFailure, KeyExpired):
+            return None, None
 
     def _activate_device(self, session: Session, device_public: RolePublic,
                          uid_hex: str, digits: str, reply_to: str,
@@ -642,7 +650,11 @@ class Server:
             status=DeviceStatus.ACTIVE, activation_term=term)
         self._commit_record(entry, session.auth_public, DeviceStatus.ACTIVE,
                             now, ch.DEVICE_REQUEST_REJECTED)
+        replaced = self.registry.get(uid_hex)
+        if replaced is not None:  # a revoked uid registering again
+            del self.routes[bytes.fromhex(replaced.server_keys.kem.key_id)]
         self.registry[uid_hex] = entry
+        self.routes[bytes.fromhex(server_keys.kem.key_id)] = entry
         self.trace.record(self.name, ch.REGISTRATION_SUCCESS, uid=uid_hex,
                           token=digits, nonce=session.nonce_hex)
         self.trace.record(self.name, ch.KEYPAIR_DELIVERED, uid=uid_hex,
@@ -701,11 +713,11 @@ class Server:
 
     def handle_data_report(self, msg: wire.DataReport) -> None:
         now = self.clock.now()
-        entry, raw = self._decrypt_with_registry(msg.ciphertext, now)
+        entry, raw = self._route(msg.ciphertext, RegistryEntry, now)
         if entry is None:
             self.trace.record(self.name, ch.DATA_REJECTED, error="Malformed",
                               detail="report not decryptable")
-            raise Malformed("report not decryptable with any device key")
+            raise Malformed("report not decryptable by the device key it names")
         try:
             uid, metric, value, unit, token = wire.decode_data_payload(raw)
         except wire.WireError as exc:
@@ -737,24 +749,15 @@ class Server:
         self.trace.record(self.name, ch.DATA_ACCEPTED, uid=uid_hex,
                           metric=metric, value=str(value))
 
-    def _decrypt_with_registry(self, ciphertext, now):
-        for entry in self.registry.values():
-            try:
-                return entry, crypto.hybrid_decrypt(entry.server_keys.kem,
-                                                    ciphertext, now)
-            except (DecryptionFailure, KeyExpired):
-                continue
-        return None, None
-
     # -- revocation ----------------------------------------------------------------
 
     def handle_revocation(self, msg: wire.RevocationRequest) -> None:
         now = self.clock.now()
-        session, raw = self._decrypt_with_sessions(msg.ciphertext, now)
+        session, raw = self._route(msg.ciphertext, Session, now)
         if session is None:
             self.trace.record(self.name, ch.REVOCATION_REJECTED, error="Malformed",
                               detail="request not decryptable")
-            raise Malformed("revocation not decryptable with any session key")
+            raise Malformed("revocation not decryptable by the session key it names")
         try:
             uid = wire.decode_revocation_payload(raw)
         except wire.WireError as exc:

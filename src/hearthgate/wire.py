@@ -9,7 +9,10 @@ The format is plain tag-length-value with big-endian length prefixes:
     field     := u32 len || bytes
 
 Nested structures (public-key bundles, hybrid ciphertexts, the payload
-tuples that get encrypted) reuse the same field framing. ``decode`` is total
+tuples that get encrypted) reuse the same field framing. A top-level message
+carrying a hybrid ciphertext puts the recipient's 8-byte KEM key id in its
+first field, so the receiver decrypts with the one key it names; nested
+ciphertexts (the signed encrypted token) carry none. ``decode`` is total
 over arbitrary input: it returns a message or raises a structured
 ``WireError``, never anything else.
 """
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .crypto import (
+    KEY_ID_LEN,
     AeadBox,
     HybridCiphertext,
     PublicKey,
@@ -344,7 +348,10 @@ def encode(message: Message) -> bytes:
         box = message.box
         body = pack_fields([box.nonce, box.body, box.tag])
     else:
-        body = encode_hybrid(message.ciphertext)
+        ct = message.ciphertext
+        if len(ct.key_id) != KEY_ID_LEN:
+            raise ValueError(f"hybrid ciphertext needs a {KEY_ID_LEN}-byte key id")
+        body = pack_fields([ct.key_id]) + encode_hybrid(ct)
     framed = _u8(tag) + body
     return struct.pack(">I", len(framed)) + framed
 
@@ -376,10 +383,13 @@ def decode(data: bytes) -> Message:
                 raise Truncated("malformed AEAD box framing")
             return DeviceProvision(AeadBox(nonce, box_body, box_tag))
         if tag in _HYBRID_VARIANTS:
-            encap, aead_nonce, ct_body, auth_tag = unpack_fields(rest, expect=4)
-            if len(aead_nonce) != 12 or len(auth_tag) != 16:
+            key_id, encap, aead_nonce, ct_body, auth_tag = \
+                unpack_fields(rest, expect=5)
+            if (len(key_id) != KEY_ID_LEN or len(aead_nonce) != 12
+                    or len(auth_tag) != 16):
                 raise Truncated("malformed hybrid ciphertext framing")
-            ct = HybridCiphertext(encap, aead_nonce, ct_body, auth_tag)
+            ct = HybridCiphertext(encap, aead_nonce, ct_body, auth_tag,
+                                  key_id=key_id)
             return _HYBRID_VARIANTS[tag](ct)
     except UnicodeDecodeError as exc:
         raise Truncated(f"invalid UTF-8 in message field: {exc}") from None

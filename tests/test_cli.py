@@ -153,6 +153,16 @@ def test_attack_script_file(tmp_path, capsys):
     assert '"Authentication": true' in out
 
 
+def test_attack_script_file_counts_every_rejection_kind(tmp_path, capsys):
+    # Bit 900 lands in the activation response's ciphertext: the device, not
+    # the server, rejects it.
+    script = tmp_path / "tamper.json"
+    script.write_text('[{"on": 1, "action": "tamper", "bit": 900}]')
+    code, out, _ = run_cli(capsys, ["attack", "--script-file", str(script)])
+    assert code == EXIT_OK
+    assert "1 rejection(s): Malformed(undecryptable)" in out
+
+
 def test_attack_script_file_with_scenario(tmp_path, capsys):
     script = tmp_path / "drop.json"
     script.write_text('[{"on": 0, "action": "drop"}]')

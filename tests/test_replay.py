@@ -6,8 +6,10 @@ produced. The digests in ``tests/data/replay_digests.json`` pin those
 outputs, so a refactor that changes any trace, ledger block, snapshot or
 report row fails here.
 
-Regenerate the file only for a deliberate behaviour change:
-``PYTHONPATH=src python tests/test_replay.py --write``.
+Regenerate digests only for a deliberate behaviour change, naming just the
+cases it changes: ``PYTHONPATH=src python tests/test_replay.py --write CASE
+[CASE ...]`` rewrites those and keeps every other pinned digest; ``--write``
+alone rewrites them all.
 """
 
 from __future__ import annotations
@@ -118,8 +120,15 @@ def test_every_pinned_case_still_runs():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_replay.py --write")
-    digests = {name: fn(*args) for name, (fn, args) in sorted(CASES.items())}
+    flag, names = sys.argv[1:2], sys.argv[2:]
+    unknown = sorted(set(names) - set(CASES))
+    if flag != ["--write"] or unknown:
+        sys.exit(f"usage: test_replay.py --write [CASE ...]"
+                 f"{'; unknown: ' + ', '.join(unknown) if unknown else ''}")
+    # Named cases are re-pinned alone; every other digest stays as it was.
+    digests = _pinned() if names else {}
+    for name in names or sorted(CASES):
+        fn, args = CASES[name]
+        digests[name] = fn(*args)
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {DIGESTS}")
+    print(f"wrote {len(names or CASES)} of {len(digests)} digests to {DIGESTS}")

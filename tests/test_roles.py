@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from conftest import NOW, make_network
 from hearthgate import channels as ch
-from hearthgate import crypto, wire
+from hearthgate import crypto, harness, wire
 from hearthgate.channels import SecureChannel, Trace
 from hearthgate.crypto import KeyExpired, RoleTag
 from hearthgate.ledger import ChannelName
@@ -428,3 +430,123 @@ def test_registration_success_reuses_issue_nonce_and_token():
     assert issued.get("token") == accepted.get("token") == success.get("token")
     assert issued.get("nonce") == accepted.get("nonce") == success.get("nonce")
     assert accepted.time < success.time
+
+
+# -- routing by recipient key id ------------------------------------------------
+
+def _count_decrypts(monkeypatch) -> list:
+    """Record the key of every hybrid_decrypt call made from here on."""
+    calls = []
+    real = crypto.hybrid_decrypt
+
+    def counting(pair, ciphertext, now):
+        calls.append(pair)
+        return real(pair, ciphertext, now)
+
+    monkeypatch.setattr(crypto, "hybrid_decrypt", counting)
+    return calls
+
+
+def test_server_decrypts_each_ciphertext_once(monkeypatch):
+    calls = _count_decrypts(monkeypatch)
+    per_message: dict[str, list[int]] = {}
+    for name in ("handle_nonce_response", "handle_registration",
+                 "handle_data_report", "handle_revocation"):
+        def counted(self, *args, _real=getattr(Server, name), _name=name):
+            before = len(calls)
+            try:
+                return _real(self, *args)
+            finally:
+                per_message.setdefault(_name, []).append(len(calls) - before)
+        monkeypatch.setattr(Server, name, counted)
+
+    spec = harness.ScenarioSpec(
+        devices=30, revoke=True, totp_step=3600,
+        reports=(("temperature_c", 21.5, "C"), ("temperature_c", 85.0, "C")))
+    result = harness.run_scenario(spec, None, seed=5)
+
+    assert len(result.trace.by_kind(ch.DATA_ACCEPTED)) == 60
+    assert len(result.trace.by_kind(ch.DEVICE_REVOKED)) == 30
+    # One decryption per message; a registration also opens the encrypted
+    # token it carries.
+    assert set(per_message["handle_registration"]) == {2}
+    for name in ("handle_nonce_response", "handle_data_report",
+                 "handle_revocation"):
+        assert set(per_message[name]) == {1}, name
+
+
+def test_unknown_key_id_rejected_without_decrypting(monkeypatch):
+    w = World()
+    w.session()
+    deliver_token(w.auth, w.server, w.session_id, w.h_s)
+    provision_device(w.auth, w.device)
+    request = w.device.build_registration_request().message
+    rerouted = wire.RegistrationRequest(
+        dataclasses.replace(request.ciphertext, key_id=bytes(8)))
+    calls = _count_decrypts(monkeypatch)
+    with pytest.raises(Malformed):
+        w.server.handle_registration(rerouted, "device-1")
+    assert calls == []
+    rejected = w.trace.by_kind(ch.DEVICE_REQUEST_REJECTED)
+    assert [(e.get("error"), e.get("detail")) for e in rejected] == \
+        [("Malformed", "request not decryptable")]
+
+
+def test_key_id_of_the_wrong_kind_rejected():
+    w = World()
+    w.onboard()
+    now = w.clock.now()
+    session_key = w.server.sessions[w.session_id].keys.kem.public
+    entry = w.server.registry[w.device.uid.hex]
+    # A well-formed report, but sealed to a session key.
+    report = wire.DataReport(crypto.hybrid_encrypt(
+        session_key,
+        wire.encode_data_payload(w.device.uid.value, "temperature_c", 21.5,
+                                 "C", w.device.device_token),
+        w.rng, now))
+    with pytest.raises(Malformed):
+        w.server.handle_data_report(report)
+    # A revocation sealed to a device's dedicated server key.
+    revocation = wire.RevocationRequest(crypto.hybrid_encrypt(
+        entry.server_keys.kem.public,
+        wire.encode_revocation_payload(w.device.uid.value), w.rng, now))
+    with pytest.raises(Malformed):
+        w.server.handle_revocation(revocation)
+    assert [(e.kind, e.get("error"), e.get("detail"))
+            for e in w.trace.events if e.kind in ch.REJECTION_KINDS] == [
+        (ch.DATA_REJECTED, "Malformed", "report not decryptable"),
+        (ch.REVOCATION_REJECTED, "Malformed", "request not decryptable"),
+    ]
+    assert entry.status is DeviceStatus.ACTIVE
+
+
+def test_report_under_replaced_server_key_rejected():
+    # A revoked uid registers again; its old dedicated server key is gone, so
+    # a report sealed to it is undecryptable rather than checked against the
+    # new registration.
+    w = World()
+    w.onboard()
+    uid = w.device.uid
+    stale = w.device.build_data_report("temperature_c", 21.5, "C")
+    w.server.handle_revocation(w.auth.build_revocation(uid.hex))
+
+    again = Device(w.rng.child("again"), w.clock, w.trace, w.link,
+                   name="device-1")
+    again.uid = uid
+    w.auth.phase = AuthPhase.DEVICE_CONNECTED
+    deliver_token(w.auth, w.server, w.session_id, w.h_s)
+    provision_device(w.auth, again)
+    request = again.build_registration_request()
+    for out in w.server.handle_registration(request.message, again.name):
+        if isinstance(out.message, wire.ActivationResponse):
+            again.handle_activation(out.message)
+    assert again.phase is DevicePhase.ACTIVE
+
+    with pytest.raises(Malformed):
+        w.server.handle_data_report(stale.message)
+    rejected = w.trace.by_kind(ch.DATA_REJECTED)
+    assert [(e.get("error"), e.get("detail")) for e in rejected] == \
+        [("Malformed", "report not decryptable")]
+    w.server.handle_data_report(
+        again.build_data_report("temperature_c", 22.0, "C").message)
+    assert len(w.trace.by_kind(ch.DATA_ACCEPTED)) == 1

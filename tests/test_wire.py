@@ -76,6 +76,44 @@ def test_decode_unknown_tag():
         wire.decode(framed)
 
 
+def _with_key_id_field(encoded: bytes, field: bytes) -> bytes:
+    """Re-frame a hybrid-carrying message with ``field`` in place of its
+    length-prefixed key id field."""
+    body = encoded[4:5] + field + encoded[5 + 4 + crypto.KEY_ID_LEN:]
+    return len(body).to_bytes(4, "big") + body
+
+
+@pytest.mark.parametrize("key_id", [b"", bytes(7), bytes(9)])
+def test_decode_rejects_key_id_not_8_bytes(key_id):
+    encoded = wire.encode(build_fixture_messages()["data_report"])
+    assert wire.decode(_with_key_id_field(
+        encoded, wire.pack_fields([bytes(8)]))).ciphertext.key_id == bytes(8)
+    with pytest.raises(wire.WireError):
+        wire.decode(_with_key_id_field(encoded, wire.pack_fields([key_id])))
+
+
+def test_decode_truncated_key_id():
+    encoded = wire.encode(build_fixture_messages()["registration_request"])
+    for cut in (5 + 2, 5 + 4 + 3):  # inside the length prefix, inside the id
+        body = encoded[4:cut]
+        with pytest.raises(wire.Truncated):
+            wire.decode(len(body).to_bytes(4, "big") + body)
+
+
+def test_key_id_names_the_recipient_key():
+    rng = seeded_rng(5)
+    now = 1_700_000_010.0
+    pair = crypto.kem_keygen(RoleTag.SERVER_FOR_DEVICE, 86_400.0, rng, now)
+    ct = crypto.hybrid_encrypt(pair.public, b"reading", rng, now)
+    assert ct.key_id == bytes.fromhex(pair.key_id)
+    decoded = wire.decode(wire.encode(wire.DataReport(ct))).ciphertext
+    assert decoded.key_id == ct.key_id
+    # The signed nested encoding carries no key id.
+    assert wire.decode_hybrid(wire.encode_hybrid(ct)).key_id == b""
+    with pytest.raises(ValueError):
+        wire.encode(wire.DataReport(wire.decode_hybrid(wire.encode_hybrid(ct))))
+
+
 def test_fuzz_decode_never_crashes():
     rng = seeded_rng(1234)
     outcomes = {"ok": 0, "error": 0}

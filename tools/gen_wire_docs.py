@@ -17,29 +17,31 @@ sys.path.insert(0, str(ROOT / "tests"))
 from hearthgate import wire  # noqa: E402
 from wire_fixtures import build_fixture_messages  # noqa: E402
 
+KEY_ID = "recipient KEM key id (8 bytes, in the clear)"
+
 FIELD_NAMES = {
     "session_hello": ["key bundle (nested: kem key + signing key)"],
     "nonce_challenge": ["nonce (16 bytes)"],
-    "nonce_response": ["KEM encapsulation", "AEAD nonce (12 bytes)",
+    "nonce_response": [KEY_ID, "KEM encapsulation", "AEAD nonce (12 bytes)",
                        "AEAD body: encoded signature over the peer nonce",
                        "AEAD tag (16 bytes)"],
-    "token_delivery": ["KEM encapsulation", "AEAD nonce",
+    "token_delivery": [KEY_ID, "KEM encapsulation", "AEAD nonce",
                        "AEAD body: (token digits, api address)", "AEAD tag"],
     "device_provision": ["AEAD nonce (12 bytes, link key)",
                          "AEAD body: (api, server bundle, encrypted token, "
                          "signature)", "AEAD tag (16 bytes)"],
-    "registration_request": ["KEM encapsulation", "AEAD nonce",
+    "registration_request": [KEY_ID, "KEM encapsulation", "AEAD nonce",
                              "AEAD body: (device bundle, uid, encrypted "
                              "token, signature)", "AEAD tag"],
-    "activation_response": ["KEM encapsulation", "AEAD nonce",
+    "activation_response": [KEY_ID, "KEM encapsulation", "AEAD nonce",
                             "AEAD body: (device token, dedicated server "
                             "bundle)", "AEAD tag"],
-    "connected_notice": ["KEM encapsulation", "AEAD nonce",
+    "connected_notice": [KEY_ID, "KEM encapsulation", "AEAD nonce",
                          "AEAD body: uid || \"connected\"", "AEAD tag"],
-    "data_report": ["KEM encapsulation", "AEAD nonce",
+    "data_report": [KEY_ID, "KEM encapsulation", "AEAD nonce",
                     "AEAD body: (uid, metric, value, unit, device token)",
                     "AEAD tag"],
-    "revocation_request": ["KEM encapsulation", "AEAD nonce",
+    "revocation_request": [KEY_ID, "KEM encapsulation", "AEAD nonce",
                            "AEAD body: (\"revoke\", uid)", "AEAD tag"],
 }
 
@@ -66,6 +68,13 @@ Nested structures reuse the field framing:
   `(u8 role tag, algo string, key bytes, f64 created_at, f64 ttl)`;
 * hybrid ciphertext: `(encapsulation, aead_nonce[12], body, tag[16])`;
 * signature: `(u8 signer role tag, signature bytes)`.
+
+A message that carries a hybrid ciphertext (tags 0x03, 0x04 and 0x06 to
+0x0A) frames it as five fields: first the recipient's KEM key id (8 bytes:
+the first 8 bytes of SHA-256 over `algo || "|" || public key`), then the
+four ciphertext fields. The receiver looks the key up by that id and
+decrypts once. The key id is not part of the nested ciphertext encoding, so
+the signed encrypted token carries none.
 
 Message tags:
 
