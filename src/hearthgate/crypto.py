@@ -19,6 +19,7 @@ import hmac
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -85,6 +86,30 @@ def _key_id(algo: str, public: bytes) -> str:
     return sha256(algo.encode() + b"|" + public).hex()[:16]
 
 
+# Key parsers of the algorithms ``cryptography`` implements. ML-KEM keys are
+# bytes to the pure-Python ``mlkem`` module and are never parsed here.
+_PRIVATE_PARSERS = {
+    "x25519": X25519PrivateKey.from_private_bytes,
+    SIG_ALGO: Ed25519PrivateKey.from_private_bytes,
+}
+_PUBLIC_PARSERS = {
+    "x25519": X25519PublicKey.from_public_bytes,
+    SIG_ALGO: Ed25519PublicKey.from_public_bytes,
+}
+
+
+def _parse_key(parsers: dict, algo: str, raw: bytes):
+    try:
+        return parsers[algo](raw)
+    except ValueError as exc:
+        raise MalformedKey(str(exc)) from exc
+
+
+# The derived values below are cached_property entries in the instance
+# __dict__, outside the dataclass fields: equality, hashing, repr, asdict and
+# every wire encoding see only the fields. A frozen instance never changes,
+# so its derived values cannot go stale.
+
 @dataclass(frozen=True)
 class PublicKey:
     role_tag: RoleTag
@@ -93,9 +118,14 @@ class PublicKey:
     created_at: float
     ttl: float
 
-    @property
+    @cached_property
     def key_id(self) -> str:
         return _key_id(self.algo, self.key)
+
+    @cached_property
+    def parsed(self):
+        """The ``cryptography`` public key object, parsed on first use."""
+        return _parse_key(_PUBLIC_PARSERS, self.algo, self.key)
 
     def expired(self, now: float) -> bool:
         return now > self.created_at + self.ttl
@@ -110,17 +140,32 @@ class KeyPair:
     created_at: float
     ttl: float
 
-    @property
+    @cached_property
     def public(self) -> PublicKey:
         return PublicKey(self.role_tag, self.algo, self.public_key,
                          self.created_at, self.ttl)
 
-    @property
+    @cached_property
     def key_id(self) -> str:
         return _key_id(self.algo, self.public_key)
 
+    @cached_property
+    def parsed(self):
+        """The ``cryptography`` private key object, parsed on first use
+        unless keygen stored the one it made (see :func:`_new_pair`)."""
+        return _parse_key(_PRIVATE_PARSERS, self.algo, self.secret_key)
+
     def expired(self, now: float) -> bool:
         return now > self.created_at + self.ttl
+
+
+def _new_pair(role_tag: RoleTag, algo: str, public: bytes, secret: bytes,
+              now: float, ttl: float, parsed) -> KeyPair:
+    """A pair holding ``parsed``, the private key object keygen already made."""
+    pair = KeyPair(role_tag, algo, public, secret, now, ttl)
+    if parsed is not None:
+        pair.__dict__["parsed"] = parsed  # fills the cached_property
+    return pair
 
 
 def _ensure_fresh(key: KeyPair | PublicKey, now: float) -> None:
@@ -140,32 +185,27 @@ class _X25519Backend:
 
     name = "x25519"
 
-    def keygen(self, rng: Rng) -> tuple[bytes, bytes]:
+    def keygen(self, rng: Rng) -> tuple[bytes, bytes, X25519PrivateKey]:
         secret = rng.bytes(32)
         sk = X25519PrivateKey.from_private_bytes(secret)
         pk = sk.public_key().public_bytes_raw()
-        return pk, secret
+        return pk, secret, sk
 
-    def encaps(self, peer_public: bytes, rng: Rng) -> tuple[bytes, bytes]:
-        try:
-            peer = X25519PublicKey.from_public_bytes(peer_public)
-        except ValueError as exc:
-            raise MalformedKey(str(exc)) from exc
+    def encaps(self, peer: PublicKey, rng: Rng) -> tuple[bytes, bytes]:
+        peer_key = peer.parsed  # a malformed key fails before any RNG draw
         eph_secret = rng.bytes(32)
         eph = X25519PrivateKey.from_private_bytes(eph_secret)
         encapsulation = eph.public_key().public_bytes_raw()
-        raw = eph.exchange(peer)
-        return encapsulation, self._kdf(raw, encapsulation, peer_public)
+        raw = eph.exchange(peer_key)
+        return encapsulation, self._kdf(raw, encapsulation, peer.key)
 
-    def decaps(self, secret: bytes, encapsulation: bytes,
-               own_public: bytes) -> bytes:
+    def decaps(self, pair: KeyPair, encapsulation: bytes) -> bytes:
         try:
-            sk = X25519PrivateKey.from_private_bytes(secret)
             eph_pub = X25519PublicKey.from_public_bytes(encapsulation)
         except ValueError as exc:
             raise MalformedKey(str(exc)) from exc
-        raw = sk.exchange(eph_pub)
-        return self._kdf(raw, encapsulation, own_public)
+        raw = pair.parsed.exchange(eph_pub)
+        return self._kdf(raw, encapsulation, pair.public_key)
 
     @staticmethod
     def _kdf(raw: bytes, encapsulation: bytes, recipient_public: bytes) -> bytes:
@@ -176,20 +216,19 @@ class _X25519Backend:
 class _MlKem512Backend:
     name = "ml-kem-512"
 
-    def keygen(self, rng: Rng) -> tuple[bytes, bytes]:
-        return mlkem.keygen(rng.bytes(64))
+    def keygen(self, rng: Rng) -> tuple[bytes, bytes, None]:
+        return (*mlkem.keygen(rng.bytes(64)), None)
 
-    def encaps(self, peer_public: bytes, rng: Rng) -> tuple[bytes, bytes]:
+    def encaps(self, peer: PublicKey, rng: Rng) -> tuple[bytes, bytes]:
         try:
-            return mlkem.encaps(peer_public, rng.bytes(32))
+            return mlkem.encaps(peer.key, rng.bytes(32))
         except ValueError as exc:
             raise MalformedKey(str(exc)) from exc
 
-    def decaps(self, secret: bytes, encapsulation: bytes,
-               own_public: bytes) -> bytes:
+    def decaps(self, pair: KeyPair, encapsulation: bytes) -> bytes:
         # The decapsulation key embeds the public key; no need to pass it.
         try:
-            return mlkem.decaps(secret, encapsulation)
+            return mlkem.decaps(pair.secret_key, encapsulation)
         except ValueError as exc:
             raise MalformedKey(str(exc)) from exc
 
@@ -212,8 +251,8 @@ def kem_keygen(role_tag: RoleTag, ttl: float, rng: Rng, now: float,
     """Generate an ephemeral KEM pair for one role relationship."""
     if ttl <= 0:
         raise ValueError("ttl must be positive")
-    public, secret = kem_backend(algo).keygen(rng)
-    return KeyPair(role_tag, algo, public, secret, now, ttl)
+    public, secret, parsed = kem_backend(algo).keygen(rng)
+    return _new_pair(role_tag, algo, public, secret, now, ttl, parsed)
 
 
 def sig_keygen(role_tag: RoleTag, ttl: float, rng: Rng, now: float) -> KeyPair:
@@ -223,7 +262,7 @@ def sig_keygen(role_tag: RoleTag, ttl: float, rng: Rng, now: float) -> KeyPair:
     secret = rng.bytes(32)
     sk = Ed25519PrivateKey.from_private_bytes(secret)
     public = sk.public_key().public_bytes_raw()
-    return KeyPair(role_tag, SIG_ALGO, public, secret, now, ttl)
+    return _new_pair(role_tag, SIG_ALGO, public, secret, now, ttl, sk)
 
 
 @dataclass(frozen=True)
@@ -298,7 +337,7 @@ def hybrid_encrypt(public: PublicKey, plaintext: bytes, rng: Rng,
     if not plaintext:
         raise ValueError("plaintext must be nonempty")
     _ensure_fresh(public, now)
-    encapsulation, shared = kem_backend(public.algo).encaps(public.key, rng)
+    encapsulation, shared = kem_backend(public.algo).encaps(public, rng)
     box = aead_seal(shared, plaintext, rng, aad=encapsulation)
     return HybridCiphertext(encapsulation, box.nonce, box.body, box.tag,
                             key_id=bytes.fromhex(public.key_id))
@@ -308,9 +347,7 @@ def hybrid_decrypt(pair: KeyPair, ciphertext: HybridCiphertext,
                    now: float) -> bytes:
     _ensure_fresh(pair, now)
     try:
-        shared = kem_backend(pair.algo).decaps(pair.secret_key,
-                                               ciphertext.encapsulation,
-                                               pair.public_key)
+        shared = kem_backend(pair.algo).decaps(pair, ciphertext.encapsulation)
         box = AeadBox(ciphertext.aead_nonce, ciphertext.body, ciphertext.auth_tag)
         return aead_open(shared, box, aad=ciphertext.encapsulation)
     except (MalformedKey, DecryptionFailure, ValueError) as exc:
@@ -331,8 +368,7 @@ def sign(pair: KeyPair, message: bytes, now: float) -> Signature:
     if pair.algo != SIG_ALGO:
         raise MalformedKey(f"cannot sign with a {pair.algo} key")
     _ensure_fresh(pair, now)
-    sk = Ed25519PrivateKey.from_private_bytes(pair.secret_key)
-    return Signature(signer_tag=pair.role_tag, value=sk.sign(message))
+    return Signature(signer_tag=pair.role_tag, value=pair.parsed.sign(message))
 
 
 def verify(public: PublicKey, message: bytes, signature: Signature,
@@ -342,10 +378,7 @@ def verify(public: PublicKey, message: bytes, signature: Signature,
     _ensure_fresh(public, now)
     if signature.signer_tag != public.role_tag:
         return False
-    try:
-        pk = Ed25519PublicKey.from_public_bytes(public.key)
-    except ValueError as exc:
-        raise MalformedKey(str(exc)) from exc
+    pk = public.parsed
     try:
         pk.verify(signature.value, message)
         return True

@@ -17,6 +17,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable
 
 from . import crypto, wire
@@ -125,24 +126,40 @@ class MembershipRegistry:
         return sorted(self._orgs)
 
 
+def _signing_bytes(channel: ChannelName, payload: Payload, submitter: str,
+                   timestamp: float) -> bytes:
+    return wire.pack_fields([
+        channel.value.encode(),
+        encode_payload(payload),
+        submitter.encode(),
+        struct.pack(">d", timestamp),
+    ])
+
+
 @dataclass(frozen=True)
 class LedgerTransaction:
+    """A signed ledger transaction.
+
+    Its encodings are computed once per object and kept in the instance
+    ``__dict__`` (``cached_property``), outside the dataclass fields. A
+    transaction decoded from bytes re-derives them from its decoded fields,
+    so tampered bytes never vouch for themselves.
+    """
+
     channel: ChannelName
     payload: Payload
     submitter: str
     signature: bytes
     timestamp: float
 
+    @cached_property
     def signing_bytes(self) -> bytes:
-        return wire.pack_fields([
-            self.channel.value.encode(),
-            encode_payload(self.payload),
-            self.submitter.encode(),
-            struct.pack(">d", self.timestamp),
-        ])
+        return _signing_bytes(self.channel, self.payload, self.submitter,
+                              self.timestamp)
 
+    @cached_property
     def canonical_bytes(self) -> bytes:
-        return wire.pack_fields([self.signing_bytes(), self.signature])
+        return wire.pack_fields([self.signing_bytes, self.signature])
 
 
 def decode_transaction(data: bytes) -> LedgerTransaction:
@@ -161,9 +178,11 @@ def decode_transaction(data: bytes) -> LedgerTransaction:
 
 def make_transaction(channel: ChannelName, payload: Payload,
                      identity: OrgIdentity, now: float) -> LedgerTransaction:
-    unsigned = LedgerTransaction(channel, payload, identity.org_id, b"", now)
-    sig = crypto.sign(identity.credential, unsigned.signing_bytes(), now)
-    return LedgerTransaction(channel, payload, identity.org_id, sig.value, now)
+    signing = _signing_bytes(channel, payload, identity.org_id, now)
+    sig = crypto.sign(identity.credential, signing, now)
+    tx = LedgerTransaction(channel, payload, identity.org_id, sig.value, now)
+    tx.__dict__["signing_bytes"] = signing  # the exact bytes just signed
+    return tx
 
 
 GENESIS_PREV = bytes(32)
@@ -188,7 +207,7 @@ def encode_block_body(height: int, prev_hash: bytes,
     """The bytes a block hash covers: height, previous hash, transactions."""
     return wire.pack_fields(
         [struct.pack(">Q", height), prev_hash]
-        + [tx.canonical_bytes() for tx in txs]
+        + [tx.canonical_bytes for tx in txs]
     )
 
 
@@ -346,7 +365,12 @@ class LedgerNetwork:
         """
         role, credential = self.membership.lookup(tx.submitter)
         sig = crypto.Signature(signer_tag=credential.role_tag, value=tx.signature)
-        if not crypto.verify(credential, tx.signing_bytes(), sig, tx.timestamp):
+        try:
+            valid = crypto.verify(credential, tx.signing_bytes, sig, tx.timestamp)
+        except (crypto.KeyExpired, crypto.MalformedKey) as exc:
+            raise BadSignature(
+                f"submitter {tx.submitter} signature not checkable: {exc}") from exc
+        if not valid:
             raise BadSignature(f"submitter {tx.submitter} signature invalid")
         self._check_write(tx.channel, tx.submitter)
         expected = _CHANNEL_PAYLOADS[tx.channel]
@@ -511,7 +535,7 @@ def verify_blocks(blocks: list[Block], channel: ChannelName,
                 return False, block.height, f"tx {idx} from unknown submitter"
             sig = crypto.Signature(signer_tag=credential.role_tag, value=tx.signature)
             try:
-                valid = crypto.verify(credential, tx.signing_bytes(), sig,
+                valid = crypto.verify(credential, tx.signing_bytes, sig,
                                       tx.timestamp)
             except crypto.CryptoError:
                 valid = False

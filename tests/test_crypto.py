@@ -8,13 +8,15 @@ vectors.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import hmac as hmac_mod
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings, strategies as st
 
-from hearthgate import crypto, mlkem
+from hearthgate import crypto, mlkem, wire
 from hearthgate.crypto import (
     DecryptionFailure,
     HybridCiphertext,
@@ -290,6 +292,82 @@ def test_verify_rejects_wrong_role_tag():
     sig = crypto.sign(pair, b"m", NOW)
     forged = crypto.Signature(signer_tag=RoleTag.SERVER_FOR_AUTH, value=sig.value)
     assert not crypto.verify(pair.public, b"m", forged, NOW)
+
+
+def test_sign_rejects_malformed_secret():
+    rng = rng7()
+    pair = crypto.sig_keygen(RoleTag.AUTH_FOR_SERVER, DAY, rng, NOW)
+    short = crypto.KeyPair(pair.role_tag, pair.algo, pair.public_key,
+                           pair.secret_key[:31], NOW, DAY)
+    with pytest.raises(MalformedKey):
+        crypto.sign(short, b"m", NOW)
+
+
+# ---------------------------------------------------------------------------
+# Parsed-key caches
+# ---------------------------------------------------------------------------
+
+def test_cached_signing_key_signs_like_a_fresh_parse():
+    rng = rng7()
+    pair = crypto.sig_keygen(RoleTag.SERVER_FOR_AUTH, DAY, rng, NOW)
+    fresh = Ed25519PrivateKey.from_private_bytes(pair.secret_key)
+    for _ in range(20):
+        msg = rng.bytes(1 + rng.randrange(200))
+        assert crypto.sign(pair, msg, NOW).value == fresh.sign(msg)
+
+
+def _fill_caches(pair: crypto.KeyPair) -> None:
+    assert pair.key_id == pair.public.key_id
+    if pair.algo == crypto.SIG_ALGO:
+        crypto.verify(pair.public, b"m", crypto.sign(pair, b"m", NOW), NOW)
+    else:
+        ct = crypto.hybrid_encrypt(pair.public, b"m", rng7(), NOW)
+        crypto.hybrid_decrypt(pair, ct, NOW)
+
+
+@pytest.mark.parametrize("make", [crypto.sig_keygen, crypto.kem_keygen])
+def test_key_caches_leave_dataclass_views_unchanged(make):
+    pair = make(RoleTag.DEVICE_FOR_SERVER, DAY, rng7(), NOW)
+    twin = crypto.KeyPair(*(getattr(pair, f.name) for f in dataclasses.fields(pair)))
+    before = (repr(pair), hash(pair), dataclasses.asdict(pair),
+              repr(pair.public), hash(pair.public), dataclasses.asdict(pair.public))
+    _fill_caches(pair)
+    assert {"parsed", "public", "key_id"} <= set(vars(pair))
+    assert {"parsed", "key_id"} <= set(vars(pair.public))
+    assert (repr(pair), hash(pair), dataclasses.asdict(pair),
+            repr(pair.public), hash(pair.public),
+            dataclasses.asdict(pair.public)) == before
+    assert pair == twin and pair.public == twin.public
+    assert [f.name for f in dataclasses.fields(pair)] == [
+        "role_tag", "algo", "public_key", "secret_key", "created_at", "ttl"]
+    assert [f.name for f in dataclasses.fields(pair.public)] == [
+        "role_tag", "algo", "key", "created_at", "ttl"]
+    assert wire.encode_public_key(pair.public) == wire.encode_public_key(twin.public)
+
+
+def test_key_pair_built_from_bytes_signs_and_decrypts():
+    rng = rng7()
+    sig_pair = crypto.sig_keygen(RoleTag.SERVER_FOR_AUTH, DAY, rng, NOW)
+    kem_pair = crypto.kem_keygen(RoleTag.SERVER_FOR_AUTH, DAY, rng, NOW)
+    sig_bytes = crypto.KeyPair(RoleTag.SERVER_FOR_AUTH, crypto.SIG_ALGO,
+                               sig_pair.public_key, sig_pair.secret_key, NOW, DAY)
+    kem_bytes = crypto.KeyPair(RoleTag.SERVER_FOR_AUTH, "x25519",
+                               kem_pair.public_key, kem_pair.secret_key, NOW, DAY)
+    assert "parsed" not in vars(sig_bytes) and "parsed" not in vars(kem_bytes)
+    sig = crypto.sign(sig_bytes, b"m", NOW)
+    assert sig == crypto.sign(sig_pair, b"m", NOW)
+    assert crypto.verify(sig_bytes.public, b"m", sig, NOW)
+    ct = crypto.hybrid_encrypt(kem_pair.public, b"payload", rng, NOW)
+    assert crypto.hybrid_decrypt(kem_bytes, ct, NOW) == b"payload"
+
+
+def test_ml_kem_pair_never_parsed_as_x25519():
+    rng = rng7()
+    pair = crypto.kem_keygen(RoleTag.DEVICE_FOR_SERVER, DAY, rng, NOW,
+                             algo="ml-kem-512")
+    ct = crypto.hybrid_encrypt(pair.public, b"pq payload", rng, NOW)
+    assert crypto.hybrid_decrypt(pair, ct, NOW) == b"pq payload"
+    assert "parsed" not in vars(pair) and "parsed" not in vars(pair.public)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import struct
 
 import pytest
 
 from conftest import NOW, make_network
-from hearthgate import ledger
+from hearthgate import bench, ledger, wire
 from hearthgate.ledger import (
     BadSignature,
     ChannelName,
@@ -15,7 +17,13 @@ from hearthgate.ledger import (
     UnknownIdentity,
     make_transaction,
 )
-from hearthgate.payloads import DataEntry, DeviceRecord, DeviceStatus, RiskAlert
+from hearthgate.payloads import (
+    DataEntry,
+    DeviceRecord,
+    DeviceStatus,
+    RiskAlert,
+    encode_payload,
+)
 from hearthgate.runtime import seeded_rng
 
 
@@ -394,3 +402,93 @@ def test_snapshot_corruption_detected(tmp_path):
     ok, detail = ledger.verify_snapshot(str(path))
     assert not ok
     assert "data" in detail
+
+
+def test_submit_maps_uncheckable_credentials_to_bad_signature():
+    rng = seeded_rng(21)
+    net, orgs = ledger.build_consortium(ledger.CORE_ORGS, rng, 0.0)
+    server = orgs["server-org"]
+    late = ledger.ORG_CREDENTIAL_TTL + 5
+    # Same key bytes, longer validity: a signature that is valid in itself,
+    # stamped after the registered credential expired.
+    longer = dataclasses.replace(server.credential,
+                                 ttl=2 * ledger.ORG_CREDENTIAL_TTL)
+    tx = make_transaction(ChannelName.DATA, sample_entry(rng, ts=late),
+                          dataclasses.replace(server, credential=longer), late)
+    with pytest.raises(BadSignature, match="not checkable"):
+        net.submit(tx, late)
+    # A registered credential that does not parse as an Ed25519 key.
+    bad = dataclasses.replace(server.credential.public, key=b"short")
+    net.membership.register_public("server-org", OrgRole.SERVER, bad)
+    tx = make_transaction(ChannelName.DATA, sample_entry(rng), server, 1.0)
+    with pytest.raises(BadSignature, match="not checkable"):
+        net.submit(tx, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Transaction encodings, computed once
+# ---------------------------------------------------------------------------
+
+def _fresh_signing_bytes(tx) -> bytes:
+    return wire.pack_fields([
+        tx.channel.value.encode(),
+        encode_payload(tx.payload),
+        tx.submitter.encode(),
+        struct.pack(">d", tx.timestamp),
+    ])
+
+
+@pytest.mark.parametrize("channel, submitter, sample", [
+    (ChannelName.IDENTITY, "server-org", sample_record),
+    (ChannelName.DATA, "server-org", sample_entry),
+    (ChannelName.RISK_MANAGEMENT, "risk-engine", sample_alert),
+])
+def test_cached_encodings_equal_fresh_ones(channel, submitter, sample):
+    rng = seeded_rng(22)
+    net, orgs = make_network(rng)
+    tx = make_transaction(channel, sample(rng), orgs[submitter], NOW)
+    net.submit(tx, NOW)
+    net.settle()
+    fresh = _fresh_signing_bytes(tx)
+    assert tx.signing_bytes == fresh
+    assert tx.canonical_bytes == wire.pack_fields([fresh, tx.signature])
+    decoded = ledger.decode_transaction(tx.canonical_bytes)
+    assert decoded == tx and decoded.signing_bytes == fresh
+    assert net.chains[channel][1].txs == (tx,)
+    assert net.verify_chain(channel)
+
+
+@pytest.mark.parametrize("change", ["timestamp", "payload"])
+def test_replaced_transaction_gets_new_bytes_and_is_rejected(change):
+    rng = seeded_rng(23)
+    net, orgs = make_network(rng)
+    tx = make_transaction(ChannelName.DATA, sample_entry(rng),
+                          orgs["server-org"], NOW)
+    assert tx.signing_bytes  # fill the cache before copying
+    if change == "timestamp":
+        copy = dataclasses.replace(tx, timestamp=NOW + 1)
+    else:
+        copy = dataclasses.replace(tx, payload=sample_entry(rng, value=99.0))
+    assert copy.signing_bytes == _fresh_signing_bytes(copy) != tx.signing_bytes
+    with pytest.raises(BadSignature):
+        net.submit(copy, NOW)
+
+
+def test_generate_load_encodes_each_payload_once(monkeypatch):
+    calls = {"encode": 0, "tx": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ledger, "encode_payload",
+                        counted(ledger.encode_payload, "encode"))
+    monkeypatch.setattr(bench, "make_transaction",
+                        counted(bench.make_transaction, "tx"))
+    mix = (("data", 0.6), ("identity", 0.2), ("risk_management", 0.2))
+    bench.generate_load(bench.LoadProfile(arrival_rate=30, duration=10.0,
+                                          tx_mix=mix), seed=24)
+    assert calls["tx"] > 250
+    assert calls["encode"] == calls["tx"]

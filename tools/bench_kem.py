@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-backend KEM micro-benchmark: median microseconds per operation.
+"""Per-operation micro-benchmark: median microseconds per KEM and signature
+operation, and per ledger transaction.
 
 Run from the repo root: python3 tools/bench_kem.py
 
@@ -7,8 +8,13 @@ For each KEM backend (``x25519``, ``ml-kem-512``) it makes REPEATS fresh
 keys from a fixed seed and, for each key, times keygen, one encapsulation to
 the new key, a second encapsulation to the same key, and the decapsulation
 of the first ciphertext. The ``encaps (same key)`` row shows the cost once
-data derived from the public key has been computed before. Each row is the
-median over the repeats, in microseconds of wall time on this machine.
+data derived from the public key has been computed before. For Ed25519 it
+times keygen, one signature with the new key and the check of that signature
+against a public key decoded from its wire bytes, as a ledger peer or a
+device receives it. The ledger row times ``make_transaction`` plus
+``LedgerNetwork.submit`` (sign, encode, verify, policy and payload checks)
+for REPEATS data-channel transactions. Each row is the median over the
+repeats, in microseconds of wall time on this machine.
 """
 
 from __future__ import annotations
@@ -22,13 +28,16 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from hearthgate import crypto  # noqa: E402
+from hearthgate import crypto, ledger, wire  # noqa: E402
+from hearthgate.payloads import DataEntry  # noqa: E402
 from hearthgate.runtime import seeded_rng  # noqa: E402
 
 SEED = 20_261_018
 REPEATS = 200
+NOW = 1_700_000_010.0
 BACKENDS = ("x25519", "ml-kem-512")
-OPS = ("keygen", "encaps", "encaps (same key)", "decaps")
+KEM_OPS = ("keygen", "encaps", "encaps (same key)", "decaps")
+SIG_OPS = ("keygen", "sign", "verify")
 
 
 def _timed(fn, *args):
@@ -37,29 +46,76 @@ def _timed(fn, *args):
     return out, (time.perf_counter() - start) * 1e6
 
 
+def _medians(samples: dict[str, list[float]]) -> dict[str, float]:
+    return {op: statistics.median(ts) for op, ts in samples.items()}
+
+
 def bench_backend(name: str) -> dict[str, float]:
     backend = crypto.kem_backend(name)
     rng = seeded_rng(SEED)
-    samples: dict[str, list[float]] = {op: [] for op in OPS}
+    samples: dict[str, list[float]] = {op: [] for op in KEM_OPS}
     for _ in range(REPEATS):
-        (public, secret), t_keygen = _timed(backend.keygen, rng)
+        pair, t_keygen = _timed(crypto.kem_keygen, crypto.RoleTag.DEVICE_FOR_SERVER,
+                                3600.0, rng, NOW, name)
+        public = pair.public
         (encapsulation, shared), t_encaps = _timed(backend.encaps, public, rng)
         _, t_again = _timed(backend.encaps, public, rng)
-        recovered, t_decaps = _timed(backend.decaps, secret, encapsulation, public)
+        recovered, t_decaps = _timed(backend.decaps, pair, encapsulation)
         if recovered != shared:
             raise SystemExit(f"{name}: decapsulation did not recover the secret")
-        for op, t in zip(OPS, (t_keygen, t_encaps, t_again, t_decaps)):
+        for op, t in zip(KEM_OPS, (t_keygen, t_encaps, t_again, t_decaps)):
             samples[op].append(t)
-    return {op: statistics.median(ts) for op, ts in samples.items()}
+    return _medians(samples)
+
+
+def bench_signatures() -> dict[str, float]:
+    rng = seeded_rng(SEED)
+    samples: dict[str, list[float]] = {op: [] for op in SIG_OPS}
+    for _ in range(REPEATS):
+        pair, t_keygen = _timed(crypto.sig_keygen, crypto.RoleTag.ORG_CREDENTIAL,
+                                3600.0, rng, NOW)
+        message = rng.bytes(160)
+        signature, t_sign = _timed(crypto.sign, pair, message, NOW)
+        public = wire.decode_public_key(wire.encode_public_key(pair.public))
+        valid, t_verify = _timed(crypto.verify, public, message, signature, NOW)
+        if not valid:
+            raise SystemExit("ed25519: signature did not verify")
+        for op, t in zip(SIG_OPS, (t_keygen, t_sign, t_verify)):
+            samples[op].append(t)
+    return _medians(samples)
+
+
+def bench_ledger() -> float:
+    rng = seeded_rng(SEED)
+    network, orgs = ledger.build_consortium(ledger.CORE_ORGS, rng, NOW)
+    server = orgs["server-org"]
+    samples = []
+    for i in range(REPEATS):
+        now = NOW + i * 0.01
+        entry = DataEntry(rng.bytes(16), "temperature_c", 21.5, "C", now,
+                          rng.bytes(32))
+        start = time.perf_counter()
+        tx = ledger.make_transaction(ledger.ChannelName.DATA, entry, server, now)
+        network.submit(tx, now)
+        samples.append((time.perf_counter() - start) * 1e6)
+    network.settle()
+    return statistics.median(samples)
 
 
 def main() -> None:
     print(f"# python {platform.python_version()} on {platform.machine()}, "
           f"seed {SEED}, {REPEATS} repeats, median us per operation")
-    print(f"{'backend':<12}" + "".join(f"{op:>20}" for op in OPS))
+    print(f"{'backend':<12}" + "".join(f"{op:>20}" for op in KEM_OPS))
     for name in BACKENDS:
         medians = bench_backend(name)
-        print(f"{name:<12}" + "".join(f"{medians[op]:>20.1f}" for op in OPS))
+        print(f"{name:<12}" + "".join(f"{medians[op]:>20.1f}" for op in KEM_OPS))
+    print()
+    print(f"{'signature':<12}" + "".join(f"{op:>20}" for op in SIG_OPS))
+    medians = bench_signatures()
+    print(f"{crypto.SIG_ALGO:<12}" + "".join(f"{medians[op]:>20.1f}" for op in SIG_OPS))
+    print()
+    print(f"{'ledger':<12}{'make_transaction + submit':>32}")
+    print(f"{'data tx':<12}{bench_ledger():>32.1f}")
 
 
 if __name__ == "__main__":
