@@ -158,10 +158,6 @@ def sym_secret(key_id: str) -> Secret:
     return Secret(f"sym:{key_id}")
 
 
-def public_key_atom(key_id: str) -> Atom:
-    return Atom(f"pk:{key_id}")
-
-
 class AdversaryKnowledge:
     """Everything the adversary has observed or been granted.
 

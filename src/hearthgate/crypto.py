@@ -2,10 +2,11 @@
 
 Public-key encryption is KEM-hybrid: a key encapsulation produces a shared
 secret that keys an AEAD over the payload. The KEM is a pluggable backend;
-the default is X25519 (fast, battle-tested), with a pure-Python ML-KEM-512
-backend available for post-quantum runs. Because KEM keys cannot sign, every
-role keypair is generated together with a companion Ed25519 signing pair
-bound to the same role tag, and the public halves travel together.
+the default is X25519 (fast, battle-tested), with an ML-KEM-512 backend on
+numpy (imported on first use) for post-quantum runs. Because KEM keys cannot
+sign, every role keypair is generated together with a companion Ed25519
+signing pair bound to the same role tag, and the public halves travel
+together.
 
 All randomness comes from an injected :class:`~hearthgate.runtime.Rng` and
 all expiry checks from an injected timestamp, so protocol runs replay
@@ -32,7 +33,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from . import mlkem
 from .runtime import Rng
 
 
@@ -87,7 +87,7 @@ def _key_id(algo: str, public: bytes) -> str:
 
 
 # Key parsers of the algorithms ``cryptography`` implements. ML-KEM keys are
-# bytes to the pure-Python ``mlkem`` module and are never parsed here.
+# bytes to the numpy ``mlkem`` module and are never parsed here.
 _PRIVATE_PARSERS = {
     "x25519": X25519PrivateKey.from_private_bytes,
     SIG_ALGO: Ed25519PrivateKey.from_private_bytes,
@@ -213,22 +213,29 @@ class _X25519Backend:
         return sha256(b"hearthgate-kem-v1|" + raw + encapsulation + recipient_public)
 
 
+def _mlkem():
+    # Imported on first use: ``mlkem`` needs numpy, which costs about as much
+    # to import as all of hearthgate, and only ML-KEM keys use it.
+    from . import mlkem
+    return mlkem
+
+
 class _MlKem512Backend:
     name = "ml-kem-512"
 
     def keygen(self, rng: Rng) -> tuple[bytes, bytes, None]:
-        return (*mlkem.keygen(rng.bytes(64)), None)
+        return (*_mlkem().keygen(rng.bytes(64)), None)
 
     def encaps(self, peer: PublicKey, rng: Rng) -> tuple[bytes, bytes]:
         try:
-            return mlkem.encaps(peer.key, rng.bytes(32))
+            return _mlkem().encaps(peer.key, rng.bytes(32))
         except ValueError as exc:
             raise MalformedKey(str(exc)) from exc
 
     def decaps(self, pair: KeyPair, encapsulation: bytes) -> bytes:
         # The decapsulation key embeds the public key; no need to pass it.
         try:
-            return mlkem.decaps(pair.secret_key, encapsulation)
+            return _mlkem().decaps(pair.secret_key, encapsulation)
         except ValueError as exc:
             raise MalformedKey(str(exc)) from exc
 

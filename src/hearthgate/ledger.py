@@ -179,7 +179,10 @@ def decode_transaction(data: bytes) -> LedgerTransaction:
 def make_transaction(channel: ChannelName, payload: Payload,
                      identity: OrgIdentity, now: float) -> LedgerTransaction:
     signing = _signing_bytes(channel, payload, identity.org_id, now)
-    sig = crypto.sign(identity.credential, signing, now)
+    try:
+        sig = crypto.sign(identity.credential, signing, now)
+    except (crypto.KeyExpired, crypto.MalformedKey) as exc:
+        raise BadSignature(f"submitter {identity.org_id} cannot sign: {exc}") from exc
     tx = LedgerTransaction(channel, payload, identity.org_id, sig.value, now)
     tx.__dict__["signing_bytes"] = signing  # the exact bytes just signed
     return tx

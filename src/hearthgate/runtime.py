@@ -9,9 +9,7 @@ clock instead of touching ``os.urandom`` or the wall clock directly.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
-import time
 
 #: Fixed starting point for simulated clocks. Arbitrary but stable, so
 #: timestamps embedded in transcripts and snapshots are reproducible.
@@ -38,9 +36,6 @@ class Rng:
 
     def randrange(self, n: int) -> int:
         return self._inner.randrange(n)
-
-    def choice(self, seq):
-        return seq[self._inner.randrange(len(seq))]
 
     def expovariate(self, rate: float) -> float:
         return self._inner.expovariate(rate)
@@ -93,15 +88,3 @@ class SimClock:
             raise ValueError("clock cannot move backwards")
         self._now = float(t)
         return self._now
-
-
-class WallClock:
-    """Real time, for interactive use outside deterministic runs."""
-
-    def now(self) -> float:
-        return time.time()
-
-
-def entropy_seed() -> int:
-    """Fresh seed from the OS, for callers that want a random but loggable run."""
-    return int.from_bytes(os.urandom(8), "big")

@@ -11,6 +11,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import hmac as hmac_mod
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -230,6 +234,35 @@ def test_ml_kem_implicit_rejection_differs():
     ct, shared = mlkem.encaps(ek, rng.bytes(32))
     assert mlkem.decaps(dk, ct) == shared
     assert mlkem.decaps(dk, _flip_bit(ct, 17)) != shared
+
+
+_IMPORT_PROBE = """
+import sys
+import hearthgate
+from hearthgate import crypto, harness
+from hearthgate.channels import DeliverAll
+from hearthgate.runtime import seeded_rng
+
+def loaded():
+    return sorted(m for m in ("numpy", "hearthgate.mlkem") if m in sys.modules)
+
+result = harness.run_scenario(harness.ScenarioSpec(), DeliverAll(), seed=7)
+assert result.trace.events, "the scenario ran"
+print(loaded())
+crypto.kem_keygen(crypto.RoleTag.DEVICE_FOR_SERVER, 60.0, seeded_rng(1), 0.0, "ml-kem-512")
+print(loaded())
+"""
+
+
+def test_x25519_run_never_imports_numpy():
+    # Importing numpy costs about as much as all of hearthgate; only an
+    # ML-KEM key may pull it in, so x25519 runs and every set-up stay clear.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout.split("\n")
+    assert out[:2] == ["[]", "['hearthgate.mlkem', 'numpy']"]
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,19 @@ def test_submit_maps_uncheckable_credentials_to_bad_signature():
         net.submit(tx, 1.0)
 
 
+def test_make_transaction_maps_unusable_credentials_to_bad_signature():
+    rng = seeded_rng(22)
+    _, orgs = ledger.build_consortium(ledger.CORE_ORGS, rng, 0.0)
+    server = orgs["server-org"]
+    late = ledger.ORG_CREDENTIAL_TTL + 5
+    with pytest.raises(BadSignature, match="cannot sign"):
+        make_transaction(ChannelName.DATA, sample_entry(rng, ts=late), server, late)
+    short = dataclasses.replace(server.credential, secret_key=bytes(31))
+    with pytest.raises(BadSignature, match="cannot sign"):
+        make_transaction(ChannelName.DATA, sample_entry(rng),
+                         dataclasses.replace(server, credential=short), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Transaction encodings, computed once
 # ---------------------------------------------------------------------------

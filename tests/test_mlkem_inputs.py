@@ -1,5 +1,5 @@
-"""Input validation of the ML-KEM module, its public-key caches, and the
-extreme inputs of its integer polynomial product.
+"""Input validation of the ML-KEM module, its public-key caches, and its
+array kernels against a plain FIPS 203 reference.
 
 FIPS 203 checks inputs before use: lengths of every key, seed, randomness
 and ciphertext, the modulus check on an encapsulation key (every 12-bit
@@ -8,12 +8,18 @@ module caches data derived from valid encapsulation keys, so the tests
 also check that a rejected key is rejected again on every call and never
 enters a cache. Through ``crypto`` the same failures surface as
 ``MalformedKey`` (encapsulation) and ``DecryptionFailure`` (decryption).
+
+The NTT, inverse NTT and MultiplyNTTs run as numpy array operations (the
+NTTs as float64 matrix products); the tests compare them with FIPS 203
+Algorithms 9, 10 and 11 written out coefficient by coefficient below, on
+random inputs and on the inputs with the largest products and sums.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from hearthgate import crypto, mlkem
@@ -70,13 +76,16 @@ def test_cached_entries_are_immutable():
     ek, _ = _keys(b"immutable")
     k = mlkem.ML_KEM_512.k
     mlkem.encaps(ek, bytes(32))
-    a_t, t = mlkem._checked_encryption_key(ek, k)
-    assert isinstance(t, tuple) and all(isinstance(x, int) for x in t)
-    assert isinstance(a_t, tuple)
-    assert all(isinstance(row, tuple) and all(isinstance(x, int) for x in row) for row in a_t)
+    key = mlkem._checked_encryption_key(ek, k)   # A-hat^T's rows, then t-hat
     a_hat = mlkem._matrix(ek[384 * k:], k)
-    assert isinstance(a_hat, tuple)
-    assert all(isinstance(p, tuple) for row in a_hat for p in row)
+    assert key.shape == (k + 1, k, 256) and a_hat.shape == (k, k, 256)
+    for cached in (key, a_hat, key[k], key[:k], a_hat.transpose(1, 0, 2)):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            cached += 1
+    assert mlkem.encaps(ek, bytes(32)) == mlkem.encaps(ek, bytes(32))
 
 
 @pytest.mark.parametrize("region", ["stored hash", "embedded ek"])
@@ -159,27 +168,88 @@ def test_decaps_reduces_a_non_canonical_embedded_ek():
     assert mlkem.decaps(dk, ct) == shared
 
 
-def _negacyclic(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * 256
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            if i + j < 256:
-                out[i + j] += x * y
-            else:
-                out[i + j - 256] -= x * y
-    return out
+def _bitrev7(n: int) -> int:
+    return int(f"{n:07b}"[::-1], 2)
+
+
+def _ref_ntt(f: list[int]) -> list[int]:
+    """FIPS 203 Algorithm 9."""
+    f, i, length = list(f), 1, 128
+    while length >= 2:
+        for start in range(0, 256, 2 * length):
+            zeta = pow(17, _bitrev7(i), mlkem.Q)
+            i += 1
+            for j in range(start, start + length):
+                t = zeta * f[j + length] % mlkem.Q
+                f[j + length] = (f[j] - t) % mlkem.Q
+                f[j] = (f[j] + t) % mlkem.Q
+        length //= 2
+    return f
+
+
+def _ref_ntt_inv(f: list[int]) -> list[int]:
+    """FIPS 203 Algorithm 10."""
+    f, i, length = list(f), 127, 2
+    while length <= 128:
+        for start in range(0, 256, 2 * length):
+            zeta = pow(17, _bitrev7(i), mlkem.Q)
+            i -= 1
+            for j in range(start, start + length):
+                t = f[j]
+                f[j] = (t + f[j + length]) % mlkem.Q
+                f[j + length] = zeta * (f[j + length] - t) % mlkem.Q
+        length *= 2
+    return [x * 3303 % mlkem.Q for x in f]
+
+
+def _ref_multiply_ntts(f: list[int], g: list[int]) -> list[int]:
+    """FIPS 203 Algorithm 11, with BaseCaseMultiply (Algorithm 12) inlined."""
+    h = []
+    for i in range(128):
+        gamma = pow(17, 2 * _bitrev7(i) + 1, mlkem.Q)
+        a0, a1, b0, b1 = f[2 * i], f[2 * i + 1], g[2 * i], g[2 * i + 1]
+        h += [(a0 * b0 + a1 * b1 * gamma) % mlkem.Q, (a0 * b1 + a1 * b0) % mlkem.Q]
+    return h
+
+
+def _ref_sum(products) -> list[int]:
+    return [sum(column) % mlkem.Q for column in zip(*products)]
+
+
+def _check_kernels(polys: list[list[int]], k: int) -> None:
+    """_ntt and its inverse on all of ``polys``, then _mul_sum on them (mod q)
+    as k + 1 rows of k polynomials, as encryption multiplies, by a k-vector,
+    and as a k-vector by a k-vector, as decryption multiplies."""
+    got = mlkem._ntt(np.array(polys))
+    want = [_ref_ntt(f) for f in polys]
+    assert got.tolist() == want
+    reduced = [[x % mlkem.Q for x in f] for f in polys]
+    assert mlkem._ntt(np.array(reduced), mlkem._VI).tolist() == list(map(_ref_ntt_inv, reduced))
+    assert mlkem._ntt(got, mlkem._VI).tolist() == reduced
+    matrix, vector = reduced[:k * (k + 1)], reduced[-k:]
+    rows = [matrix[k * r:k * (r + 1)] for r in range(k + 1)]
+    got = mlkem._mul_sum(np.array(rows), np.array(vector))
+    assert got.tolist() == [_ref_sum(map(_ref_multiply_ntts, row, vector)) for row in rows]
+    got = mlkem._mul_sum(np.array(vector), np.array(rows[0]))
+    assert got.tolist() == _ref_sum(map(_ref_multiply_ntts, vector, rows[0]))
 
 
 @pytest.mark.parametrize("params", [mlkem.ML_KEM_512, mlkem.ML_KEM_1024])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_integer_product_at_its_largest_sums(params, sign):
-    # Every coefficient Q - 1 and every noise value +-eta1 gives the largest
-    # field sums the 24-bit fields must hold.
-    eta, k = params.eta1, params.k
-    chunk = (1 << eta) - 1 if sign > 0 else ((1 << eta) - 1) << eta
-    noise = mlkem._pack([chunk] * 256, 2 * eta)
-    y = mlkem._noise_integer(noise, eta)
-    row = [mlkem._as_integer([mlkem.Q - 1] * 256)] * k
-    got = mlkem._fold(sum(a * y for a in row), [0] * 256)
-    one = _negacyclic([mlkem.Q - 1] * 256, [sign * eta] * 256)
-    assert got == [k * x % mlkem.Q for x in one]
+def test_kernels_match_fips_reference_at_extremes(params, sign):
+    # Every coefficient Q - 1 gives the largest products and sums in every
+    # kernel, with k = 4 for ML-KEM-1024; noise at +eta1 or -eta1 is the
+    # largest signed input the forward NTT takes.
+    k, eta = params.k, params.eta1
+    polys = [[mlkem.Q - 1] * 256] * (k * (k + 2) - 1) + [[sign * eta] * 256]
+    _check_kernels(polys, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_kernels_match_fips_reference_on_random_inputs(k):
+    stream = hashlib.shake_256(b"kernels|%d" % k).digest(4 * 256 * k * (k + 2))
+    values = [int.from_bytes(stream[i:i + 4], "little") for i in range(0, len(stream), 4)]
+    polys = [[v % mlkem.Q for v in values[256 * p:256 * (p + 1)]] for p in range(k * (k + 2))]
+    # The last polynomial is noise: signed values in [-3, 3], as sampled.
+    polys[-1] = [v % 7 - 3 for v in values[-256:]]
+    _check_kernels(polys, k)

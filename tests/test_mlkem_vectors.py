@@ -1,4 +1,4 @@
-"""Known-answer vectors for the pure-Python ML-KEM-512 module.
+"""Known-answer vectors for the ML-KEM-512 module (``hearthgate.mlkem``).
 
 ``tests/data/mlkem_vectors.json`` pins, for 24 seeded cases, the
 encapsulation key, decapsulation key, ciphertext, shared secret and the

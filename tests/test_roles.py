@@ -9,7 +9,7 @@ from hearthgate import channels as ch
 from hearthgate import crypto, harness, wire
 from hearthgate.channels import SecureChannel, Trace
 from hearthgate.crypto import KeyExpired, RoleTag
-from hearthgate.ledger import ChannelName
+from hearthgate.ledger import ORG_CREDENTIAL_TTL, ChannelName
 from hearthgate.payloads import DeviceStatus
 from hearthgate.roles import (
     AlreadyRevoked,
@@ -308,6 +308,21 @@ def test_data_report_lifecycle_and_revocation():
     late_report = w.device.build_data_report("temperature_c", 22.0, "C")
     with pytest.raises(RevokedDevice):
         w.server.handle_data_report(late_report.message)
+
+
+def test_data_report_after_org_credential_expiry_is_traced_rejection():
+    # Device keys outlive the server's ledger credential, so the report
+    # decrypts and only signing its ledger transaction fails.
+    w = World(key_ttl=2 * ORG_CREDENTIAL_TTL)
+    w.onboard()
+    w.clock.advance(ORG_CREDENTIAL_TTL + 5)
+    report = w.device.build_data_report("temperature_c", 21.5, "C")
+    with pytest.raises(LedgerRejected, match="cannot sign"):
+        w.server.handle_data_report(report.message)
+    rejected = w.trace.by_kind(ch.DATA_REJECTED)
+    assert [e.get("error") for e in rejected] == ["LedgerRejected"]
+    assert "expired" in rejected[0].get("detail")
+    assert w.network.query(ChannelName.DATA, None, "server-org") == []
 
 
 def test_revoke_unknown_device():

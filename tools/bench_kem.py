@@ -15,6 +15,11 @@ device receives it. The ledger row times ``make_transaction`` plus
 ``LedgerNetwork.submit`` (sign, encode, verify, policy and payload checks)
 for REPEATS data-channel transactions. Each row is the median over the
 repeats, in microseconds of wall time on this machine.
+
+The ``first use`` rows time a fresh interpreter, FRESH_RUNS times per
+backend: importing hearthgate, then the process's first keygen. The ML-KEM
+module, and numpy with it, is imported on an ML-KEM key's first use, so that
+one-time cost shows in the ml-kem-512 first keygen.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import pathlib
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
@@ -38,6 +44,17 @@ NOW = 1_700_000_010.0
 BACKENDS = ("x25519", "ml-kem-512")
 KEM_OPS = ("keygen", "encaps", "encaps (same key)", "decaps")
 SIG_OPS = ("keygen", "sign", "verify")
+FRESH_RUNS = 5
+FIRST_USE = """
+import sys, time
+start = time.perf_counter()
+sys.path.insert(0, {src!r})
+from hearthgate import crypto
+from hearthgate.runtime import seeded_rng
+imported = time.perf_counter()
+crypto.kem_keygen(crypto.RoleTag.DEVICE_FOR_SERVER, 3600.0, seeded_rng({seed}), {now}, {name!r})
+print((imported - start) * 1e6, (time.perf_counter() - imported) * 1e6)
+"""
 
 
 def _timed(fn, *args):
@@ -66,6 +83,19 @@ def bench_backend(name: str) -> dict[str, float]:
         for op, t in zip(KEM_OPS, (t_keygen, t_encaps, t_again, t_decaps)):
             samples[op].append(t)
     return _medians(samples)
+
+
+def bench_first_use(name: str) -> tuple[float, float]:
+    """Median µs to import hearthgate, and for the first keygen after it."""
+    code = FIRST_USE.format(src=str(ROOT / "src"), seed=SEED, now=NOW, name=name)
+    imports, firsts = [], []
+    for _ in range(FRESH_RUNS):
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        imported, first = map(float, out.split())
+        imports.append(imported)
+        firsts.append(first)
+    return statistics.median(imports), statistics.median(firsts)
 
 
 def bench_signatures() -> dict[str, float]:
@@ -109,6 +139,11 @@ def main() -> None:
     for name in BACKENDS:
         medians = bench_backend(name)
         print(f"{name:<12}" + "".join(f"{medians[op]:>20.1f}" for op in KEM_OPS))
+    print()
+    print(f"{'first use':<12}{'import hearthgate':>20}{'first keygen':>20}")
+    for name in BACKENDS:
+        imported, first = bench_first_use(name)
+        print(f"{name:<12}{imported:>20.1f}{first:>20.1f}")
     print()
     print(f"{'signature':<12}" + "".join(f"{op:>20}" for op in SIG_OPS))
     medians = bench_signatures()
