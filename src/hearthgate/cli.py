@@ -12,23 +12,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from . import __version__, bench, harness, ledger, risk, wire
-from .channels import REJECTION_KINDS, SecureChannel, Trace
+from . import __version__, bench, harness, ledger, risk
+from .channels import REJECTION_KINDS
 from .config import Config, ConfigError, load_config
-from .crypto import CryptoError, gen_link_key
-from .ledger import ChannelName, LedgerNetwork, OrgRole
+from .crypto import CryptoError
+from .ledger import ChannelName, OrgRole
 from .roles import (
-    Authenticator,
-    Device,
+    DevicePhase,
     ProtocolError,
-    Server,
     deliver_token,
     establish_session,
     provision_device,
 )
-from .runtime import SimClock, seeded_rng
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -43,49 +39,25 @@ DEMO_ORGS = ledger.CORE_ORGS + (
 )
 
 
-@dataclass
-class DemoState:
-    config: Config
-    network: LedgerNetwork
-    server: Server
-    auth: Authenticator
-    device: Device
-    trace: Trace
-    fire_sub: object
-    session_id: str | None = None
-    activation: list | None = None
-
-
-def run_demo(cfg: Config) -> tuple[int, list[str], DemoState]:
-    """The scripted end-to-end flow; returns (exit code, transcript, state)."""
+def run_demo(cfg: Config) -> tuple[int, list[str], harness.World]:
+    """The scripted end-to-end flow, narrated over one :class:`harness.World`
+    built from ``cfg``; returns (exit code, transcript, world)."""
     lines = [f"hearthgate demo v{__version__} (seed {cfg.seed}, kem {cfg.kem})"]
-    rng = seeded_rng(cfg.seed)
-    clock = SimClock()
-    trace = Trace()
-
-    network, orgs = ledger.build_consortium(
-        DEMO_ORGS, rng.child("orgs"), clock.now(), mu=cfg.mu,
-        max_block_txs=cfg.max_block_txs, block_interval=cfg.block_interval,
-        access_overrides=cfg.access_overrides)
-    rules = risk.load_rules(cfg.rules) if cfg.rules else list(risk.DEFAULT_RULES)
-    engine = risk.RiskEngine(rules, orgs["risk-engine"])
-    engine.attach(network)
-    fire_sub = network.subscribe(ChannelName.RISK_MANAGEMENT, None, "fire-dept")
-
-    server = Server(rng.child("server"), clock, trace, network=network,
-                    identity=orgs["server-org"], kem_algo=cfg.kem,
-                    key_ttl=cfg.key_ttl, totp_step=cfg.totp_step)
-    auth = Authenticator(rng.child("auth"), clock, trace, kem_algo=cfg.kem,
-                         key_ttl=cfg.key_ttl)
-    link = gen_link_key(rng.child("link"))
-    device = Device(rng.child("device"), clock, trace, link, name="device-1",
-                    kem_algo=cfg.kem, key_ttl=cfg.key_ttl,
-                    max_retries=cfg.retries)
-    auth.provision_link_key(device.name, link)
+    spec = harness.ScenarioSpec(
+        reports=(), retries=cfg.retries, totp_step=cfg.totp_step,
+        key_ttl=cfg.key_ttl, kem_algo=cfg.kem, mu=cfg.mu,
+        max_block_txs=cfg.max_block_txs, block_interval=cfg.block_interval)
+    rules = risk.load_rules(cfg.rules) if cfg.rules else None
+    world = harness.World(spec, cfg.seed, rules=rules, direct=True,
+                          orgs=DEMO_ORGS,
+                          access_overrides=cfg.access_overrides)
+    network, server, clock = world.network, world.server, world.clock
+    auth, device = world.auths[0], world.devices[0]
+    h_s = world.h_s[auth.name]
     network.register_device_origin(device.uid.hex, "acme-devices")
-    h_s = SecureChannel(auth.name, "server")
-    state = DemoState(cfg, network, server, auth, device, trace, fire_sub)
-
+    fire_sub = network.subscribe(ChannelName.RISK_MANAGEMENT, None, "fire-dept")
+    session_id = None
+    replies = []
     step_no = 0
 
     def step(label: str, fn) -> bool:
@@ -102,11 +74,13 @@ def run_demo(cfg: Config) -> tuple[int, list[str], DemoState]:
         return True
 
     def s_login():
-        state.session_id = establish_session(auth, server, h_s)
-        return f"session {state.session_id} established, both nonces verified"
+        nonlocal session_id
+        session_id = establish_session(auth, server, h_s)
+        world.session_of[session_id] = auth
+        return f"session {session_id} established, both nonces verified"
 
     def s_token():
-        deliver_token(auth, server, state.session_id, h_s)
+        deliver_token(auth, server, session_id, h_s)
         return (f"8-digit token issued ({cfg.totp_step} s step); "
                 f"api {server.api_address}")
 
@@ -119,9 +93,9 @@ def run_demo(cfg: Config) -> tuple[int, list[str], DemoState]:
         return detail
 
     def s_register():
+        nonlocal replies
         request = device.build_registration_request()
-        state.activation = server.handle_registration(request.message,
-                                                      device.name)
+        replies = server.handle_registration(request.message, device.name)
         return "request accepted: signature valid, token fresh and unused"
 
     def s_record():
@@ -129,11 +103,11 @@ def run_demo(cfg: Config) -> tuple[int, list[str], DemoState]:
         return f"device record committed (identity height {height}, status active)"
 
     def s_activate():
-        for out in state.activation:
-            if isinstance(out.message, wire.ActivationResponse):
-                device.handle_activation(out.message)
-            else:
-                auth.handle_connected_notice(out.message)
+        for out in replies:
+            world.send_outgoing(out)
+        world.pump(strategy=None)  # direct wiring: no adversary decides
+        if device.phase is not DevicePhase.ACTIVE:
+            raise ProtocolError(f"device still {device.phase.value}")
         return "long-lived token and dedicated server key delivered; device active"
 
     def s_report_normal():
@@ -150,7 +124,7 @@ def run_demo(cfg: Config) -> tuple[int, list[str], DemoState]:
         network.settle()
         data_h = len(network.chains[ChannelName.DATA]) - 1
         alerts = network.query(ChannelName.RISK_MANAGEMENT, None, "server-org")
-        events = state.fire_sub.poll()
+        events = fire_sub.poll()
         if not alerts:
             return (f"temperature_c=82.0 C committed (data height {data_h}); "
                     f"no rule matched")
@@ -190,9 +164,9 @@ def run_demo(cfg: Config) -> tuple[int, list[str], DemoState]:
     for label, fn in steps:
         if not step(label, fn):
             lines.append(f"demo failed at step {step_no} ({label})")
-            return EXIT_FAILURE, lines, state
+            return EXIT_FAILURE, lines, world
     lines.append("demo complete: all steps ok")
-    return EXIT_OK, lines, state
+    return EXIT_OK, lines, world
 
 
 # ---------------------------------------------------------------------------

@@ -82,21 +82,45 @@ class ScenarioSpec:
             raise ScenarioInvalid("scenario needs at least one device")
         if self.totp_step <= 0 or self.key_ttl <= 0:
             raise ScenarioInvalid("durations must be positive")
+        try:
+            crypto.kem_backend(self.kem_algo)
+        except crypto.MalformedKey as exc:
+            raise ScenarioInvalid(str(exc)) from None
+
+
+def _is_json(value, kind: str) -> bool:
+    """Whether a decoded JSON value has the type a scenario field declares
+    (``bool`` is an ``int`` to Python, but not a number here)."""
+    if kind == "bool":
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, {"int": int, "float": (int, float), "str": str}[kind])
 
 
 def load_scenario(path: str) -> ScenarioSpec:
     with open(path) as fh:
         raw = json.load(fh)
-    known = set(ScenarioSpec.__dataclass_fields__)
-    unknown = set(raw) - known
+    if not isinstance(raw, dict):
+        raise ScenarioInvalid("scenario file must hold a JSON object")
+    fields = ScenarioSpec.__dataclass_fields__
+    unknown = set(raw) - set(fields)
     if unknown:
         raise ScenarioInvalid(f"unknown scenario keys: {sorted(unknown)}")
+    for name, value in raw.items():
+        if name == "reports":
+            if not isinstance(value, list) or not all(
+                    isinstance(r, list) and len(r) == 3
+                    and _is_json(r[0], "str") and _is_json(r[1], "float")
+                    and _is_json(r[2], "str") for r in value):
+                raise ScenarioInvalid(
+                    "reports must be a list of [metric, number, unit] triples")
+        elif not _is_json(value, fields[name].type):
+            raise ScenarioInvalid(f"{name} must be of type "
+                                  f"{fields[name].type}, got {value!r}")
     if "reports" in raw:
         raw["reports"] = tuple((m, float(v), u) for m, v, u in raw["reports"])
-    try:
-        spec = ScenarioSpec(**raw)
-    except TypeError as exc:
-        raise ScenarioInvalid(str(exc)) from exc
+    spec = ScenarioSpec(**raw)
     spec.validate()
     return spec
 
@@ -106,7 +130,9 @@ class World:
 
     def __init__(self, spec: ScenarioSpec, seed: int,
                  rules: list[risk.ThresholdRule] | None = None,
-                 direct: bool = False):
+                 direct: bool = False,
+                 orgs: tuple[tuple[str, ledger.OrgRole], ...] = ledger.CORE_ORGS,
+                 access_overrides: dict | None = None):
         spec.validate()
         self.spec = spec
         self.seed = seed
@@ -120,9 +146,10 @@ class World:
         self.adv_rng = self.rng.child("adversary")
 
         self.network, self.orgs = ledger.build_consortium(
-            ledger.CORE_ORGS, self.rng.child("orgs"), self.clock.now(),
+            orgs, self.rng.child("orgs"), self.clock.now(),
             mu=spec.mu, max_block_txs=spec.max_block_txs,
-            block_interval=spec.block_interval)
+            block_interval=spec.block_interval,
+            access_overrides=access_overrides)
         self.risk_engine = risk.RiskEngine(
             rules if rules is not None else list(risk.DEFAULT_RULES),
             self.orgs["risk-engine"])
@@ -334,38 +361,64 @@ def forge_registration(world: World) -> bytes | None:
     return _forged_request(world, "forge")
 
 
+def _wave_size(world: World) -> int:
+    """How many devices the next onboarding wave may hold.
+
+    A device takes two phases to provision, then two adversary actions (its
+    request and the activation reply), so a wave holds as many devices as
+    fit before the current TOTP step ends. When not even one fits, the clock
+    first moves to the next step edge; a device that needs more than a whole
+    step goes alone.
+    """
+    per_device = 2 * PHASE_DT + 2 * STEP_DT
+    step = world.spec.totp_step
+    now = world.clock.now()
+    edge = (now // step + 1) * step
+    if now + per_device > edge and per_device <= step:
+        world.clock.set(edge)
+        now, edge = edge, edge + step
+    return max(1, int((edge - now) // per_device))
+
+
 def run_scenario(spec: ScenarioSpec, adversary, seed: int,
                  rules: list[risk.ThresholdRule] | None = None,
                  prepare=None) -> RunResult:
     """Run one scenario under an adversary strategy.
 
-    ``adversary`` is a strategy object, or a callable ``world -> strategy``
-    for strategies that need run context (forged injections). ``prepare``
-    runs after provisioning and may add scripted rules. Deterministic: the
-    same (spec, adversary, seed) produces a byte-identical trace.
+    Devices onboard in waves that each fit in one TOTP step: a wave is
+    provisioned, its registrations sent and pumped before the step of its
+    first token ends, then the next wave starts. ``adversary`` is a strategy
+    object, or a callable ``world -> strategy`` for strategies that need run
+    context (forged injections). ``prepare`` runs once, after the first wave
+    is provisioned and before any registration is sent; it may add scripted
+    rules. Deterministic: the same (spec, adversary, seed) produces a
+    byte-identical trace.
     """
     direct = adversary is None
     world = World(spec, seed, rules=rules, direct=direct)
     strategy = DeliverAll() if direct else (
         adversary(world) if callable(adversary) else adversary)
 
-    for auth, device in zip(world.auths, world.devices):
-        h_s = world.h_s[auth.name]
-        session_id = establish_session(auth, world.server, h_s)
-        world.session_of[session_id] = auth
-        world.clock.advance(PHASE_DT)
-        deliver_token(auth, world.server, session_id, h_s)
-        reg = world.server.pending[-1]
-        provision_device(auth, device,
-                         token_term=token_secret(session_id, reg.issued_digits))
-        world.clock.advance(PHASE_DT)
-
-    if prepare is not None:
-        prepare(world, strategy)
-
-    for device in world.devices:
-        world.send_outgoing(device.build_registration_request())
-    world.pump(strategy)
+    pairs = list(zip(world.auths, world.devices))
+    while pairs:
+        size = _wave_size(world)
+        wave, pairs = pairs[:size], pairs[size:]
+        for auth, device in wave:
+            h_s = world.h_s[auth.name]
+            session_id = establish_session(auth, world.server, h_s)
+            world.session_of[session_id] = auth
+            world.clock.advance(PHASE_DT)
+            deliver_token(auth, world.server, session_id, h_s)
+            reg = world.server.pending[-1]
+            provision_device(auth, device, token_term=token_secret(
+                session_id, reg.issued_digits))
+            world.clock.advance(PHASE_DT)
+        if prepare is not None:
+            prepare(world, strategy)
+            prepare = None
+        for _, device in wave:
+            world.send_outgoing(device.build_registration_request())
+        world.pump(strategy)
 
     world.clock.advance(PHASE_DT)
     for device in world.devices:
@@ -608,9 +661,15 @@ def load_attack_rules(path: str) -> list[dict]:
             raise ScenarioInvalid(f"rule {i}: needs 'on' and 'action'")
         if rule["action"] not in known:
             raise ScenarioInvalid(f"rule {i}: unknown action {rule['action']!r}")
+        for key in ("on", "bit", "seconds"):
+            if key in rule and not _is_json(rule[key], "int"):
+                raise ScenarioInvalid(f"rule {i}: {key!r} must be an integer, "
+                                      f"got {rule[key]!r}")
         if rule["action"] == "inject":
-            if "data_hex" not in rule or "dst" not in rule:
-                raise ScenarioInvalid(f"rule {i}: inject needs 'dst' and 'data_hex'")
+            if not (_is_json(rule.get("dst"), "str")
+                    and _is_json(rule.get("data_hex"), "str")):
+                raise ScenarioInvalid(
+                    f"rule {i}: inject needs string 'dst' and 'data_hex'")
             rule["data"] = bytes.fromhex(rule.pop("data_hex"))
     return raw
 

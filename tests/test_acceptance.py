@@ -133,14 +133,15 @@ def test_criterion_4_lifecycle_ledger_state(tmp_path):
     list, and a dead device."""
     cfg = load_config(None, env={})
     cfg.snapshot = str(tmp_path / "lifecycle.snapshot")
-    code, _, state = cli.run_demo(cfg)
-    records = [r for r in state.network.query(ChannelName.IDENTITY, None,
+    code, _, world = cli.run_demo(cfg)
+    device = world.devices[0]
+    records = [r for r in world.network.query(ChannelName.IDENTITY, None,
                                               "server-org")
-               if r.device_uid.hex() == state.device.uid.hex]
+               if r.device_uid.hex() == device.uid.hex]
     statuses = [r.status for r in records]
-    crl_ok = state.device.keys.kem.public_key in state.server.crl
+    crl_ok = device.keys.kem.public_key in world.server.crl
     try:
-        state.server.handle_data_report(state.device.build_data_report(
+        world.server.handle_data_report(device.build_data_report(
             "temperature_c", 20.0, "C").message)
         post_revocation = "accepted"
     except RevokedDevice:

@@ -62,17 +62,17 @@ def test_demo_clock_skew_fails_token_check(tmp_path, capsys):
 def test_demo_lifecycle_state(tmp_path):
     cfg = load_config(None, env={})
     cfg.snapshot = str(tmp_path / "life.snapshot")
-    code, _, state = cli.run_demo(cfg)
+    code, _, world = cli.run_demo(cfg)
     assert code == EXIT_OK
-    records = state.network.query(ChannelName.IDENTITY, None, "server-org")
-    uid_records = [r for r in records
-                   if r.device_uid.hex() == state.device.uid.hex]
+    device = world.devices[0]
+    records = world.network.query(ChannelName.IDENTITY, None, "server-org")
+    uid_records = [r for r in records if r.device_uid.hex() == device.uid.hex]
     assert [r.status for r in uid_records] == [DeviceStatus.ACTIVE,
                                                DeviceStatus.DEACTIVATED]
-    assert state.device.keys.kem.public_key in state.server.crl
+    assert device.keys.kem.public_key in world.server.crl
     with pytest.raises(RevokedDevice):
-        state.server.handle_data_report(
-            state.device.build_data_report("temperature_c", 20.0, "C").message)
+        world.server.handle_data_report(
+            device.build_data_report("temperature_c", 20.0, "C").message)
 
 
 def test_demo_with_post_quantum_backend(tmp_path, capsys):
@@ -175,9 +175,31 @@ def test_attack_script_file_with_scenario(tmp_path, capsys):
 
 def test_attack_script_file_malformed(tmp_path, capsys):
     script = tmp_path / "bad.json"
-    script.write_text('[{"action": "replay"}]')
-    code, _, err = run_cli(capsys, ["attack", "--script-file", str(script)])
-    assert code == EXIT_USAGE
+    for text in ('[{"action": "replay"}]',
+                 '[{"on": null, "action": "drop"}]',
+                 '[{"on": true, "action": "drop"}]',
+                 '[{"on": 0, "action": "delay", "seconds": null}]',
+                 '[{"on": 0, "action": "tamper", "bit": 1.5}]',
+                 '[{"on": 0, "action": "inject", "dst": "server", '
+                 '"data_hex": 5}]',
+                 '[{"on": 0, "action": "inject", "dst": ["server"], '
+                 '"data_hex": "00"}]'):
+        script.write_text(text)
+        code, _, err = run_cli(capsys, ["attack", "--script-file",
+                                        str(script)])
+        assert code == EXIT_USAGE, text
+        assert err.startswith("attack: ") and err.count("\n") == 1, err
+
+
+def test_campaign_scenario_file_malformed(tmp_path, capsys):
+    scenario = tmp_path / "bad.json"
+    for text in ('{"reports": 5}', '{"devices": "3"}', '{"totp_step": "30"}',
+                 '{"kem_algo": "ml-kem-768"}', '{"revoke": 1}', '[]'):
+        scenario.write_text(text)
+        code, _, err = run_cli(capsys, ["campaign", "--runs", "1",
+                                        "--scenario", str(scenario)])
+        assert code == EXIT_USAGE, text
+        assert err.startswith("campaign: ") and err.count("\n") == 1, err
 
 
 def test_campaign_with_scenario_file(tmp_path, capsys):

@@ -239,9 +239,21 @@ def test_scenario_loader(tmp_path):
     assert spec.devices == 2
     assert spec.reports == (("temperature_c", 30.0, "C"),)
     bad = tmp_path / "bad.json"
-    bad.write_text('{"devices": 1, "frobnicate": true}')
-    with pytest.raises(ScenarioInvalid):
-        load_scenario(str(bad))
+    for text in ('{"devices": 1, "frobnicate": true}',
+                 '{"reports": 5}',
+                 '{"reports": [["temperature_c", "30", "C"]]}',
+                 '{"reports": [["temperature_c", 30.0]]}',
+                 '{"devices": "3"}',
+                 '{"devices": true}',
+                 '{"totp_step": "30"}',
+                 '{"key_ttl": null}',
+                 '{"revoke": 1}',
+                 '{"api_address": 5}',
+                 '{"kem_algo": "ml-kem-768"}',
+                 '["devices"]'):
+        bad.write_text(text)
+        with pytest.raises(ScenarioInvalid):
+            load_scenario(str(bad))
 
 
 def test_multi_device_scenario_all_activate():
@@ -249,6 +261,17 @@ def test_multi_device_scenario_all_activate():
     assert all(d.phase is DevicePhase.ACTIVE for d in result.world.devices)
     assert len(result.trace.by_kind(ch.REGISTRATION_SUCCESS)) == 3
     assert all(v.holds for v in check_all(result).values())
+
+
+@pytest.mark.parametrize("devices", [15, 50, 200])
+def test_devices_onboard_in_step_aligned_waves(devices):
+    # Tokens are only valid in their own 30 s step, and onboarding one device
+    # takes over 2 s of simulated time, so a large fleet needs several waves.
+    result = run_scenario(honest_spec(devices=devices), DeliverAll(), seed=7)
+    assert len(result.trace.by_kind(ch.REGISTRATION_SUCCESS)) == devices
+    rejected = result.trace.by_kind(ch.DEVICE_REQUEST_REJECTED)
+    assert not [e for e in rejected if e.get("error") == "TokenExpired"]
+    assert all(d.phase is DevicePhase.ACTIVE for d in result.world.devices)
 
 
 def test_post_quantum_backend_end_to_end():
