@@ -179,9 +179,6 @@ class AdversaryKnowledge:
         """Hand the adversary knowledge by fiat (compromise fixtures)."""
         self.terms.update(terms)
 
-    def copy(self) -> "AdversaryKnowledge":
-        return AdversaryKnowledge(self.terms, self.byte_strings)
-
 
 def derive_closure(knowledge: AdversaryKnowledge) -> AdversaryKnowledge:
     """Fixpoint of the decomposition rules over the knowledge set.
@@ -225,27 +222,16 @@ class SecureChannel:
     def __init__(self, endpoint_a: str, endpoint_b: str):
         self.endpoints = (endpoint_a, endpoint_b)
         self._queues: dict[str, list] = {endpoint_a: [], endpoint_b: []}
-        self._open = True
-
-    def close(self) -> None:
-        self._open = False
 
     def send(self, sender: str, message) -> None:
-        if not self._open:
-            raise ChannelClosed(f"secure channel {self.endpoints} is closed")
         receiver = self._other(sender)
         self._queues[receiver].append(message)
 
     def recv(self, receiver: str):
-        if not self._open:
-            raise ChannelClosed(f"secure channel {self.endpoints} is closed")
         queue = self._queues[receiver]
         if not queue:
             raise ChannelClosed(f"no message queued for {receiver}")
         return queue.pop(0)
-
-    def pending(self, receiver: str) -> int:
-        return len(self._queues[receiver])
 
     def _other(self, endpoint: str) -> str:
         a, b = self.endpoints
@@ -276,15 +262,9 @@ class PublicChannel:
         self.knowledge = knowledge
         self.pending: list[CustodyEntry] = []
         self._next_index = 0
-        self._open = True
-
-    def close(self) -> None:
-        self._open = False
 
     def send(self, src: str, dst: str, data: bytes, term: Term,
              kind: str) -> CustodyEntry:
-        if not self._open:
-            raise ChannelClosed("public channel is closed")
         entry = CustodyEntry(self._next_index, src, dst, data, term, kind)
         self._next_index += 1
         self.pending.append(entry)
@@ -320,15 +300,6 @@ class AdversaryAction:
         if self.dst is not None:
             parts.append(f"dst={self.dst}")
         return " ".join(parts)
-
-
-class DeliverAll:
-    """Passive adversary: forwards everything untouched, in order."""
-
-    def decide(self, channel: PublicChannel, rng: Rng) -> AdversaryAction | None:
-        if not channel.pending:
-            return None
-        return AdversaryAction("deliver", index=channel.pending[0].index)
 
 
 class Scripted:
@@ -367,6 +338,13 @@ class Scripted:
         raise ValueError(f"unknown scripted action {action!r}")
 
 
+class DeliverAll(Scripted):
+    """Passive adversary: a script with no rules forwards everything, in order."""
+
+    def __init__(self):
+        super().__init__([])
+
+
 DEFAULT_WEIGHTS = {
     "deliver": 6.0,
     "drop": 1.0,
@@ -374,19 +352,19 @@ DEFAULT_WEIGHTS = {
     "tamper": 1.0,
     "inject": 1.0,
 }
+RANDOMIZED_BUDGET = 48
 
 
 class Randomized:
     """Seeded scheduler choosing weighted actions per custody message.
 
-    ``forge`` supplies injectable byte strings built from adversary
-    knowledge (replayed ciphertexts, forged registrations). The action
-    budget bounds replays and injections so every run terminates.
+    ``forge`` builds the bytes of each injection (a forged registration).
+    ``RANDOMIZED_BUDGET`` actions bound replays and injections so every run
+    terminates.
     """
 
-    def __init__(self, weights: dict[str, float] | None = None,
-                 budget: int = 64,
-                 forge: Callable[[AdversaryKnowledge, Rng], bytes | None] | None = None):
+    def __init__(self, forge: Callable[[], bytes],
+                 weights: dict[str, float] | None = None):
         merged = dict(DEFAULT_WEIGHTS)
         if weights:
             unknown = set(weights) - set(merged)
@@ -394,7 +372,7 @@ class Randomized:
                 raise ValueError(f"unknown adversary actions: {sorted(unknown)}")
             merged.update(weights)
         self.weights = merged
-        self.budget = budget
+        self.budget = RANDOMIZED_BUDGET
         self.forge = forge
 
     def decide(self, channel: PublicChannel, rng: Rng) -> AdversaryAction | None:
@@ -410,14 +388,7 @@ class Randomized:
             return AdversaryAction("tamper", index=entry.index,
                                    bit=rng.randrange(len(entry.data) * 8))
         if action == "inject":
-            data = None
-            if self.forge is not None:
-                data = self.forge(channel.knowledge, rng)
-            if data is None:
-                stored = sorted(channel.knowledge.byte_strings)
-                data = stored[rng.randrange(len(stored))] if stored else None
-            if data is None:
-                return AdversaryAction("deliver", index=entry.index)
             dst = entry.dst if rng.random() < 0.8 else entry.src
-            return AdversaryAction("inject", dst=dst, data=data, index=entry.index)
+            return AdversaryAction("inject", dst=dst, data=self.forge(),
+                                   index=entry.index)
         return AdversaryAction(action, index=entry.index)

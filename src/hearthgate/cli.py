@@ -44,7 +44,7 @@ def run_demo(cfg: Config) -> tuple[int, list[str], harness.World]:
     built from ``cfg``; returns (exit code, transcript, world)."""
     lines = [f"hearthgate demo v{__version__} (seed {cfg.seed}, kem {cfg.kem})"]
     spec = harness.ScenarioSpec(
-        reports=(), retries=cfg.retries, totp_step=cfg.totp_step,
+        reports=(), totp_step=cfg.totp_step,
         key_ttl=cfg.key_ttl, kem_algo=cfg.kem, mu=cfg.mu,
         max_block_txs=cfg.max_block_txs, block_interval=cfg.block_interval)
     rules = risk.load_rules(cfg.rules) if cfg.rules else None

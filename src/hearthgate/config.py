@@ -12,6 +12,7 @@ import configparser
 import os
 from dataclasses import dataclass, field
 
+from .crypto import MalformedKey, kem_backend
 from .ledger import READ_ALL, READ_NONE, READ_OWN, ChannelName, OrgRole
 
 ENV_PREFIX = "HEARTHGATE_"
@@ -37,7 +38,6 @@ class Config:
     # [demo]
     snapshot: str = "demo.snapshot"
     provisioning_delay: float = 0.0
-    retries: int = 1
     # [access] channel.role -> "none" | "own" | "all" [+ ",write"]
     access_overrides: dict = field(default_factory=dict)
 
@@ -46,7 +46,7 @@ _SCHEMA = {
     "core": {"seed": int, "totp_step": int, "key_ttl": float, "kem": str},
     "ledger": {"mu": float, "max_block_txs": int, "block_interval": float},
     "risk": {"rules": str},
-    "demo": {"snapshot": str, "provisioning_delay": float, "retries": int},
+    "demo": {"snapshot": str, "provisioning_delay": float},
 }
 
 _POSITIVE = {"totp_step", "key_ttl", "mu", "max_block_txs", "block_interval"}
@@ -91,7 +91,7 @@ def _assign(cfg: Config, section: str, key: str, raw: str) -> None:
             f"[{section}] {key}: expected {caster.__name__}, got {raw!r}") from None
     if key in _POSITIVE and value <= 0:
         raise ConfigError(f"[{section}] {key}: must be positive")
-    if key in ("retries", "seed") and value < 0:
+    if key == "seed" and value < 0:
         raise ConfigError(f"[{section}] {key}: must be nonnegative")
     setattr(cfg, key, value)
 
@@ -131,6 +131,8 @@ def load_config(path: str | None = None,
         if not candidates:
             raise ConfigError(f"unknown environment override {name}")
         _assign(cfg, section, candidates[0], raw)
-    if cfg.kem not in ("x25519", "ml-kem-512"):
-        raise ConfigError(f"unknown KEM backend {cfg.kem!r}")
+    try:
+        kem_backend(cfg.kem)
+    except MalformedKey as exc:
+        raise ConfigError(str(exc)) from None
     return cfg

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from . import channels as ch
 from . import crypto, ledger, risk, wire
 from .channels import (
     AdversaryAction,
     AdversaryKnowledge,
-    DeliverAll,
     PublicChannel,
     Randomized,
     Scripted,
@@ -323,9 +323,6 @@ class RunResult:
     knowledge: AdversaryKnowledge
     protected: set[Term]
 
-    def closure(self) -> AdversaryKnowledge:
-        return derive_closure(self.knowledge)
-
 
 def _forged_request(world: World, label: str,
                     token: tuple[crypto.HybridCiphertext, crypto.Signature]
@@ -353,12 +350,18 @@ def _forged_request(world: World, label: str,
     return wire.encode(wire.RegistrationRequest(ct))
 
 
-def forge_registration(world: World) -> bytes | None:
+def forge_registration(world: World) -> bytes:
     """A concrete injection: a registration request built entirely from the
     adversary's own keys. The server must refuse its signature."""
-    if world.devices[0].server_public is None:
-        return None
     return _forged_request(world, "forge")
+
+
+def _forge_reuse_token(world: World) -> bytes:
+    """Compromised-device fixture: reuse the honest device's (encrypted token,
+    signature) under a fresh pseudo-identity."""
+    device = world.devices[0]
+    return _forged_request(world, "swap", token=(device._encrypted_token,
+                                                 device._token_signature))
 
 
 def _wave_size(world: World) -> int:
@@ -381,23 +384,21 @@ def _wave_size(world: World) -> int:
 
 
 def run_scenario(spec: ScenarioSpec, adversary, seed: int,
-                 rules: list[risk.ThresholdRule] | None = None,
-                 prepare=None) -> RunResult:
+                 rules: list[risk.ThresholdRule] | None = None) -> RunResult:
     """Run one scenario under an adversary strategy.
 
     Devices onboard in waves that each fit in one TOTP step: a wave is
     provisioned, its registrations sent and pumped before the step of its
     first token ends, then the next wave starts. ``adversary`` is a strategy
-    object, or a callable ``world -> strategy`` for strategies that need run
-    context (forged injections). ``prepare`` runs once, after the first wave
-    is provisioned and before any registration is sent; it may add scripted
-    rules. Deterministic: the same (spec, adversary, seed) produces a
-    byte-identical trace.
+    object; ``None`` for direct, adversary-free wiring; or a callable
+    ``world -> strategy`` for strategies that need run context. The callable
+    runs once, after the first wave is provisioned and before any
+    registration is sent, so it can forge messages from provisioned state.
+    Deterministic: the same (spec, adversary, seed) produces a byte-identical
+    trace.
     """
-    direct = adversary is None
-    world = World(spec, seed, rules=rules, direct=direct)
-    strategy = DeliverAll() if direct else (
-        adversary(world) if callable(adversary) else adversary)
+    world = World(spec, seed, rules=rules, direct=adversary is None)
+    strategy = adversary
 
     pairs = list(zip(world.auths, world.devices))
     while pairs:
@@ -413,9 +414,8 @@ def run_scenario(spec: ScenarioSpec, adversary, seed: int,
             provision_device(auth, device, token_term=token_secret(
                 session_id, reg.issued_digits))
             world.clock.advance(PHASE_DT)
-        if prepare is not None:
-            prepare(world, strategy)
-            prepare = None
+        if callable(strategy):
+            strategy = strategy(world)
         for _, device in wave:
             world.send_outgoing(device.build_registration_request())
         world.pump(strategy)
@@ -522,51 +522,54 @@ def check_all(result: RunResult) -> dict[str, LemmaVerdict]:
 
 @dataclass(frozen=True)
 class AttackScript:
-    name: str
     description: str
     expected_error: str | None      # rejection code the server must record
-    rules: tuple[dict, ...] = ()
-    needs_forge: str | None = None  # "reuse-token" | "own-keys"
-    retries: int = 0
+    detail: str                     # what a defeated attack shows
+    rules: tuple[dict, ...]         # ``--script-file`` rules, minus inject data
+    forge: Callable[[World], bytes] | None = None  # fills the inject ``data``
+
+    def adversary(self, world: World) -> Scripted:
+        """The script's rules, with forged bytes as its inject ``data``."""
+        return Scripted([dict(rule, data=self.forge(world))
+                         if rule["action"] == "inject" else rule
+                         for rule in self.rules])
 
 
 ATTACK_SCRIPTS: dict[str, AttackScript] = {
     "replay-device-request": AttackScript(
-        "replay-device-request",
         "deliver the registration request twice; the token is single-use",
-        expected_error="TokenUnknown",
+        expected_error="TokenUnknown", detail="rejected: token consumed",
         rules=({"on": 0, "action": "replay"},),
     ),
     "replay-stale-token": AttackScript(
-        "replay-stale-token",
         "withhold the registration request past the 30 s token step",
-        expected_error="TokenExpired",
+        expected_error="TokenExpired", detail="rejected: token expired",
         rules=({"on": 0, "action": "delay", "seconds": 40},),
     ),
     "tamper-ciphertext-bit": AttackScript(
-        "tamper-ciphertext-bit",
         "flip one ciphertext bit in transit; authenticated encryption catches it",
-        expected_error="Malformed",
+        expected_error="Malformed", detail="rejected: ciphertext rejected",
         rules=({"on": 0, "action": "tamper", "bit": 900},),
     ),
     "token-swap-across-devices": AttackScript(
-        "token-swap-across-devices",
         "present a consumed token under a second device identity "
         "(provision material leaked to the adversary by fiat)",
-        expected_error="TokenUnknown",
-        needs_forge="reuse-token",
+        expected_error="TokenUnknown", detail="rejected: token consumed",
+        rules=({"on": 1, "action": "inject", "dst": "server"},),
+        forge=_forge_reuse_token,
     ),
     "inject-forged-registration": AttackScript(
-        "inject-forged-registration",
         "inject a registration signed by the adversary's own key",
-        expected_error="SignatureInvalid",
-        needs_forge="own-keys",
+        expected_error="SignatureInvalid", detail="rejected: signature invalid",
+        rules=({"on": 0, "action": "inject", "dst": "server"},),
+        forge=forge_registration,
     ),
     "drop-activation": AttackScript(
-        "drop-activation",
         "drop the activation response: server-side active, device stalls "
         "(documented divergence; no retry in this script)",
         expected_error=None,
+        detail="activation withheld: device stalled in request_sent, "
+               "server registry active (documented divergence)",
         rules=({"on": 1, "action": "drop"},),
     ),
 }
@@ -582,14 +585,6 @@ class AttackOutcome:
     result: RunResult
 
 
-def _forge_reuse_token(world: World) -> bytes:
-    """Compromised-device fixture: reuse the honest device's (encrypted token,
-    signature) under a fresh pseudo-identity."""
-    device = world.devices[0]
-    return _forged_request(world, "swap", token=(device._encrypted_token,
-                                                 device._token_signature))
-
-
 def run_attack(name: str, seed: int = 7) -> AttackOutcome:
     try:
         script = ATTACK_SCRIPTS[name]
@@ -597,27 +592,12 @@ def run_attack(name: str, seed: int = 7) -> AttackOutcome:
         raise ScenarioInvalid(
             f"unknown attack script {name!r}; known: {sorted(ATTACK_SCRIPTS)}"
         ) from None
-    spec = ScenarioSpec(devices=1, reports=(), retries=script.retries)
-    strategy = Scripted(script.rules)
-
-    def prepare(world: World, strat: Scripted) -> None:
-        # Forged payloads need provisioned state, so they are built here.
-        if script.needs_forge == "own-keys":
-            strat.rules[0] = {"on": 0, "action": "inject", "dst": "server",
-                              "data": forge_registration(world)}
-        elif script.needs_forge == "reuse-token":
-            strat.rules[1] = {"on": 1, "action": "inject", "dst": "server",
-                              "data": _forge_reuse_token(world)}
-
-    result = run_scenario(spec, strategy, seed, prepare=prepare)
+    spec = ScenarioSpec(devices=1, reports=(), retries=0)
+    result = run_scenario(spec, script.adversary, seed)
     verdicts = check_all(result)
-    rejected = result.trace.by_kind(ch.DEVICE_REQUEST_REJECTED)
-    error_seen = None
-    if script.expected_error is not None:
-        for event in rejected:
-            if event.get("error") == script.expected_error:
-                error_seen = script.expected_error
-                break
+    rejected = {e.get("error")
+                for e in result.trace.by_kind(ch.DEVICE_REQUEST_REJECTED)}
+    error_seen = script.expected_error if script.expected_error in rejected else None
     honest_uids = {d.uid.hex for d in result.world.devices}
     successes = result.trace.by_kind(ch.REGISTRATION_SUCCESS)
     foreign_success = [e for e in successes if e.get("uid") not in honest_uids]
@@ -627,25 +607,14 @@ def run_attack(name: str, seed: int = 7) -> AttackOutcome:
         diverged = (device.phase is DevicePhase.REQUEST_SENT
                     and device.uid.hex in result.world.server.registry)
         defeated = lemmas_hold and not foreign_success
-        detail = ("activation withheld: device stalled in request_sent, "
-                  "server registry active (documented divergence)"
-                  if diverged else "no divergence observed")
+        detail = script.detail if diverged else "no divergence observed"
     else:
         defeated = (error_seen is not None and not foreign_success
                     and lemmas_hold)
-        detail = (f"rejected: {_REJECTION_DETAIL.get(name, script.expected_error)}"
-                  if defeated else "attack was not rejected as expected")
+        detail = (script.detail if defeated
+                  else "attack was not rejected as expected")
     return AttackOutcome(name=name, defeated=defeated, error_seen=error_seen,
                          detail=detail, verdicts=verdicts, result=result)
-
-
-_REJECTION_DETAIL = {
-    "replay-device-request": "token consumed",
-    "replay-stale-token": "token expired",
-    "tamper-ciphertext-bit": "ciphertext rejected",
-    "token-swap-across-devices": "token consumed",
-    "inject-forged-registration": "signature invalid",
-}
 
 
 def load_attack_rules(path: str) -> list[dict]:
@@ -717,8 +686,7 @@ def campaign_spec() -> ScenarioSpec:
 
 def run_campaign(runs: int, base_seed: int = 1,
                  weights: dict[str, float] | None = None,
-                 spec: ScenarioSpec | None = None,
-                 keep_records: bool = True) -> CampaignResult:
+                 spec: ScenarioSpec | None = None) -> CampaignResult:
     """Randomized adversarial campaign: distinct seeds, mixed action weights,
     all three checkers per run."""
     spec = spec or campaign_spec()
@@ -728,18 +696,17 @@ def run_campaign(runs: int, base_seed: int = 1,
         seed = base_seed + i
         result = run_scenario(
             spec,
-            lambda world: Randomized(weights=weights, budget=48,
-                                     forge=lambda k, rng: forge_registration(world)),
+            lambda world: Randomized(lambda: forge_registration(world),
+                                     weights=weights),
             seed)
         verdicts = check_all(result)
         for verdict in verdicts.values():
             if not verdict.holds:
                 violations.append((seed, verdict))
-        if keep_records:
-            records.append(CampaignRecord(
-                seed=seed,
-                holds={k: v.holds for k, v in verdicts.items()},
-                trace_digest=result.trace.digest()))
+        records.append(CampaignRecord(
+            seed=seed,
+            holds={k: v.holds for k, v in verdicts.items()},
+            trace_digest=result.trace.digest()))
     return CampaignResult(runs=runs, violations=violations, records=records)
 
 
@@ -771,29 +738,29 @@ class _SequenceStrategy:
 
 BOUNDED_ACTIONS = ("deliver", "drop", "replay")
 MAX_PUBLIC_MESSAGES = 12
+MAX_BOUNDED_RUNS = 20_000
 
 
 def bounded_exhaustive(spec: ScenarioSpec, seed: int = 7,
-                       actions: tuple[str, ...] = BOUNDED_ACTIONS,
-                       max_runs: int = 20_000) -> list[tuple[tuple[str, ...], dict]]:
+                       actions: tuple[str, ...] = BOUNDED_ACTIONS
+                       ) -> list[tuple[tuple[str, ...], dict]]:
     """Enumerate every adversary decision tree over a restricted action set.
 
     The adversary always acts on the oldest custody message and may stop at
     any point (withholding the rest), so each prefix is itself a complete
     run. Only tractable for short scenarios; refuses anything wider than
-    ``MAX_PUBLIC_MESSAGES`` public messages per branch.
+    ``MAX_PUBLIC_MESSAGES`` public messages per branch, or needing more than
+    ``MAX_BOUNDED_RUNS`` runs.
     """
     results = []
     stack: list[tuple[str, ...]] = [()]
-    runs = 0
     while stack:
         prefix = stack.pop()
-        if runs >= max_runs:
-            raise ScenarioInvalid(
-                f"bounded exhaustive exceeded {max_runs} runs; restrict the scenario")
+        if len(results) >= MAX_BOUNDED_RUNS:
+            raise ScenarioInvalid(f"bounded exhaustive exceeded {MAX_BOUNDED_RUNS}"
+                                  " runs; restrict the scenario")
         strategy = _SequenceStrategy(prefix)
         result = run_scenario(spec, strategy, seed)
-        runs += 1
         if len(prefix) > MAX_PUBLIC_MESSAGES:
             raise ScenarioInvalid(
                 "scenario produces more public messages than bounded mode allows")

@@ -315,9 +315,6 @@ class SubscriptionHandle:
         self._queue.clear()
         return out
 
-    def pending(self) -> int:
-        return len(self._queue)
-
 
 class LedgerNetwork:
     """Three channels, shared membership, one ordering service per channel."""

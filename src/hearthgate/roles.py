@@ -599,7 +599,7 @@ class Server:
             if any(p.issued_digits == digits for p in candidates):
                 self._reject_request("TokenExpired", "token outside its validity step",
                                      uid=uid_hex, token=digits)
-                raise TokenExpired("token outside its 30-second step")
+                raise TokenExpired(f"token outside its {self.totp_step}-second step")
             self._reject_request("TokenUnknown", "token matches no pending registration",
                                  uid=uid_hex, token=digits)
             raise TokenUnknown("token matches no pending registration")

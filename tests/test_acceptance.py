@@ -52,10 +52,9 @@ def test_criterion_1_lemma_campaign():
     two_devices = harness.ScenarioSpec(
         devices=2, reports=(("temperature_c", 21.5, "C"),), retries=1)
     started = time.perf_counter()
-    single = harness.run_campaign(6_000, base_seed=1, weights=weights,
-                                  keep_records=False)
+    single = harness.run_campaign(6_000, base_seed=1, weights=weights)
     double = harness.run_campaign(4_000, base_seed=1_000_000, weights=weights,
-                                  spec=two_devices, keep_records=False)
+                                  spec=two_devices)
     elapsed = time.perf_counter() - started
     runs = single.runs + double.runs
     violations = single.violations + double.violations

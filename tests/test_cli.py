@@ -56,6 +56,7 @@ def test_demo_clock_skew_fails_token_check(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["demo", "--config", str(conf)])
     assert code == EXIT_FAILURE
     assert "TokenExpired" in out
+    assert "1-second step" in out
     assert "demo failed at step" in out
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from hearthgate import crypto
 from hearthgate.config import Config, ConfigError, load_config
 from hearthgate.ledger import READ_ALL, ChannelName, OrgRole
 
@@ -20,7 +21,7 @@ def test_file_values(tmp_path):
     path.write_text(
         "[core]\nseed = 42\ntotp_step = 15\nkem = ml-kem-512\n"
         "[ledger]\nmu = 150\nmax_block_txs = 10\nblock_interval = 0.05\n"
-        "[demo]\nsnapshot = out.snapshot\nprovisioning_delay = 2.0\nretries = 0\n"
+        "[demo]\nsnapshot = out.snapshot\nprovisioning_delay = 2.0\n"
     )
     cfg = load_config(str(path), env={})
     assert cfg.seed == 42
@@ -30,13 +31,19 @@ def test_file_values(tmp_path):
     assert cfg.max_block_txs == 10
     assert cfg.snapshot == "out.snapshot"
     assert cfg.provisioning_delay == 2.0
-    assert cfg.retries == 0
 
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "hg.conf"
     path.write_text("[core]\nsped = 42\n")
     with pytest.raises(ConfigError, match="sped"):
+        load_config(str(path), env={})
+
+
+def test_demo_retries_key_removed(tmp_path):
+    path = tmp_path / "hg.conf"
+    path.write_text("[demo]\nretries = 1\n")
+    with pytest.raises(ConfigError, match="retries"):
         load_config(str(path), env={})
 
 
@@ -103,8 +110,13 @@ def test_access_override_bad_role(tmp_path):
 
 
 def test_unknown_kem_rejected():
-    with pytest.raises(ConfigError, match="KEM"):
+    with pytest.raises(ConfigError, match="^unknown KEM backend 'rot13'$"):
         load_config(None, env={"HEARTHGATE_CORE_KEM": "rot13"})
+
+
+@pytest.mark.parametrize("name", sorted(crypto._KEM_BACKENDS))
+def test_every_kem_backend_loads(name):
+    assert load_config(None, env={"HEARTHGATE_CORE_KEM": name}).kem == name
 
 
 def test_missing_file():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from hearthgate import channels as ch
-from hearthgate import harness
+from hearthgate import harness, wire
 from hearthgate.channels import (
     AdversaryKnowledge,
     DeliverAll,
@@ -180,6 +180,30 @@ def test_unknown_attack_script():
         run_attack("no-such-script")
 
 
+def test_callable_adversary_runs_once_before_any_registration():
+    script = ATTACK_SCRIPTS["token-swap-across-devices"]
+    seen = []
+
+    def adversary(world):
+        strategy = script.adversary(world)
+        seen.append({"provisioned": world.devices[0].server_public is not None,
+                     "pending": list(world.h_p.pending),
+                     "rules": dict(strategy.rules)})
+        return strategy
+
+    result = run_scenario(ScenarioSpec(devices=1, reports=(), retries=0),
+                          adversary, seed=7)
+    assert len(seen) == 1
+    assert seen[0]["provisioned"]
+    assert seen[0]["pending"] == []
+    # The table's inject rule, with forged registration bytes as its data.
+    rule = seen[0]["rules"][1]
+    assert {k: rule[k] for k in ("on", "action", "dst")} == script.rules[0]
+    assert isinstance(wire.decode(rule["data"]), wire.RegistrationRequest)
+    # Forged, not replayed: no public-channel message carried these bytes.
+    assert rule["data"] not in result.knowledge.byte_strings
+
+
 # ---------------------------------------------------------------------------
 # Campaign and bounded exhaustive
 # ---------------------------------------------------------------------------
@@ -221,10 +245,11 @@ def test_bounded_exhaustive_small_scenario_clean():
     assert any(set(p) == {"deliver"} for p, _ in results if p)
 
 
-def test_bounded_exhaustive_run_cap():
+def test_bounded_exhaustive_run_cap(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_BOUNDED_RUNS", 5)
     spec = ScenarioSpec(devices=2, reports=(("m", 1.0, "u"),), retries=1)
     with pytest.raises(ScenarioInvalid):
-        bounded_exhaustive(spec, seed=7, max_runs=5)
+        bounded_exhaustive(spec, seed=7)
 
 
 # ---------------------------------------------------------------------------
