@@ -99,8 +99,11 @@ _PUBLIC_PARSERS = {
 
 
 def _parse_key(parsers: dict, algo: str, raw: bytes):
+    parser = parsers.get(algo)
+    if parser is None:
+        raise MalformedKey(f"no {algo} key parser")
     try:
-        return parsers[algo](raw)
+        return parser(raw)
     except ValueError as exc:
         raise MalformedKey(str(exc)) from exc
 
@@ -112,6 +115,8 @@ def _parse_key(parsers: dict, algo: str, raw: bytes):
 
 @dataclass(frozen=True)
 class PublicKey:
+    """The public half of a role keypair, with its algorithm and validity window."""
+
     role_tag: RoleTag
     algo: str
     key: bytes
@@ -133,6 +138,8 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class KeyPair:
+    """A role keypair: public and secret key bytes, with their validity window."""
+
     role_tag: RoleTag
     algo: str
     public_key: bytes
@@ -274,6 +281,8 @@ def sig_keygen(role_tag: RoleTag, ttl: float, rng: Rng, now: float) -> KeyPair:
 
 @dataclass(frozen=True)
 class RolePublic:
+    """The public halves of a role's KEM and signing pairs, as exchanged."""
+
     kem: PublicKey
     sig: PublicKey
 
@@ -304,6 +313,8 @@ def generate_role_keys(role_tag: RoleTag, ttl: float, rng: Rng, now: float,
 
 @dataclass(frozen=True)
 class AeadBox:
+    """An AES-GCM sealed payload: nonce, ciphertext body and tag."""
+
     nonce: bytes  # 12 bytes
     body: bytes
     tag: bytes    # 16 bytes
@@ -328,6 +339,8 @@ def aead_open(key: bytes, box: AeadBox, aad: bytes = b"") -> bytes:
 
 @dataclass(frozen=True)
 class HybridCiphertext:
+    """A KEM encapsulation plus the AEAD box keyed by its shared secret."""
+
     encapsulation: bytes
     aead_nonce: bytes
     body: bytes
@@ -367,6 +380,8 @@ def hybrid_decrypt(pair: KeyPair, ciphertext: HybridCiphertext,
 
 @dataclass(frozen=True)
 class Signature:
+    """An Ed25519 signature tagged with the signer's role."""
+
     signer_tag: RoleTag
     value: bytes
 
@@ -399,6 +414,8 @@ def verify(public: PublicKey, message: bytes, signature: Signature,
 
 @dataclass(frozen=True)
 class TransientToken:
+    """A TOTP code and the time step it was issued in."""
+
     digits: str
     issued_step: int
 
@@ -434,6 +451,8 @@ def totp_verify(secret: bytes, digits: str, now: float, step: int = TOTP_STEP) -
 
 @dataclass(frozen=True)
 class Nonce:
+    """A random 16-byte protocol nonce."""
+
     value: bytes  # 16 bytes
 
     @property
@@ -443,6 +462,8 @@ class Nonce:
 
 @dataclass(frozen=True)
 class PseudoUuid:
+    """A device instance's random 16-byte identifier."""
+
     value: bytes  # 16 bytes, stable for a device instance
 
     @property
@@ -452,6 +473,8 @@ class PseudoUuid:
 
 @dataclass(frozen=True)
 class LongLivedToken:
+    """The 32-byte device token issued at registration."""
+
     value: bytes  # 32 bytes
 
 

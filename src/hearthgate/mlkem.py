@@ -20,16 +20,26 @@ VI[j][i] = 128^-1 gamma_i^-j (mod q). Both run in float64 on coefficients
 of size below q: every product and every sum of 128 is an integer below
 128 q^2 < 2^31, exact (float64 holds 2^53) in whatever order BLAS adds.
 
+The byte codecs (ByteDecode_d, ByteEncode_d) work on little-endian 64-bit
+words, never on single bits. A group of whole d-bit fields in whole bytes
+(4 x 12 bits in 6 bytes, 4 x 10 in 5, 16 x 4 in 8, 8 x 6 in 6) is read in
+place as one unaligned word and split by a shift and a mask, and packed by
+one int64 product of the fields with powers of two; at d = 11 a group is 8
+fields in 11 bytes, two words from bytes 0 and 5. SamplePolyCBD_eta is
+ByteDecode_(2 eta) and a 2^(2 eta)-entry table.
+
 Caches (LRU, ``_CACHE_ENTRIES`` each, read-only arrays) hold A-hat by
 ``rho`` and, per encapsulation key passing the modulus check, the rows
-encryption multiplies by: public data only. A key failing the check raises
-and is never cached; nothing secret-derived (s-hat, z, m) is cached.
+encryption multiplies by and H(ek): public data only. A key failing the
+check raises and is never cached; nothing secret-derived (s-hat, z, m) is
+cached.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -84,7 +94,9 @@ def _roots():
 
 
 _V, _VI, _ONE_GAMMA = _roots()
-_SHIFTS = np.arange(12)
+# CBD_eta of a 2 eta-bit field v: popcount(low eta bits) - popcount(high eta bits).
+_CBD = {eta: np.array([bin(v % (1 << eta)).count("1") - bin(v >> eta).count("1")
+                      for v in range(1 << 2 * eta)]) for eta in (2, 3)}
 
 
 def _h(data: bytes) -> bytes:
@@ -110,34 +122,62 @@ def _mul_sum(a, b):
     return np.stack((even, odd), -1).reshape(*even.shape[:-1], N) % Q
 
 
+@functools.cache
+def _layout(d: int):
+    """A d-bit codec's group: its bytes, its last word's byte offset, each
+    field's shift in the word it is read from (a row per word), the weights
+    packing fields into words (2^bit mod 2^64 in each word a field starts
+    in), and the packed words' bytes that make the group (each byte from
+    the first word ending after it)."""
+    group = math.lcm(d, 8) // 8   # the fewest whole bytes of whole fields,
+    group *= max(1, 8 // group)   # repeated while they fit one word
+    fields = 8 * group // d
+    words = -(-group // 8)
+    per_word = fields // words
+    offsets = np.arange(words) * per_word * d // 8
+    bits = np.arange(fields) * d - 8 * offsets[:, None]   # field j's bit in word w
+    shifts = np.array([bits[w, w * per_word:(w + 1) * per_word] for w in range(words)])
+    weights = np.where((bits >= 0) & (bits < 64), np.left_shift(1, bits % 64), 0).T
+    octet = np.arange(group)
+    owner = np.searchsorted(offsets + 8, octet, side="right")
+    return group, int(offsets[-1]), shifts, weights, 8 * owner + octet - offsets[owner]
+
+
 def _unpack(data: bytes, d: int):
     """The little-endian d-bit fields of ``data`` (ByteDecode_d, unreduced)."""
-    bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
-    return bits.reshape(-1, d) @ (1 << _SHIFTS[:d])
+    group, last, shifts, _, _ = _layout(d)
+    # Each group's words, read in place: unaligned, and overlapping at d = 11.
+    words = np.ndarray((len(data) // group, len(shifts), 1), "<i8", data + bytes(8),
+                       strides=(group, last, 0))
+    return ((words >> shifts) & ((1 << d) - 1)).reshape(-1)
 
 
 def _pack(f, d: int) -> bytes:
-    """ByteEncode_d of each row of f in turn: the low d bits of every value."""
-    bits = (f[..., None] >> _SHIFTS[:d]) & 1
-    return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
+    """ByteEncode_d of each row of f in turn, for values in [0, 2^d)."""
+    _, _, _, weights, picks = _layout(d)
+    words = f.reshape(-1, len(weights)) @ weights   # fields share no bit; int64 wraps
+    return words.view(np.uint8).reshape(len(words), -1)[:, picks].tobytes()
+
+
+def _cbd(data: bytes, eta: int):
+    """SamplePolyCBD_eta of each 64 eta bytes of ``data``, as signed values."""
+    return _CBD[eta][_unpack(data, 2 * eta)].reshape(-1, N)
 
 
 def _noise(eta: int, seed: bytes, first: int, count: int):
     """SamplePolyCBD_eta(PRF_eta(seed, n)) for ``count`` values of n from ``first``."""
-    data = b"".join(hashlib.shake_256(seed + bytes([n])).digest(64 * eta)
-                    for n in range(first, first + count))
-    bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
-    return bits.reshape(count, N, 2 * eta) @ np.repeat([1, -1], eta)
+    return _cbd(b"".join(hashlib.shake_256(seed + bytes([n])).digest(64 * eta)
+                         for n in range(first, first + count)), eta)
 
 
-def _compress(f, d: int) -> bytes:
-    """ByteEncode_d(Compress_d(f)) for coefficients in [0, q)."""
-    return _pack(((f << (d + 1)) + Q) // (2 * Q) & ((1 << d) - 1), d)
+def _compress(f, d: int):
+    """Compress_d of coefficients in [0, q)."""
+    return ((f << (d + 1)) + Q) // (2 * Q) & ((1 << d) - 1)
 
 
-def _decompress(data: bytes, d: int):
-    """Decompress_d(ByteDecode_d(data))."""
-    return (_unpack(data, d) * Q + (1 << (d - 1))) >> d
+def _decompress(y, d: int):
+    """Decompress_d of d-bit values."""
+    return (y * Q + (1 << (d - 1))) >> d
 
 
 def _read_only(a):
@@ -166,11 +206,11 @@ def _encryption_key(t_hat, rho: bytes, k: int):
 
 @functools.lru_cache(maxsize=_CACHE_ENTRIES)
 def _checked_encryption_key(ek: bytes, k: int):
-    """_encryption_key of ek; a coefficient >= q raises ValueError, uncached."""
+    """_encryption_key of ek, and H(ek); a coefficient >= q raises ValueError, uncached."""
     t_hat = _unpack(ek[:384 * k], 12).reshape(k, N)
     if t_hat.max() >= Q:
         raise ValueError("encapsulation key failed modulus check")
-    return _encryption_key(t_hat, ek[384 * k:], k)
+    return _encryption_key(t_hat, ek[384 * k:], k), _h(ek)
 
 
 def _pke_keygen(d: bytes, p: ParamSet) -> tuple[bytes, bytes]:
@@ -181,22 +221,23 @@ def _pke_keygen(d: bytes, p: ParamSet) -> tuple[bytes, bytes]:
     return _pack(t_hat, 12) + rho, _pack(s_hat, 12)
 
 
-def _pke_encrypt(key, m: bytes, r: bytes, p: ParamSet) -> bytes:
+def _pke_encrypt(key, m_bits, r: bytes, p: ParamSet) -> bytes:
     k = p.k
     y_hat = _ntt(_noise(p.eta1, r, 0, k))
     e = _noise(p.eta2, r, k, k + 1)   # e1, then e2 as the last row
-    e[k] += _decompress(m, 1)
+    e[k] += _decompress(m_bits, 1)
     uv = (_ntt(_mul_sum(key, y_hat), _VI) + e) % Q
-    return _compress(uv[:k], p.du) + _compress(uv[k], p.dv)
+    return _pack(_compress(uv[:k], p.du), p.du) + _pack(_compress(uv[k], p.dv), p.dv)
 
 
-def _pke_decrypt(dk: bytes, ct: bytes, p: ParamSet) -> bytes:
+def _pke_decrypt(dk: bytes, ct: bytes, p: ParamSet):
+    """The message's 256 bits."""
     k = p.k
     split = 32 * p.du * k
-    u_hat = _ntt(_decompress(ct[:split], p.du).reshape(k, N))
+    u_hat = _ntt(_decompress(_unpack(ct[:split], p.du), p.du).reshape(k, N))
     s_hat = _unpack(dk, 12).reshape(k, N) % Q
-    w = (_decompress(ct[split:], p.dv) - _ntt(_mul_sum(s_hat, u_hat), _VI)) % Q
-    return _compress(w, 1)
+    v = _decompress(_unpack(ct[split:], p.dv), p.dv)
+    return _compress((v - _ntt(_mul_sum(s_hat, u_hat), _VI)) % Q, 1)
 
 
 def keygen(seed: bytes, params: ParamSet = ML_KEM_512) -> tuple[bytes, bytes]:
@@ -212,12 +253,12 @@ def encaps(ek: bytes, randomness: bytes,
     """Encapsulate to ``ek``: returns (ciphertext, 32-byte shared secret)."""
     if len(ek) != params.ek_bytes:
         raise ValueError(f"encapsulation key must be {params.ek_bytes} bytes, got {len(ek)}")
-    key = _checked_encryption_key(bytes(ek), params.k)
+    key, h_ek = _checked_encryption_key(bytes(ek), params.k)
     if len(randomness) != 32:
         raise ValueError("encapsulation randomness must be 32 bytes")
-    expanded = _g(randomness + _h(ek))
+    expanded = _g(randomness + h_ek)
     shared, r = expanded[:32], expanded[32:]
-    return _pke_encrypt(key, randomness, r, params), shared
+    return _pke_encrypt(key, _unpack(randomness, 1), r, params), shared
 
 
 def decaps(dk: bytes, ct: bytes, params: ParamSet = ML_KEM_512) -> bytes:
@@ -232,13 +273,13 @@ def decaps(dk: bytes, ct: bytes, params: ParamSet = ML_KEM_512) -> bytes:
     h_stored = dk[768 * k + 32:768 * k + 64]
     if _h(ek) != h_stored:
         raise ValueError("decapsulation key failed hash check")
-    m = _pke_decrypt(dk[:384 * k], ct, params)
-    expanded = _g(m + h_stored)
+    m_bits = _pke_decrypt(dk[:384 * k], ct, params)
+    expanded = _g(_pack(m_bits, 1) + h_stored)
     shared, r = expanded[:32], expanded[32:]
     rejected = hashlib.shake_256(dk[768 * k + 64:] + ct).digest(32)   # J(z || c)
     try:
-        key = _checked_encryption_key(ek, k)
+        key = _checked_encryption_key(ek, k)[0]
     except ValueError:
         # Decaps does not check the embedded key; ByteDecode_12 reduces it.
         key = _encryption_key(_unpack(ek[:384 * k], 12).reshape(k, N) % Q, ek[384 * k:], k)
-    return shared if _pke_encrypt(key, m, r, params) == ct else rejected
+    return shared if _pke_encrypt(key, m_bits, r, params) == ct else rejected

@@ -403,6 +403,16 @@ def test_ml_kem_pair_never_parsed_as_x25519():
     assert "parsed" not in vars(pair) and "parsed" not in vars(pair.public)
 
 
+@pytest.mark.parametrize("algo", ["ml-kem-512", "rot13"])
+def test_parsing_a_key_without_a_parser_is_malformed_key(algo):
+    pair = crypto.KeyPair(RoleTag.DEVICE_FOR_SERVER, algo, b"\x01" * 32,
+                          b"\x02" * 32, NOW, DAY)
+    for key in (pair, pair.public):
+        with pytest.raises(MalformedKey, match=f"no {algo} key parser"):
+            key.parsed
+        assert "parsed" not in vars(key)
+
+
 # ---------------------------------------------------------------------------
 # Expiry
 # ---------------------------------------------------------------------------

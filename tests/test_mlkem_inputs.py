@@ -12,12 +12,18 @@ enters a cache. Through ``crypto`` the same failures surface as
 The NTT, inverse NTT and MultiplyNTTs run as numpy array operations (the
 NTTs as float64 matrix products); the tests compare them with FIPS 203
 Algorithms 9, 10 and 11 written out coefficient by coefficient below, on
-random inputs and on the inputs with the largest products and sums.
+random inputs and on the inputs with the largest products and sums. The
+byte codecs (word-packed), noise sampling (a CBD lookup table) and
+Compress/Decompress are compared with Algorithms 5, 6 and 8 and
+equations (4.7) and (4.8), written out bit by bit, on random bytes, on
+all-0x00 and all-0xFF bytes and on the largest values.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,7 +82,8 @@ def test_cached_entries_are_immutable():
     ek, _ = _keys(b"immutable")
     k = mlkem.ML_KEM_512.k
     mlkem.encaps(ek, bytes(32))
-    key = mlkem._checked_encryption_key(ek, k)   # A-hat^T's rows, then t-hat
+    key, h_ek = mlkem._checked_encryption_key(ek, k)   # A-hat^T's rows, then t-hat
+    assert h_ek == hashlib.sha3_256(ek).digest()        # H(ek), immutable bytes
     a_hat = mlkem._matrix(ek[384 * k:], k)
     assert key.shape == (k + 1, k, 256) and a_hat.shape == (k, k, 256)
     for cached in (key, a_hat, key[k], key[:k], a_hat.transpose(1, 0, 2)):
@@ -253,3 +260,109 @@ def test_kernels_match_fips_reference_on_random_inputs(k):
     # The last polynomial is noise: signed values in [-3, 3], as sampled.
     polys[-1] = [v % 7 - 3 for v in values[-256:]]
     _check_kernels(polys, k)
+
+
+def _bytes_to_bits(data: bytes) -> list[int]:
+    """FIPS 203 Algorithm 4."""
+    bits = []
+    for byte in data:
+        for _ in range(8):
+            bits.append(byte % 2)
+            byte //= 2
+    return bits
+
+
+def _bits_to_bytes(bits: list[int]) -> bytes:
+    """FIPS 203 Algorithm 3."""
+    out = bytearray(len(bits) // 8)
+    for i, bit in enumerate(bits):
+        out[i // 8] += bit * 2 ** (i % 8)
+    return bytes(out)
+
+
+def _ref_byte_encode(f: list[int], d: int) -> bytes:
+    """FIPS 203 Algorithm 5, on one polynomial."""
+    bits = [0] * (256 * d)
+    for i in range(256):
+        a = f[i]
+        for j in range(d):
+            bits[i * d + j] = a % 2
+            a = (a - bits[i * d + j]) // 2
+    return _bits_to_bytes(bits)
+
+
+def _ref_byte_decode(data: bytes, d: int) -> list[int]:
+    """FIPS 203 Algorithm 6, on one polynomial."""
+    m = 2 ** d if d < 12 else mlkem.Q
+    bits = _bytes_to_bits(data)
+    return [sum(bits[i * d + j] * 2 ** j for j in range(d)) % m for i in range(256)]
+
+
+def _ref_cbd(data: bytes, eta: int) -> list[int]:
+    """FIPS 203 Algorithm 8."""
+    bits = _bytes_to_bits(data)
+    f = []
+    for i in range(256):
+        x = sum(bits[2 * i * eta + j] for j in range(eta))
+        y = sum(bits[2 * i * eta + eta + j] for j in range(eta))
+        f.append((x - y) % mlkem.Q)
+    return f
+
+
+def _ref_compress(x: int, d: int) -> int:
+    """FIPS 203 (4.7): round(2^d / q * x) mod 2^d, halves rounded up."""
+    return math.floor(Fraction(2 ** d * x, mlkem.Q) + Fraction(1, 2)) % 2 ** d
+
+
+def _ref_decompress(y: int, d: int) -> int:
+    """FIPS 203 (4.8): round(q / 2^d * y), halves rounded up."""
+    return math.floor(Fraction(mlkem.Q * y, 2 ** d) + Fraction(1, 2))
+
+
+def _byte_inputs(length: int, label: bytes) -> dict[str, bytes]:
+    return {"random": hashlib.shake_256(label).digest(length),
+            "all-0x00": bytes(length), "all-0xff": b"\xff" * length}
+
+
+@pytest.mark.parametrize("d", [1, 4, 5, 10, 11, 12])
+def test_byte_codecs_match_fips_reference(d):
+    # Three polynomials in turn, as the codecs see a vector.
+    inputs = _byte_inputs(3 * 32 * d, b"codec|%d" % d)
+    for name, data in inputs.items():
+        got = mlkem._unpack(data, d)
+        assert got.shape == (3 * 256,), name
+        assert got.max() < 2 ** d, name   # unreduced, even at d = 12
+        m = 2 ** d if d < 12 else mlkem.Q
+        polys = [data[32 * d * p:32 * d * (p + 1)] for p in range(3)]
+        assert (got % m).tolist() == sum((_ref_byte_decode(b, d) for b in polys), []), name
+        assert mlkem._pack(got.reshape(3, 256), d) == data, name
+    values = {"random": list(map(int, mlkem._unpack(inputs["random"], d))),
+              "zeros": [0] * 768, "2^d - 1": [2 ** d - 1] * 768}
+    if d == 12:
+        values["q - 1"] = [mlkem.Q - 1] * 768
+    for name, f in values.items():
+        want = b"".join(_ref_byte_encode(f[256 * p:256 * (p + 1)], d) for p in range(3))
+        assert mlkem._pack(np.array(f).reshape(3, 256), d) == want, name
+
+
+@pytest.mark.parametrize("eta", [2, 3])
+def test_noise_sampling_matches_fips_reference(eta):
+    for name, data in _byte_inputs(2 * 64 * eta, b"cbd|%d" % eta).items():
+        got = mlkem._cbd(data, eta)
+        assert got.shape == (2, 256) and abs(got).max() <= eta, name
+        want = [_ref_cbd(data[64 * eta * p:64 * eta * (p + 1)], eta) for p in range(2)]
+        assert (got % mlkem.Q).tolist() == want, name
+    seed = hashlib.sha256(b"noise|%d" % eta).digest()
+    got = mlkem._noise(eta, seed, 3, 2)
+    want = [_ref_cbd(hashlib.shake_256(seed + bytes([n])).digest(64 * eta), eta)
+            for n in (3, 4)]   # PRF_eta(seed, n) = SHAKE-256(seed || n)
+    assert (got % mlkem.Q).tolist() == want
+
+
+@pytest.mark.parametrize("d", [1, 4, 5, 10, 11])
+def test_compress_and_decompress_match_fips_reference(d):
+    # Every coefficient, 0 and q - 1 among them, and every d-bit value.
+    x = np.arange(mlkem.Q)
+    assert mlkem._compress(x, d).tolist() == [_ref_compress(v, d) for v in range(mlkem.Q)]
+    y = np.arange(2 ** d)
+    assert mlkem._decompress(y, d).tolist() == [_ref_decompress(v, d) for v in range(2 ** d)]

@@ -20,10 +20,23 @@ The ``first use`` rows time a fresh interpreter, FRESH_RUNS times per
 backend: importing hearthgate, then the process's first keygen. The ML-KEM
 module, and numpy with it, is imported on an ML-KEM key's first use, so that
 one-time cost shows in the ml-kem-512 first keygen.
+
+The kernel rows time three ML-KEM-512 building blocks on the two
+polynomials of a vector, as the module calls them: ByteEncode_12 of t-hat
+(768 bytes out), ByteDecode_10 of a ciphertext's u (640 bytes in) and
+SamplePolyCBD_3 of two PRF outputs, the SHAKE-256 calls included. Each
+sample is a loop of KERNEL_LOOP calls.
+
+Results go to ``BENCH_kem.json`` with the machine's Python, ``cryptography``,
+OpenSSL and numpy versions, its usable CPU count and the git commit
+(``-dirty`` when tracked files have uncommitted changes). The file keeps one
+run per commit: a run replaces an earlier run of the same commit and keeps
+the others, so a change can commit its parent's numbers next to its own.
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
 import platform
 import statistics
@@ -34,6 +47,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from bench_scenario import machine_meta  # noqa: E402
 from hearthgate import crypto, ledger, wire  # noqa: E402
 from hearthgate.payloads import DataEntry  # noqa: E402
 from hearthgate.runtime import seeded_rng  # noqa: E402
@@ -45,6 +59,8 @@ BACKENDS = ("x25519", "ml-kem-512")
 KEM_OPS = ("keygen", "encaps", "encaps (same key)", "decaps")
 SIG_OPS = ("keygen", "sign", "verify")
 FRESH_RUNS = 5
+KERNEL_LOOP = 100
+OUT = ROOT / "BENCH_kem.json"
 FIRST_USE = """
 import sys, time
 start = time.perf_counter()
@@ -132,25 +148,80 @@ def bench_ledger() -> float:
     return statistics.median(samples)
 
 
+def bench_kernels() -> dict[str, float]:
+    from hearthgate import mlkem
+    k = mlkem.ML_KEM_512.k
+    rng = seeded_rng(SEED)
+    ek, _ = mlkem.keygen(rng.bytes(64))
+    ct, _ = mlkem.encaps(ek, rng.bytes(32))
+    t_hat = mlkem._unpack(ek[:384 * k], 12).reshape(k, mlkem.N)
+    u = ct[:32 * mlkem.ML_KEM_512.du * k]
+    sigma = rng.bytes(32)
+    kernels = {
+        "ByteEncode_12": lambda: mlkem._pack(t_hat, 12),
+        "ByteDecode_10": lambda: mlkem._unpack(u, 10),
+        "SamplePolyCBD_3": lambda: mlkem._noise(3, sigma, 0, k),
+    }
+    samples: dict[str, list[float]] = {name: [] for name in kernels}
+    for _ in range(REPEATS):
+        for name, kernel in kernels.items():
+            start = time.perf_counter()
+            for _ in range(KERNEL_LOOP):
+                kernel()
+            samples[name].append((time.perf_counter() - start) * 1e6 / KERNEL_LOOP)
+    return _medians(samples)
+
+
+def _rounded(values: dict[str, float]) -> dict[str, float]:
+    return {name: round(value, 1) for name, value in values.items()}
+
+
+def write_run(run: dict) -> None:
+    """Store ``run`` in OUT, replacing an earlier run of the same commit."""
+    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
+    commit = run["meta"]["git_commit"]
+    runs = [r for r in runs if r["meta"]["git_commit"] != commit] + [run]
+    OUT.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
+
+
 def main() -> None:
+    import numpy
     print(f"# python {platform.python_version()} on {platform.machine()}, "
           f"seed {SEED}, {REPEATS} repeats, median us per operation")
     print(f"{'backend':<12}" + "".join(f"{op:>20}" for op in KEM_OPS))
+    kem = {}
     for name in BACKENDS:
-        medians = bench_backend(name)
+        medians = kem[name] = bench_backend(name)
         print(f"{name:<12}" + "".join(f"{medians[op]:>20.1f}" for op in KEM_OPS))
     print()
     print(f"{'first use':<12}{'import hearthgate':>20}{'first keygen':>20}")
+    first_use = {}
     for name in BACKENDS:
         imported, first = bench_first_use(name)
+        first_use[name] = {"import hearthgate": imported, "first keygen": first}
         print(f"{name:<12}{imported:>20.1f}{first:>20.1f}")
     print()
     print(f"{'signature':<12}" + "".join(f"{op:>20}" for op in SIG_OPS))
-    medians = bench_signatures()
-    print(f"{crypto.SIG_ALGO:<12}" + "".join(f"{medians[op]:>20.1f}" for op in SIG_OPS))
+    signature = bench_signatures()
+    print(f"{crypto.SIG_ALGO:<12}" + "".join(f"{signature[op]:>20.1f}" for op in SIG_OPS))
     print()
     print(f"{'ledger':<12}{'make_transaction + submit':>32}")
-    print(f"{'data tx':<12}{bench_ledger():>32.1f}")
+    data_tx = bench_ledger()
+    print(f"{'data tx':<12}{data_tx:>32.1f}")
+    print()
+    kernels = bench_kernels()
+    print(f"{'kernel':<12}" + "".join(f"{name:>20}" for name in kernels))
+    print(f"{'ml-kem-512':<12}" + "".join(f"{us:>20.1f}" for us in kernels.values()))
+    meta = machine_meta()
+    meta.update(numpy=numpy.__version__, machine=platform.machine(), seed=SEED,
+                repeats=REPEATS, kernel_loop=KERNEL_LOOP, unit="median us")
+    write_run({"meta": meta,
+               "kem": {name: _rounded(rows) for name, rows in kem.items()},
+               "first_use": {name: _rounded(rows) for name, rows in first_use.items()},
+               "signature": {crypto.SIG_ALGO: _rounded(signature)},
+               "ledger": {"data tx": round(data_tx, 1)},
+               "kernels": {"ml-kem-512": _rounded(kernels)}})
+    print(f"wrote {OUT.name}")
 
 
 if __name__ == "__main__":
