@@ -251,7 +251,6 @@ class CustodyEntry:
     dst: str
     data: bytes
     term: Term
-    kind: str
     replays_left: int = 1
 
 
@@ -263,9 +262,8 @@ class PublicChannel:
         self.pending: list[CustodyEntry] = []
         self._next_index = 0
 
-    def send(self, src: str, dst: str, data: bytes, term: Term,
-             kind: str) -> CustodyEntry:
-        entry = CustodyEntry(self._next_index, src, dst, data, term, kind)
+    def send(self, src: str, dst: str, data: bytes, term: Term) -> CustodyEntry:
+        entry = CustodyEntry(self._next_index, src, dst, data, term)
         self._next_index += 1
         self.pending.append(entry)
         # Observation is immediate: custody means the adversary saw it.

@@ -263,7 +263,7 @@ def _attack_from_file(args) -> int:
                 if args.scenario else None)
         result, verdicts = harness.run_script_file(args.script_file,
                                                    seed=args.seed, spec=spec)
-    except (harness.ScenarioInvalid, OSError, ValueError) as exc:
+    except (harness.ScenarioInvalid, OSError, ValueError, CryptoError) as exc:
         print(f"attack: {exc}", file=sys.stderr)
         return EXIT_USAGE
     holds = {k: v.holds for k, v in verdicts.items()}
@@ -287,7 +287,7 @@ def cmd_campaign(args) -> int:
                 if args.scenario else None)
         result = harness.run_campaign(args.runs, base_seed=args.seed,
                                       weights=weights, spec=spec)
-    except (ValueError, harness.ScenarioInvalid, OSError) as exc:
+    except (ValueError, harness.ScenarioInvalid, OSError, CryptoError) as exc:
         print(f"campaign: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.out:

@@ -260,6 +260,18 @@ def kem_backend(name: str):
         raise MalformedKey(f"unknown KEM backend {name!r}") from None
 
 
+def check_public_key(public: PublicKey, algo: str, now: float) -> None:
+    """Recognise a peer's public key before any use: MalformedKey unless it is
+    an ``algo`` key its parser accepts, KeyExpired if it expired at ``now``."""
+    if public.algo != algo:
+        raise MalformedKey(f"expected a {algo} key, got {public.algo!r}")
+    _ensure_fresh(public, now)
+    if algo in _PUBLIC_PARSERS:
+        public.parsed  # raises MalformedKey unless the key parses
+    elif len(public.key) != _mlkem().EK_BYTES:  # ML-KEM's parse check
+        raise MalformedKey(f"{algo} key must be {_mlkem().EK_BYTES} bytes")
+
+
 def kem_keygen(role_tag: RoleTag, ttl: float, rng: Rng, now: float,
                algo: str = DEFAULT_KEM) -> KeyPair:
     """Generate an ephemeral KEM pair for one role relationship."""

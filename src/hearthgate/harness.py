@@ -125,6 +125,15 @@ def load_scenario(path: str) -> ScenarioSpec:
     return spec
 
 
+def _handle(handler, *args):
+    """Call a role's message handler. Its ``_traced`` decorator has recorded
+    any rejection it raises, so the run goes on without the message."""
+    try:
+        return handler(*args)
+    except (ProtocolError, crypto.CryptoError):
+        return None
+
+
 class World:
     """Everything one scenario run touches, built deterministically from a seed."""
 
@@ -188,17 +197,9 @@ class World:
                 self._direct_queue.append((out.dst, wire.encode(out.message),
                                            out.src))
                 return
-            self.h_p.send(out.src, out.dst, wire.encode(out.message),
-                          out.term, type(out.message).__name__)
-        else:
-            auth = self.session_of.get(out.dst)
-            if auth is None:
-                return
-            try:
-                if isinstance(out.message, wire.ConnectedNotice):
-                    auth.handle_connected_notice(out.message)
-            except (ProtocolError, crypto.CryptoError):
-                pass
+            self.h_p.send(out.src, out.dst, wire.encode(out.message), out.term)
+        elif out.dst in self.session_of:  # a connected notice for an authenticator
+            _handle(self.session_of[out.dst].handle_connected_notice, out.message)
 
     def dispatch(self, dst: str, data: bytes, reply_to: str) -> None:
         try:
@@ -207,28 +208,21 @@ class World:
             self.trace.record(dst, ch.MESSAGE_REJECTED, error="Malformed",
                               detail=type(exc).__name__)
             return
-        try:
-            if dst == "server":
-                if isinstance(message, wire.RegistrationRequest):
-                    for out in self.server.handle_registration(message, reply_to):
-                        self.send_outgoing(out)
-                elif isinstance(message, wire.DataReport):
-                    self.server.handle_data_report(message)
-                else:
-                    self.trace.record(dst, ch.MESSAGE_REJECTED,
-                                      error="Malformed",
-                                      detail=type(message).__name__)
-            elif dst in self.device_by_name:
-                device = self.device_by_name[dst]
-                if isinstance(message, wire.ActivationResponse):
-                    device.handle_activation(message)
-                else:
-                    self.trace.record(dst, ch.MESSAGE_REJECTED,
-                                      error="Malformed",
-                                      detail=type(message).__name__)
-            # Anything addressed elsewhere (e.g. back at the adversary) vanishes.
-        except (ProtocolError, crypto.CryptoError):
-            pass  # the role already traced its own rejection
+        device = self.device_by_name.get(dst)
+        if dst != "server" and device is None:
+            return  # addressed elsewhere (e.g. back at the adversary): vanishes
+        if dst == "server" and isinstance(message, wire.RegistrationRequest):
+            replies = _handle(self.server.handle_registration, message, reply_to)
+        elif dst == "server" and isinstance(message, wire.DataReport):
+            replies = _handle(self.server.handle_data_report, message)
+        elif device is not None and isinstance(message, wire.ActivationResponse):
+            replies = _handle(device.handle_activation, message)
+        else:
+            self.trace.record(dst, ch.MESSAGE_REJECTED, error="Malformed",
+                              detail=type(message).__name__)
+            return
+        for out in replies or ():
+            self.send_outgoing(out)
 
     def execute(self, act: AdversaryAction) -> None:
         self.clock.advance(STEP_DT)
@@ -242,8 +236,7 @@ class World:
             entry = self.h_p.take(act.index)
             self.dispatch(entry.dst, entry.data, entry.src)
             if entry.replays_left > 0:
-                copy = self.h_p.send(entry.src, entry.dst, entry.data,
-                                     entry.term, entry.kind)
+                copy = self.h_p.send(entry.src, entry.dst, entry.data, entry.term)
                 copy.replays_left = entry.replays_left - 1
         elif act.action == "tamper":
             entry = self.h_p.take(act.index)
@@ -431,11 +424,8 @@ def run_scenario(spec: ScenarioSpec, adversary, seed: int,
         world.clock.advance(PHASE_DT)
         for auth, device in zip(world.auths, world.devices):
             if device.uid.hex in world.server.registry:
-                try:
-                    world.server.handle_revocation(
+                _handle(world.server.handle_revocation,
                         auth.build_revocation(device.uid.hex))
-                except (ProtocolError, crypto.CryptoError):
-                    pass
         world.pump(strategy)
 
     world.network.settle()

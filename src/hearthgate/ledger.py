@@ -291,9 +291,6 @@ class _OrderingService:
             blocks.append((commit, [item for _, item in batch]))
         return blocks
 
-    def pending_count(self) -> int:
-        return len(self._ordered)
-
 
 class SubscriptionHandle:
     """Delivery queue for one subscriber; committed txs arrive exactly once."""
@@ -433,9 +430,6 @@ class LedgerNetwork:
 
     def receipt(self, seq: int) -> CommitReceipt | None:
         return self._receipts.get(seq)
-
-    def pending_count(self) -> int:
-        return sum(o.pending_count() for o in self._orderers.values())
 
     # -- reads ----------------------------------------------------------------
 

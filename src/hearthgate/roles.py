@@ -7,12 +7,14 @@ the public path, activation (ledger write first, then the key delivery),
 data reporting, and revocation.
 
 Handlers return :class:`Outgoing` messages for the runner to route instead
-of touching channels directly, which keeps each role unit-testable. Every
-handler records its own trace events, including rejections, before raising.
+of touching channels directly, which keeps each role unit-testable. Message
+handlers reject by raising: their :func:`_traced` decorator records each
+``ProtocolError`` or ``CryptoError`` once, as one rejection event.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,7 +35,13 @@ from .runtime import Rng
 
 
 class ProtocolError(Exception):
-    """Base for protocol-level rejections; subclasses name the error codes."""
+    """Protocol-level rejection; subclasses name the error codes. ``fields``
+    fill its trace event, ``detail`` defaulting to the message (None omits it)."""
+
+    def __init__(self, message: str | None = None, **fields: str | None):
+        super().__init__(*(() if message is None else (message,)))
+        fields.setdefault("detail", message)
+        self.fields = {k: v for k, v in fields.items() if v is not None}
 
 
 class SignatureInvalid(ProtocolError):
@@ -136,6 +144,22 @@ def activation_term(token: bytes, server_device_public: RolePublic) -> Tup:
 
 def _digest8(data: bytes) -> str:
     return crypto.sha256(data).hex()[:16]
+
+
+def _traced(kind: str):
+    """Decorate a role's message handler: record a ProtocolError or CryptoError
+    it raises once, as ``kind`` with ``error=<class name>``, and re-raise it."""
+    def decorate(handler):
+        @functools.wraps(handler)
+        def traced(self, *args, **kwargs):
+            try:
+                return handler(self, *args, **kwargs)
+            except (ProtocolError, crypto.CryptoError) as exc:
+                self.trace.record(self.name, kind, error=type(exc).__name__,
+                                  **getattr(exc, "fields", {"detail": str(exc)}))
+                raise
+        return traced
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +280,8 @@ class Authenticator:
         self.phase = AuthPhase.TOKEN_FORWARDED
         return wire.DeviceProvision(box)
 
-    def handle_connected_notice(self, msg: wire.ConnectedNotice) -> str:
+    @_traced(ch.MESSAGE_REJECTED)
+    def handle_connected_notice(self, msg: wire.ConnectedNotice) -> None:
         now = self.clock.now()
         try:
             raw = crypto.hybrid_decrypt(self.keys.kem, msg.ciphertext, now)
@@ -267,7 +292,6 @@ class Authenticator:
             raise NoSession(f"unexpected notice in phase {self.phase.value}")
         self.phase = AuthPhase.DEVICE_CONNECTED
         self.trace.record(self.name, ch.CONNECTED_NOTICE, uid=uid.hex())
-        return uid.hex()
 
     def build_revocation(self, uid_hex: str) -> wire.RevocationRequest:
         now = self.clock.now()
@@ -375,19 +399,18 @@ class Device:
         self.retries_left -= 1
         return self._registration_request(retry=str(self.retries_left))
 
+    @_traced(ch.ACTIVATION_REJECTED)
     def handle_activation(self, msg: wire.ActivationResponse) -> None:
         now = self.clock.now()
         if self.phase is not DevicePhase.REQUEST_SENT:
-            self.trace.record(self.name, ch.ACTIVATION_REJECTED,
-                              error="Malformed", detail=f"phase {self.phase.value}")
-            raise Malformed(f"activation in phase {self.phase.value}")
+            raise Malformed(f"activation in phase {self.phase.value}",
+                            detail=f"phase {self.phase.value}")
         try:
             raw = crypto.hybrid_decrypt(self.keys.kem, msg.ciphertext, now)
             token, server_device_public = wire.decode_activation_payload(raw)
         except (DecryptionFailure, wire.WireError) as exc:
-            self.trace.record(self.name, ch.ACTIVATION_REJECTED,
-                              error="Malformed", detail="undecryptable")
-            raise Malformed(f"unreadable activation: {exc}") from exc
+            raise Malformed(f"unreadable activation: {exc}",
+                            detail="undecryptable") from exc
         self.device_token = token
         self.server_device_public = server_device_public
         self.phase = DevicePhase.ACTIVE
@@ -447,10 +470,8 @@ class Server:
     """Analytics-provider backend: sessions, registrations, registry, CRL,
     and the gateway to the ledger."""
 
-    def __init__(self, rng: Rng, clock, trace: Trace,
-                 network: LedgerNetwork | None = None,
-                 identity: OrgIdentity | None = None,
-                 api_address: str = "https://home.example/api",
+    def __init__(self, rng: Rng, clock, trace: Trace, network: LedgerNetwork,
+                 identity: OrgIdentity, api_address: str = "https://home.example/api",
                  kem_algo: str = crypto.DEFAULT_KEM, key_ttl: float = 86_400.0,
                  totp_step: int = crypto.TOTP_STEP):
         self.rng = rng
@@ -552,68 +573,67 @@ class Server:
 
     # -- registration ----------------------------------------------------------
 
-    def _reject_request(self, error: str, detail: str, **fields) -> None:
-        self.trace.record(self.name, ch.DEVICE_REQUEST_REJECTED,
-                          error=error, detail=detail, **fields)
-
+    @_traced(ch.DEVICE_REQUEST_REJECTED)
     def handle_registration(self, msg: wire.RegistrationRequest,
                             reply_to: str) -> list[Outgoing]:
         """Validate a device request; on success activate the device.
 
-        Acceptance requires the authenticator's signature over the exact
-        encrypted-token bytes, a token inside its validity step, and first
-        use of that token.
+        Acceptance requires usable device keys, the authenticator's signature
+        over the exact encrypted-token bytes, a token inside its validity
+        step, and first use of that token.
         """
         now = self.clock.now()
         session, raw = self._route(msg.ciphertext, Session, now)
         if session is None:
-            self._reject_request("Malformed", "request not decryptable")
-            raise Malformed("request not decryptable by the session key it names")
+            raise Malformed("request not decryptable by the session key it names",
+                            detail="request not decryptable")
         try:
             device_public, uid, encrypted_token, signature = \
                 wire.decode_registration_payload(raw)
         except wire.WireError as exc:
-            self._reject_request("Malformed", f"bad payload: {exc}")
-            raise Malformed(f"bad registration payload: {exc}") from exc
+            raise Malformed(f"bad registration payload: {exc}",
+                            detail=f"bad payload: {exc}") from exc
         uid_hex = uid.hex()
+        try:
+            crypto.check_public_key(device_public.kem, self.kem_algo, now)
+            crypto.check_public_key(device_public.sig, crypto.SIG_ALGO, now)
+        except crypto.CryptoError as exc:
+            raise Malformed(f"unusable device keys: {exc}", uid=uid_hex) from exc
 
         if not crypto.verify(session.auth_public.sig,
                              wire.encode_hybrid(encrypted_token), signature, now):
-            self._reject_request("SignatureInvalid",
-                                 "token signature not from session authenticator",
-                                 uid=uid_hex)
-            raise SignatureInvalid("token signature invalid for this session")
+            raise SignatureInvalid(
+                "token signature invalid for this session",
+                detail="token signature not from session authenticator",
+                uid=uid_hex)
 
         try:
             digits = crypto.hybrid_decrypt(session.keys.kem, encrypted_token,
                                            now).decode("utf-8")
         except (DecryptionFailure, UnicodeDecodeError) as exc:
-            self._reject_request("Malformed", "encrypted token unreadable",
-                                 uid=uid_hex)
-            raise Malformed(f"encrypted token unreadable: {exc}") from exc
+            raise Malformed(f"encrypted token unreadable: {exc}",
+                            detail="encrypted token unreadable",
+                            uid=uid_hex) from exc
 
         candidates = [p for p in self.pending if p.session_id == session.session_id]
         live = [p for p in candidates
                 if crypto.totp_verify(p.secret, digits, now, self.totp_step)]
         if not live:
             if any(p.issued_digits == digits for p in candidates):
-                self._reject_request("TokenExpired", "token outside its validity step",
-                                     uid=uid_hex, token=digits)
-                raise TokenExpired(f"token outside its {self.totp_step}-second step")
-            self._reject_request("TokenUnknown", "token matches no pending registration",
-                                 uid=uid_hex, token=digits)
-            raise TokenUnknown("token matches no pending registration")
+                raise TokenExpired(f"token outside its {self.totp_step}-second step",
+                                   detail="token outside its validity step",
+                                   uid=uid_hex, token=digits)
+            raise TokenUnknown("token matches no pending registration",
+                               uid=uid_hex, token=digits)
         reg = live[0]
         if reg.consumed:
-            self._reject_request("TokenUnknown", "token already consumed",
-                                 uid=uid_hex, token=digits)
-            raise TokenUnknown("token already consumed")
+            raise TokenUnknown("token already consumed", uid=uid_hex, token=digits)
         reg.consumed = True  # single use, regardless of remaining window
 
         entry = self.registry.get(uid_hex)
         if entry is not None and entry.status is DeviceStatus.ACTIVE:
-            self._reject_request("Malformed", "uid already active", uid=uid_hex)
-            raise Malformed(f"device {uid_hex} already registered")
+            raise Malformed(f"device {uid_hex} already registered",
+                            detail="uid already active", uid=uid_hex)
 
         self.trace.record(self.name, ch.DEVICE_REQUEST_ACCEPTED, uid=uid_hex,
                           token=digits, nonce=session.nonce_hex,
@@ -648,8 +668,7 @@ class Server:
             uid_hex=uid_hex, device_public=device_public,
             server_keys=server_keys, device_token=device_token.value,
             status=DeviceStatus.ACTIVE, activation_term=term)
-        self._commit_record(entry, session.auth_public, DeviceStatus.ACTIVE,
-                            now, ch.DEVICE_REQUEST_REJECTED)
+        self._commit_record(entry, session.auth_public, DeviceStatus.ACTIVE, now)
         replaced = self.registry.get(uid_hex)
         if replaced is not None:  # a revoked uid registering again
             del self.routes[bytes.fromhex(replaced.server_keys.kem.key_id)]
@@ -675,8 +694,7 @@ class Server:
         ]
 
     def _commit_record(self, entry: RegistryEntry, auth_public: RolePublic,
-                       status: DeviceStatus, now: float,
-                       rejected_kind: str) -> None:
+                       status: DeviceStatus, now: float) -> None:
         """Record ``entry`` with ``status`` on the identity channel."""
         record = DeviceRecord(
             device_token=entry.device_token,
@@ -687,96 +705,82 @@ class Server:
             status=status,
             timestamp=now,
         )
-        self._submit(ChannelName.IDENTITY, record, now, rejected_kind,
-                     entry.uid_hex, status=status.value)
+        self._submit(ChannelName.IDENTITY, record, now, entry.uid_hex,
+                     status=status.value)
 
     def _submit(self, channel: ChannelName, payload: Payload, now: float,
-                rejected_kind: str, uid_hex: str, **commit_fields: str) -> None:
-        """Commit one payload to the ledger; a refusal is traced as the
-        caller's ``rejected_kind`` with error LedgerRejected, then raised."""
-        if self.network is None or self.identity is None:
-            return
+                uid_hex: str, **commit_fields: str) -> None:
+        """Commit one payload to the ledger; a refusal raises LedgerRejected."""
         try:
             tx = make_transaction(channel, payload, self.identity, now)
             seq = self.network.submit(tx, now)
             self.network.settle()
             receipt = self.network.receipt(seq)
         except LedgerError as exc:
-            self.trace.record(self.name, rejected_kind, error="LedgerRejected",
-                              detail=str(exc), uid=uid_hex)
-            raise LedgerRejected(str(exc)) from exc
+            raise LedgerRejected(str(exc), uid=uid_hex) from exc
         self.trace.record(self.name, ch.LEDGER_COMMIT, channel=channel.value,
                           height=str(receipt.height), uid=uid_hex,
                           **commit_fields)
 
     # -- data ingestion -----------------------------------------------------------
 
+    @_traced(ch.DATA_REJECTED)
     def handle_data_report(self, msg: wire.DataReport) -> None:
         now = self.clock.now()
         entry, raw = self._route(msg.ciphertext, RegistryEntry, now)
         if entry is None:
-            self.trace.record(self.name, ch.DATA_REJECTED, error="Malformed",
-                              detail="report not decryptable")
-            raise Malformed("report not decryptable by the device key it names")
+            raise Malformed("report not decryptable by the device key it names",
+                            detail="report not decryptable")
         try:
             uid, metric, value, unit, token = wire.decode_data_payload(raw)
         except wire.WireError as exc:
-            self.trace.record(self.name, ch.DATA_REJECTED, error="Malformed",
-                              detail="bad payload")
-            raise Malformed(f"bad data payload: {exc}") from exc
+            raise Malformed(f"bad data payload: {exc}", detail="bad payload") from exc
         uid_hex = uid.hex()
         registered = self.registry.get(uid_hex)
         if registered is None:
-            self.trace.record(self.name, ch.DATA_REJECTED, error="UnknownDevice",
-                              uid=uid_hex)
-            raise UnknownDevice(f"no registered device {uid_hex}")
+            raise UnknownDevice(f"no registered device {uid_hex}", detail=None,
+                                uid=uid_hex)
         if (registered.status is DeviceStatus.DEACTIVATED
                 or registered.device_public.kem.key in self.crl):
-            self.trace.record(self.name, ch.DATA_REJECTED, error="RevokedDevice",
-                              uid=uid_hex)
-            raise RevokedDevice(f"device {uid_hex} is revoked")
+            raise RevokedDevice(f"device {uid_hex} is revoked", detail=None,
+                                uid=uid_hex)
         if registered.device_token != token:
-            self.trace.record(self.name, ch.DATA_REJECTED, error="TokenMismatch",
-                              uid=uid_hex)
-            raise TokenMismatch("long-lived token does not match the registry")
+            raise TokenMismatch("long-lived token does not match the registry",
+                                detail=None, uid=uid_hex)
 
         payload = DataEntry(
             device_uid=uid, metric=metric, value=value, unit=unit, timestamp=now,
             device_public_ref=crypto.sha256(
                 wire.encode_role_public(registered.device_public)),
         )
-        self._submit(ChannelName.DATA, payload, now, ch.DATA_REJECTED, uid_hex)
+        self._submit(ChannelName.DATA, payload, now, uid_hex)
         self.trace.record(self.name, ch.DATA_ACCEPTED, uid=uid_hex,
                           metric=metric, value=str(value))
 
     # -- revocation ----------------------------------------------------------------
 
+    @_traced(ch.REVOCATION_REJECTED)
     def handle_revocation(self, msg: wire.RevocationRequest) -> None:
         now = self.clock.now()
         session, raw = self._route(msg.ciphertext, Session, now)
         if session is None:
-            self.trace.record(self.name, ch.REVOCATION_REJECTED, error="Malformed",
-                              detail="request not decryptable")
-            raise Malformed("revocation not decryptable by the session key it names")
+            raise Malformed("revocation not decryptable by the session key it names",
+                            detail="request not decryptable")
         try:
             uid = wire.decode_revocation_payload(raw)
         except wire.WireError as exc:
-            self.trace.record(self.name, ch.REVOCATION_REJECTED, error="Malformed",
-                              detail="bad payload")
-            raise Malformed(f"bad revocation payload: {exc}") from exc
+            raise Malformed(f"bad revocation payload: {exc}",
+                            detail="bad payload") from exc
         uid_hex = uid.hex()
         entry = self.registry.get(uid_hex)
         if entry is None:
-            self.trace.record(self.name, ch.REVOCATION_REJECTED,
-                              error="UnknownDevice", uid=uid_hex)
-            raise UnknownDevice(f"no registered device {uid_hex}")
+            raise UnknownDevice(f"no registered device {uid_hex}", detail=None,
+                                uid=uid_hex)
         if entry.status is DeviceStatus.DEACTIVATED:
-            self.trace.record(self.name, ch.REVOCATION_REJECTED,
-                              error="AlreadyRevoked", uid=uid_hex)
-            raise AlreadyRevoked(f"device {uid_hex} already revoked")
+            raise AlreadyRevoked(f"device {uid_hex} already revoked", detail=None,
+                                 uid=uid_hex)
 
-        self._commit_record(entry, session.auth_public, DeviceStatus.DEACTIVATED,
-                            now, ch.REVOCATION_REJECTED)
+        self._commit_record(entry, session.auth_public, DeviceStatus.DEACTIVATED, now)
         entry.status = DeviceStatus.DEACTIVATED
         entry.device_token = None  # long-lived token invalidated
         self.crl.add(entry.device_public.kem.key)

@@ -64,7 +64,7 @@ def test_public_channel_observation_is_immediate():
     knowledge = AdversaryKnowledge()
     hp = PublicChannel(knowledge)
     entry = hp.send("device", "server", b"ciphertext-bytes",
-                    Enc("k1", Secret("payload")), "RegistrationRequest")
+                    Enc("k1", Secret("payload")))
     assert b"ciphertext-bytes" in knowledge.byte_strings
     assert Enc("k1", Secret("payload")) in knowledge.terms
     assert hp.pending == [entry]
@@ -77,7 +77,7 @@ def test_deliver_all_behaves_like_reliable_channel():
     strategy = DeliverAll()
     sent = []
     for i in range(5):
-        sent.append(hp.send("device", "server", bytes([i]), Atom(f"m{i}"), "Msg"))
+        sent.append(hp.send("device", "server", bytes([i]), Atom(f"m{i}")))
     delivered = []
     while (act := strategy.decide(hp, rng)) is not None:
         delivered.append(hp.take(act.index).data)
@@ -88,7 +88,7 @@ def test_scripted_replay_delivers_twice():
     knowledge = AdversaryKnowledge()
     hp = PublicChannel(knowledge)
     rng = seeded_rng(0)
-    hp.send("device", "server", b"msg", Atom("m"), "Msg")
+    hp.send("device", "server", b"msg", Atom("m"))
     strategy = Scripted([{"on": 0, "action": "replay"}])
     act = strategy.decide(hp, rng)
     assert act.action == "replay" and act.index == 0

@@ -172,6 +172,12 @@ def test_attack_script_file_with_scenario(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["attack", "--script-file", str(script),
                                     "--scenario", str(scenario)])
     assert code == EXIT_OK
+    # Keys that expire before the run ends: one line, not a traceback.
+    scenario.write_text('{"devices": 1, "key_ttl": 3.0, "revoke": true}')
+    code, _, err = run_cli(capsys, ["attack", "--script-file", str(script),
+                                    "--scenario", str(scenario)])
+    assert code == EXIT_USAGE
+    assert err.startswith("attack: ") and err.count("\n") == 1, err
 
 
 def test_attack_script_file_malformed(tmp_path, capsys):
@@ -195,7 +201,9 @@ def test_attack_script_file_malformed(tmp_path, capsys):
 def test_campaign_scenario_file_malformed(tmp_path, capsys):
     scenario = tmp_path / "bad.json"
     for text in ('{"reports": 5}', '{"devices": "3"}', '{"totp_step": "30"}',
-                 '{"kem_algo": "ml-kem-768"}', '{"revoke": 1}', '[]'):
+                 '{"kem_algo": "ml-kem-768"}', '{"revoke": 1}', '[]',
+                 # keys that expire before the run ends
+                 '{"key_ttl": 3.0, "revoke": true}'):
         scenario.write_text(text)
         code, _, err = run_cli(capsys, ["campaign", "--runs", "1",
                                         "--scenario", str(scenario)])

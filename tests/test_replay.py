@@ -1,8 +1,8 @@
 """Replay identity: seeded outputs stay byte-for-byte what they were.
 
 Each case below runs a seeded entry point (scenario, attack script,
-campaign, bench sweep, demo, bounded-exhaustive search) and hashes what it
-produced. The digests in ``tests/data/replay_digests.json`` pin those
+campaign, bench sweep, demo, bounded-exhaustive search, every role
+rejection path) and hashes what it produced. The digests in ``tests/data/replay_digests.json`` pin those
 outputs, so a refactor that changes any trace, ledger block, snapshot or
 report row fails here.
 
@@ -14,6 +14,7 @@ alone rewrites them all.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -21,8 +22,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from test_roles import World as RoleWorld
 
-from hearthgate import bench, cli, harness
+from hearthgate import bench, cli, crypto, harness, roles, wire
 from hearthgate.channels import DeliverAll
 from hearthgate.config import load_config
 from hearthgate.ledger import ChannelName
@@ -93,6 +95,112 @@ def bounded_case() -> str:
     return _sha(json.dumps(rows, sort_keys=True))
 
 
+def rejections_case() -> str:
+    """Drive each rejection path of ``Server.handle_registration``,
+    ``handle_data_report``, ``handle_revocation`` and
+    ``Device.handle_activation`` once, in one world, and hash its trace."""
+    w = RoleWorld()
+    server, auth, device = w.server, w.auth, w.device
+    now = w.clock.now
+    w.session()
+    session_key = server.sessions[w.session_id].keys.kem.public
+
+    def sealed(message_cls, key, plaintext: bytes):
+        return message_cls(crypto.hybrid_encrypt(key, plaintext, w.rng, now()))
+
+    def registration(enc_token, signer=auth.keys.sig):
+        signature = crypto.sign(signer, wire.encode_hybrid(enc_token), now())
+        payload = wire.encode_registration_payload(
+            device.keys.public, device.uid.value, enc_token, signature)
+        return sealed(wire.RegistrationRequest, session_key, payload)
+
+    def rejects(error, handler, *args):
+        with pytest.raises(error):
+            handler(*args)
+
+    def next_device(label: str) -> roles.Device:
+        """A device provisioned with a fresh token for the same session."""
+        auth.phase = roles.AuthPhase.DEVICE_CONNECTED
+        roles.deliver_token(auth, server, w.session_id, w.h_s)
+        fresh = roles.Device(w.rng.child(label), w.clock, w.trace, w.link,
+                             name="device-1")
+        roles.provision_device(auth, fresh)
+        return fresh
+
+    roles.deliver_token(auth, server, w.session_id, w.h_s)
+    roles.provision_device(auth, device)
+    request = device.build_registration_request().message
+    register = server.handle_registration
+    rejects(roles.Malformed, register, wire.RegistrationRequest(
+        dataclasses.replace(request.ciphertext, key_id=bytes(8))), "device-1")
+    rejects(roles.Malformed, register,
+            sealed(wire.RegistrationRequest, session_key, b"junk"), "device-1")
+    token_for_session = crypto.hybrid_encrypt(session_key, b"00000000", w.rng,
+                                              now())
+    rejects(roles.SignatureInvalid, register,
+            registration(token_for_session, signer=device.keys.sig), "device-1")
+    rejects(roles.Malformed, register, registration(crypto.hybrid_encrypt(
+        auth.keys.kem.public, b"00000000", w.rng, now())), "device-1")
+    rejects(roles.TokenUnknown, register, registration(token_for_session),
+            "device-1")
+    replies = register(request, "device-1")
+    activation, notice = (out.message for out in replies)
+    device.handle_activation(activation)
+    auth.handle_connected_notice(notice)
+    rejects(roles.TokenUnknown, register, request, "device-1")
+
+    same_uid = next_device("same-uid")
+    same_uid.uid = device.uid
+    rejects(roles.Malformed, register,
+            same_uid.build_registration_request().message, "device-1")
+    unwritten = next_device("unwritten")
+    server.identity = w.orgs["acme-devices"]  # may not write the ledger
+    rejects(roles.LedgerRejected, register,
+            unwritten.build_registration_request().message, "device-1")
+    server.identity = w.orgs["server-org"]
+    late = next_device("late")
+    w.clock.advance(40.0)
+    rejects(roles.TokenExpired, register,
+            late.build_registration_request().message, "device-1")
+
+    entry = server.registry[device.uid.hex]
+    device_key = entry.server_keys.kem.public
+    report = device.build_data_report("temperature_c", 21.5, "C").message
+    rejects(roles.Malformed, server.handle_data_report,
+            dataclasses.replace(report, ciphertext=dataclasses.replace(
+                report.ciphertext, key_id=bytes(8))))
+    rejects(roles.Malformed, server.handle_data_report,
+            sealed(wire.DataReport, device_key, b"junk"))
+    rejects(roles.UnknownDevice, server.handle_data_report, sealed(
+        wire.DataReport, device_key, wire.encode_data_payload(
+            bytes(16), "temperature_c", 21.5, "C", device.device_token)))
+    rejects(roles.TokenMismatch, server.handle_data_report, sealed(
+        wire.DataReport, device_key, wire.encode_data_payload(
+            device.uid.value, "temperature_c", 21.5, "C", bytes(32))))
+    server.identity = w.orgs["acme-devices"]
+    rejects(roles.LedgerRejected, server.handle_data_report, report)
+    rejects(roles.LedgerRejected, server.handle_revocation,
+            auth.build_revocation(device.uid.hex))
+    server.identity = w.orgs["server-org"]
+
+    rejects(roles.Malformed, server.handle_revocation, sealed(
+        wire.RevocationRequest, device_key,
+        wire.encode_revocation_payload(device.uid.value)))
+    rejects(roles.Malformed, server.handle_revocation,
+            sealed(wire.RevocationRequest, session_key, b"junk"))
+    rejects(roles.UnknownDevice, server.handle_revocation,
+            auth.build_revocation("00" * 16))
+    server.handle_revocation(auth.build_revocation(device.uid.hex))
+    rejects(roles.AlreadyRevoked, server.handle_revocation,
+            auth.build_revocation(device.uid.hex))
+    rejects(roles.RevokedDevice, server.handle_data_report, report)
+
+    rejects(roles.Malformed, device.handle_activation, activation)
+    rejects(roles.Malformed, unwritten.handle_activation,
+            sealed(wire.ActivationResponse, auth.keys.kem.public, b"junk"))
+    return w.trace.digest()
+
+
 CASES = {
     **{f"scenario/{w}/seed-{s}": (scenario_case, (w, s))
        for w in ("deliver-all", "direct") for s in (1, 7)},
@@ -102,6 +210,7 @@ CASES = {
     "bench/poisson-two-rows": (bench_case, ()),
     **{f"demo/seed-{s}": (demo_case, (s,)) for s in (3, 7)},
     "bounded-exhaustive/one-device": (bounded_case, ()),
+    "rejections/every-code": (rejections_case, ()),
 }
 
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from conftest import NOW, make_network
 from hearthgate import channels as ch
-from hearthgate import crypto, harness, wire
+from hearthgate import crypto, harness, roles, wire
 from hearthgate.channels import SecureChannel, Trace
 from hearthgate.crypto import KeyExpired, RoleTag
 from hearthgate.ledger import ORG_CREDENTIAL_TTL, ChannelName
@@ -565,3 +567,207 @@ def test_report_under_replaced_server_key_rejected():
     w.server.handle_data_report(
         again.build_data_report("temperature_c", 22.0, "C").message)
     assert len(w.trace.by_kind(ch.DATA_ACCEPTED)) == 1
+
+
+# -- recognising the device key bundle before acting on it ------------------------
+
+def _request_with_bundle(w: World, bundle) -> wire.RegistrationRequest:
+    """A registration carrying the device's genuine, signed token, but
+    ``bundle`` as its device keys."""
+    payload = wire.encode_registration_payload(
+        bundle, w.device.uid.value, w.device._encrypted_token,
+        w.device._token_signature)
+    return wire.RegistrationRequest(crypto.hybrid_encrypt(
+        w.device.server_public.kem, payload, w.rng, w.clock.now()))
+
+
+def _expired(key):
+    return dataclasses.replace(key, created_at=key.created_at - 2 * key.ttl)
+
+
+@pytest.mark.parametrize("bundle", [
+    lambda pub: dataclasses.replace(pub, kem=dataclasses.replace(pub.kem, key=b"short")),
+    lambda pub: dataclasses.replace(pub, kem=dataclasses.replace(pub.kem, algo="rot13")),
+    lambda pub: dataclasses.replace(pub, kem=_expired(pub.kem)),
+    lambda pub: dataclasses.replace(pub, sig=dataclasses.replace(pub.sig, algo="x25519")),
+    lambda pub: dataclasses.replace(pub, sig=dataclasses.replace(pub.sig, key=b"short")),
+    lambda pub: dataclasses.replace(pub, sig=_expired(pub.sig)),
+], ids=["kem-5-bytes", "kem-rot13", "kem-expired", "sig-not-ed25519",
+        "sig-5-bytes", "sig-expired"])
+def test_unusable_device_keys_rejected_before_token_or_ledger(bundle):
+    w = World()
+    w.session()
+    deliver_token(w.auth, w.server, w.session_id, w.h_s)
+    provision_device(w.auth, w.device)
+    request = _request_with_bundle(w, bundle(w.device.keys.public))
+    routes = dict(w.server.routes)
+    rng_state = w.server.rng._inner.getstate()
+    with pytest.raises(Malformed, match="unusable device keys"):
+        w.server.handle_registration(request, "device-1")
+    assert [(e.kind, e.get("error"), e.get("uid"))
+            for e in w.trace.events if e.kind in ch.REJECTION_KINDS] == [
+        (ch.DEVICE_REQUEST_REJECTED, "Malformed", w.device.uid.hex)]
+    assert not w.trace.by_kind(ch.LEDGER_COMMIT)
+    assert w.network.query(ChannelName.IDENTITY, None, "server-org") == []
+    assert w.server.registry == {} and w.server.routes == routes
+    assert not w.server.pending[0].consumed
+    assert w.server.rng._inner.getstate() == rng_state
+    # The token is still unused: the same request with usable keys passes.
+    w.server.handle_registration(_request_with_bundle(w, w.device.keys.public),
+                                 "device-1")
+    assert w.device.uid.hex in w.server.registry
+
+
+def test_mlkem_device_key_of_wrong_length_rejected():
+    world = harness.World(harness.ScenarioSpec(devices=1, reports=(),
+                                               kem_algo="ml-kem-512"),
+                          seed=7, direct=True)
+    auth, device, server = world.auths[0], world.devices[0], world.server
+    session_id = establish_session(auth, server, world.h_s[auth.name])
+    deliver_token(auth, server, session_id, world.h_s[auth.name])
+    provision_device(auth, device)
+    public = device.keys.public
+    short = dataclasses.replace(public, kem=dataclasses.replace(
+        public.kem, key=public.kem.key[:-1]))
+    payload = wire.encode_registration_payload(
+        short, device.uid.value, device._encrypted_token,
+        device._token_signature)
+    request = wire.RegistrationRequest(crypto.hybrid_encrypt(
+        device.server_public.kem, payload, world.rng, world.clock.now()))
+    with pytest.raises(Malformed, match="must be 800 bytes"):
+        server.handle_registration(request, device.name)
+    assert server.registry == {} and not server.pending[0].consumed
+
+
+# -- one rejection event per failed handler call ----------------------------------
+
+def _registration_unknown_key(w, monkeypatch):
+    w.session()
+    deliver_token(w.auth, w.server, w.session_id, w.h_s)
+    provision_device(w.auth, w.device)
+    request = w.device.build_registration_request().message
+    return lambda: w.server.handle_registration(wire.RegistrationRequest(
+        dataclasses.replace(request.ciphertext, key_id=bytes(8))), "device-1")
+
+
+def _registration_expired_auth_key(w, monkeypatch):
+    w.auth.key_ttl = 50.0  # the server's session keys outlive the authenticator's
+    w.session()
+    deliver_token(w.auth, w.server, w.session_id, w.h_s)
+    provision_device(w.auth, w.device)
+    request = w.device.build_registration_request().message
+    w.clock.advance(60.0)
+    return lambda: w.server.handle_registration(request, "device-1")
+
+
+def _data_report_token_mismatch(w, monkeypatch):
+    w.onboard()
+    w.device.device_token = bytes(32)
+    report = w.device.build_data_report("temperature_c", 21.5, "C").message
+    return lambda: w.server.handle_data_report(report)
+
+
+def _raise_key_expired(*args):
+    raise KeyExpired("credential expired while signing")
+
+
+def _data_report_ledger_key_expired(w, monkeypatch):
+    w.onboard()
+    report = w.device.build_data_report("temperature_c", 21.5, "C").message
+    monkeypatch.setattr(roles, "make_transaction", _raise_key_expired)
+    return lambda: w.server.handle_data_report(report)
+
+
+def _revocation_unknown_device(w, monkeypatch):
+    w.onboard()
+    return lambda: w.server.handle_revocation(w.auth.build_revocation("00" * 16))
+
+
+def _revocation_ledger_key_expired(w, monkeypatch):
+    w.onboard()
+    request = w.auth.build_revocation(w.device.uid.hex)
+    monkeypatch.setattr(roles, "make_transaction", _raise_key_expired)
+    return lambda: w.server.handle_revocation(request)
+
+
+def _activation_twice(w, monkeypatch):
+    activation = next(out.message for out in w.onboard()
+                      if isinstance(out.message, wire.ActivationResponse))
+    return lambda: w.device.handle_activation(activation)
+
+
+def _activation_expired_device_key(w, monkeypatch):
+    w.session()
+    deliver_token(w.auth, w.server, w.session_id, w.h_s)
+    provision_device(w.auth, w.device)
+    request = w.device.build_registration_request().message
+    activation = w.server.handle_registration(request, "device-1")[0].message
+    w.clock.advance(w.device.keys.kem.ttl + 1)
+    return lambda: w.device.handle_activation(activation)
+
+
+def _notice_twice(w, monkeypatch):
+    notice = next(out.message for out in w.onboard()
+                  if isinstance(out.message, wire.ConnectedNotice))
+    return lambda: w.auth.handle_connected_notice(notice)
+
+
+def _notice_expired_auth_key(w, monkeypatch):
+    w.session()
+    deliver_token(w.auth, w.server, w.session_id, w.h_s)
+    provision_device(w.auth, w.device)
+    request = w.device.build_registration_request().message
+    notice = w.server.handle_registration(request, "device-1")[1].message
+    w.clock.advance(w.auth.keys.kem.ttl + 1)
+    return lambda: w.auth.handle_connected_notice(notice)
+
+
+@pytest.mark.parametrize("setup, role, kind, error", [
+    (_registration_unknown_key, "server", ch.DEVICE_REQUEST_REJECTED, Malformed),
+    (_registration_expired_auth_key, "server", ch.DEVICE_REQUEST_REJECTED,
+     KeyExpired),
+    (_data_report_token_mismatch, "server", ch.DATA_REJECTED, TokenMismatch),
+    (_data_report_ledger_key_expired, "server", ch.DATA_REJECTED, KeyExpired),
+    (_revocation_unknown_device, "server", ch.REVOCATION_REJECTED, UnknownDevice),
+    (_revocation_ledger_key_expired, "server", ch.REVOCATION_REJECTED, KeyExpired),
+    (_activation_twice, "device-1", ch.ACTIVATION_REJECTED, Malformed),
+    (_activation_expired_device_key, "device-1", ch.ACTIVATION_REJECTED,
+     KeyExpired),
+    (_notice_twice, "authenticator", ch.MESSAGE_REJECTED, NoSession),
+    (_notice_expired_auth_key, "authenticator", ch.MESSAGE_REJECTED, KeyExpired),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_each_failed_handler_call_traces_one_rejection(setup, role, kind, error,
+                                                      monkeypatch):
+    w = World()
+    call = setup(w, monkeypatch)
+    before = len(w.trace.events)
+    with pytest.raises(error) as raised:
+        call()
+    new = w.trace.events[before:]
+    assert [(e.role, e.kind, e.get("error")) for e in new] == \
+        [(role, kind, error.__name__)]
+    fields = getattr(raised.value, "fields", {"detail": str(raised.value)})
+    assert dict(new[0].fields) == {"error": error.__name__, **fields}
+
+
+def test_rejection_kinds_are_named_only_by_traced_decorators():
+    tree = ast.parse(Path(roles.__file__).read_text())
+    decorated, in_decorators = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for deco in node.decorator_list:
+                if isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "_traced":
+                    decorated[node.name] = getattr(ch, deco.args[0].attr)
+                    in_decorators.add(id(deco.args[0]))
+    assert decorated == {
+        "handle_connected_notice": ch.MESSAGE_REJECTED,
+        "handle_activation": ch.ACTIVATION_REJECTED,
+        "handle_registration": ch.DEVICE_REQUEST_REJECTED,
+        "handle_data_report": ch.DATA_REJECTED,
+        "handle_revocation": ch.REVOCATION_REJECTED,
+    }
+    assert set(decorated.values()) <= set(ch.REJECTION_KINDS)
+    elsewhere = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr.endswith("_REJECTED")
+                 and id(node) not in in_decorators]
+    assert elsewhere == []
