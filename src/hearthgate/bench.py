@@ -27,6 +27,8 @@ WARMUP_FRACTION = 0.1  # head of the run excluded from statistics
 
 @dataclass(frozen=True)
 class LoadProfile:
+    """Offered load for one rate row: arrival rate, duration, process and channel mix."""
+
     arrival_rate: float                  # offered transactions per second
     duration: float = 30.0               # seconds of arrivals
     process: str = "uniform"             # "uniform" | "poisson"
@@ -49,6 +51,8 @@ class LoadProfile:
 
 @dataclass(frozen=True)
 class RateRow:
+    """One offered rate's measured throughput and commit-latency percentiles."""
+
     offered: float
     throughput: float
     mean_ms: float
@@ -60,6 +64,8 @@ class RateRow:
 
 @dataclass
 class LatencyReport:
+    """A sweep's rate rows at one service rate ``mu``, writable as CSV."""
+
     mu: float
     rows: list[RateRow] = field(default_factory=list)
 

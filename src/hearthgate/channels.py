@@ -51,6 +51,8 @@ REJECTION_KINDS = (DEVICE_REQUEST_REJECTED, ACTIVATION_REJECTED, DATA_REJECTED,
 
 @dataclass(frozen=True)
 class TraceEvent:
+    """One traced event: logical time, role, kind and sorted key-value fields."""
+
     time: int  # logical, strictly increasing per trace
     role: str
     kind: str
@@ -113,6 +115,7 @@ class Secret:
 
 @dataclass(frozen=True)
 class Tup:
+    """An ordered tuple of terms; the closure splits it into its items."""
     items: tuple["Term", ...]
 
 
@@ -283,6 +286,8 @@ class PublicChannel:
 
 @dataclass(frozen=True)
 class AdversaryAction:
+    """One adversary move on the public channel, as a script names it."""
+
     action: str            # deliver | drop | replay | tamper | delay | inject
     index: int | None = None
     dst: str | None = None

@@ -24,6 +24,8 @@ class ConfigError(Exception):
 
 @dataclass
 class Config:
+    """Settings from a ``hearthgate`` config file, with defaults; [access] keys fill one map."""
+
     # [core]
     seed: int = 7
     totp_step: int = 30

@@ -262,14 +262,18 @@ def kem_backend(name: str):
 
 def check_public_key(public: PublicKey, algo: str, now: float) -> None:
     """Recognise a peer's public key before any use: MalformedKey unless it is
-    an ``algo`` key its parser accepts, KeyExpired if it expired at ``now``."""
+    an ``algo`` key its parser accepts (for ML-KEM, one passing FIPS 203's
+    length and modulus checks), KeyExpired if it expired at ``now``."""
     if public.algo != algo:
         raise MalformedKey(f"expected a {algo} key, got {public.algo!r}")
     _ensure_fresh(public, now)
     if algo in _PUBLIC_PARSERS:
         public.parsed  # raises MalformedKey unless the key parses
-    elif len(public.key) != _mlkem().EK_BYTES:  # ML-KEM's parse check
-        raise MalformedKey(f"{algo} key must be {_mlkem().EK_BYTES} bytes")
+        return
+    try:  # ML-KEM; fills the cache the key's encapsulations then read
+        _mlkem().check_encapsulation_key(public.key)
+    except ValueError as exc:
+        raise MalformedKey(str(exc)) from exc
 
 
 def kem_keygen(role_tag: RoleTag, ttl: float, rng: Rng, now: float,

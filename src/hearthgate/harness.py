@@ -65,6 +65,8 @@ class ScenarioInvalid(Exception):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """What one scenario runs: devices, reports, revocation, timing, KEM and ledger."""
+
     devices: int = 1
     reports: tuple[tuple[str, float, str], ...] = (("temperature_c", 21.5, "C"),)
     revoke: bool = False
@@ -311,6 +313,8 @@ class World:
 
 @dataclass
 class RunResult:
+    """A finished scenario: its world, trace, adversary knowledge and protected terms."""
+
     world: World
     trace: Trace
     knowledge: AdversaryKnowledge
@@ -445,6 +449,8 @@ KEYPAIR_CONFIDENTIALITY = "KeypairConfidentiality"
 
 @dataclass(frozen=True)
 class LemmaVerdict:
+    """One security lemma's verdict on a trace, with a witness when violated."""
+
     lemma: str
     holds: bool
     witness: str | None = None  # offending trace slice, present iff violated
@@ -512,6 +518,8 @@ def check_all(result: RunResult) -> dict[str, LemmaVerdict]:
 
 @dataclass(frozen=True)
 class AttackScript:
+    """A built-in attack: its ``Scripted`` rules, forged bytes and expected rejection."""
+
     description: str
     expected_error: str | None      # rejection code the server must record
     detail: str                     # what a defeated attack shows
@@ -567,6 +575,8 @@ ATTACK_SCRIPTS: dict[str, AttackScript] = {
 
 @dataclass
 class AttackOutcome:
+    """A built-in attack's run: whether it was defeated, and the lemma verdicts."""
+
     name: str
     defeated: bool
     error_seen: str | None
@@ -649,6 +659,8 @@ def run_script_file(path: str, seed: int = 7,
 
 @dataclass(frozen=True)
 class CampaignRecord:
+    """One campaign run: its seed, each lemma's verdict and its trace digest."""
+
     seed: int
     holds: dict[str, bool]
     trace_digest: str
@@ -660,6 +672,8 @@ class CampaignRecord:
 
 @dataclass
 class CampaignResult:
+    """A campaign's run count, violations and per-run records."""
+
     runs: int
     violations: list[tuple[int, LemmaVerdict]]
     records: list[CampaignRecord]

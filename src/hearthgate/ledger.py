@@ -98,6 +98,8 @@ DEFAULT_ACCESS: dict[tuple[ChannelName, OrgRole], dict] = {
 
 @dataclass(frozen=True)
 class OrgIdentity:
+    """A consortium organisation: id, role and signing credential."""
+
     org_id: str
     role: OrgRole
     credential: crypto.KeyPair  # signing pair registered with the membership service
@@ -193,6 +195,8 @@ GENESIS_PREV = bytes(32)
 
 @dataclass(frozen=True)
 class Block:
+    """A committed block: height, previous hash, transactions and its own hash."""
+
     height: int
     prev_hash: bytes
     txs: tuple[LedgerTransaction, ...]
@@ -236,6 +240,8 @@ def decode_block(data: bytes) -> Block:
 
 @dataclass(frozen=True)
 class CommitReceipt:
+    """Where and when a transaction committed: channel, height, index, time."""
+
     channel: ChannelName
     height: int
     tx_index: int

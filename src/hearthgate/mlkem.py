@@ -28,11 +28,19 @@ one int64 product of the fields with powers of two; at d = 11 a group is 8
 fields in 11 bytes, two words from bytes 0 and 5. SamplePolyCBD_eta is
 ByteDecode_(2 eta) and a 2^(2 eta)-entry table.
 
-Caches (LRU, ``_CACHE_ENTRIES`` each, read-only arrays) hold A-hat by
-``rho`` and, per encapsulation key passing the modulus check, the rows
-encryption multiplies by and H(ek): public data only. A key failing the
-check raises and is never cached; nothing secret-derived (s-hat, z, m) is
-cached.
+Caches (``_CACHE_ENTRIES`` entries each) hold public data only. Two LRU
+caches of read-only arrays hold A-hat by ``rho`` and, per encapsulation key
+passing the modulus check, the rows encryption multiplies by and H(ek); a
+key failing the check raises and is never cached. A memo holds the
+ciphertexts ``encaps`` made, keyed by the digest SHA3-256(m || H(ek)), and
+drops the oldest when full. ``decaps`` looks up its decrypted m' there and
+compares the ciphertext with the memo's instead of encrypting m' again (the
+Fujisaki-Okamoto re-encryption check). A hit equals recomputation: K-PKE's
+randomness is r = G(m || H(ek))[32:], so the ciphertext is a function of ek
+and m alone. A tampered ciphertext that still decrypts to m' hits and fails
+the comparison; any other input misses and is encrypted again. ``decaps``
+never adds to the memo, since its m' is read from dk; nothing secret (s-hat,
+z, m, r, K) is cached.
 """
 
 from __future__ import annotations
@@ -78,7 +86,8 @@ EK_BYTES = ML_KEM_512.ek_bytes   # 800
 DK_BYTES = ML_KEM_512.dk_bytes   # 1632
 CT_BYTES = ML_KEM_512.ct_bytes   # 768
 
-#: Entries in each public-key cache (about 20 KiB per ML-KEM-512 key).
+#: Entries in each public-data cache: about 20 KiB per ML-KEM-512 key, and
+#: one ciphertext (768 bytes) per kept encapsulation.
 _CACHE_ENTRIES = 64
 
 
@@ -221,23 +230,44 @@ def _pke_keygen(d: bytes, p: ParamSet) -> tuple[bytes, bytes]:
     return _pack(t_hat, 12) + rho, _pack(s_hat, 12)
 
 
-def _pke_encrypt(key, m_bits, r: bytes, p: ParamSet) -> bytes:
+def _pke_encrypt(key, m: bytes, r: bytes, p: ParamSet) -> bytes:
     k = p.k
     y_hat = _ntt(_noise(p.eta1, r, 0, k))
     e = _noise(p.eta2, r, k, k + 1)   # e1, then e2 as the last row
-    e[k] += _decompress(m_bits, 1)
+    e[k] += _decompress(_unpack(m, 1), 1)
     uv = (_ntt(_mul_sum(key, y_hat), _VI) + e) % Q
     return _pack(_compress(uv[:k], p.du), p.du) + _pack(_compress(uv[k], p.dv), p.dv)
 
 
-def _pke_decrypt(dk: bytes, ct: bytes, p: ParamSet):
-    """The message's 256 bits."""
+def _pke_decrypt(dk: bytes, ct: bytes, p: ParamSet) -> bytes:
+    """The 32-byte message."""
     k = p.k
     split = 32 * p.du * k
     u_hat = _ntt(_decompress(_unpack(ct[:split], p.du), p.du).reshape(k, N))
     s_hat = _unpack(dk, 12).reshape(k, N) % Q
     v = _decompress(_unpack(ct[split:], p.dv), p.dv)
-    return _compress((v - _ntt(_mul_sum(s_hat, u_hat), _VI)) % Q, 1)
+    return _pack(_compress((v - _ntt(_mul_sum(s_hat, u_hat), _VI)) % Q, 1), 1)
+
+
+#: K-PKE.Encrypt's ciphertexts made by ``encaps``, by SHA3-256(m || H(ek)),
+#: oldest first.
+_ciphertexts: dict[bytes, bytes] = {}
+
+
+def _encrypt(key, m: bytes, h_ek: bytes, p: ParamSet, keep: bool) -> tuple[bytes, bytes]:
+    """(c, K): K-PKE.Encrypt(ek, m, r) and K for (K, r) = G(m || H(ek)), c from
+    the memo if it holds it, else encrypted with ek's rows ``key``. Only
+    encaps may ``keep`` c: decaps's m is read from dk."""
+    seed = m + h_ek
+    expanded, digest = _g(seed), _h(seed)
+    ct = _ciphertexts.get(digest)
+    if ct is None:
+        ct = _pke_encrypt(key, m, expanded[32:], p)
+        if keep:
+            _ciphertexts[digest] = ct
+            if len(_ciphertexts) > _CACHE_ENTRIES:
+                del _ciphertexts[next(iter(_ciphertexts))]
+    return ct, expanded[:32]
 
 
 def keygen(seed: bytes, params: ParamSet = ML_KEM_512) -> tuple[bytes, bytes]:
@@ -248,17 +278,21 @@ def keygen(seed: bytes, params: ParamSet = ML_KEM_512) -> tuple[bytes, bytes]:
     return ek, dk_pke + ek + _h(ek) + seed[32:]
 
 
+def check_encapsulation_key(ek: bytes, params: ParamSet = ML_KEM_512):
+    """FIPS 203's input checks on ``ek``, its length and then the modulus
+    check, raising ValueError; returns its cached rows and H(ek)."""
+    if len(ek) != params.ek_bytes:
+        raise ValueError(f"encapsulation key must be {params.ek_bytes} bytes, got {len(ek)}")
+    return _checked_encryption_key(bytes(ek), params.k)
+
+
 def encaps(ek: bytes, randomness: bytes,
            params: ParamSet = ML_KEM_512) -> tuple[bytes, bytes]:
     """Encapsulate to ``ek``: returns (ciphertext, 32-byte shared secret)."""
-    if len(ek) != params.ek_bytes:
-        raise ValueError(f"encapsulation key must be {params.ek_bytes} bytes, got {len(ek)}")
-    key, h_ek = _checked_encryption_key(bytes(ek), params.k)
+    key, h_ek = check_encapsulation_key(ek, params)
     if len(randomness) != 32:
         raise ValueError("encapsulation randomness must be 32 bytes")
-    expanded = _g(randomness + h_ek)
-    shared, r = expanded[:32], expanded[32:]
-    return _pke_encrypt(key, _unpack(randomness, 1), r, params), shared
+    return _encrypt(key, randomness, h_ek, params, keep=True)
 
 
 def decaps(dk: bytes, ct: bytes, params: ParamSet = ML_KEM_512) -> bytes:
@@ -273,13 +307,12 @@ def decaps(dk: bytes, ct: bytes, params: ParamSet = ML_KEM_512) -> bytes:
     h_stored = dk[768 * k + 32:768 * k + 64]
     if _h(ek) != h_stored:
         raise ValueError("decapsulation key failed hash check")
-    m_bits = _pke_decrypt(dk[:384 * k], ct, params)
-    expanded = _g(_pack(m_bits, 1) + h_stored)
-    shared, r = expanded[:32], expanded[32:]
+    m = _pke_decrypt(dk[:384 * k], ct, params)
     rejected = hashlib.shake_256(dk[768 * k + 64:] + ct).digest(32)   # J(z || c)
     try:
         key = _checked_encryption_key(ek, k)[0]
     except ValueError:
         # Decaps does not check the embedded key; ByteDecode_12 reduces it.
         key = _encryption_key(_unpack(ek[:384 * k], 12).reshape(k, N) % Q, ek[384 * k:], k)
-    return shared if _pke_encrypt(key, m_bits, r, params) == ct else rejected
+    ct_again, shared = _encrypt(key, m, h_stored, params, keep=False)
+    return shared if ct_again == ct else rejected

@@ -36,6 +36,8 @@ class UnknownRole(Exception):
 
 @dataclass(frozen=True)
 class ThresholdRule:
+    """Alert when a metric crosses a threshold; names the severity and targets."""
+
     metric: str
     comparator: Comparator
     threshold: float

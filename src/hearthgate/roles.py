@@ -113,6 +113,8 @@ class DevicePhase(Enum):
 
 @dataclass(frozen=True)
 class Outgoing:
+    """A message a role sends: path, destination, wire message and symbolic term."""
+
     path: str  # "public" | "secure"
     dst: str
     message: wire.Message
@@ -411,6 +413,11 @@ class Device:
         except (DecryptionFailure, wire.WireError) as exc:
             raise Malformed(f"unreadable activation: {exc}",
                             detail="undecryptable") from exc
+        try:
+            crypto.check_public_key(server_device_public.kem, self.kem_algo, now)
+            crypto.check_public_key(server_device_public.sig, crypto.SIG_ALGO, now)
+        except crypto.CryptoError as exc:
+            raise Malformed(f"unusable server keys: {exc}") from exc
         self.device_token = token
         self.server_device_public = server_device_public
         self.phase = DevicePhase.ACTIVE
@@ -439,6 +446,8 @@ class Device:
 
 @dataclass
 class Session:
+    """The server's state for one authenticator session: keys, peer keys and nonce."""
+
     session_id: str
     keys: RoleKeys
     auth_public: RolePublic
@@ -449,6 +458,8 @@ class Session:
 
 @dataclass
 class PendingRegistration:
+    """A transient token the server issued to a session, and whether it was used."""
+
     secret: bytes
     session_id: str
     issued_digits: str
@@ -458,6 +469,8 @@ class PendingRegistration:
 
 @dataclass
 class RegistryEntry:
+    """A device the server registered: its keys, device token and status."""
+
     uid_hex: str
     device_public: RolePublic
     server_keys: RoleKeys

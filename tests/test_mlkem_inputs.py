@@ -8,6 +8,9 @@ module caches data derived from valid encapsulation keys, so the tests
 also check that a rejected key is rejected again on every call and never
 enters a cache. Through ``crypto`` the same failures surface as
 ``MalformedKey`` (encapsulation) and ``DecryptionFailure`` (decryption).
+Decapsulation compares a ciphertext with the one ``encaps`` made for the
+same key and message when the memo holds it; the tests check that it gives
+the same secret as re-encryption on valid, tampered and foreign inputs.
 
 The NTT, inverse NTT and MultiplyNTTs run as numpy array operations (the
 NTTs as float64 matrix products); the tests compare them with FIPS 203
@@ -173,6 +176,100 @@ def test_decaps_reduces_a_non_canonical_embedded_ek():
     after = mlkem._checked_encryption_key.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses + 2)
     assert mlkem.decaps(dk, ct) == shared
+
+
+# -- the K-PKE.Encrypt memo shared by encaps and decaps -----------------------
+
+K512 = mlkem.ML_KEM_512.k
+
+
+def _rejection(dk: bytes, ct: bytes) -> bytes:
+    """J(z || c), the implicit-rejection secret."""
+    return hashlib.shake_256(dk[768 * K512 + 64:] + ct).digest(32)
+
+
+def _message(dk: bytes, ct: bytes) -> bytes:
+    return mlkem._pke_decrypt(dk[:384 * K512], ct, mlkem.ML_KEM_512)
+
+
+def _same_message_flip(dk: bytes, ct: bytes) -> bytes:
+    """``ct`` with its first one-bit flip that still decrypts to ct's message."""
+    m = _message(dk, ct)
+    for bit in range(8 * len(ct)):
+        tampered = _flip(ct, bit)
+        if _message(dk, tampered) == m:
+            return tampered
+    raise AssertionError("no one-bit flip keeps the message")
+
+
+def _memo_cases() -> dict[str, tuple[bytes, bytes, bytes]]:
+    """dk, ct and the secret decaps must give, by case; the valid ciphertext
+    is encapsulated in this process, so the memo holds its message."""
+    ek, dk = _keys(b"memo")
+    other_ek, _ = _keys(b"memo-other")
+    ct, shared = mlkem.encaps(ek, bytes(range(32)))
+    foreign, _ = mlkem.encaps(other_ek, bytes(range(1, 33)))
+    random_ct = hashlib.shake_256(b"random ct").digest(mlkem.CT_BYTES)
+    tampered = _same_message_flip(dk, ct)
+    bad = _with_first_coefficient(ek, 0xFFF)
+    crafted = dk[:384 * K512] + bad + hashlib.sha3_256(bad).digest() + dk[768 * K512 + 64:]
+    return {"valid": (dk, ct, shared),
+            "tampered-same-m": (dk, tampered, _rejection(dk, tampered)),
+            "random": (dk, random_ct, _rejection(dk, random_ct)),
+            "other-key": (dk, foreign, _rejection(dk, foreign)),
+            "non-canonical-dk": (crafted, ct, _rejection(crafted, ct))}
+
+
+@pytest.mark.parametrize("name", ["valid", "tampered-same-m", "random", "other-key",
+                                  "non-canonical-dk"])
+def test_decaps_same_with_memo_filled_and_emptied(name, monkeypatch):
+    dk, ct, expected = _memo_cases()[name]
+    memo = dict(mlkem._ciphertexts)
+    if name in ("valid", "tampered-same-m"):
+        # The memo holds ct's message, so decaps compares without encrypting.
+        assert hashlib.sha3_256(_message(dk, ct) + dk[-64:-32]).digest() in memo
+        with monkeypatch.context() as patched:
+            patched.setattr(mlkem, "_pke_encrypt", None)
+            assert mlkem.decaps(dk, ct) == expected
+    filled = mlkem.decaps(dk, ct)
+    assert mlkem._ciphertexts == memo   # decaps never adds to the memo
+    mlkem._ciphertexts.clear()
+    assert filled == mlkem.decaps(dk, ct) == expected
+    assert mlkem._ciphertexts == {}
+
+
+def test_same_randomness_to_two_keys_decapsulates_under_both():
+    randomness = bytes(range(100, 132))
+    pairs = [_keys(b"twin-1"), _keys(b"twin-2")]
+    made = [mlkem.encaps(ek, randomness) for ek, _ in pairs]
+    assert made[0][0] != made[1][0]
+    for (_, dk), (ct, shared) in zip(pairs, made):
+        assert mlkem.decaps(dk, ct) == shared
+    assert mlkem.decaps(pairs[0][1], made[1][0]) == _rejection(pairs[0][1], made[1][0])
+
+
+def test_memo_bounded_oldest_evicted_and_holds_only_ciphertexts():
+    ek, dk = _keys(b"bounded")
+    h_ek = hashlib.sha3_256(ek).digest()
+    mlkem._ciphertexts.clear()
+    made = []
+    for i in range(mlkem._CACHE_ENTRIES + 10):
+        m = hashlib.sha256(b"m%d" % i).digest()
+        ct, shared = mlkem.encaps(ek, m)
+        made.append((m, ct, shared))
+        assert len(mlkem._ciphertexts) == min(i + 1, mlkem._CACHE_ENTRIES)
+    kept = made[-mlkem._CACHE_ENTRIES:]
+    assert mlkem._ciphertexts == {hashlib.sha3_256(m + h_ek).digest(): ct
+                                  for m, ct, _ in kept}
+    secrets = set()   # each m, K and r
+    for m, _, shared in made:
+        secrets |= {m, shared, hashlib.sha3_512(m + h_ek).digest()[32:]}
+    for key, value in mlkem._ciphertexts.items():
+        assert len(key) == 32 and len(value) == mlkem.CT_BYTES
+        assert all(s != key and s not in value for s in secrets)
+    # Each ciphertext, kept or evicted, still decapsulates to its secret.
+    for m, ct, shared in made:
+        assert mlkem.decaps(dk, ct) == shared
 
 
 def _bitrev7(n: int) -> int:

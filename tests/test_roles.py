@@ -618,7 +618,9 @@ def test_unusable_device_keys_rejected_before_token_or_ledger(bundle):
     assert w.device.uid.hex in w.server.registry
 
 
-def test_mlkem_device_key_of_wrong_length_rejected():
+def _mlkem_request_with_kem_key(kem_key):
+    """An ml-kem-512 world ready to register its device, and the device's
+    genuine signed request with ``kem_key(key)`` as its KEM key."""
     world = harness.World(harness.ScenarioSpec(devices=1, reports=(),
                                                kem_algo="ml-kem-512"),
                           seed=7, direct=True)
@@ -627,16 +629,74 @@ def test_mlkem_device_key_of_wrong_length_rejected():
     deliver_token(auth, server, session_id, world.h_s[auth.name])
     provision_device(auth, device)
     public = device.keys.public
-    short = dataclasses.replace(public, kem=dataclasses.replace(
-        public.kem, key=public.kem.key[:-1]))
+    bundle = dataclasses.replace(public, kem=dataclasses.replace(
+        public.kem, key=kem_key(public.kem.key)))
     payload = wire.encode_registration_payload(
-        short, device.uid.value, device._encrypted_token,
+        bundle, device.uid.value, device._encrypted_token,
         device._token_signature)
     request = wire.RegistrationRequest(crypto.hybrid_encrypt(
         device.server_public.kem, payload, world.rng, world.clock.now()))
+    return world, request
+
+
+def test_mlkem_device_key_of_wrong_length_rejected():
+    world, request = _mlkem_request_with_kem_key(lambda key: key[:-1])
+    server = world.server
     with pytest.raises(Malformed, match="must be 800 bytes"):
-        server.handle_registration(request, device.name)
+        server.handle_registration(request, world.devices[0].name)
     assert server.registry == {} and not server.pending[0].consumed
+
+
+def test_mlkem_device_key_failing_modulus_check_rejected():
+    # 768 bytes of 0xFF make every coefficient of t-hat 4095 >= q: the right
+    # length, but not a key FIPS 203's modulus check accepts.
+    world, request = _mlkem_request_with_kem_key(lambda key: b"\xff" * 768 + key[768:])
+    server = world.server
+    routes = dict(server.routes)
+    with pytest.raises(Malformed, match="unusable device keys: .*modulus check"):
+        server.handle_registration(request, world.devices[0].name)
+    assert [(e.kind, e.get("error")) for e in world.trace.events
+            if e.kind in ch.REJECTION_KINDS] == [(ch.DEVICE_REQUEST_REJECTED, "Malformed")]
+    assert not world.trace.by_kind(ch.LEDGER_COMMIT)
+    assert not world.trace.by_kind(ch.REGISTRATION_SUCCESS)
+    assert world.network.query(ChannelName.IDENTITY, None, "server-org") == []
+    assert server.registry == {} and server.routes == routes
+    assert not server.pending[0].consumed
+
+
+def _activation_with_bundle(w: World, bundle) -> wire.ActivationResponse:
+    """An activation response to ``w.device`` carrying ``bundle`` as the
+    server's device keys."""
+    return wire.ActivationResponse(crypto.hybrid_encrypt(
+        w.device.keys.public.kem,
+        wire.encode_activation_payload(bytes(range(32)), bundle),
+        w.rng, w.clock.now()))
+
+
+@pytest.mark.parametrize("bundle", [
+    lambda pub: dataclasses.replace(pub, kem=dataclasses.replace(pub.kem, key=b"short")),
+    lambda pub: dataclasses.replace(pub, kem=dataclasses.replace(pub.kem, algo="rot13")),
+    lambda pub: dataclasses.replace(pub, kem=_expired(pub.kem)),
+    lambda pub: dataclasses.replace(pub, sig=_expired(pub.sig)),
+], ids=["kem-5-bytes", "kem-rot13", "kem-expired", "sig-expired"])
+def test_unusable_server_keys_in_activation_rejected(bundle):
+    w = World()
+    w.session()
+    deliver_token(w.auth, w.server, w.session_id, w.h_s)
+    provision_device(w.auth, w.device)
+    w.device.build_registration_request()
+    genuine = crypto.generate_role_keys(RoleTag.SERVER_FOR_DEVICE, 86_400.0, w.rng,
+                                        w.clock.now()).public
+    with pytest.raises(Malformed, match="unusable server keys"):
+        w.device.handle_activation(_activation_with_bundle(w, bundle(genuine)))
+    assert [(e.kind, e.get("error")) for e in w.trace.events
+            if e.kind in ch.REJECTION_KINDS] == [(ch.ACTIVATION_REJECTED, "Malformed")]
+    assert w.device.phase is DevicePhase.REQUEST_SENT
+    assert w.device.device_token is None and w.device.server_device_public is None
+    # The device still accepts a usable bundle.
+    w.device.handle_activation(_activation_with_bundle(w, genuine))
+    assert w.device.phase is DevicePhase.ACTIVE
+    assert w.device.server_device_public == genuine
 
 
 # -- one rejection event per failed handler call ----------------------------------

@@ -6,9 +6,15 @@ Run from the repo root: python3 tools/bench_kem.py
 
 For each KEM backend (``x25519``, ``ml-kem-512``) it makes REPEATS fresh
 keys from a fixed seed and, for each key, times keygen, one encapsulation to
-the new key, a second encapsulation to the same key, and the decapsulation
-of the first ciphertext. The ``encaps (same key)`` row shows the cost once
-data derived from the public key has been computed before. For Ed25519 it
+the new key, a second encapsulation to the same key, the decapsulation of
+the first ciphertext, and the decapsulation of a foreign ciphertext: the
+first one with the top bit of its last byte flipped. The ``encaps (same
+key)`` row shows the cost once data derived from the public key has been
+computed before. ML-KEM decapsulation of a ciphertext this process
+encapsulated compares it with the memoised one instead of encrypting again;
+the flipped bit changes ML-KEM's decrypted message (it is the top bit of
+v's last compressed coefficient), so the ``decaps (foreign ciphertext)`` row
+times the full re-encryption check and its implicit rejection. For Ed25519 it
 times keygen, one signature with the new key and the check of that signature
 against a public key decoded from its wire bytes, as a ledger peer or a
 device receives it. The ledger row times ``make_transaction`` plus
@@ -56,7 +62,8 @@ SEED = 20_261_018
 REPEATS = 200
 NOW = 1_700_000_010.0
 BACKENDS = ("x25519", "ml-kem-512")
-KEM_OPS = ("keygen", "encaps", "encaps (same key)", "decaps")
+KEM_OPS = ("keygen", "encaps", "encaps (same key)", "decaps",
+           "decaps (foreign ciphertext)")
 SIG_OPS = ("keygen", "sign", "verify")
 FRESH_RUNS = 5
 KERNEL_LOOP = 100
@@ -96,7 +103,11 @@ def bench_backend(name: str) -> dict[str, float]:
         recovered, t_decaps = _timed(backend.decaps, pair, encapsulation)
         if recovered != shared:
             raise SystemExit(f"{name}: decapsulation did not recover the secret")
-        for op, t in zip(KEM_OPS, (t_keygen, t_encaps, t_again, t_decaps)):
+        foreign = encapsulation[:-1] + bytes([encapsulation[-1] ^ 0x80])
+        rejected, t_foreign = _timed(backend.decaps, pair, foreign)
+        if rejected == shared:
+            raise SystemExit(f"{name}: a foreign ciphertext gave the secret")
+        for op, t in zip(KEM_OPS, (t_keygen, t_encaps, t_again, t_decaps, t_foreign)):
             samples[op].append(t)
     return _medians(samples)
 
@@ -188,11 +199,12 @@ def main() -> None:
     import numpy
     print(f"# python {platform.python_version()} on {platform.machine()}, "
           f"seed {SEED}, {REPEATS} repeats, median us per operation")
-    print(f"{'backend':<12}" + "".join(f"{op:>20}" for op in KEM_OPS))
+    widths = {op: max(20, len(op) + 2) for op in KEM_OPS}
+    print(f"{'backend':<12}" + "".join(f"{op:>{widths[op]}}" for op in KEM_OPS))
     kem = {}
     for name in BACKENDS:
         medians = kem[name] = bench_backend(name)
-        print(f"{name:<12}" + "".join(f"{medians[op]:>20.1f}" for op in KEM_OPS))
+        print(f"{name:<12}" + "".join(f"{medians[op]:>{widths[op]}.1f}" for op in KEM_OPS))
     print()
     print(f"{'first use':<12}{'import hearthgate':>20}{'first keygen':>20}")
     first_use = {}

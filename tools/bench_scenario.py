@@ -3,10 +3,11 @@
 
 Run from the repo root: python3 tools/bench_scenario.py
 
-For each N it runs ``harness.run_scenario`` REPEATS times under DeliverAll
-at a fixed seed: N devices onboard in TOTP-step waves and send one data
-report each. It prints registered/total devices and the median wall time
-per scenario and per device, and writes them with the machine's Python,
+For each KEM backend (``x25519``, ``ml-kem-512``) and each N it runs
+``harness.run_scenario`` REPEATS times under DeliverAll at a fixed seed: N
+devices onboard in TOTP-step waves and send one data report each. It prints
+registered/total devices and the median wall time per scenario and per
+device, and writes them, each row naming its ``kem``, with the machine's Python,
 ``cryptography`` and OpenSSL versions, its usable CPU count and the git
 commit (``-dirty`` when the tree has uncommitted changes) to
 ``BENCH_scenario.json``. Times are raw wall clock on this
@@ -31,6 +32,7 @@ from hearthgate import channels, harness  # noqa: E402
 
 SEED = 7
 SIZES = (1, 10, 100, 200)
+BACKENDS = ("x25519", "ml-kem-512")
 REPEATS = 3
 REPORTS = (("temperature_c", 21.5, "C"),)
 OUT = ROOT / "BENCH_scenario.json"
@@ -50,8 +52,8 @@ def machine_meta() -> dict:
     }
 
 
-def bench(devices: int) -> dict:
-    spec = harness.ScenarioSpec(devices=devices, reports=REPORTS)
+def bench(kem: str, devices: int) -> dict:
+    spec = harness.ScenarioSpec(devices=devices, reports=REPORTS, kem_algo=kem)
     walls, registered = [], set()
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -59,21 +61,23 @@ def bench(devices: int) -> dict:
         walls.append(time.perf_counter() - start)
         registered.add(len(result.trace.by_kind(channels.REGISTRATION_SUCCESS)))
     if len(registered) != 1:
-        raise SystemExit(f"N={devices}: repeats registered {sorted(registered)}")
+        raise SystemExit(f"{kem} N={devices}: repeats registered {sorted(registered)}")
     wall_ms = statistics.median(walls) * 1e3
-    return {"devices": devices, "registered": registered.pop(),
+    return {"kem": kem, "devices": devices, "registered": registered.pop(),
             "wall_ms": round(wall_ms, 1),
             "wall_ms_per_device": round(wall_ms / devices, 2)}
 
 
 def main() -> None:
-    bench(1)  # let one-time imports and lazy set-up finish before timing
-    rows = [bench(n) for n in SIZES]
+    rows = []
+    for kem in BACKENDS:
+        bench(kem, 1)  # let one-time imports and lazy set-up finish before timing
+        rows += [bench(kem, n) for n in SIZES]
     print(f"# seed {SEED}, DeliverAll, {len(REPORTS)} report per device, "
           f"median of {REPEATS} runs")
-    print(f"{'devices':>8} {'registered':>11} {'wall_ms':>9} {'ms/device':>10}")
+    print(f"{'kem':<11} {'devices':>8} {'registered':>11} {'wall_ms':>9} {'ms/device':>10}")
     for row in rows:
-        print(f"{row['devices']:>8} {row['registered']:>7}/{row['devices']:<3} "
+        print(f"{row['kem']:<11} {row['devices']:>8} {row['registered']:>7}/{row['devices']:<3} "
               f"{row['wall_ms']:>9.1f} {row['wall_ms_per_device']:>10.2f}")
     meta = machine_meta()
     meta.update(seed=SEED, repeats=REPEATS, adversary="DeliverAll",
