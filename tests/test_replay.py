@@ -85,10 +85,9 @@ def demo_case(seed: int) -> dict:
             "snapshot": _sha(snapshot)}
 
 
-def bounded_case() -> str:
-    spec = harness.ScenarioSpec(devices=1, reports=(), retries=0)
-    results = harness.bounded_exhaustive(
-        spec, seed=7, actions=("deliver", "drop", "replay"))
+def bounded_case(retries: int, actions: tuple[str, ...]) -> str:
+    spec = harness.ScenarioSpec(devices=1, reports=(), retries=retries)
+    results = harness.bounded_exhaustive(spec, seed=7, actions=actions)
     rows = [[list(prefix),
              {k: [v.holds, v.witness] for k, v in sorted(verdicts.items())}]
             for prefix, verdicts in results]
@@ -209,7 +208,10 @@ CASES = {
     "campaign/40-runs-base-11": (campaign_case, ()),
     "bench/poisson-two-rows": (bench_case, ()),
     **{f"demo/seed-{s}": (demo_case, (s,)) for s in (3, 7)},
-    "bounded-exhaustive/one-device": (bounded_case, ()),
+    "bounded-exhaustive/one-device": (
+        bounded_case, (0, ("deliver", "drop", "replay"))),
+    "bounded-exhaustive/retry-tamper": (
+        bounded_case, (1, ("deliver", "drop", "replay", "tamper"))),
     "rejections/every-code": (rejections_case, ()),
 }
 
