@@ -305,29 +305,40 @@ class AdversaryAction:
         return " ".join(parts)
 
 
+# The rule names a script may use, for ``Scripted`` and for script files.
+SCRIPT_ACTIONS = ("deliver", "drop", "replay", "tamper", "delay", "inject", "stop")
+
+
 class Scripted:
     """Plays a fixed list of rules keyed on public-channel message index.
 
-    Each rule is ``{"on": <message index>, "action": <name>, ...params}``:
-    ``tamper`` takes ``bit``, ``delay`` takes ``seconds`` (default 40),
-    ``inject`` takes ``dst`` and ``data``. Messages without a rule are
-    delivered in order. Unconsumed rules simply never fire (the message
-    they target may not exist in a given run).
+    Each rule is ``{"on": <message index>, "action": <name>, ...params}``
+    with a name from ``SCRIPT_ACTIONS``: ``tamper`` takes ``bit``, ``delay``
+    takes ``seconds`` (default 40), ``inject`` takes ``dst`` and ``data``,
+    and ``stop`` withholds message ``on`` and every later one (device
+    retries still run). Messages without a rule are delivered in order. Two
+    rules on one index are an error. Unconsumed rules simply never fire (the
+    message they target may not exist in a given run).
     """
 
     def __init__(self, rules: list[dict]):
-        self.rules = {int(rule["on"]): dict(rule) for rule in rules}
+        self.rules: dict[int, dict] = {}
+        for rule in rules:
+            on = int(rule["on"])
+            if rule["action"] not in SCRIPT_ACTIONS:
+                raise ValueError(f"unknown scripted action {rule['action']!r}")
+            if on in self.rules:
+                raise ValueError(f"two rules on message {on}")
+            self.rules[on] = dict(rule)
+        self.stop = min((on for on, rule in self.rules.items()
+                         if rule["action"] == "stop"), default=float("inf"))
 
     def decide(self, channel: PublicChannel, rng: Rng) -> AdversaryAction | None:
-        if not channel.pending:
+        if not channel.pending or channel.pending[0].index >= self.stop:
             return None
         entry = channel.pending[0]
-        rule = self.rules.pop(entry.index, None)
-        if rule is None:
-            return AdversaryAction("deliver", index=entry.index)
+        rule = self.rules.pop(entry.index, {"action": "deliver"})
         action = rule["action"]
-        if action in ("deliver", "drop", "replay"):
-            return AdversaryAction(action, index=entry.index)
         if action == "tamper":
             return AdversaryAction("tamper", index=entry.index,
                                    bit=int(rule.get("bit", 0)))
@@ -338,7 +349,7 @@ class Scripted:
         if action == "inject":
             return AdversaryAction("inject", dst=rule["dst"],
                                    data=rule["data"], index=entry.index)
-        raise ValueError(f"unknown scripted action {action!r}")
+        return AdversaryAction(action, index=entry.index)
 
 
 class DeliverAll(Scripted):

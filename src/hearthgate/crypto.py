@@ -235,6 +235,7 @@ class _MlKem512Backend:
 
     def encaps(self, peer: PublicKey, rng: Rng) -> tuple[bytes, bytes]:
         try:
+            _mlkem().check_encapsulation_key(peer.key)  # fail before any RNG draw
             return _mlkem().encaps(peer.key, rng.bytes(32))
         except ValueError as exc:
             raise MalformedKey(str(exc)) from exc

@@ -53,7 +53,7 @@ from .roles import (
     provision_device,
     token_secret,
 )
-from .runtime import Rng, SimClock, seeded_rng
+from .runtime import SimClock, seeded_rng
 
 STEP_DT = 0.1          # simulated seconds per adversary action
 PHASE_DT = 1.0         # simulated seconds between scenario phases
@@ -624,11 +624,10 @@ def load_attack_rules(path: str) -> list[dict]:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ScenarioInvalid("attack script file must hold a JSON list")
-    known = {"deliver", "drop", "replay", "tamper", "delay", "inject"}
     for i, rule in enumerate(raw):
         if not isinstance(rule, dict) or "on" not in rule or "action" not in rule:
             raise ScenarioInvalid(f"rule {i}: needs 'on' and 'action'")
-        if rule["action"] not in known:
+        if rule["action"] not in ch.SCRIPT_ACTIONS:
             raise ScenarioInvalid(f"rule {i}: unknown action {rule['action']!r}")
         for key in ("on", "bit", "seconds"):
             if key in rule and not _is_json(rule[key], "int"):
@@ -718,28 +717,6 @@ def run_campaign(runs: int, base_seed: int = 1,
 # Bounded exhaustive mode
 # ---------------------------------------------------------------------------
 
-class _SequenceStrategy:
-    """Follows a fixed action sequence, then withholds everything."""
-
-    def __init__(self, sequence: tuple[str, ...]):
-        self.sequence = list(sequence)
-        self.exhausted_with_pending = False
-
-    def decide(self, channel: PublicChannel, rng: Rng) -> AdversaryAction | None:
-        if not channel.pending:
-            return None
-        if not self.sequence:
-            self.exhausted_with_pending = True
-            return None
-        action = self.sequence.pop(0)
-        entry = channel.pending[0]
-        if action == "replay" and entry.replays_left <= 0:
-            action = "deliver"
-        if action == "tamper":
-            return AdversaryAction("tamper", index=entry.index, bit=13)
-        return AdversaryAction(action, index=entry.index)
-
-
 BOUNDED_ACTIONS = ("deliver", "drop", "replay")
 MAX_PUBLIC_MESSAGES = 12
 MAX_BOUNDED_RUNS = 20_000
@@ -750,27 +727,35 @@ def bounded_exhaustive(spec: ScenarioSpec, seed: int = 7,
                        ) -> list[tuple[tuple[str, ...], dict]]:
     """Enumerate every adversary decision tree over a restricted action set.
 
-    The adversary always acts on the oldest custody message and may stop at
-    any point (withholding the rest), so each prefix is itself a complete
-    run. Only tractable for short scenarios; refuses anything wider than
-    ``MAX_PUBLIC_MESSAGES`` public messages per branch, or needing more than
-    ``MAX_BOUNDED_RUNS`` runs.
+    A branch is a plan ``{message index: action}``, played as ``Scripted``
+    rules (``tamper`` flips bit 13) plus a ``stop`` just past its last
+    index, so the adversary withholds everything later and each plan is
+    itself a complete run. Each result pairs the plan's actions, in index
+    order, with the run's verdicts. Only tractable for short scenarios;
+    refuses a plan over ``MAX_PUBLIC_MESSAGES`` messages, or needing more
+    than ``MAX_BOUNDED_RUNS`` runs.
     """
     results = []
-    stack: list[tuple[str, ...]] = [()]
+    stack: list[dict[int, str]] = [{}]
     while stack:
-        prefix = stack.pop()
+        plan = stack.pop()
         if len(results) >= MAX_BOUNDED_RUNS:
             raise ScenarioInvalid(f"bounded exhaustive exceeded {MAX_BOUNDED_RUNS}"
                                   " runs; restrict the scenario")
-        strategy = _SequenceStrategy(prefix)
-        result = run_scenario(spec, strategy, seed)
-        if len(prefix) > MAX_PUBLIC_MESSAGES:
+        if len(plan) > MAX_PUBLIC_MESSAGES:
             raise ScenarioInvalid(
                 "scenario produces more public messages than bounded mode allows")
-        verdicts = check_all(result)
-        results.append((prefix, verdicts))
-        if strategy.exhausted_with_pending:
+        rules = [{"on": on, "action": action, "bit": 13}
+                 for on, action in plan.items()]
+        rules.append({"on": max(plan, default=-1) + 1, "action": "stop"})
+        result = run_scenario(spec, Scripted(rules), seed)
+        results.append((tuple(plan[on] for on in sorted(plan)),
+                        check_all(result)))
+        # Custody stays in index order and the adversary only ever acts on
+        # the oldest message, so the first withheld message is the oldest
+        # one left, and every plan extending this one decides it next.
+        pending = result.world.h_p.pending
+        if pending:
             for action in actions:
-                stack.append(prefix + (action,))
+                stack.append({**plan, pending[0].index: action})
     return results

@@ -484,10 +484,6 @@ class LedgerNetwork:
 
     # -- verification -----------------------------------------------------------
 
-    def verify_chain(self, channel: ChannelName) -> bool:
-        ok, _, _ = self.verify_chain_detail(channel)
-        return ok
-
     def verify_chain_detail(self, channel: ChannelName) -> tuple[bool, int, str]:
         return verify_blocks(self.chains[channel], channel, self.membership)
 

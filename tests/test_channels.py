@@ -94,6 +94,30 @@ def test_scripted_replay_delivers_twice():
     assert act.action == "replay" and act.index == 0
 
 
+def test_scripted_stop_withholds_its_index_and_every_later_one():
+    hp = PublicChannel(AdversaryKnowledge())
+    rng = seeded_rng(0)
+    for i in range(3):
+        hp.send("device", "server", bytes([i]), Atom(f"m{i}"))
+    strategy = Scripted([{"on": 0, "action": "drop"},
+                         {"on": 2, "action": "stop"}])
+    played = []
+    while (act := strategy.decide(hp, rng)) is not None:
+        played.append(act.describe())
+        hp.take(act.index)
+    assert played == ["drop idx=0", "deliver idx=1"]
+    for i in range(3, 5):  # later messages, a retry say, stay withheld too
+        hp.send("device", "server", bytes([i]), Atom(f"m{i}"))
+        assert strategy.decide(hp, rng) is None
+    assert [e.index for e in hp.pending] == [2, 3, 4]
+
+
+@pytest.mark.parametrize("second", ["replay", "stop"])
+def test_scripted_rejects_two_rules_on_one_index(second):
+    with pytest.raises(ValueError, match="two rules on message 0"):
+        Scripted([{"on": 0, "action": "drop"}, {"on": 0, "action": second}])
+
+
 # ---------------------------------------------------------------------------
 # Closure rules
 # ---------------------------------------------------------------------------

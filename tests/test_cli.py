@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from hearthgate import cli
+from hearthgate import cli, harness
 from hearthgate.cli import EXIT_CORRUPT, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from hearthgate.config import load_config
 from hearthgate.ledger import ChannelName
 from hearthgate.payloads import DeviceStatus
-from hearthgate.roles import RevokedDevice
+from hearthgate.roles import DevicePhase, RevokedDevice
 
 
 def run_cli(capsys, argv):
@@ -162,6 +162,28 @@ def test_attack_script_file_counts_every_rejection_kind(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["attack", "--script-file", str(script)])
     assert code == EXIT_OK
     assert "1 rejection(s): Malformed(undecryptable)" in out
+
+
+def test_attack_script_file_stop_withholds_activation(tmp_path, capsys):
+    script = tmp_path / "stop.json"
+    script.write_text('[{"on": 1, "action": "stop"}]')
+    code, out, _ = run_cli(capsys, ["attack", "--script-file", str(script)])
+    assert code == EXIT_OK
+    assert "0 rejection(s): none" in out
+    assert ('properties: {"Authentication": true, "KeypairConfidentiality": '
+            'true, "TokenIntegrity": true}') in out
+    result, _ = harness.run_script_file(str(script))
+    assert [e.index for e in result.world.h_p.pending] == [1]
+    assert result.world.devices[0].phase is DevicePhase.REQUEST_SENT
+
+
+def test_attack_script_file_two_rules_on_one_index(tmp_path, capsys):
+    script = tmp_path / "twice.json"
+    script.write_text('[{"on": 0, "action": "drop"}, '
+                      '{"on": 0, "action": "replay"}]')
+    code, _, err = run_cli(capsys, ["attack", "--script-file", str(script)])
+    assert code == EXIT_USAGE
+    assert err == "attack: two rules on message 0\n"
 
 
 def test_attack_script_file_with_scenario(tmp_path, capsys):

@@ -214,6 +214,19 @@ def test_hybrid_malformed_public_key():
         crypto.hybrid_encrypt(bad, b"hello", rng, NOW)
 
 
+@pytest.mark.parametrize("algo,key", [
+    ("x25519", b"short"),
+    ("ml-kem-512", b"short"),
+    ("ml-kem-512", b"\xff" * 800),  # right length, coefficients not below q
+])
+def test_hybrid_encrypt_to_bad_key_draws_no_randomness(algo, key):
+    rng = rng7()
+    bad = crypto.PublicKey(RoleTag.AUTH_FOR_SERVER, algo, key, NOW, DAY)
+    with pytest.raises(MalformedKey):
+        crypto.hybrid_encrypt(bad, b"hello", rng, NOW)
+    assert rng.bytes(32) == rng7().bytes(32)
+
+
 def test_hybrid_ml_kem_backend_round_trip():
     rng = rng7()
     pair = crypto.kem_keygen(RoleTag.DEVICE_FOR_SERVER, DAY, rng, NOW,

@@ -74,7 +74,7 @@ def test_server_submits_device_record():
     assert receipt is not None
     assert receipt.channel is ChannelName.IDENTITY
     assert receipt.height == 1
-    assert net.verify_chain(ChannelName.IDENTITY)
+    assert net.verify_chain_detail(ChannelName.IDENTITY)[0]
 
 
 def test_manufacturer_cannot_write_identity():
@@ -293,12 +293,12 @@ def test_append_only_history_preserved():
 def test_fresh_chain_verifies():
     rng = seeded_rng(15)
     net, orgs = make_network(rng)
-    assert all(net.verify_chain(c) for c in ChannelName)  # genesis only
+    assert all(net.verify_chain_detail(c)[0] for c in ChannelName)  # genesis only
     tx = make_transaction(ChannelName.DATA, sample_entry(rng),
                           orgs["server-org"], NOW)
     net.submit(tx, NOW)
     net.settle()
-    assert net.verify_chain(ChannelName.DATA)
+    assert net.verify_chain_detail(ChannelName.DATA)[0]
 
 
 def test_single_byte_mutation_sweep_detected():
@@ -468,7 +468,7 @@ def test_cached_encodings_equal_fresh_ones(channel, submitter, sample):
     decoded = ledger.decode_transaction(tx.canonical_bytes)
     assert decoded == tx and decoded.signing_bytes == fresh
     assert net.chains[channel][1].txs == (tx,)
-    assert net.verify_chain(channel)
+    assert net.verify_chain_detail(channel)[0]
 
 
 @pytest.mark.parametrize("change", ["timestamp", "payload"])

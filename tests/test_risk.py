@@ -103,7 +103,7 @@ def test_commit_hook_writes_alert_to_risk_channel():
     assert isinstance(alerts[0], RiskAlert)
     events = watchers.poll()
     assert len(events) == 1
-    assert net.verify_chain(ChannelName.RISK_MANAGEMENT)
+    assert net.verify_chain_detail(ChannelName.RISK_MANAGEMENT)[0]
 
 
 def test_alert_traceable_to_exactly_one_entry():
