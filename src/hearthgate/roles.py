@@ -641,7 +641,9 @@ class Server:
         reg = live[0]
         if reg.consumed:
             raise TokenUnknown("token already consumed", uid=uid_hex, token=digits)
-        reg.consumed = True  # single use, regardless of remaining window
+        # Consumed before the uid check on purpose: a validated token is
+        # single use whatever follows, so a rejection cannot hand it back.
+        reg.consumed = True
 
         entry = self.registry.get(uid_hex)
         if entry is not None and entry.status is DeviceStatus.ACTIVE:

@@ -3,7 +3,8 @@
 The TOTP tests are anchored to an independent oracle implementing the
 published HOTP/TOTP construction (written before the implementation, kept
 separate from it), cross-checked against the public 8-digit SHA-1 reference
-vectors.
+vectors. Ed25519, which runs on libsodium, is checked against
+``cryptography``'s OpenSSL implementation as the reference.
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 from hypothesis import given, settings, strategies as st
 
 from hearthgate import crypto, mlkem, wire
@@ -347,6 +352,131 @@ def test_sign_rejects_malformed_secret():
                            pair.secret_key[:31], NOW, DAY)
     with pytest.raises(MalformedKey):
         crypto.sign(short, b"m", NOW)
+
+
+# ---------------------------------------------------------------------------
+# Ed25519 on libsodium, against OpenSSL as the reference
+# ---------------------------------------------------------------------------
+
+def _reference_verifies(public: bytes, message: bytes, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
+        return True
+    except InvalidSignature:
+        return False
+
+
+def test_keys_and_signatures_equal_the_reference():
+    rng = seeded_rng(1401)
+    for i in range(60):
+        pair = crypto.sig_keygen(RoleTag.ORG_CREDENTIAL, DAY, rng, NOW)
+        reference = Ed25519PrivateKey.from_private_bytes(pair.secret_key)
+        assert pair.public_key == reference.public_key().public_bytes_raw()
+        message = rng.bytes(rng.randrange(300)) if i else b""
+        assert crypto.sign(pair, message, NOW).value == reference.sign(message)
+
+
+def test_verdicts_on_one_bit_flips_agree_with_the_reference():
+    rng = seeded_rng(1402)
+    flips = disagreements = 0
+    for _ in range(100):
+        pair = crypto.sig_keygen(RoleTag.ORG_CREDENTIAL, DAY, rng, NOW)
+        message = rng.bytes(1 + rng.randrange(200))
+        value = crypto.sign(pair, message, NOW).value
+        for _ in range(10):
+            for field in ("signature", "message", "public"):
+                fields = {"signature": value, "message": message,
+                          "public": pair.public_key}
+                data = fields[field]
+                fields[field] = _flip_bit(data, rng.randrange(len(data) * 8))
+                public = crypto.PublicKey(RoleTag.ORG_CREDENTIAL, crypto.SIG_ALGO,
+                                          fields["public"], NOW, DAY)
+                ours = crypto.verify(public, fields["message"], crypto.Signature(
+                    RoleTag.ORG_CREDENTIAL, fields["signature"]), NOW)
+                disagreements += ours != _reference_verifies(
+                    fields["public"], fields["message"], fields["signature"])
+                flips += 1
+    assert (flips, disagreements) == (3000, 0)
+
+
+class _SodiumSpy:
+    """Stands in for the loaded libsodium and records each function looked up."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.lib, name)
+
+
+def test_lengths_are_checked_before_any_libsodium_call(monkeypatch):
+    rng = seeded_rng(1403)
+    pair = crypto.sig_keygen(RoleTag.ORG_CREDENTIAL, DAY, rng, NOW)
+    value = crypto.sign(pair, b"m", NOW).value
+    spy = _SodiumSpy(crypto._sodium)
+    monkeypatch.setattr(crypto, "_sodium", spy)
+    public = crypto.PublicKey(RoleTag.ORG_CREDENTIAL, crypto.SIG_ALGO,
+                              pair.public_key, NOW, DAY)
+    for length in (0, 63, 65):
+        bad = crypto.Signature(RoleTag.ORG_CREDENTIAL, (value * 2)[:length])
+        assert crypto.verify(public, b"m", bad, NOW) is False
+    for length in (31, 33):
+        short = crypto.PublicKey(RoleTag.ORG_CREDENTIAL, crypto.SIG_ALGO,
+                                 (pair.public_key * 2)[:length], NOW, DAY)
+        with pytest.raises(MalformedKey):
+            crypto.verify(short, b"m", crypto.Signature(RoleTag.ORG_CREDENTIAL, value),
+                          NOW)
+    seed = crypto.KeyPair(RoleTag.ORG_CREDENTIAL, crypto.SIG_ALGO, pair.public_key,
+                          pair.secret_key[:31], NOW, DAY)
+    with pytest.raises(MalformedKey):
+        crypto.sign(seed, b"m", NOW)
+    assert spy.calls == []
+    # The spy sees the calls a well-formed check makes.
+    assert crypto.verify(public, b"m", crypto.Signature(RoleTag.ORG_CREDENTIAL, value),
+                         NOW)
+    assert spy.calls == ["crypto_sign_ed25519_verify_detached"]
+
+
+# The identity point (y = 1) as the public key, and R = identity, S = 0 as the
+# signature: [S]B == R + [h]A holds for every message h. OpenSSL accepts the
+# pair; libsodium rejects small-order public keys and R points.
+IDENTITY_POINT = b"\x01" + bytes(31)
+SMALL_ORDER_FORGERY = IDENTITY_POINT + bytes(32)
+
+
+@pytest.mark.parametrize("message", [b"", b"m", bytes(range(256))],
+                         ids=["empty", "one-byte", "256-bytes"])
+def test_small_order_forgery_is_rejected(message):
+    public = crypto.PublicKey(RoleTag.ORG_CREDENTIAL, crypto.SIG_ALGO,
+                              IDENTITY_POINT, NOW, DAY)
+    forged = crypto.Signature(RoleTag.ORG_CREDENTIAL, SMALL_ORDER_FORGERY)
+    assert crypto.verify(public, message, forged, NOW) is False
+
+
+_NO_SODIUM_PROBE = """
+import ctypes, ctypes.util
+
+def missing(name, *args, **kwargs):
+    raise OSError(f"{name}: cannot open shared object file")
+
+ctypes.CDLL = missing
+ctypes.util.find_library = lambda name: None
+try:
+    from hearthgate import crypto
+except ImportError as exc:
+    print(exc)
+"""
+
+
+def test_import_without_libsodium_is_one_import_error():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", _NO_SODIUM_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.startswith("hearthgate needs libsodium for Ed25519")
+    assert "libsodium23" in out and "brew install libsodium" in out
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,22 @@ def test_submit_maps_uncheckable_credentials_to_bad_signature():
         net.submit(tx, 1.0)
 
 
+def test_submit_rejects_a_small_order_forgery():
+    # The identity point registered as a submitter's credential, and the
+    # signature R = identity, S = 0, which that key "verifies" for every
+    # message under a check that admits small-order points.
+    rng = seeded_rng(23)
+    net, orgs = ledger.build_consortium(ledger.CORE_ORGS, rng, 0.0)
+    server = orgs["server-org"]
+    identity_point = b"\x01" + bytes(31)
+    net.membership.register_public("server-org", OrgRole.SERVER, dataclasses.replace(
+        server.credential.public, key=identity_point))
+    tx = make_transaction(ChannelName.DATA, sample_entry(rng), server, 1.0)
+    forged = dataclasses.replace(tx, signature=identity_point + bytes(32))
+    with pytest.raises(BadSignature, match="signature invalid"):
+        net.submit(forged, 1.0)
+
+
 def test_make_transaction_maps_unusable_credentials_to_bad_signature():
     rng = seeded_rng(22)
     _, orgs = ledger.build_consortium(ledger.CORE_ORGS, rng, 0.0)

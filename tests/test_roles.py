@@ -438,6 +438,25 @@ def test_reregistration_after_revocation_uses_fresh_uid():
     assert by_uid[fresh.uid.hex] == [DeviceStatus.ACTIVE]
 
 
+def test_token_is_consumed_even_when_the_uid_is_already_active():
+    w = World()
+    w.onboard()
+    w.auth.phase = AuthPhase.DEVICE_CONNECTED  # previous flow finished
+    deliver_token(w.auth, w.server, w.session_id, w.h_s)
+    twin = Device(w.rng.child("twin"), w.clock, w.trace, w.link, name="device-1")
+    twin.uid = w.device.uid  # claims the identity that is already active
+    provision_device(w.auth, twin)
+    request = twin.build_registration_request()
+    with pytest.raises(Malformed, match="already registered"):
+        w.server.handle_registration(request.message, "device-1")
+    assert w.server.pending[-1].consumed
+    with pytest.raises(TokenUnknown, match="already consumed"):
+        w.server.handle_registration(request.message, "device-1")
+    assert [e.get("detail") for e in w.trace.by_kind(ch.DEVICE_REQUEST_REJECTED)] == [
+        "uid already active", "token already consumed"]
+    assert len(w.trace.by_kind(ch.REGISTRATION_SUCCESS)) == 1
+
+
 def test_registration_success_reuses_issue_nonce_and_token():
     w = World()
     w.onboard()

@@ -34,7 +34,7 @@ SamplePolyCBD_3 of two PRF outputs, the SHAKE-256 calls included. Each
 sample is a loop of KERNEL_LOOP calls.
 
 Results go to ``BENCH_kem.json`` with the machine's Python, ``cryptography``,
-OpenSSL and numpy versions, its usable CPU count and the git commit
+OpenSSL, libsodium and numpy versions, its usable CPU count and the git commit
 (``-dirty`` when tracked files have uncommitted changes). The file keeps one
 run per commit: a run replaces an earlier run of the same commit and keeps
 the others, so a change can commit its parent's numbers next to its own.

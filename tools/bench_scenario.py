@@ -8,8 +8,8 @@ For each KEM backend (``x25519``, ``ml-kem-512``) and each N it runs
 devices onboard in TOTP-step waves and send one data report each. It prints
 registered/total devices and the median wall time per scenario and per
 device, and writes them, each row naming its ``kem``, with the machine's Python,
-``cryptography`` and OpenSSL versions, its usable CPU count and the git
-commit (``-dirty`` when the tree has uncommitted changes) to
+``cryptography``, OpenSSL and libsodium versions, its usable CPU count and
+the git commit (``-dirty`` when the tree has uncommitted changes) to
 ``BENCH_scenario.json``. Times are raw wall clock on this
 machine, not scaled to a reference speed, so they move with its load.
 """
@@ -28,7 +28,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from hearthgate import channels, harness  # noqa: E402
+from hearthgate import channels, crypto, harness  # noqa: E402
 
 SEED = 7
 SIZES = (1, 10, 100, 200)
@@ -47,6 +47,7 @@ def machine_meta() -> dict:
         "python": platform.python_version(),
         "cryptography": cryptography.__version__,
         "openssl": backend.openssl_version_text(),
+        "libsodium": crypto.sodium_version(),  # Ed25519; OpenSSL does the rest
         "nproc": len(os.sched_getaffinity(0)),
         "git_commit": commit.stdout.strip() if commit.returncode == 0 else None,
     }
