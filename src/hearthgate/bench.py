@@ -6,8 +6,9 @@ per-transaction commit latency is measured submit-to-commit.
 
 The generator runs as a discrete-event simulation in virtual time: arrivals
 are scheduled on the same virtual clock the ordering service uses, so a run
-is bit-reproducible from its seed and covers about 27-42 simulated seconds of
-load per wall second (2 cores, CPython 3.11; signature checks dominate).
+is bit-reproducible from its seed and covers about 58-68 simulated seconds of
+load per wall second (2 cores, CPython 3.11; signing dominates, since checking
+a signature this process made is a lookup).
 The service rate ``mu`` is explicit calibration, not a measurement of any
 real deployment.
 """

@@ -15,6 +15,18 @@ signing is deterministic), and its verification also rejects small-order
 public keys and R points. A signing pair's secret key is the 32-byte RFC 8032
 seed either way.
 
+Verifying a signature this process made is a lookup. ``sign`` records each
+signature in a bounded memo (``_SIGNED_ENTRIES``, oldest signing dropped
+first) with the public key libsodium derived from the seed and the signed
+message; ``verify`` answers ``True`` when the memo maps the signature to
+exactly its public key and message, after every other check. A hit equals
+recomputation: RFC 8032 signing is deterministic, and a signature
+libsodium's signer made over a message, with the public key of its seed,
+passes libsodium's verifier (up to the 2^-252 chance of R being the
+identity). Anything else, a tampered byte or a key pair whose stated public
+key is not its seed's, misses and is verified by libsodium. The memo holds
+signatures, public keys and signed messages, no key material.
+
 All randomness comes from an injected :class:`~hearthgate.runtime.Rng` and
 all expiry checks from an injected timestamp, so protocol runs replay
 deterministically.
@@ -26,6 +38,7 @@ import ctypes
 import hashlib
 import hmac
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -155,15 +168,37 @@ def _ed25519_public(key: bytes) -> bytes:
     return bytes(key)
 
 
+#: Entries in the memo of signatures made: every signature of one ``fleet``
+#: benchmark iteration (1,366) three times over, at about 250 bytes each
+#: besides the signed message, which the signer usually keeps anyway.
+_SIGNED_ENTRIES = 4096
+
+#: The signatures ``_ed25519_sign`` made, each mapped to the (public key,
+#: message) it signed, least recently signed first. An OrderedDict drops its
+#: oldest entry in O(1); a plain dict's ``next(iter(...))`` walks over the
+#: slots that earlier drops emptied.
+_signed: OrderedDict[bytes, tuple[bytes, bytes]] = OrderedDict()
+
+
 def _ed25519_sign(secret: bytes, message: bytes) -> bytes:
     out = ctypes.create_string_buffer(ED25519_SIG_LEN)
     _sodium.crypto_sign_ed25519_detached(out, None, message, len(message), secret)
-    return out.raw
+    signature = out.raw
+    # secret is _ed25519_secret's: the seed, then the public key libsodium
+    # derived from it.
+    _signed.pop(signature, None)
+    _signed[signature] = (secret[ED25519_KEY_LEN:],
+                          message if type(message) is bytes else bytes(message))
+    if len(_signed) > _SIGNED_ENTRIES:
+        _signed.popitem(last=False)
+    return signature
 
 
 def _ed25519_verify(public: bytes, message: bytes, signature: bytes) -> bool:
     if len(signature) != ED25519_SIG_LEN:
         return False
+    if _signed.get(signature) == (public, message):
+        return True
     return _sodium.crypto_sign_ed25519_verify_detached(
         signature, message, len(message), public) == 0
 

@@ -28,14 +28,15 @@ one int64 product of the fields with powers of two; at d = 11 a group is 8
 fields in 11 bytes, two words from bytes 0 and 5. SamplePolyCBD_eta is
 ByteDecode_(2 eta) and a 2^(2 eta)-entry table.
 
-Caches (``_CACHE_ENTRIES`` entries each) hold public data only. Two LRU
-caches of read-only arrays hold A-hat by ``rho`` and, per encapsulation key
-passing the modulus check, the rows encryption multiplies by and H(ek); a
-key failing the check raises and is never cached. A memo holds the
-ciphertexts ``encaps`` made, keyed by the digest SHA3-256(m || H(ek)), and
-drops the oldest when full. ``decaps`` looks up its decrypted m' there and
-compares the ciphertext with the memo's instead of encrypting m' again (the
-Fujisaki-Okamoto re-encryption check). A hit equals recomputation: K-PKE's
+Caches hold public data only. Two LRU caches of read-only arrays
+(``_CACHE_ENTRIES`` entries each) hold A-hat by ``rho`` and, per
+encapsulation key passing the modulus check, the rows encryption multiplies
+by and H(ek); a key failing the check raises and is never cached. A memo
+holds the last ``_CIPHERTEXT_ENTRIES`` ciphertexts ``encaps`` made, keyed
+by the digest SHA3-256(m || H(ek)), and drops the oldest when full.
+``decaps`` looks up its decrypted m' there and compares the ciphertext with
+the memo's instead of encrypting m' again (the Fujisaki-Okamoto
+re-encryption check). A hit equals recomputation: K-PKE's
 randomness is r = G(m || H(ek))[32:], so the ciphertext is a function of ek
 and m alone. A tampered ciphertext that still decrypts to m' hits and fails
 the comparison; any other input misses and is encrypted again. ``decaps``
@@ -86,9 +87,12 @@ EK_BYTES = ML_KEM_512.ek_bytes   # 800
 DK_BYTES = ML_KEM_512.dk_bytes   # 1632
 CT_BYTES = ML_KEM_512.ct_bytes   # 768
 
-#: Entries in each public-data cache: about 20 KiB per ML-KEM-512 key, and
-#: one ciphertext (768 bytes) per kept encapsulation.
+#: Entries in each LRU array cache: about 20 KiB per ML-KEM-512 key.
 _CACHE_ENTRIES = 64
+#: Ciphertexts kept for decaps, about 0.9 KiB each for ML-KEM-512. A
+#: scenario encapsulates every device's report before the server
+#: decapsulates any, so a 200-device onboarding needs 200 of them.
+_CIPHERTEXT_ENTRIES = 256
 
 
 def _roots():
@@ -265,7 +269,7 @@ def _encrypt(key, m: bytes, h_ek: bytes, p: ParamSet, keep: bool) -> tuple[bytes
         ct = _pke_encrypt(key, m, expanded[32:], p)
         if keep:
             _ciphertexts[digest] = ct
-            if len(_ciphertexts) > _CACHE_ENTRIES:
+            if len(_ciphertexts) > _CIPHERTEXT_ENTRIES:
                 del _ciphertexts[next(iter(_ciphertexts))]
     return ct, expanded[:32]
 

@@ -376,7 +376,47 @@ def test_keys_and_signatures_equal_the_reference():
         assert crypto.sign(pair, message, NOW).value == reference.sign(message)
 
 
-def test_verdicts_on_one_bit_flips_agree_with_the_reference():
+class _SodiumSpy:
+    """Stands in for the loaded libsodium and records each function looked up."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.lib, name)
+
+
+_VERIFY = "crypto_sign_ed25519_verify_detached"
+
+
+def _libsodium_verifies(public: bytes, message: bytes, signature: bytes) -> bool:
+    return crypto._sodium.crypto_sign_ed25519_verify_detached(
+        signature, message, len(message), public) == 0
+
+
+def test_verifying_own_signatures_equals_recomputation(monkeypatch):
+    rng = seeded_rng(1404)
+    pairs = [crypto.sig_keygen(RoleTag.ORG_CREDENTIAL, DAY, rng, NOW) for _ in range(8)]
+    signed = []
+    for i in range(120):
+        pair = pairs[i % len(pairs)]
+        message = rng.bytes(rng.randrange(300)) if i else b""
+        signed.append((pair, message, crypto.sign(pair, message, NOW)))
+    libsodium = [_libsodium_verifies(pair.public_key, message, sig.value)
+                 for pair, message, sig in signed]
+    reference = [_reference_verifies(pair.public_key, message, sig.value)
+                 for pair, message, sig in signed]
+    spy = _SodiumSpy(crypto._sodium)
+    monkeypatch.setattr(crypto, "_sodium", spy)
+    ours = [crypto.verify(pair.public, message, sig, NOW) for pair, message, sig in signed]
+    assert ours == libsodium == reference == [True] * 120
+    assert spy.calls == []
+
+
+def test_verdicts_on_one_bit_flips_agree_with_the_reference(monkeypatch):
+    spy = _SodiumSpy(crypto._sodium)
+    monkeypatch.setattr(crypto, "_sodium", spy)
     rng = seeded_rng(1402)
     flips = disagreements = 0
     for _ in range(100):
@@ -396,18 +436,8 @@ def test_verdicts_on_one_bit_flips_agree_with_the_reference():
                 disagreements += ours != _reference_verifies(
                     fields["public"], fields["message"], fields["signature"])
                 flips += 1
-    assert (flips, disagreements) == (3000, 0)
-
-
-class _SodiumSpy:
-    """Stands in for the loaded libsodium and records each function looked up."""
-
-    def __init__(self, lib):
-        self.lib, self.calls = lib, []
-
-    def __getattr__(self, name):
-        self.calls.append(name)
-        return getattr(self.lib, name)
+    # Every flip misses the memo of signatures made and reaches libsodium once.
+    assert (flips, disagreements, spy.calls.count(_VERIFY)) == (3000, 0, 3000)
 
 
 def test_lengths_are_checked_before_any_libsodium_call(monkeypatch):
@@ -432,10 +462,47 @@ def test_lengths_are_checked_before_any_libsodium_call(monkeypatch):
     with pytest.raises(MalformedKey):
         crypto.sign(seed, b"m", NOW)
     assert spy.calls == []
-    # The spy sees the calls a well-formed check makes.
-    assert crypto.verify(public, b"m", crypto.Signature(RoleTag.ORG_CREDENTIAL, value),
-                         NOW)
+    # The spy sees the calls a well-formed check makes. The reference signer
+    # makes this signature, over a message crypto.sign never signed, so the
+    # memo of signatures made cannot answer for libsodium.
+    message = b"signed by the reference only"
+    reference = Ed25519PrivateKey.from_private_bytes(pair.secret_key).sign(message)
+    assert crypto.verify(public, message,
+                         crypto.Signature(RoleTag.ORG_CREDENTIAL, reference), NOW)
     assert spy.calls == ["crypto_sign_ed25519_verify_detached"]
+
+
+def test_memo_drops_the_least_recently_signed(monkeypatch):
+    rng = seeded_rng(1405)
+    pair = crypto.sig_keygen(RoleTag.ORG_CREDENTIAL, DAY, rng, NOW)
+    first, refreshed = b"first", b"refreshed"
+    first_sig = crypto.sign(pair, first, NOW)
+    refreshed_sig = crypto.sign(pair, refreshed, NOW)
+    for i in range(crypto._SIGNED_ENTRIES - 1):
+        crypto.sign(pair, b"newer %d" % i, NOW)
+    assert crypto.sign(pair, refreshed, NOW) == refreshed_sig  # signed again: newest
+    crypto.sign(pair, b"one more", NOW)
+    assert len(crypto._signed) == crypto._SIGNED_ENTRIES
+    spy = _SodiumSpy(crypto._sodium)
+    monkeypatch.setattr(crypto, "_sodium", spy)
+    assert crypto.verify(pair.public, refreshed, refreshed_sig, NOW)
+    assert spy.calls == []
+    assert crypto.verify(pair.public, first, first_sig, NOW)
+    assert spy.calls == [_VERIFY]
+
+
+def test_pair_with_a_foreign_public_key_misses_the_memo(monkeypatch):
+    rng = seeded_rng(1406)
+    pair = crypto.sig_keygen(RoleTag.ORG_CREDENTIAL, DAY, rng, NOW)
+    other = crypto.sig_keygen(RoleTag.ORG_CREDENTIAL, DAY, rng, NOW)
+    mismatched = crypto.KeyPair(RoleTag.ORG_CREDENTIAL, crypto.SIG_ALGO,
+                                other.public_key, pair.secret_key, NOW, DAY)
+    sig = crypto.sign(mismatched, b"m", NOW)
+    assert sig == crypto.sign(pair, b"m", NOW)  # signed with the seed's own key
+    spy = _SodiumSpy(crypto._sodium)
+    monkeypatch.setattr(crypto, "_sodium", spy)
+    assert crypto.verify(mismatched.public, b"m", sig, NOW) is False
+    assert spy.calls == [_VERIFY]
 
 
 # The identity point (y = 1) as the public key, and R = identity, S = 0 as the

@@ -253,12 +253,12 @@ def test_memo_bounded_oldest_evicted_and_holds_only_ciphertexts():
     h_ek = hashlib.sha3_256(ek).digest()
     mlkem._ciphertexts.clear()
     made = []
-    for i in range(mlkem._CACHE_ENTRIES + 10):
+    for i in range(mlkem._CIPHERTEXT_ENTRIES + 10):
         m = hashlib.sha256(b"m%d" % i).digest()
         ct, shared = mlkem.encaps(ek, m)
         made.append((m, ct, shared))
-        assert len(mlkem._ciphertexts) == min(i + 1, mlkem._CACHE_ENTRIES)
-    kept = made[-mlkem._CACHE_ENTRIES:]
+        assert len(mlkem._ciphertexts) == min(i + 1, mlkem._CIPHERTEXT_ENTRIES)
+    kept = made[-mlkem._CIPHERTEXT_ENTRIES:]
     assert mlkem._ciphertexts == {hashlib.sha3_256(m + h_ek).digest(): ct
                                   for m, ct, _ in kept}
     secrets = set()   # each m, K and r
@@ -270,6 +270,25 @@ def test_memo_bounded_oldest_evicted_and_holds_only_ciphertexts():
     # Each ciphertext, kept or evicted, still decapsulates to its secret.
     for m, ct, shared in made:
         assert mlkem.decaps(dk, ct) == shared
+
+
+def test_two_hundred_device_onboarding_decapsulates_from_the_memo(monkeypatch):
+    """A scenario encapsulates every device's report before the server
+    decapsulates any; at 200 devices each ciphertext is still in the memo."""
+    from hearthgate import channels, harness
+    found = []
+    encrypt = mlkem._encrypt
+
+    def spy(key, m, h_ek, p, keep):
+        if not keep:
+            found.append(mlkem._h(m + h_ek) in mlkem._ciphertexts)
+        return encrypt(key, m, h_ek, p, keep)
+
+    monkeypatch.setattr(mlkem, "_encrypt", spy)
+    spec = harness.ScenarioSpec(devices=200, reports=(("temperature_c", 21.5, "C"),),
+                                kem_algo="ml-kem-512")
+    harness.run_scenario(spec, channels.DeliverAll(), 7)
+    assert (len(found), found.count(False)) == (1600, 0)
 
 
 def _bitrev7(n: int) -> int:

@@ -15,12 +15,15 @@ encapsulated compares it with the memoised one instead of encrypting again;
 the flipped bit changes ML-KEM's decrypted message (it is the top bit of
 v's last compressed coefficient), so the ``decaps (foreign ciphertext)`` row
 times the full re-encryption check and its implicit rejection. For Ed25519 it
-times keygen, one signature with the new key and the check of that signature
-against a public key decoded from its wire bytes, as a ledger peer or a
-device receives it. The ledger row times ``make_transaction`` plus
-``LedgerNetwork.submit`` (sign, encode, verify, policy and payload checks)
-for REPEATS data-channel transactions. Each row is the median over the
-repeats, in microseconds of wall time on this machine.
+times keygen, one signature with the new key, and two checks against a public
+key decoded from its wire bytes, as a ledger peer or a device receives it:
+``verify_own`` checks the signature just made, which ``crypto``'s memo of
+signatures made answers without libsodium, and ``verify`` checks one the
+reference signer (``cryptography``) made over another message, which
+libsodium verifies. The ledger row times ``make_transaction`` plus
+``LedgerNetwork.submit`` (sign, encode, a ``verify_own``-style check, policy
+and payload checks) for REPEATS data-channel transactions. Each row is the
+median over the repeats, in microseconds of wall time on this machine.
 
 The ``first use`` rows time a fresh interpreter, FRESH_RUNS times per
 backend: importing hearthgate, then the process's first keygen. The ML-KEM
@@ -35,9 +38,10 @@ sample is a loop of KERNEL_LOOP calls.
 
 Results go to ``BENCH_kem.json`` with the machine's Python, ``cryptography``,
 OpenSSL, libsodium and numpy versions, its usable CPU count and the git commit
-(``-dirty`` when tracked files have uncommitted changes). The file keeps one
-run per commit: a run replaces an earlier run of the same commit and keeps
-the others, so a change can commit its parent's numbers next to its own.
+(``-dirty`` when a tracked file other than the ``BENCH_*.json`` results has
+uncommitted changes). The file keeps one run per commit: a run replaces an
+earlier run of the same commit and keeps the others, so a change can commit
+its parent's numbers next to its own.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from bench_scenario import machine_meta  # noqa: E402
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (  # noqa: E402
+    Ed25519PrivateKey,
+)
 from hearthgate import crypto, ledger, wire  # noqa: E402
 from hearthgate.payloads import DataEntry  # noqa: E402
 from hearthgate.runtime import seeded_rng  # noqa: E402
@@ -64,7 +71,7 @@ NOW = 1_700_000_010.0
 BACKENDS = ("x25519", "ml-kem-512")
 KEM_OPS = ("keygen", "encaps", "encaps (same key)", "decaps",
            "decaps (foreign ciphertext)")
-SIG_OPS = ("keygen", "sign", "verify")
+SIG_OPS = ("keygen", "sign", "verify", "verify_own")
 FRESH_RUNS = 5
 KERNEL_LOOP = 100
 OUT = ROOT / "BENCH_kem.json"
@@ -131,13 +138,16 @@ def bench_signatures() -> dict[str, float]:
     for _ in range(REPEATS):
         pair, t_keygen = _timed(crypto.sig_keygen, crypto.RoleTag.ORG_CREDENTIAL,
                                 3600.0, rng, NOW)
-        message = rng.bytes(160)
+        message, foreign_message = rng.bytes(160), rng.bytes(160)
         signature, t_sign = _timed(crypto.sign, pair, message, NOW)
+        foreign = crypto.Signature(pair.role_tag, Ed25519PrivateKey.from_private_bytes(
+            pair.secret_key).sign(foreign_message))
         public = wire.decode_public_key(wire.encode_public_key(pair.public))
-        valid, t_verify = _timed(crypto.verify, public, message, signature, NOW)
-        if not valid:
+        valid, t_verify = _timed(crypto.verify, public, foreign_message, foreign, NOW)
+        valid_own, t_own = _timed(crypto.verify, public, message, signature, NOW)
+        if not (valid and valid_own):
             raise SystemExit("ed25519: signature did not verify")
-        for op, t in zip(SIG_OPS, (t_keygen, t_sign, t_verify)):
+        for op, t in zip(SIG_OPS, (t_keygen, t_sign, t_verify, t_own)):
             samples[op].append(t)
     return _medians(samples)
 

@@ -9,9 +9,10 @@ devices onboard in TOTP-step waves and send one data report each. It prints
 registered/total devices and the median wall time per scenario and per
 device, and writes them, each row naming its ``kem``, with the machine's Python,
 ``cryptography``, OpenSSL and libsodium versions, its usable CPU count and
-the git commit (``-dirty`` when the tree has uncommitted changes) to
-``BENCH_scenario.json``. Times are raw wall clock on this
-machine, not scaled to a reference speed, so they move with its load.
+the git commit (``-dirty`` when a tracked file other than the ``BENCH_*.json``
+results has uncommitted changes) to ``BENCH_scenario.json``. Times are raw
+wall clock on this machine, not scaled to a reference speed, so they move
+with its load.
 """
 
 from __future__ import annotations
@@ -38,18 +39,29 @@ REPORTS = (("temperature_c", 21.5, "C"),)
 OUT = ROOT / "BENCH_scenario.json"
 
 
+def git_commit() -> str | None:
+    """The checked-out commit, ``-dirty`` when a tracked file differs from it.
+    The ``BENCH_*.json`` results are left out of that check: the bench tools
+    write them, so a second run in a clean checkout keeps its clean label."""
+    commit = subprocess.run(["git", "describe", "--always"],
+                            cwd=ROOT, capture_output=True, text=True)
+    if commit.returncode != 0:
+        return None
+    changed = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", ".",
+                              ":(exclude)BENCH_*.json"], cwd=ROOT)
+    return commit.stdout.strip() + ("-dirty" if changed.returncode else "")
+
+
 def machine_meta() -> dict:
     import cryptography
     from cryptography.hazmat.backends.openssl.backend import backend
-    commit = subprocess.run(["git", "describe", "--always", "--dirty"],
-                            cwd=ROOT, capture_output=True, text=True)
     return {
         "python": platform.python_version(),
         "cryptography": cryptography.__version__,
         "openssl": backend.openssl_version_text(),
         "libsodium": crypto.sodium_version(),  # Ed25519; OpenSSL does the rest
         "nproc": len(os.sched_getaffinity(0)),
-        "git_commit": commit.stdout.strip() if commit.returncode == 0 else None,
+        "git_commit": git_commit(),
     }
 
 
