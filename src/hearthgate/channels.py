@@ -6,12 +6,13 @@ a lossless FIFO queue the adversary cannot see). The device-to-server path
 is public: every message enters adversary custody, and delivery happens only
 when an adversary strategy decides it does.
 
-The adversary is symbolic. Alongside the concrete bytes of each observed
-message it records a term describing the plaintext structure, so "what can
-the attacker derive" is computed exactly by a closure over decomposition
-rules rather than guessed from byte matching: tuples split, ciphertexts open
-only when the matching secret key is known, signatures reveal what they sign
-but can never be forged, hashes never invert.
+The adversary is symbolic. For each observed message it records a term
+describing the plaintext structure, so "what can the attacker derive" is
+computed exactly by a closure over decomposition rules rather than guessed
+from byte matching: tuples split, ciphertexts open only when the matching
+secret key is known, signatures reveal what they sign but can never be
+forged, hashes never invert. The concrete bytes stay in custody, where
+replay and tampering take them from.
 """
 
 from __future__ import annotations
@@ -162,21 +163,16 @@ def sym_secret(key_id: str) -> Secret:
 
 
 class AdversaryKnowledge:
-    """Everything the adversary has observed or been granted.
-
-    ``terms`` holds structured knowledge; ``byte_strings`` holds raw wire
-    bytes available for replay and injection.
+    """The Dolev-Yao knowledge set: the terms the adversary has observed or
+    been granted. Its bytes live elsewhere: replay re-sends a custody entry
+    and injection builds its bytes with a strategy's ``forge``.
     """
 
-    def __init__(self, terms: Iterable[Term] = (), byte_strings: Iterable[bytes] = ()):
+    def __init__(self, terms: Iterable[Term] = ()):
         self.terms: set[Term] = set(terms)
-        self.byte_strings: set[bytes] = set(byte_strings)
 
-    def observe(self, data: bytes | None = None, term: Term | None = None) -> None:
-        if data is not None:
-            self.byte_strings.add(data)
-        if term is not None:
-            self.terms.add(term)
+    def observe(self, term: Term) -> None:
+        self.terms.add(term)
 
     def grant(self, *terms: Term) -> None:
         """Hand the adversary knowledge by fiat (compromise fixtures)."""
@@ -208,7 +204,7 @@ def derive_closure(knowledge: AdversaryKnowledge) -> AdversaryKnowledge:
                 if d not in terms:
                     terms.add(d)
                     changed = True
-    return AdversaryKnowledge(terms, knowledge.byte_strings)
+    return AdversaryKnowledge(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +266,7 @@ class PublicChannel:
         self._next_index += 1
         self.pending.append(entry)
         # Observation is immediate: custody means the adversary saw it.
-        self.knowledge.observe(data=data, term=term)
+        self.knowledge.observe(term)
         return entry
 
     def take(self, index: int) -> CustodyEntry:

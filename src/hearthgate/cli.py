@@ -55,7 +55,7 @@ def run_demo(cfg: Config) -> tuple[int, list[str], harness.World]:
     auth, device = world.auths[0], world.devices[0]
     h_s = world.h_s[auth.name]
     network.register_device_origin(device.uid.hex, "acme-devices")
-    fire_sub = network.subscribe(ChannelName.RISK_MANAGEMENT, None, "fire-dept")
+    fire_sub = network.subscribe(ChannelName.RISK_MANAGEMENT, "fire-dept")
     session_id = None
     replies = []
     step_no = 0
@@ -123,7 +123,7 @@ def run_demo(cfg: Config) -> tuple[int, list[str], harness.World]:
             "temperature_c", 82.0, "C").message)
         network.settle()
         data_h = len(network.chains[ChannelName.DATA]) - 1
-        alerts = network.query(ChannelName.RISK_MANAGEMENT, None, "server-org")
+        alerts = network.query(ChannelName.RISK_MANAGEMENT, "server-org")
         events = fire_sub.poll()
         if not alerts:
             return (f"temperature_c=82.0 C committed (data height {data_h}); "
@@ -137,7 +137,7 @@ def run_demo(cfg: Config) -> tuple[int, list[str], harness.World]:
     def s_revoke():
         server.handle_revocation(auth.build_revocation(device.uid.hex))
         statuses = [r.status.value for r in
-                    network.query(ChannelName.IDENTITY, None, "server-org")]
+                    network.query(ChannelName.IDENTITY, "server-org")]
         return (f"device deactivated; key added to the revocation list; "
                 f"identity records: {','.join(statuses)}")
 

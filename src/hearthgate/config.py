@@ -54,6 +54,17 @@ _SCHEMA = {
 _POSITIVE = {"totp_step", "key_ttl", "mu", "max_block_txs", "block_interval"}
 
 
+def is_json_type(value, kind: str) -> bool:
+    """Whether a decoded JSON value has the type an input file declares for
+    it (``bool`` is an ``int`` to Python, but not a number here)."""
+    if kind == "bool":
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, {"int": int, "float": (int, float), "str": str,
+                              "list": list}[kind])
+
+
 def _parse_access_value(key: str, value: str) -> tuple[tuple, dict]:
     try:
         channel_s, role_s = key.split(".")
@@ -121,14 +132,19 @@ def load_config(path: str | None = None,
         rest = name[len(ENV_PREFIX):]
         section, _, key = rest.partition("_")
         section = section.lower()
+        # Channel names and keys may themselves contain underscores, so the
+        # key is matched against the known names.
         if section == "access":
-            # HEARTHGATE_ACCESS_DATA_MANUFACTURER=all -> data.manufacturer
-            channel, _, role = key.partition("_")
-            _assign(cfg, "access", f"{channel.lower()}.{role.lower()}", raw)
+            # HEARTHGATE_ACCESS_RISK_MANAGEMENT_INSURER -> risk_management.insurer
+            channel = next((c.value for c in ChannelName
+                            if key.startswith(c.value.upper() + "_")), None)
+            if channel is None:
+                raise ConfigError(f"unknown environment override {name}")
+            role = key[len(channel) + 1:].lower()
+            _assign(cfg, "access", f"{channel}.{role}", raw)
             continue
         if section not in _SCHEMA:
             raise ConfigError(f"unknown environment override {name}")
-        # Keys may themselves contain underscores; match greedily.
         candidates = [k for k in _SCHEMA[section] if k.upper() == key]
         if not candidates:
             raise ConfigError(f"unknown environment override {name}")

@@ -603,13 +603,6 @@ class PseudoUuid:
 
 
 @dataclass(frozen=True)
-class LongLivedToken:
-    """The 32-byte device token issued at registration."""
-
-    value: bytes  # 32 bytes
-
-
-@dataclass(frozen=True)
 class LinkKey:
     """Symmetric key pre-provisioned between authenticator and device."""
 
@@ -628,8 +621,9 @@ def gen_pseudo_uuid(rng: Rng) -> PseudoUuid:
     return PseudoUuid(rng.bytes(UUID_LEN))
 
 
-def gen_long_lived_token(rng: Rng) -> LongLivedToken:
-    return LongLivedToken(rng.bytes(DEVICE_TOKEN_LEN))
+def gen_long_lived_token(rng: Rng) -> bytes:
+    """The 32-byte device token issued at registration."""
+    return rng.bytes(DEVICE_TOKEN_LEN)
 
 
 def gen_link_key(rng: Rng) -> LinkKey:

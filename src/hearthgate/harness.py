@@ -40,6 +40,7 @@ from .channels import (
     sig_secret,
     sym_secret,
 )
+from .config import is_json_type
 from .roles import (
     Authenticator,
     Device,
@@ -77,7 +78,6 @@ class ScenarioSpec:
     mu: float = 200.0
     max_block_txs: int = 50
     block_interval: float = 0.1
-    api_address: str = "https://home.example/api"
 
     def validate(self) -> None:
         if self.devices < 1:
@@ -88,16 +88,6 @@ class ScenarioSpec:
             crypto.kem_backend(self.kem_algo)
         except crypto.MalformedKey as exc:
             raise ScenarioInvalid(str(exc)) from None
-
-
-def _is_json(value, kind: str) -> bool:
-    """Whether a decoded JSON value has the type a scenario field declares
-    (``bool`` is an ``int`` to Python, but not a number here)."""
-    if kind == "bool":
-        return isinstance(value, bool)
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, {"int": int, "float": (int, float), "str": str}[kind])
 
 
 def load_scenario(path: str) -> ScenarioSpec:
@@ -113,11 +103,11 @@ def load_scenario(path: str) -> ScenarioSpec:
         if name == "reports":
             if not isinstance(value, list) or not all(
                     isinstance(r, list) and len(r) == 3
-                    and _is_json(r[0], "str") and _is_json(r[1], "float")
-                    and _is_json(r[2], "str") for r in value):
+                    and is_json_type(r[0], "str") and is_json_type(r[1], "float")
+                    and is_json_type(r[2], "str") for r in value):
                 raise ScenarioInvalid(
                     "reports must be a list of [metric, number, unit] triples")
-        elif not _is_json(value, fields[name].type):
+        elif not is_json_type(value, fields[name].type):
             raise ScenarioInvalid(f"{name} must be of type "
                                   f"{fields[name].type}, got {value!r}")
     if "reports" in raw:
@@ -168,8 +158,8 @@ class World:
 
         self.server = Server(self.rng.child("server"), self.clock, self.trace,
                              network=self.network, identity=self.orgs["server-org"],
-                             api_address=spec.api_address, kem_algo=spec.kem_algo,
-                             key_ttl=spec.key_ttl, totp_step=spec.totp_step)
+                             kem_algo=spec.kem_algo, key_ttl=spec.key_ttl,
+                             totp_step=spec.totp_step)
         self.auths: list[Authenticator] = []
         self.devices: list[Device] = []
         self.h_s: dict[str, SecureChannel] = {}
@@ -245,7 +235,6 @@ class World:
             mutated = bytearray(entry.data)
             bit = act.bit % (len(mutated) * 8)
             mutated[bit // 8] ^= 1 << (bit % 8)
-            self.knowledge.observe(data=bytes(mutated))
             self.dispatch(entry.dst, bytes(mutated), entry.src)
         elif act.action == "delay":
             entry = self.h_p.take(act.index)
@@ -380,8 +369,7 @@ def _wave_size(world: World) -> int:
     return max(1, int((edge - now) // per_device))
 
 
-def run_scenario(spec: ScenarioSpec, adversary, seed: int,
-                 rules: list[risk.ThresholdRule] | None = None) -> RunResult:
+def run_scenario(spec: ScenarioSpec, adversary, seed: int) -> RunResult:
     """Run one scenario under an adversary strategy.
 
     Devices onboard in waves that each fit in one TOTP step: a wave is
@@ -391,10 +379,10 @@ def run_scenario(spec: ScenarioSpec, adversary, seed: int,
     ``world -> strategy`` for strategies that need run context. The callable
     runs once, after the first wave is provisioned and before any
     registration is sent, so it can forge messages from provisioned state.
-    Deterministic: the same (spec, adversary, seed) produces a byte-identical
-    trace.
+    Alerts come from ``risk.DEFAULT_RULES``. Deterministic: the same (spec,
+    adversary, seed) produces a byte-identical trace.
     """
-    world = World(spec, seed, rules=rules, direct=adversary is None)
+    world = World(spec, seed, direct=adversary is None)
     strategy = adversary
 
     pairs = list(zip(world.auths, world.devices))
@@ -630,12 +618,12 @@ def load_attack_rules(path: str) -> list[dict]:
         if rule["action"] not in ch.SCRIPT_ACTIONS:
             raise ScenarioInvalid(f"rule {i}: unknown action {rule['action']!r}")
         for key in ("on", "bit", "seconds"):
-            if key in rule and not _is_json(rule[key], "int"):
+            if key in rule and not is_json_type(rule[key], "int"):
                 raise ScenarioInvalid(f"rule {i}: {key!r} must be an integer, "
                                       f"got {rule[key]!r}")
         if rule["action"] == "inject":
-            if not (_is_json(rule.get("dst"), "str")
-                    and _is_json(rule.get("data_hex"), "str")):
+            if not (is_json_type(rule.get("dst"), "str")
+                    and is_json_type(rule.get("data_hex"), "str")):
                 raise ScenarioInvalid(
                     f"rule {i}: inject needs string 'dst' and 'data_hex'")
             rule["data"] = bytes.fromhex(rule.pop("data_hex"))

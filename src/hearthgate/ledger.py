@@ -111,11 +111,8 @@ class MembershipRegistry:
     def __init__(self):
         self._orgs: dict[str, tuple[OrgRole, crypto.PublicKey]] = {}
 
-    def register(self, identity: OrgIdentity) -> None:
-        self._orgs[identity.org_id] = (identity.role, identity.credential.public)
-
-    def register_public(self, org_id: str, role: OrgRole,
-                        credential: crypto.PublicKey) -> None:
+    def register(self, org_id: str, role: OrgRole,
+                 credential: crypto.PublicKey) -> None:
         self._orgs[org_id] = (role, credential)
 
     def lookup(self, org_id: str) -> tuple[OrgRole, crypto.PublicKey]:
@@ -301,17 +298,10 @@ class _OrderingService:
 class SubscriptionHandle:
     """Delivery queue for one subscriber; committed txs arrive exactly once."""
 
-    def __init__(self, sub_id: int, channel: ChannelName, org_id: str,
-                 matcher: Callable[[Payload], bool] | None):
-        self.sub_id = sub_id
+    def __init__(self, channel: ChannelName, org_id: str):
         self.channel = channel
         self.org_id = org_id
-        self._matcher = matcher
         self._queue: deque[tuple[CommitReceipt, Payload]] = deque()
-
-    def _offer(self, receipt: CommitReceipt, payload: Payload) -> None:
-        if self._matcher is None or self._matcher(payload):
-            self._queue.append((receipt, payload))
 
     def poll(self) -> list[tuple[CommitReceipt, Payload]]:
         out = list(self._queue)
@@ -338,7 +328,6 @@ class LedgerNetwork:
             self._access.update(access_overrides)
         self._receipts: dict[int, CommitReceipt] = {}
         self._next_seq = 0
-        self._next_sub = 0
         self._subs: list[SubscriptionHandle] = []
         self._risk_hook: Callable | None = None
         self.device_origins: dict[str, str] = {}  # uid hex -> manufacturer org
@@ -348,7 +337,8 @@ class LedgerNetwork:
     def _perm(self, channel: ChannelName, role: OrgRole) -> dict:
         return self._access.get((channel, role), {"read": READ_NONE, "write": False})
 
-    def _check_write(self, channel: ChannelName, org_id: str) -> None:
+    def check_write(self, channel: ChannelName, org_id: str) -> None:
+        """Raise ``PolicyDenied`` unless ``org_id``'s role may write ``channel``."""
         role, _ = self.membership.lookup(org_id)
         if not self._perm(channel, role)["write"]:
             raise PolicyDenied(
@@ -375,7 +365,7 @@ class LedgerNetwork:
                 f"submitter {tx.submitter} signature not checkable: {exc}") from exc
         if not valid:
             raise BadSignature(f"submitter {tx.submitter} signature invalid")
-        self._check_write(tx.channel, tx.submitter)
+        self.check_write(tx.channel, tx.submitter)
         expected = _CHANNEL_PAYLOADS[tx.channel]
         if not isinstance(tx.payload, expected):
             raise InvalidPayload(
@@ -429,7 +419,7 @@ class LedgerNetwork:
                     continue
                 if mode == READ_OWN and not self._owns(sub.org_id, tx.payload):
                     continue
-                sub._offer(receipt, tx.payload)
+                sub._queue.append((receipt, tx.payload))
             if channel is ChannelName.DATA and self._risk_hook is not None:
                 self._risk_hook(tx.payload, receipt)
         return receipts
@@ -439,23 +429,14 @@ class LedgerNetwork:
 
     # -- reads ----------------------------------------------------------------
 
-    def query(self, channel: ChannelName,
-              predicate: Callable[[Payload], bool] | None,
-              org_id: str) -> list[Payload]:
+    def query(self, channel: ChannelName, org_id: str) -> list[Payload]:
         mode = self._read_mode(channel, org_id)
         if mode == READ_NONE:
             role, _ = self.membership.lookup(org_id)
             raise PolicyDenied(
                 f"role {role.value} may not read channel {channel.value}")
-        out = []
-        for block in self.chains[channel]:
-            for tx in block.txs:
-                payload = tx.payload
-                if mode == READ_OWN and not self._owns(org_id, payload):
-                    continue
-                if predicate is None or predicate(payload):
-                    out.append(payload)
-        return out
+        return [tx.payload for block in self.chains[channel] for tx in block.txs
+                if mode != READ_OWN or self._owns(org_id, tx.payload)]
 
     def _owns(self, org_id: str, payload: Payload) -> bool:
         uid = getattr(payload, "device_uid", None)
@@ -467,25 +448,17 @@ class LedgerNetwork:
         self.membership.lookup(org_id)
         self.device_origins[device_uid_hex] = org_id
 
-    def subscribe(self, channel: ChannelName,
-                  matcher: Callable[[Payload], bool] | None,
-                  org_id: str) -> SubscriptionHandle:
+    def subscribe(self, channel: ChannelName, org_id: str) -> SubscriptionHandle:
         if self._read_mode(channel, org_id) == READ_NONE:
             role, _ = self.membership.lookup(org_id)
             raise PolicyDenied(
                 f"role {role.value} may not subscribe to channel {channel.value}")
-        handle = SubscriptionHandle(self._next_sub, channel, org_id, matcher)
-        self._next_sub += 1
+        handle = SubscriptionHandle(channel, org_id)
         self._subs.append(handle)
         return handle
 
     def attach_risk_hook(self, hook: Callable[[DataEntry, CommitReceipt], None]) -> None:
         self._risk_hook = hook
-
-    # -- verification -----------------------------------------------------------
-
-    def verify_chain_detail(self, channel: ChannelName) -> tuple[bool, int, str]:
-        return verify_blocks(self.chains[channel], channel, self.membership)
 
 
 # The organizations every consortium holds: the server writes identity and
@@ -507,7 +480,7 @@ def build_consortium(orgs: Iterable[tuple[str, OrgRole]], rng: Rng, now: float,
         credential = crypto.sig_keygen(crypto.RoleTag.ORG_CREDENTIAL,
                                        ORG_CREDENTIAL_TTL, rng, now)
         identities[org_id] = OrgIdentity(org_id, role, credential)
-        membership.register(identities[org_id])
+        membership.register(org_id, role, credential.public)
     return LedgerNetwork(membership, **network_params), identities
 
 
@@ -593,7 +566,7 @@ def load_snapshot(path: str) -> tuple[MembershipRegistry, dict[ChannelName, list
         try:
             if kind == "O":
                 org_id, role, credential = _decode_org(base64.b64decode(rest, validate=True))
-                membership.register_public(org_id, role, credential)
+                membership.register(org_id, role, credential)
             elif kind == "B":
                 channel_s, height_s, hash_hex, blob = rest.split(" ", 3)
                 block = decode_block(base64.b64decode(blob, validate=True))

@@ -3,23 +3,26 @@
 Rules are static comparators loaded from configuration. The engine runs
 synchronously when a data entry commits (invoked by the ledger's commit
 hook under a dedicated risk-engine identity), so alert ordering is
-deterministic given transaction order. Homeowners can add notification
-targets to a rule; alerts terminate at ledger events.
+deterministic given transaction order. Each rule names its notification
+targets in the rule file (``[risk] rules``); alerts terminate at ledger
+events.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
+from .config import is_json_type
 from .ledger import (
     ChannelName,
     CommitReceipt,
     LedgerNetwork,
     OrgIdentity,
     OrgRole,
+    PolicyDenied,
     make_transaction,
 )
 from .payloads import DataEntry, RiskAlert
@@ -28,10 +31,6 @@ from .payloads import DataEntry, RiskAlert
 class Comparator(Enum):
     ABOVE = "above"
     BELOW = "below"
-
-
-class UnknownRole(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,8 @@ class ThresholdRule:
     def __post_init__(self):
         if not math.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
+        if not self.metric or not self.severity:
+            raise ValueError("metric and severity must be nonempty")
         if not self.targets:
             raise ValueError("rule needs at least one notification target")
 
@@ -86,31 +87,14 @@ class RiskEngine:
         self.rules = list(rules)
         self.identity = identity
 
-    def register_contacts(self, contacts: dict[str, list[str]]) -> list[ThresholdRule]:
-        """Add notification targets per metric; returns the updated rules.
-
-        Unknown role names and empty target lists are rejected. Adding an
-        already-present target is a no-op, so re-registration is idempotent.
-        """
-        resolved: dict[str, list[OrgRole]] = {}
-        for metric, names in contacts.items():
-            if not names:
-                raise UnknownRole(f"metric {metric!r}: at least one target required")
-            roles = []
-            for name in names:
-                try:
-                    roles.append(OrgRole(name))
-                except ValueError:
-                    raise UnknownRole(f"unknown organization role {name!r}") from None
-            resolved[metric] = roles
-        for i, rule in enumerate(self.rules):
-            extra = [r for r in resolved.get(rule.metric, []) if r not in rule.targets]
-            if extra:
-                self.rules[i] = replace(rule, targets=rule.targets + tuple(extra))
-        return list(self.rules)
-
     def attach(self, network: LedgerNetwork) -> None:
-        """Wire this engine into the network's data-commit path."""
+        """Wire this engine into the network's data-commit path. A network
+        whose access map bars it from writing alerts is refused here, as an
+        alert refused later would stop a data block's commit partway."""
+        try:
+            network.check_write(ChannelName.RISK_MANAGEMENT, self.identity.org_id)
+        except PolicyDenied as exc:
+            raise ValueError(f"risk engine cannot write alerts: {exc}") from None
 
         def hook(entry: DataEntry, receipt: CommitReceipt) -> None:
             alert = evaluate(entry, self.rules,
@@ -123,9 +107,14 @@ class RiskEngine:
         network.attach_risk_hook(hook)
 
 
+_RULE_FIELDS = {"metric": "str", "comparator": "str", "threshold": "float",
+                "unit": "str", "severity": "str", "targets": "list"}
+
+
 def load_rules(path: str) -> list[ThresholdRule]:
     """Load rules from a JSON list of {metric, comparator, threshold, severity,
-    unit, targets} objects."""
+    unit, targets} objects; ``targets`` lists the role names to notify.
+    A field of the wrong JSON type is a ``ValueError`` naming its rule."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
@@ -133,6 +122,12 @@ def load_rules(path: str) -> list[ThresholdRule]:
     rules = []
     for i, item in enumerate(raw):
         try:
+            if not isinstance(item, dict):
+                raise ValueError(f"must be a JSON object, got {item!r}")
+            for key, kind in _RULE_FIELDS.items():
+                if key in item and not is_json_type(item[key], kind):
+                    raise ValueError(f"{key} must be of type {kind}, "
+                                     f"got {item[key]!r}")
             rules.append(ThresholdRule(
                 metric=item["metric"],
                 comparator=Comparator(item["comparator"]),

@@ -479,20 +479,23 @@ class RegistryEntry:
     activation_term: Term
 
 
+# The API address a server hands out with each transient token.
+API_ADDRESS = "https://home.example/api"
+
+
 class Server:
     """Analytics-provider backend: sessions, registrations, registry, CRL,
     and the gateway to the ledger."""
 
     def __init__(self, rng: Rng, clock, trace: Trace, network: LedgerNetwork,
-                 identity: OrgIdentity, api_address: str = "https://home.example/api",
-                 kem_algo: str = crypto.DEFAULT_KEM, key_ttl: float = 86_400.0,
-                 totp_step: int = crypto.TOTP_STEP):
+                 identity: OrgIdentity, kem_algo: str = crypto.DEFAULT_KEM,
+                 key_ttl: float = 86_400.0, totp_step: int = crypto.TOTP_STEP):
         self.rng = rng
         self.clock = clock
         self.trace = trace
         self.network = network
         self.identity = identity
-        self.api_address = api_address
+        self.api_address = API_ADDRESS
         self.kem_algo = kem_algo
         self.key_ttl = key_ttl
         self.totp_step = totp_step
@@ -678,10 +681,10 @@ class Server:
         server_keys = crypto.generate_role_keys(RoleTag.SERVER_FOR_DEVICE,
                                                 self.key_ttl, self.rng, now,
                                                 kem_algo=self.kem_algo)
-        term = activation_term(device_token.value, server_keys.public)
+        term = activation_term(device_token, server_keys.public)
         entry = RegistryEntry(
             uid_hex=uid_hex, device_public=device_public,
-            server_keys=server_keys, device_token=device_token.value,
+            server_keys=server_keys, device_token=device_token,
             status=DeviceStatus.ACTIVE, activation_term=term)
         self._commit_record(entry, session.auth_public, DeviceStatus.ACTIVE, now)
         replaced = self.registry.get(uid_hex)
@@ -696,7 +699,7 @@ class Server:
 
         activation = wire.ActivationResponse(crypto.hybrid_encrypt(
             device_public.kem,
-            wire.encode_activation_payload(device_token.value, server_keys.public),
+            wire.encode_activation_payload(device_token, server_keys.public),
             self.rng, now))
         notice = wire.ConnectedNotice(crypto.hybrid_encrypt(
             session.auth_public.kem,
@@ -800,16 +803,6 @@ class Server:
         entry.device_token = None  # long-lived token invalidated
         self.crl.add(entry.device_public.kem.key)
         self.trace.record(self.name, ch.DEVICE_REVOKED, uid=uid_hex)
-
-    # -- invariants ------------------------------------------------------------------
-
-    def registry_crl_disjoint(self) -> bool:
-        """No device key may be both actively registered and revoked."""
-        for entry in self.registry.values():
-            if entry.status is DeviceStatus.ACTIVE and \
-                    entry.device_public.kem.key in self.crl:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -334,16 +334,6 @@ Message = Union[
     RevocationRequest,
 ]
 
-_HYBRID_VARIANTS = {
-    0x03: NonceResponse,
-    0x04: TokenDelivery,
-    0x06: RegistrationRequest,
-    0x07: ActivationResponse,
-    0x08: ConnectedNotice,
-    0x09: DataReport,
-    0x0A: RevocationRequest,
-}
-
 _TAGS = {
     SessionHello: 0x01,
     NonceChallenge: 0x02,
@@ -356,6 +346,10 @@ _TAGS = {
     DataReport: 0x09,
     RevocationRequest: 0x0A,
 }
+
+# The messages whose one field is a hybrid ciphertext, by tag.
+_HYBRID_VARIANTS = {tag: cls for cls, tag in _TAGS.items()
+                    if "ciphertext" in cls.__dataclass_fields__}
 
 
 def encode(message: Message) -> bytes:

@@ -134,8 +134,7 @@ def test_criterion_4_lifecycle_ledger_state(tmp_path):
     cfg.snapshot = str(tmp_path / "lifecycle.snapshot")
     code, _, world = cli.run_demo(cfg)
     device = world.devices[0]
-    records = [r for r in world.network.query(ChannelName.IDENTITY, None,
-                                              "server-org")
+    records = [r for r in world.network.query(ChannelName.IDENTITY, "server-org")
                if r.device_uid.hex() == device.uid.hex]
     statuses = [r.status for r in records]
     crl_ok = device.keys.kem.public_key in world.server.crl
@@ -197,7 +196,7 @@ def test_criterion_6_risk_alerting():
     net, orgs = make_network(rng)
     engine = RiskEngine(list(DEFAULT_RULES), orgs["risk-engine"])
     engine.attach(net)
-    subs = {org: net.subscribe(ChannelName.RISK_MANAGEMENT, None, org)
+    subs = {org: net.subscribe(ChannelName.RISK_MANAGEMENT, org)
             for org in ("server-org", "fire-dept", "homesure")}
     t = NOW
     for value in (82.0, 21.0, 95.0):  # two alerts, one quiet reading
@@ -207,7 +206,7 @@ def test_criterion_6_risk_alerting():
                                     orgs["server-org"], t), t)
         t += 1.0
     net.settle()
-    alerts = net.query(ChannelName.RISK_MANAGEMENT, None, "server-org")
+    alerts = net.query(ChannelName.RISK_MANAGEMENT, "server-org")
     polled = {org: handle.poll() for org, handle in subs.items()}
     counts = {org: len(events) for org, events in polled.items()}
     orders = {org: [p.observed for _, p in events]

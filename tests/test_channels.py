@@ -51,13 +51,11 @@ def test_secure_channel_recv_from_empty_queue():
 def test_secure_traffic_invisible_to_adversary():
     knowledge = AdversaryKnowledge()
     before_terms = set(knowledge.terms)
-    before_bytes = set(knowledge.byte_strings)
     hs = SecureChannel("authenticator", "server")
     for i in range(20):
         hs.send("authenticator", f"secret-{i}")
         hs.recv("server")
     assert knowledge.terms == before_terms
-    assert knowledge.byte_strings == before_bytes
 
 
 def test_public_channel_observation_is_immediate():
@@ -65,7 +63,7 @@ def test_public_channel_observation_is_immediate():
     hp = PublicChannel(knowledge)
     entry = hp.send("device", "server", b"ciphertext-bytes",
                     Enc("k1", Secret("payload")))
-    assert b"ciphertext-bytes" in knowledge.byte_strings
+    assert entry.data == b"ciphertext-bytes"
     assert Enc("k1", Secret("payload")) in knowledge.terms
     assert hp.pending == [entry]
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hearthgate import cli, harness
+from hearthgate import cli, harness, ledger
 from hearthgate.cli import EXIT_CORRUPT, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from hearthgate.config import load_config
 from hearthgate.ledger import ChannelName
@@ -66,7 +66,7 @@ def test_demo_lifecycle_state(tmp_path):
     code, _, world = cli.run_demo(cfg)
     assert code == EXIT_OK
     device = world.devices[0]
-    records = world.network.query(ChannelName.IDENTITY, None, "server-org")
+    records = world.network.query(ChannelName.IDENTITY, "server-org")
     uid_records = [r for r in records if r.device_uid.hex() == device.uid.hex]
     assert [r.status for r in uid_records] == [DeviceStatus.ACTIVE,
                                                DeviceStatus.DEACTIVATED]
@@ -84,6 +84,54 @@ def test_demo_with_post_quantum_backend(tmp_path, capsys):
     assert code == EXIT_OK
     assert "kem ml-kem-512" in out
     assert "demo complete" in out
+
+
+HOT_RULE = {"metric": "temperature_c", "comparator": "above", "threshold": 60,
+            "unit": "C", "severity": "high", "targets": ["emergency_service"]}
+
+
+@pytest.fixture
+def ledger_submits(monkeypatch) -> list:
+    """Every transaction submitted to any ledger network."""
+    submits = []
+    submit = ledger.LedgerNetwork.submit
+
+    def recorded(network, tx, now):
+        submits.append(tx)
+        return submit(network, tx, now)
+
+    monkeypatch.setattr(ledger.LedgerNetwork, "submit", recorded)
+    return submits
+
+
+@pytest.mark.parametrize("rules, message", [
+    ([dict(HOT_RULE, severity=5)], "rule 0: severity must be of type str, got 5"),
+    ([HOT_RULE, "hot"], "rule 1: must be a JSON object, got 'hot'"),
+])
+def test_demo_refuses_mistyped_rules(tmp_path, capsys, ledger_submits, rules,
+                                     message):
+    (tmp_path / "rules.json").write_text(json.dumps(rules))
+    conf = tmp_path / "hg.conf"
+    conf.write_text(f"[risk]\nrules = {tmp_path / 'rules.json'}\n"
+                    f"[demo]\nsnapshot = {tmp_path / 'x.snapshot'}\n")
+    code, out, err = run_cli(capsys, ["demo", "--config", str(conf)])
+    assert code == EXIT_USAGE
+    assert err == f"error: {message}\n"
+    assert out == "" and ledger_submits == []
+    assert not (tmp_path / "x.snapshot").exists()
+
+
+def test_demo_refuses_access_map_barring_risk_engine(tmp_path, capsys,
+                                                     ledger_submits):
+    conf = tmp_path / "hg.conf"
+    conf.write_text("[access]\nrisk_management.risk_engine = none\n"
+                    f"[demo]\nsnapshot = {tmp_path / 'x.snapshot'}\n")
+    code, out, err = run_cli(capsys, ["demo", "--config", str(conf)])
+    assert code == EXIT_USAGE
+    assert err == ("error: risk engine cannot write alerts: role risk_engine "
+                   "may not write to channel risk_management\n")
+    assert out == "" and ledger_submits == []
+    assert not (tmp_path / "x.snapshot").exists()
 
 
 def test_verify_ledger_missing_file(capsys):

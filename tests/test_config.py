@@ -4,7 +4,7 @@ import pytest
 
 from hearthgate import crypto
 from hearthgate.config import Config, ConfigError, load_config
-from hearthgate.ledger import READ_ALL, ChannelName, OrgRole
+from hearthgate.ledger import READ_ALL, READ_NONE, ChannelName, OrgRole
 
 
 def test_defaults():
@@ -100,6 +100,21 @@ def test_access_overrides(tmp_path):
     assert cfg.access_overrides[
         (ChannelName.IDENTITY, OrgRole.INSURER)] == \
         {"read": READ_ALL, "write": True}
+
+
+def test_env_access_override_channel_with_underscore():
+    cfg = load_config(None, env={
+        "HEARTHGATE_ACCESS_RISK_MANAGEMENT_INSURER": "none",
+        "HEARTHGATE_ACCESS_DATA_EMERGENCY_SERVICE": "all"})
+    assert cfg.access_overrides == {
+        (ChannelName.RISK_MANAGEMENT, OrgRole.INSURER):
+            {"read": READ_NONE, "write": False},
+        (ChannelName.DATA, OrgRole.EMERGENCY_SERVICE):
+            {"read": READ_ALL, "write": False}}
+    for name in ("HEARTHGATE_ACCESS_RISK_INSURER",
+                 "HEARTHGATE_ACCESS_RISK_MANAGEMENT_PLUMBER"):
+        with pytest.raises(ConfigError):
+            load_config(None, env={name: "all"})
 
 
 def test_access_override_bad_role(tmp_path):

@@ -673,7 +673,7 @@ def test_pseudo_uuid_reproducible_under_seed():
 
 def test_long_lived_tokens_unique():
     rng = rng7()
-    seen = {crypto.gen_long_lived_token(rng).value for _ in range(10_000)}
+    seen = {crypto.gen_long_lived_token(rng) for _ in range(10_000)}
     assert len(seen) == 10_000
 
 

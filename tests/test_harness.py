@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import registry_crl_disjoint
 from hearthgate import channels as ch
 from hearthgate import harness, wire
 from hearthgate.channels import (
     AdversaryKnowledge,
     DeliverAll,
+    PublicChannel,
     Trace,
     derive_closure,
     kem_secret,
@@ -30,6 +32,20 @@ from hearthgate.harness import (
     run_scenario,
 )
 from hearthgate.roles import DevicePhase
+
+
+@pytest.fixture
+def public_sends(monkeypatch) -> list[tuple]:
+    """Every ``(src, dst, data, term)`` sent on a public channel."""
+    sends = []
+    send = PublicChannel.send
+
+    def recorded(channel, *args):
+        sends.append(args)
+        return send(channel, *args)
+
+    monkeypatch.setattr(PublicChannel, "send", recorded)
+    return sends
 
 
 def honest_spec(**kw) -> ScenarioSpec:
@@ -67,13 +83,15 @@ def test_deliver_all_transparent_versus_direct_wiring():
             is DevicePhase.ACTIVE)
 
 
-def test_honest_closure_contains_no_protected_secret():
+def test_honest_closure_contains_no_protected_secret(public_sends):
     # Runtime form of the confidentiality property over a full public transcript.
     result = run_scenario(honest_spec(), DeliverAll(), seed=11)
     closure = derive_closure(result.knowledge)
     assert result.protected
     assert not (result.protected & closure.terms)
-    assert result.knowledge.byte_strings  # the adversary did observe traffic
+    # The adversary did observe traffic: every public message's term.
+    assert public_sends
+    assert {term for *_, term in public_sends} <= result.knowledge.terms
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +138,7 @@ def test_token_integrity_allows_distinct_tokens():
 def test_confidentiality_checker_detects_granted_secret():
     result = run_scenario(honest_spec(), DeliverAll(), seed=13)
     device = result.world.devices[0]
-    leaked = AdversaryKnowledge(result.knowledge.terms,
-                                result.knowledge.byte_strings)
+    leaked = AdversaryKnowledge(result.knowledge.terms)
     leaked.grant(kem_secret(device.keys.kem.key_id))
     verdict = check_keypair_confidentiality(leaked, result.protected)
     assert not verdict.holds
@@ -180,7 +197,7 @@ def test_unknown_attack_script():
         run_attack("no-such-script")
 
 
-def test_callable_adversary_runs_once_before_any_registration():
+def test_callable_adversary_runs_once_before_any_registration(public_sends):
     script = ATTACK_SCRIPTS["token-swap-across-devices"]
     seen = []
 
@@ -201,7 +218,8 @@ def test_callable_adversary_runs_once_before_any_registration():
     assert {k: rule[k] for k in ("on", "action", "dst")} == script.rules[0]
     assert isinstance(wire.decode(rule["data"]), wire.RegistrationRequest)
     # Forged, not replayed: no public-channel message carried these bytes.
-    assert rule["data"] not in result.knowledge.byte_strings
+    assert public_sends
+    assert rule["data"] not in {data for _, _, data, _ in public_sends}
 
 
 # ---------------------------------------------------------------------------
@@ -322,4 +340,4 @@ def test_revocation_scenario():
     uid = result.world.devices[0].uid.hex
     assert server.registry[uid].status.value == "deactivated"
     assert result.trace.by_kind(ch.DEVICE_REVOKED)
-    assert server.registry_crl_disjoint()
+    assert registry_crl_disjoint(server)

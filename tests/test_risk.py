@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from conftest import NOW, make_network
+from conftest import NOW, make_network, verify_chain
 from hearthgate import risk
 from hearthgate.ledger import ChannelName, OrgRole, make_transaction
 from hearthgate.payloads import DataEntry, RiskAlert
-from hearthgate.risk import Comparator, RiskEngine, ThresholdRule, UnknownRole, evaluate
+from hearthgate.risk import Comparator, RiskEngine, ThresholdRule, evaluate
 from hearthgate.runtime import seeded_rng
 
 
@@ -60,6 +60,10 @@ def test_rule_invariants():
                       (OrgRole.SERVER,))
     with pytest.raises(ValueError):
         ThresholdRule("m", Comparator.ABOVE, 1.0, "C", "s", ())
+    # An alert with an empty severity would fail the risk channel's
+    # validation in the middle of committing the data block that raised it.
+    with pytest.raises(ValueError, match="nonempty"):
+        ThresholdRule("m", Comparator.ABOVE, 1.0, "C", "", (OrgRole.SERVER,))
 
 
 def _engine(rng, net, orgs) -> RiskEngine:
@@ -68,42 +72,21 @@ def _engine(rng, net, orgs) -> RiskEngine:
     return engine
 
 
-def test_register_contacts_adds_target():
-    rng = seeded_rng(5)
-    net, orgs = make_network(rng)
-    engine = _engine(rng, net, orgs)
-    updated = engine.register_contacts({"temperature_c": ["insurer"]})
-    assert updated[0].targets == (OrgRole.EMERGENCY_SERVICE, OrgRole.INSURER)
-    # Idempotent re-registration.
-    again = engine.register_contacts({"temperature_c": ["insurer"]})
-    assert again == updated
-
-
-def test_register_contacts_rejects_bad_input():
-    rng = seeded_rng(6)
-    net, orgs = make_network(rng)
-    engine = _engine(rng, net, orgs)
-    with pytest.raises(UnknownRole):
-        engine.register_contacts({"temperature_c": []})
-    with pytest.raises(UnknownRole):
-        engine.register_contacts({"temperature_c": ["coast_guard"]})
-
-
 def test_commit_hook_writes_alert_to_risk_channel():
     rng = seeded_rng(7)
     net, orgs = make_network(rng)
     _engine(rng, net, orgs)
-    watchers = net.subscribe(ChannelName.RISK_MANAGEMENT, None, "fire-dept")
+    watchers = net.subscribe(ChannelName.RISK_MANAGEMENT, "fire-dept")
     tx = make_transaction(ChannelName.DATA, entry(rng, 82.0),
                           orgs["server-org"], NOW)
     net.submit(tx, NOW)
     net.settle()
-    alerts = net.query(ChannelName.RISK_MANAGEMENT, None, "fire-dept")
+    alerts = net.query(ChannelName.RISK_MANAGEMENT, "fire-dept")
     assert len(alerts) == 1
     assert isinstance(alerts[0], RiskAlert)
     events = watchers.poll()
     assert len(events) == 1
-    assert net.verify_chain_detail(ChannelName.RISK_MANAGEMENT)[0]
+    assert verify_chain(net, ChannelName.RISK_MANAGEMENT)[0]
 
 
 def test_alert_traceable_to_exactly_one_entry():
@@ -118,8 +101,8 @@ def test_alert_traceable_to_exactly_one_entry():
         net.submit(tx, t)
         t += 0.5
     net.settle()
-    alerts = net.query(ChannelName.RISK_MANAGEMENT, None, "server-org")
-    entries = net.query(ChannelName.DATA, None, "server-org")
+    alerts = net.query(ChannelName.RISK_MANAGEMENT, "server-org")
+    entries = net.query(ChannelName.DATA, "server-org")
     assert len(alerts) == 2
     data_chain = net.chains[ChannelName.DATA]
     referenced = []
@@ -148,7 +131,7 @@ def test_soundness_and_completeness_sweep():
         net.submit(tx, t)
         t += 0.2
     net.settle()
-    alerts = net.query(ChannelName.RISK_MANAGEMENT, None, "server-org")
+    alerts = net.query(ChannelName.RISK_MANAGEMENT, "server-org")
     assert len(alerts) == expected_alerts
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import NOW, make_network
+from conftest import NOW, make_network, registry_crl_disjoint
 from hearthgate import channels as ch
 from hearthgate import crypto, harness, roles, wire
 from hearthgate.channels import SecureChannel, Trace
@@ -90,7 +90,7 @@ def test_happy_path_end_to_end():
     entry = w.server.registry[w.device.uid.hex]
     assert entry.status is DeviceStatus.ACTIVE
     assert entry.device_token == w.device.device_token
-    records = w.network.query(ChannelName.IDENTITY, None, "server-org")
+    records = w.network.query(ChannelName.IDENTITY, "server-org")
     assert len(records) == 1 and records[0].status is DeviceStatus.ACTIVE
     kinds = [e.kind for e in w.trace.events]
     for expected in (ch.SESSION_ESTABLISHED, ch.TOKEN_ISSUED,
@@ -290,7 +290,7 @@ def test_data_report_lifecycle_and_revocation():
     w.onboard()
     report = w.device.build_data_report("temperature_c", 21.5, "C")
     w.server.handle_data_report(report.message)
-    entries = w.network.query(ChannelName.DATA, None, "server-org")
+    entries = w.network.query(ChannelName.DATA, "server-org")
     assert len(entries) == 1 and entries[0].value == 21.5
 
     revocation = w.auth.build_revocation(w.device.uid.hex)
@@ -299,10 +299,10 @@ def test_data_report_lifecycle_and_revocation():
     assert entry.status is DeviceStatus.DEACTIVATED
     assert entry.device_token is None
     assert w.device.keys.kem.public_key in {k for k in w.server.crl}
-    records = w.network.query(ChannelName.IDENTITY, None, "server-org")
+    records = w.network.query(ChannelName.IDENTITY, "server-org")
     assert [r.status for r in records] == [DeviceStatus.ACTIVE,
                                            DeviceStatus.DEACTIVATED]
-    assert w.server.registry_crl_disjoint()
+    assert registry_crl_disjoint(w.server)
 
     with pytest.raises(AlreadyRevoked):
         w.server.handle_revocation(w.auth.build_revocation(w.device.uid.hex))
@@ -324,7 +324,7 @@ def test_data_report_after_org_credential_expiry_is_traced_rejection():
     rejected = w.trace.by_kind(ch.DATA_REJECTED)
     assert [e.get("error") for e in rejected] == ["LedgerRejected"]
     assert "expired" in rejected[0].get("detail")
-    assert w.network.query(ChannelName.DATA, None, "server-org") == []
+    assert w.network.query(ChannelName.DATA, "server-org") == []
 
 
 def test_revoke_unknown_device():
@@ -430,7 +430,7 @@ def test_reregistration_after_revocation_uses_fresh_uid():
         if isinstance(out.message, wire.ActivationResponse):
             fresh.handle_activation(out.message)
     assert fresh.phase is DevicePhase.ACTIVE
-    records = w.network.query(ChannelName.IDENTITY, None, "server-org")
+    records = w.network.query(ChannelName.IDENTITY, "server-org")
     by_uid = {}
     for r in records:
         by_uid.setdefault(r.device_uid.hex(), []).append(r.status)
@@ -627,7 +627,7 @@ def test_unusable_device_keys_rejected_before_token_or_ledger(bundle):
             for e in w.trace.events if e.kind in ch.REJECTION_KINDS] == [
         (ch.DEVICE_REQUEST_REJECTED, "Malformed", w.device.uid.hex)]
     assert not w.trace.by_kind(ch.LEDGER_COMMIT)
-    assert w.network.query(ChannelName.IDENTITY, None, "server-org") == []
+    assert w.network.query(ChannelName.IDENTITY, "server-org") == []
     assert w.server.registry == {} and w.server.routes == routes
     assert not w.server.pending[0].consumed
     assert w.server.rng._inner.getstate() == rng_state
@@ -678,7 +678,7 @@ def test_mlkem_device_key_failing_modulus_check_rejected():
             if e.kind in ch.REJECTION_KINDS] == [(ch.DEVICE_REQUEST_REJECTED, "Malformed")]
     assert not world.trace.by_kind(ch.LEDGER_COMMIT)
     assert not world.trace.by_kind(ch.REGISTRATION_SUCCESS)
-    assert world.network.query(ChannelName.IDENTITY, None, "server-org") == []
+    assert world.network.query(ChannelName.IDENTITY, "server-org") == []
     assert server.registry == {} and server.routes == routes
     assert not server.pending[0].consumed
 

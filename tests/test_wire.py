@@ -156,7 +156,7 @@ def test_inner_payload_round_trips():
     server = crypto.generate_role_keys(RoleTag.SERVER_FOR_AUTH, ttl, rng, now)
     device = crypto.generate_role_keys(RoleTag.DEVICE_FOR_SERVER, ttl, rng, now)
     uid = crypto.gen_pseudo_uuid(rng).value
-    token32 = crypto.gen_long_lived_token(rng).value
+    token32 = crypto.gen_long_lived_token(rng)
     enc = crypto.hybrid_encrypt(server.kem.public, b"12345678", rng, now)
     sig = crypto.sign(
         crypto.sig_keygen(RoleTag.AUTH_FOR_SERVER, ttl, rng, now),

@@ -50,14 +50,14 @@ def build_fixture_messages() -> dict[str, wire.Message]:
             rng, now)),
         "activation_response": wire.ActivationResponse(crypto.hybrid_encrypt(
             device.kem.public,
-            wire.encode_activation_payload(device_token.value, server_dev.public),
+            wire.encode_activation_payload(device_token, server_dev.public),
             rng, now)),
         "connected_notice": wire.ConnectedNotice(crypto.hybrid_encrypt(
             auth.kem.public, wire.encode_connected_payload(uid.value), rng, now)),
         "data_report": wire.DataReport(crypto.hybrid_encrypt(
             server_dev.kem.public,
             wire.encode_data_payload(uid.value, "temperature_c", 21.5, "C",
-                                     device_token.value),
+                                     device_token),
             rng, now)),
         "revocation_request": wire.RevocationRequest(crypto.hybrid_encrypt(
             server.kem.public, wire.encode_revocation_payload(uid.value),
