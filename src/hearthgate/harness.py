@@ -330,8 +330,8 @@ def _forged_request(world: World, label: str,
                                            b"00000000", rng, now)
         token = (fake_token,
                  crypto.sign(sig_keys, wire.encode_hybrid(fake_token), now))
-    payload = wire.encode_registration_payload(keys.public, rng.bytes(16),
-                                               *token)
+    payload = wire.REGISTRATION_PAYLOAD.encode((keys.public, rng.bytes(16),
+                                                *token))
     ct = crypto.hybrid_encrypt(device.server_public.kem, payload, rng, now)
     return wire.encode(wire.RegistrationRequest(ct))
 

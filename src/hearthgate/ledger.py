@@ -125,14 +125,15 @@ class MembershipRegistry:
         return sorted(self._orgs)
 
 
-def _signing_bytes(channel: ChannelName, payload: Payload, submitter: str,
-                   timestamp: float) -> bytes:
-    return wire.pack_fields([
-        channel.value.encode(),
-        encode_payload(payload),
-        submitter.encode(),
-        struct.pack(">d", timestamp),
-    ])
+# A transaction's signed body. The payload codec looks ``encode_payload`` up
+# at each call, so perfbench's tracer, which rebinds this module's global,
+# sees every call. The timestamp is checked before the other fields.
+_TX_BODY = wire.Record(None, {
+    "channel": wire.enum_of(ChannelName, wire.TEXT),
+    "payload": wire.Codec(lambda payload: encode_payload(payload), decode_payload),
+    "submitter": wire.TEXT,
+    "timestamp": wire.F64._replace(size=8),
+})
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,8 @@ class LedgerTransaction:
 
     @cached_property
     def signing_bytes(self) -> bytes:
-        return _signing_bytes(self.channel, self.payload, self.submitter,
-                              self.timestamp)
+        return _TX_BODY.encode((self.channel, self.payload, self.submitter,
+                                self.timestamp))
 
     @cached_property
     def canonical_bytes(self) -> bytes:
@@ -163,21 +164,13 @@ class LedgerTransaction:
 
 def decode_transaction(data: bytes) -> LedgerTransaction:
     signing, signature = wire.unpack_fields(data, expect=2)
-    channel_b, payload_b, submitter, ts = wire.unpack_fields(signing, expect=4)
-    if len(ts) != 8:
-        raise wire.Truncated("bad transaction timestamp")
-    return LedgerTransaction(
-        channel=ChannelName(channel_b.decode()),
-        payload=decode_payload(payload_b),
-        submitter=submitter.decode(),
-        signature=signature,
-        timestamp=struct.unpack(">d", ts)[0],
-    )
+    channel, payload, submitter, timestamp = _TX_BODY.decode(signing)
+    return LedgerTransaction(channel, payload, submitter, signature, timestamp)
 
 
 def make_transaction(channel: ChannelName, payload: Payload,
                      identity: OrgIdentity, now: float) -> LedgerTransaction:
-    signing = _signing_bytes(channel, payload, identity.org_id, now)
+    signing = _TX_BODY.encode((channel, payload, identity.org_id, now))
     try:
         sig = crypto.sign(identity.credential, signing, now)
     except (crypto.KeyExpired, crypto.MalformedKey) as exc:
@@ -420,7 +413,9 @@ class LedgerNetwork:
                 if mode == READ_OWN and not self._owns(sub.org_id, tx.payload):
                     continue
                 sub._queue.append((receipt, tx.payload))
-            if channel is ChannelName.DATA and self._risk_hook is not None:
+        # Only once the whole block is recorded: a hook that raises loses no receipt.
+        if channel is ChannelName.DATA and self._risk_hook is not None:
+            for receipt, (_, tx) in zip(receipts, items):
                 self._risk_hook(tx.payload, receipt)
         return receipts
 
@@ -523,23 +518,15 @@ def verify_blocks(blocks: list[Block], channel: ChannelName,
 SNAPSHOT_HEADER = "#hearthgate-ledger-snapshot v1"
 
 
-def _encode_org(org_id: str, role: OrgRole, credential: crypto.PublicKey) -> bytes:
-    return wire.pack_fields([
-        org_id.encode(), role.value.encode(), wire.encode_public_key(credential),
-    ])
-
-
-def _decode_org(data: bytes) -> tuple[str, OrgRole, crypto.PublicKey]:
-    org_id, role, credential = wire.unpack_fields(data, expect=3)
-    return (org_id.decode(), OrgRole(role.decode()),
-            wire.decode_public_key(credential))
+_ORG = wire.Record(None, {"org_id": wire.TEXT, "role": wire.enum_of(OrgRole, wire.TEXT),
+                          "credential": wire.PUBLIC_KEY})
 
 
 def write_snapshot(network: LedgerNetwork, path: str) -> None:
     lines = [SNAPSHOT_HEADER]
     for org_id in network.membership.known():
         role, credential = network.membership.lookup(org_id)
-        record = _encode_org(org_id, role, credential)
+        record = _ORG.encode((org_id, role, credential))
         lines.append("O " + base64.b64encode(record).decode())
     for channel in ChannelName:
         for block in network.chains[channel]:
@@ -565,7 +552,7 @@ def load_snapshot(path: str) -> tuple[MembershipRegistry, dict[ChannelName, list
         kind, _, rest = line.partition(" ")
         try:
             if kind == "O":
-                org_id, role, credential = _decode_org(base64.b64decode(rest, validate=True))
+                org_id, role, credential = _ORG.decode(base64.b64decode(rest, validate=True))
                 membership.register(org_id, role, credential)
             elif kind == "B":
                 channel_s, height_s, hash_hex, blob = rest.split(" ", 3)

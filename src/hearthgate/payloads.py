@@ -2,19 +2,18 @@
 
 Three payload types, one per channel: device lifecycle records on the
 identity channel, sensor readings on the data channel, and alerts on the
-risk management channel. Each has a canonical byte encoding (reusing the
-wire field framing) because transaction signatures and block hashes are
-computed over exact bytes.
+risk management channel. Each has a canonical byte encoding, one
+``wire.Record`` per type behind a one-byte type tag, because transaction
+signatures and block hashes are computed over exact bytes.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
-from .wire import Truncated, _f64, _parse_f64, pack_fields, unpack_fields
+from .wire import F64, RAW, TEXT, TEXT_LIST, U32, Record, Truncated, enum_of
 
 
 class DeviceStatus(Enum):
@@ -96,59 +95,32 @@ class RiskAlert:
 
 Payload = DeviceRecord | DataEntry | RiskAlert
 
-_TYPE_TAGS = {DeviceRecord: 1, DataEntry: 2, RiskAlert: 3}
-
-
-def _u32(x: int) -> bytes:
-    return struct.pack(">I", x)
-
-
-def _parse_u32(b: bytes) -> int:
-    if len(b) != 4:
-        raise Truncated("expected 4-byte integer")
-    return struct.unpack(">I", b)[0]
+# Each payload type's tag and record.
+_RECORDS = {
+    DeviceRecord: (1, Record(DeviceRecord, {
+        "device_token": RAW, "server_device_public": RAW, "device_public": RAW,
+        "auth_public": RAW, "device_uid": RAW, "status": enum_of(DeviceStatus, TEXT),
+        "timestamp": F64})),
+    DataEntry: (2, Record(DataEntry, {
+        "device_uid": RAW, "metric": TEXT, "value": F64, "unit": TEXT,
+        "timestamp": F64, "device_public_ref": RAW})),
+    RiskAlert: (3, Record(RiskAlert, {
+        "device_uid": RAW, "metric": TEXT, "observed": F64, "threshold": F64,
+        "severity": TEXT, "notified_roles": TEXT_LIST, "entry_height": U32,
+        "entry_index": U32})),
+}
+_BY_TAG = dict(_RECORDS.values())
 
 
 def encode_payload(payload: Payload) -> bytes:
-    tag = _TYPE_TAGS[type(payload)]
-    if isinstance(payload, DeviceRecord):
-        fields = [
-            payload.device_token, payload.server_device_public,
-            payload.device_public, payload.auth_public, payload.device_uid,
-            payload.status.value.encode(), _f64(payload.timestamp),
-        ]
-    elif isinstance(payload, DataEntry):
-        fields = [
-            payload.device_uid, payload.metric.encode(), _f64(payload.value),
-            payload.unit.encode(), _f64(payload.timestamp),
-            payload.device_public_ref,
-        ]
-    else:
-        fields = [
-            payload.device_uid, payload.metric.encode(), _f64(payload.observed),
-            _f64(payload.threshold), payload.severity.encode(),
-            pack_fields([r.encode() for r in payload.notified_roles]),
-            _u32(payload.entry_height), _u32(payload.entry_index),
-        ]
-    return bytes([tag]) + pack_fields(fields)
+    tag, record = _RECORDS[type(payload)]
+    return bytes([tag]) + record.encode(payload)
 
 
 def decode_payload(data: bytes) -> Payload:
     if not data:
         raise Truncated("empty payload")
-    tag, body = data[0], data[1:]
-    if tag == 1:
-        token, sdp, dp, ap, uid, status, ts = unpack_fields(body, expect=7)
-        return DeviceRecord(token, sdp, dp, ap, uid,
-                            DeviceStatus(status.decode()), _parse_f64(ts))
-    if tag == 2:
-        uid, metric, value, unit, ts, ref = unpack_fields(body, expect=6)
-        return DataEntry(uid, metric.decode(), _parse_f64(value), unit.decode(),
-                         _parse_f64(ts), ref)
-    if tag == 3:
-        uid, metric, obs, thr, sev, roles, eb, ei = unpack_fields(body, expect=8)
-        return RiskAlert(uid, metric.decode(), _parse_f64(obs), _parse_f64(thr),
-                         sev.decode(),
-                         tuple(r.decode() for r in unpack_fields(roles)),
-                         _parse_u32(eb), _parse_u32(ei))
-    raise Truncated(f"unknown payload tag {tag}")
+    record = _BY_TAG.get(data[0])
+    if record is None:
+        raise Truncated(f"unknown payload tag {data[0]}")
+    return record.decode(data[1:])

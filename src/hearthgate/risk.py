@@ -114,7 +114,8 @@ _RULE_FIELDS = {"metric": "str", "comparator": "str", "threshold": "float",
 def load_rules(path: str) -> list[ThresholdRule]:
     """Load rules from a JSON list of {metric, comparator, threshold, severity,
     unit, targets} objects; ``targets`` lists the role names to notify.
-    A field of the wrong JSON type is a ``ValueError`` naming its rule."""
+    An unknown key or a field of the wrong JSON type is a ``ValueError``
+    naming its rule."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
@@ -124,6 +125,9 @@ def load_rules(path: str) -> list[ThresholdRule]:
         try:
             if not isinstance(item, dict):
                 raise ValueError(f"must be a JSON object, got {item!r}")
+            unknown = sorted(set(item) - set(_RULE_FIELDS))
+            if unknown:
+                raise ValueError(f"unknown keys {unknown}")
             for key, kind in _RULE_FIELDS.items():
                 if key in item and not is_json_type(item[key], kind):
                     raise ValueError(f"{key} must be of type {kind}, "

@@ -213,7 +213,7 @@ class Authenticator:
             raise NoSession("login incomplete")
         signature = crypto.sign(self.keys.sig, msg.nonce, now)
         ct = crypto.hybrid_encrypt(self.server_public.kem,
-                                   wire.encode_signature(signature),
+                                   wire.SIGNATURE.encode(signature),
                                    self.rng, now)
         return wire.NonceResponse(ct)
 
@@ -231,7 +231,7 @@ class Authenticator:
             raise NonceMismatch("no outstanding challenge")
         try:
             raw = crypto.hybrid_decrypt(self.keys.kem, msg.ciphertext, now)
-            signature = wire.decode_signature(raw)
+            signature = wire.SIGNATURE.decode(raw)
         except (DecryptionFailure, wire.WireError) as exc:
             raise Malformed(f"unreadable nonce response: {exc}") from exc
         if not crypto.verify(self.server_public.sig, self._pending_nonce,
@@ -253,7 +253,7 @@ class Authenticator:
             raise NoSession(f"unexpected token delivery in phase {self.phase.value}")
         try:
             raw = crypto.hybrid_decrypt(self.keys.kem, msg.ciphertext, now)
-            digits, api = wire.decode_token_payload(raw)
+            digits, api = wire.TOKEN_PAYLOAD.decode(raw)
         except (DecryptionFailure, wire.WireError) as exc:
             raise Malformed(f"unreadable token delivery: {exc}") from exc
         self._token_digits = digits
@@ -273,9 +273,8 @@ class Authenticator:
                                                 self.rng, now)
         signature = crypto.sign(self.keys.sig, wire.encode_hybrid(encrypted_token),
                                 now)
-        payload = wire.encode_provision_payload(self._api_address,
-                                                self.server_public,
-                                                encrypted_token, signature)
+        payload = wire.PROVISION_PAYLOAD.encode((
+            self._api_address, self.server_public, encrypted_token, signature))
         box = crypto.aead_seal(link.value, payload, self.rng)
         self._token_digits = None
         self._api_address = None
@@ -299,7 +298,8 @@ class Authenticator:
         now = self.clock.now()
         if self.phase is AuthPhase.IDLE or self.server_public is None:
             raise NoSession("no established session for revocation")
-        payload = wire.encode_revocation_payload(bytes.fromhex(uid_hex))
+        payload = wire.REVOCATION_PAYLOAD.encode((wire.REVOKE_VERB,
+                                                  bytes.fromhex(uid_hex)))
         ct = crypto.hybrid_encrypt(self.server_public.kem, payload, self.rng, now)
         return wire.RevocationRequest(ct)
 
@@ -347,7 +347,7 @@ class Device:
             raise LinkKeyMismatch(str(exc)) from exc
         try:
             api, server_public, encrypted_token, signature = \
-                wire.decode_provision_payload(raw)
+                wire.PROVISION_PAYLOAD.decode(raw)
         except wire.WireError as exc:
             raise Malformed(f"bad provision payload: {exc}") from exc
         self.api_address = api
@@ -374,9 +374,9 @@ class Device:
         )))
 
     def _registration_request(self, **trace_fields: str) -> Outgoing:
-        payload = wire.encode_registration_payload(
+        payload = wire.REGISTRATION_PAYLOAD.encode((
             self.keys.public, self.uid.value, self._encrypted_token,
-            self._token_signature)
+            self._token_signature))
         ct = crypto.hybrid_encrypt(self.server_public.kem, payload, self.rng,
                                    self.clock.now())
         self.phase = DevicePhase.REQUEST_SENT
@@ -409,7 +409,7 @@ class Device:
                             detail=f"phase {self.phase.value}")
         try:
             raw = crypto.hybrid_decrypt(self.keys.kem, msg.ciphertext, now)
-            token, server_device_public = wire.decode_activation_payload(raw)
+            token, server_device_public = wire.ACTIVATION_PAYLOAD.decode(raw)
         except (DecryptionFailure, wire.WireError) as exc:
             raise Malformed(f"unreadable activation: {exc}",
                             detail="undecryptable") from exc
@@ -427,8 +427,8 @@ class Device:
         now = self.clock.now()
         if self.phase is not DevicePhase.ACTIVE:
             raise NotProvisioned(f"cannot report data in phase {self.phase.value}")
-        payload = wire.encode_data_payload(self.uid.value, metric, value, unit,
-                                           self.device_token)
+        payload = wire.DATA_PAYLOAD.encode((self.uid.value, metric, value, unit,
+                                            self.device_token))
         ct = crypto.hybrid_encrypt(self.server_device_public.kem, payload,
                                    self.rng, now)
         term = Enc(self.server_device_public.kem.key_id, Tup((
@@ -540,7 +540,7 @@ class Server:
             raise NonceMismatch("no outstanding nonce for this session")
         try:
             raw = crypto.hybrid_decrypt(session.keys.kem, msg.ciphertext, now)
-            signature = wire.decode_signature(raw)
+            signature = wire.SIGNATURE.decode(raw)
         except (DecryptionFailure, wire.WireError) as exc:
             raise Malformed(f"unreadable nonce response: {exc}") from exc
         if signature.signer_tag is not RoleTag.AUTH_FOR_SERVER:
@@ -558,7 +558,7 @@ class Server:
             raise NoSession(f"unknown session {session_id}")
         signature = crypto.sign(session.keys.sig, msg.nonce, now)
         ct = crypto.hybrid_encrypt(session.auth_public.kem,
-                                   wire.encode_signature(signature),
+                                   wire.SIGNATURE.encode(signature),
                                    self.rng, now)
         return wire.NonceResponse(ct)
 
@@ -583,7 +583,7 @@ class Server:
             issued_digits=token.digits, issued_step=token.issued_step))
         self.trace.record(self.name, ch.TOKEN_ISSUED, token=token.digits,
                           nonce=session.nonce_hex, session=session_id)
-        payload = wire.encode_token_payload(token.digits, self.api_address)
+        payload = wire.TOKEN_PAYLOAD.encode((token.digits, self.api_address))
         ct = crypto.hybrid_encrypt(session.auth_public.kem, payload, self.rng, now)
         return wire.TokenDelivery(ct)
 
@@ -605,7 +605,7 @@ class Server:
                             detail="request not decryptable")
         try:
             device_public, uid, encrypted_token, signature = \
-                wire.decode_registration_payload(raw)
+                wire.REGISTRATION_PAYLOAD.decode(raw)
         except wire.WireError as exc:
             raise Malformed(f"bad registration payload: {exc}",
                             detail=f"bad payload: {exc}") from exc
@@ -624,9 +624,9 @@ class Server:
                 uid=uid_hex)
 
         try:
-            digits = crypto.hybrid_decrypt(session.keys.kem, encrypted_token,
-                                           now).decode("utf-8")
-        except (DecryptionFailure, UnicodeDecodeError) as exc:
+            digits = wire.TEXT.decode(crypto.hybrid_decrypt(
+                session.keys.kem, encrypted_token, now))
+        except (DecryptionFailure, wire.WireError) as exc:
             raise Malformed(f"encrypted token unreadable: {exc}",
                             detail="encrypted token unreadable",
                             uid=uid_hex) from exc
@@ -699,7 +699,7 @@ class Server:
 
         activation = wire.ActivationResponse(crypto.hybrid_encrypt(
             device_public.kem,
-            wire.encode_activation_payload(device_token, server_keys.public),
+            wire.ACTIVATION_PAYLOAD.encode((device_token, server_keys.public)),
             self.rng, now))
         notice = wire.ConnectedNotice(crypto.hybrid_encrypt(
             session.auth_public.kem,
@@ -716,9 +716,9 @@ class Server:
         """Record ``entry`` with ``status`` on the identity channel."""
         record = DeviceRecord(
             device_token=entry.device_token,
-            server_device_public=wire.encode_role_public(entry.server_keys.public),
-            device_public=wire.encode_role_public(entry.device_public),
-            auth_public=wire.encode_role_public(auth_public),
+            server_device_public=wire.ROLE_PUBLIC.encode(entry.server_keys.public),
+            device_public=wire.ROLE_PUBLIC.encode(entry.device_public),
+            auth_public=wire.ROLE_PUBLIC.encode(auth_public),
             device_uid=bytes.fromhex(entry.uid_hex),
             status=status,
             timestamp=now,
@@ -750,7 +750,7 @@ class Server:
             raise Malformed("report not decryptable by the device key it names",
                             detail="report not decryptable")
         try:
-            uid, metric, value, unit, token = wire.decode_data_payload(raw)
+            uid, metric, value, unit, token = wire.DATA_PAYLOAD.decode(raw)
         except wire.WireError as exc:
             raise Malformed(f"bad data payload: {exc}", detail="bad payload") from exc
         uid_hex = uid.hex()
@@ -769,7 +769,7 @@ class Server:
         payload = DataEntry(
             device_uid=uid, metric=metric, value=value, unit=unit, timestamp=now,
             device_public_ref=crypto.sha256(
-                wire.encode_role_public(registered.device_public)),
+                wire.ROLE_PUBLIC.encode(registered.device_public)),
         )
         self._submit(ChannelName.DATA, payload, now, uid_hex)
         self.trace.record(self.name, ch.DATA_ACCEPTED, uid=uid_hex,
@@ -785,7 +785,7 @@ class Server:
             raise Malformed("revocation not decryptable by the session key it names",
                             detail="request not decryptable")
         try:
-            uid = wire.decode_revocation_payload(raw)
+            _, uid = wire.REVOCATION_PAYLOAD.decode(raw)
         except wire.WireError as exc:
             raise Malformed(f"bad revocation payload: {exc}",
                             detail="bad payload") from exc

@@ -8,23 +8,31 @@ The format is plain tag-length-value with big-endian length prefixes:
     body      := u8 tag || field*
     field     := u32 len || bytes
 
-Nested structures (public-key bundles, hybrid ciphertexts, the payload
-tuples that get encrypted) reuse the same field framing. A top-level message
-carrying a hybrid ciphertext puts the recipient's 8-byte KEM key id in its
-first field, so the receiver decrypts with the one key it names; nested
-ciphertexts (the signed encrypted token) carry none. ``decode`` is total
-over arbitrary input: it returns a message or raises a structured
-``WireError``, never anything else.
+Every layout is one :class:`Record`, an ordered list of fields with a
+:class:`Codec` each, that both encoding and decoding read; records nest as
+fields of records (public-key bundles, hybrid ciphertexts, the payload
+tuples that get encrypted). A top-level message carrying a hybrid
+ciphertext puts the recipient's 8-byte KEM key id in its first field, so the
+receiver decrypts with the one key it names; nested ciphertexts (the signed
+encrypted token) carry none. Every decoder is total over arbitrary input:
+it returns a value or raises a structured ``WireError``, never anything else.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Union
+from enum import Enum
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple, Union
 
 from .crypto import (
+    AEAD_NONCE_LEN,
+    AEAD_TAG_LEN,
+    DEVICE_TOKEN_LEN,
     KEY_ID_LEN,
+    NONCE_LEN,
+    UUID_LEN,
     AeadBox,
     HybridCiphertext,
     PublicKey,
@@ -50,8 +58,15 @@ class TrailingBytes(WireError):
     pass
 
 
+_LENGTH = struct.Struct(">I").pack
+
+
 def pack_fields(fields: list[bytes]) -> bytes:
-    return b"".join(struct.pack(">I", len(f)) + f for f in fields)
+    out = []
+    for f in fields:
+        out.append(_LENGTH(len(f)))
+        out.append(f)
+    return b"".join(out)
 
 
 def unpack_fields(data: bytes, expect: int | None = None) -> list[bytes]:
@@ -73,142 +88,133 @@ def unpack_fields(data: bytes, expect: int | None = None) -> list[bytes]:
     return fields
 
 
-def _u8(value: int) -> bytes:
-    return bytes([value])
+class Codec(NamedTuple):
+    """How one field's value becomes its bytes and back; ``decode`` raises
+    only ``WireError``. A record checks that each field with a ``size`` is
+    that long before it decodes any field."""
+
+    encode: Callable[[Any], bytes]
+    decode: Callable[[bytes], Any]
+    size: int | None = None
 
 
-def _f64(value: float) -> bytes:
-    return struct.pack(">d", value)
+class Record:
+    """One byte layout: ``fields`` maps each field's name to its codec in
+    wire order, each field framed as ``u32 len || bytes``. With a ``make``,
+    the fields are attributes of the value (a dotted name reaches into one)
+    and ``decode`` returns ``make(*values)``; without one, the value is the
+    tuple of field values. A record is a codec itself, so records nest."""
+
+    size = None
+
+    def __init__(self, make: Callable | None, fields: dict[str, Codec]):
+        self.make = make
+        self.names = tuple(fields)
+        codecs = tuple(fields.values())
+        self._sizes = [(i, c.size) for i, c in enumerate(codecs)
+                       if c.size is not None]
+        self._encoders = tuple(c.encode for c in codecs)
+        self._decoders = [(i, c.decode) for i, c in enumerate(codecs)
+                          if c.decode is not _same]
+        get = attrgetter(*self.names)
+        self._split = (None if make is None else get if len(self.names) > 1
+                       else lambda value: (get(value),))
+
+    def encode(self, value) -> bytes:
+        values = value if self._split is None else self._split(value)
+        return pack_fields([enc(v) for enc, v in zip(self._encoders, values)])
+
+    def decode(self, data: bytes):
+        values = unpack_fields(data, expect=len(self.names))
+        for i, size in self._sizes:
+            if len(values[i]) != size:
+                raise Truncated(f"{self.names[i]} must be {size} bytes")
+        for i, dec in self._decoders:
+            values[i] = dec(values[i])
+        return tuple(values) if self.make is None else self.make(*values)
 
 
-def _parse_f64(data: bytes) -> float:
-    if len(data) != 8:
-        raise Truncated("expected 8-byte float field")
-    return struct.unpack(">d", data)[0]
+def _same(value):
+    return value
 
 
-def _parse_u8(data: bytes) -> int:
-    if len(data) != 1:
-        raise Truncated("expected 1-byte field")
-    return data[0]
-
-
-def _role_tag(index: int) -> RoleTag:
+def _text(data: bytes) -> str:
+    """The one place wire, payload and ledger fields are read as UTF-8."""
     try:
-        return RoleTag(index)
-    except ValueError:
-        raise UnknownTag(f"unknown role tag {index}") from None
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise Truncated(f"invalid UTF-8 in text field: {exc}") from None
+
+
+def _number(fmt: str) -> Codec:
+    """One big-endian ``struct`` number, such as ``">d"`` or ``">I"``."""
+    packer = struct.Struct(fmt)
+
+    def decode(data: bytes):
+        if len(data) != packer.size:
+            raise Truncated(f"expected {packer.size}-byte number")
+        return packer.unpack(data)[0]
+    return Codec(packer.pack, decode)
+
+
+def enum_of(cls: type[Enum], value: Codec, unknown=Truncated) -> Codec:
+    """Members of ``cls``, each as ``value`` encodes the member's value; a
+    value no member has raises ``unknown``."""
+    def decode(data: bytes) -> Enum:
+        raw = value.decode(data)
+        try:
+            return cls(raw)
+        except ValueError:
+            raise unknown(f"unknown {cls.__name__} {raw!r}") from None
+    return Codec(lambda member: value.encode(member.value), decode)
+
+
+def _key_id(key_id: bytes) -> bytes:
+    if len(key_id) != KEY_ID_LEN:
+        raise ValueError(f"hybrid ciphertext needs a {KEY_ID_LEN}-byte key id")
+    return key_id
+
+
+RAW = Codec(_same, _same)
+TEXT = Codec(str.encode, _text)
+F64 = _number(">d")
+U32 = _number(">I")
+TEXT_LIST = Codec(lambda items: pack_fields([s.encode() for s in items]),
+                  lambda data: tuple(_text(s) for s in unpack_fields(data)))
+_ROLE_TAG = enum_of(RoleTag, _number(">B"), UnknownTag)
+_UID = Codec(_same, _same, UUID_LEN)
+_DEVICE_TOKEN = Codec(_same, _same, DEVICE_TOKEN_LEN)
+_AEAD_NONCE = Codec(_same, _same, AEAD_NONCE_LEN)
+_AEAD_TAG = Codec(_same, _same, AEAD_TAG_LEN)
 
 
 # -- nested structures -------------------------------------------------------
 
-def encode_public_key(pk: PublicKey) -> bytes:
-    return pack_fields([
-        _u8(pk.role_tag.value),
-        pk.algo.encode(),
-        pk.key,
-        _f64(pk.created_at),
-        _f64(pk.ttl),
-    ])
+PUBLIC_KEY = Record(PublicKey, {"role_tag": _ROLE_TAG, "algo": TEXT, "key": RAW,
+                                "created_at": F64, "ttl": F64})
+ROLE_PUBLIC = Record(RolePublic, {"kem": PUBLIC_KEY, "sig": PUBLIC_KEY})
+HYBRID = Record(HybridCiphertext, {"encapsulation": RAW, "aead_nonce": RAW,
+                                   "body": RAW, "auth_tag": RAW})
+SIGNATURE = Record(Signature, {"signer_tag": _ROLE_TAG, "value": RAW})
 
 
-def decode_public_key(data: bytes) -> PublicKey:
-    tag, algo, key, created, ttl = unpack_fields(data, expect=5)
-    return PublicKey(
-        role_tag=_role_tag(_parse_u8(tag)),
-        algo=algo.decode("utf-8", errors="strict"),
-        key=key,
-        created_at=_parse_f64(created),
-        ttl=_parse_f64(ttl),
-    )
-
-
-def encode_role_public(rp: RolePublic) -> bytes:
-    return pack_fields([encode_public_key(rp.kem), encode_public_key(rp.sig)])
-
-
-def decode_role_public(data: bytes) -> RolePublic:
-    kem, sig = unpack_fields(data, expect=2)
-    return RolePublic(kem=decode_public_key(kem), sig=decode_public_key(sig))
-
-
-def encode_hybrid(ct: HybridCiphertext) -> bytes:
-    """Canonical ciphertext bytes; also the base that gets signed."""
-    return pack_fields([ct.encapsulation, ct.aead_nonce, ct.body, ct.auth_tag])
-
-
-def decode_hybrid(data: bytes) -> HybridCiphertext:
-    encap, nonce, body, tag = unpack_fields(data, expect=4)
-    return HybridCiphertext(encap, nonce, body, tag)
-
-
-def encode_signature(sig: Signature) -> bytes:
-    return pack_fields([_u8(sig.signer_tag.value), sig.value])
-
-
-def decode_signature(data: bytes) -> Signature:
-    tag, value = unpack_fields(data, expect=2)
-    return Signature(signer_tag=_role_tag(_parse_u8(tag)), value=value)
+# Canonical ciphertext bytes; also the base that gets signed.
+encode_hybrid = HYBRID.encode
 
 
 # -- payload tuples (plaintext of the hybrid ciphertexts) --------------------
 
-def encode_token_payload(token_digits: str, api_address: str) -> bytes:
-    return pack_fields([token_digits.encode(), api_address.encode()])
-
-
-def decode_token_payload(data: bytes) -> tuple[str, str]:
-    digits, api = unpack_fields(data, expect=2)
-    return digits.decode("utf-8"), api.decode("utf-8")
-
-
-def encode_provision_payload(api_address: str, server_public: RolePublic,
-                             encrypted_token: HybridCiphertext,
-                             signature: Signature) -> bytes:
-    return pack_fields([
-        api_address.encode(),
-        encode_role_public(server_public),
-        encode_hybrid(encrypted_token),
-        encode_signature(signature),
-    ])
-
-
-def decode_provision_payload(data: bytes):
-    api, server_pub, enc_token, sig = unpack_fields(data, expect=4)
-    return (api.decode("utf-8"), decode_role_public(server_pub),
-            decode_hybrid(enc_token), decode_signature(sig))
-
-
-def encode_registration_payload(device_public: RolePublic, device_uid: bytes,
-                                encrypted_token: HybridCiphertext,
-                                signature: Signature) -> bytes:
-    return pack_fields([
-        encode_role_public(device_public),
-        device_uid,
-        encode_hybrid(encrypted_token),
-        encode_signature(signature),
-    ])
-
-
-def decode_registration_payload(data: bytes):
-    device_pub, uid, enc_token, sig = unpack_fields(data, expect=4)
-    if len(uid) != 16:
-        raise Truncated("device uid must be 16 bytes")
-    return (decode_role_public(device_pub), uid,
-            decode_hybrid(enc_token), decode_signature(sig))
-
-
-def encode_activation_payload(device_token: bytes,
-                              server_device_public: RolePublic) -> bytes:
-    return pack_fields([device_token, encode_role_public(server_device_public)])
-
-
-def decode_activation_payload(data: bytes):
-    token, server_pub = unpack_fields(data, expect=2)
-    if len(token) != 32:
-        raise Truncated("device token must be 32 bytes")
-    return token, decode_role_public(server_pub)
-
+TOKEN_PAYLOAD = Record(None, {"digits": TEXT, "api_address": TEXT})
+PROVISION_PAYLOAD = Record(None, {
+    "api_address": TEXT, "server_public": ROLE_PUBLIC,
+    "encrypted_token": HYBRID, "signature": SIGNATURE})
+REGISTRATION_PAYLOAD = Record(None, {
+    "device_public": ROLE_PUBLIC, "device_uid": _UID,
+    "encrypted_token": HYBRID, "signature": SIGNATURE})
+ACTIVATION_PAYLOAD = Record(None, {"device_token": _DEVICE_TOKEN,
+                                   "server_device_public": ROLE_PUBLIC})
+DATA_PAYLOAD = Record(None, {"device_uid": _UID, "metric": TEXT, "value": F64,
+                             "unit": TEXT, "device_token": _DEVICE_TOKEN})
 
 CONNECTED_SUFFIX = b"connected"
 
@@ -223,37 +229,17 @@ def decode_connected_payload(data: bytes) -> bytes:
     return data[:16]
 
 
-def encode_data_payload(device_uid: bytes, metric: str, value: float,
-                        unit: str, device_token: bytes) -> bytes:
-    return pack_fields([
-        device_uid,
-        metric.encode(),
-        _f64(value),
-        unit.encode(),
-        device_token,
-    ])
-
-
-def decode_data_payload(data: bytes):
-    uid, metric, value, unit, token = unpack_fields(data, expect=5)
-    if len(uid) != 16 or len(token) != 32:
-        raise Truncated("malformed data report payload")
-    return (uid, metric.decode("utf-8"), _parse_f64(value),
-            unit.decode("utf-8"), token)
-
-
 REVOKE_VERB = b"revoke"
 
 
-def encode_revocation_payload(device_uid: bytes) -> bytes:
-    return pack_fields([REVOKE_VERB, device_uid])
+def _revoke_verb(data: bytes) -> bytes:
+    if data != REVOKE_VERB:
+        raise Truncated(f"verb must be {REVOKE_VERB!r}")
+    return data
 
 
-def decode_revocation_payload(data: bytes) -> bytes:
-    verb, uid = unpack_fields(data, expect=2)
-    if verb != REVOKE_VERB or len(uid) != 16:
-        raise Truncated("malformed revocation payload")
-    return uid
+REVOCATION_PAYLOAD = Record(None, {
+    "verb": Codec(_same, _revoke_verb, len(REVOKE_VERB)), "device_uid": _UID})
 
 
 # -- top-level messages -------------------------------------------------------
@@ -334,39 +320,41 @@ Message = Union[
     RevocationRequest,
 ]
 
-_TAGS = {
-    SessionHello: 0x01,
-    NonceChallenge: 0x02,
-    NonceResponse: 0x03,
-    TokenDelivery: 0x04,
-    DeviceProvision: 0x05,
-    RegistrationRequest: 0x06,
-    ActivationResponse: 0x07,
-    ConnectedNotice: 0x08,
-    DataReport: 0x09,
-    RevocationRequest: 0x0A,
-}
 
-# The messages whose one field is a hybrid ciphertext, by tag.
-_HYBRID_VARIANTS = {tag: cls for cls, tag in _TAGS.items()
-                    if "ciphertext" in cls.__dataclass_fields__}
+def _keyed_hybrid(cls) -> Record:
+    """The body of a message whose one field is a hybrid ciphertext: the
+    recipient's key id, then the ciphertext's fields."""
+    return Record(
+        lambda key_id, encap, nonce, body, tag: cls(HybridCiphertext(
+            encap, nonce, body, tag, key_id)),
+        {"ciphertext.key_id": Codec(_key_id, _same, KEY_ID_LEN),
+         "ciphertext.encapsulation": RAW,
+         "ciphertext.aead_nonce": _AEAD_NONCE, "ciphertext.body": RAW,
+         "ciphertext.auth_tag": _AEAD_TAG})
+
+
+# Each message class's tag and the record of its body.
+MESSAGES: dict[type, tuple[int, Record]] = {
+    SessionHello: (0x01, Record(SessionHello, {"public": ROLE_PUBLIC})),
+    NonceChallenge: (0x02, Record(NonceChallenge,
+                                  {"nonce": Codec(_same, _same, NONCE_LEN)})),
+    NonceResponse: (0x03, _keyed_hybrid(NonceResponse)),
+    TokenDelivery: (0x04, _keyed_hybrid(TokenDelivery)),
+    DeviceProvision: (0x05, Record(
+        lambda *fields: DeviceProvision(AeadBox(*fields)),
+        {"box.nonce": _AEAD_NONCE, "box.body": RAW, "box.tag": _AEAD_TAG})),
+    RegistrationRequest: (0x06, _keyed_hybrid(RegistrationRequest)),
+    ActivationResponse: (0x07, _keyed_hybrid(ActivationResponse)),
+    ConnectedNotice: (0x08, _keyed_hybrid(ConnectedNotice)),
+    DataReport: (0x09, _keyed_hybrid(DataReport)),
+    RevocationRequest: (0x0A, _keyed_hybrid(RevocationRequest)),
+}
+_BODIES = dict(MESSAGES.values())
 
 
 def encode(message: Message) -> bytes:
-    tag = _TAGS[type(message)]
-    if isinstance(message, SessionHello):
-        body = pack_fields([encode_role_public(message.public)])
-    elif isinstance(message, NonceChallenge):
-        body = pack_fields([message.nonce])
-    elif isinstance(message, DeviceProvision):
-        box = message.box
-        body = pack_fields([box.nonce, box.body, box.tag])
-    else:
-        ct = message.ciphertext
-        if len(ct.key_id) != KEY_ID_LEN:
-            raise ValueError(f"hybrid ciphertext needs a {KEY_ID_LEN}-byte key id")
-        body = pack_fields([ct.key_id]) + encode_hybrid(ct)
-    framed = _u8(tag) + body
+    tag, record = MESSAGES[type(message)]
+    framed = bytes([tag]) + record.encode(message)
     return struct.pack(">I", len(framed)) + framed
 
 
@@ -378,33 +366,9 @@ def decode(data: bytes) -> Message:
         raise Truncated("message body cut short")
     if len(data) > 4 + length:
         raise TrailingBytes(f"{len(data) - 4 - length} bytes after message end")
-    body = data[4:]
-    if not body:
+    if not length:
         raise Truncated("empty message body")
-    tag, rest = body[0], body[1:]
-    try:
-        if tag == _TAGS[SessionHello]:
-            (public,) = unpack_fields(rest, expect=1)
-            return SessionHello(decode_role_public(public))
-        if tag == _TAGS[NonceChallenge]:
-            (nonce,) = unpack_fields(rest, expect=1)
-            if len(nonce) != 16:
-                raise Truncated("nonce must be 16 bytes")
-            return NonceChallenge(nonce)
-        if tag == _TAGS[DeviceProvision]:
-            nonce, box_body, box_tag = unpack_fields(rest, expect=3)
-            if len(nonce) != 12 or len(box_tag) != 16:
-                raise Truncated("malformed AEAD box framing")
-            return DeviceProvision(AeadBox(nonce, box_body, box_tag))
-        if tag in _HYBRID_VARIANTS:
-            key_id, encap, aead_nonce, ct_body, auth_tag = \
-                unpack_fields(rest, expect=5)
-            if (len(key_id) != KEY_ID_LEN or len(aead_nonce) != 12
-                    or len(auth_tag) != 16):
-                raise Truncated("malformed hybrid ciphertext framing")
-            ct = HybridCiphertext(encap, aead_nonce, ct_body, auth_tag,
-                                  key_id=key_id)
-            return _HYBRID_VARIANTS[tag](ct)
-    except UnicodeDecodeError as exc:
-        raise Truncated(f"invalid UTF-8 in message field: {exc}") from None
-    raise UnknownTag(f"unknown message tag 0x{tag:02x}")
+    record = _BODIES.get(data[4])
+    if record is None:
+        raise UnknownTag(f"unknown message tag 0x{data[4]:02x}")
+    return record.decode(data[5:])

@@ -107,6 +107,7 @@ def ledger_submits(monkeypatch) -> list:
 @pytest.mark.parametrize("rules, message", [
     ([dict(HOT_RULE, severity=5)], "rule 0: severity must be of type str, got 5"),
     ([HOT_RULE, "hot"], "rule 1: must be a JSON object, got 'hot'"),
+    ([dict(HOT_RULE, units="C")], "rule 0: unknown keys ['units']"),
 ])
 def test_demo_refuses_mistyped_rules(tmp_path, capsys, ledger_submits, rules,
                                      message):

@@ -585,7 +585,7 @@ def test_key_caches_leave_dataclass_views_unchanged(make):
         "role_tag", "algo", "public_key", "secret_key", "created_at", "ttl"]
     assert [f.name for f in dataclasses.fields(pair.public)] == [
         "role_tag", "algo", "key", "created_at", "ttl"]
-    assert wire.encode_public_key(pair.public) == wire.encode_public_key(twin.public)
+    assert wire.PUBLIC_KEY.encode(pair.public) == wire.PUBLIC_KEY.encode(twin.public)
 
 
 def test_key_pair_built_from_bytes_signs_and_decrypts():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from conftest import registry_crl_disjoint
 from hearthgate import channels as ch
-from hearthgate import harness, wire
+from hearthgate import crypto, harness, wire
 from hearthgate.channels import (
     AdversaryKnowledge,
     DeliverAll,
@@ -190,6 +192,45 @@ def test_drop_activation_documented_divergence():
     assert device.phase is DevicePhase.REQUEST_SENT
     assert device.uid.hex in outcome.result.world.server.registry
     assert "divergence" in outcome.detail
+
+
+def _bundle_naming(algo: bytes) -> bytes:
+    """A key bundle framed by hand: two keys whose algorithm field is ``algo``."""
+    key = wire.pack_fields([b"\x02", algo, bytes(32), struct.pack(">d", 0.0),
+                            struct.pack(">d", 1e9)])
+    return wire.pack_fields([key, key])
+
+
+@pytest.mark.parametrize("target", ["registration", "activation", "data"])
+def test_non_utf8_payload_field_is_one_traced_rejection(target):
+    # The keys these payloads are encrypted to are public, so any sender can
+    # put bytes that are not UTF-8 in a text field of a well-framed payload.
+    world = run_attack("drop-activation", seed=7).result.world
+    device = world.devices[0]
+    hybrid = wire.pack_fields([b"encap", bytes(12), b"body", bytes(16)])
+    signature = wire.pack_fields([b"\x01", bytes(64)])
+    if target == "registration":
+        (session,) = world.server.sessions.values()
+        dst, key, message, kind = ("server", session.keys.kem.public,
+                                   wire.RegistrationRequest,
+                                   ch.DEVICE_REQUEST_REJECTED)
+        plaintext = wire.pack_fields([_bundle_naming(b"\xff\xfe"),
+                                      device.uid.value, hybrid, signature])
+    elif target == "activation":
+        dst, key, message, kind = (device.name, device.keys.kem.public,
+                                   wire.ActivationResponse, ch.ACTIVATION_REJECTED)
+        plaintext = wire.pack_fields([bytes(32), _bundle_naming(b"\xff\xfe")])
+    else:
+        entry = world.server.registry[device.uid.hex]
+        dst, key, message, kind = ("server", entry.server_keys.kem.public,
+                                   wire.DataReport, ch.DATA_REJECTED)
+        plaintext = wire.pack_fields([device.uid.value, b"\xff\xfe",
+                                      struct.pack(">d", 1.0), b"C", bytes(32)])
+    ct = crypto.hybrid_encrypt(key, plaintext, world.rng, world.clock.now())
+    before = len(world.trace.events)
+    world.dispatch(dst, wire.encode(message(ct)), "adversary")
+    assert [(e.kind, e.get("error")) for e in world.trace.events[before:]] == [
+        (kind, "Malformed")]
 
 
 def test_unknown_attack_script():

@@ -349,6 +349,28 @@ def test_subscription_exactly_once_in_commit_order():
     assert sub_a.poll() == []  # drained, nothing delivered twice
 
 
+def test_risk_hook_runs_after_its_block_commits():
+    rng = seeded_rng(18)
+    net, orgs = make_network(rng)
+    sub = net.subscribe(ChannelName.DATA, "homesure")
+    hooked = []
+
+    def hook(entry, receipt):
+        hooked.append(receipt)
+        raise RuntimeError("alert write failed")
+
+    net.attach_risk_hook(hook)
+    seqs = [net.submit(make_transaction(ChannelName.DATA, sample_entry(rng),
+                                        orgs["server-org"], NOW), NOW)
+            for _ in range(2)]
+    with pytest.raises(RuntimeError):
+        net.settle()
+    receipts = [net.receipt(seq) for seq in seqs]
+    assert [(r.height, r.tx_index) for r in receipts] == [(1, 0), (1, 1)]
+    assert hooked == receipts[:1]
+    assert [receipt for receipt, _ in sub.poll()] == receipts
+
+
 # ---------------------------------------------------------------------------
 # Snapshots
 # ---------------------------------------------------------------------------

@@ -109,8 +109,8 @@ def rejections_case() -> str:
 
     def registration(enc_token, signer=auth.keys.sig):
         signature = crypto.sign(signer, wire.encode_hybrid(enc_token), now())
-        payload = wire.encode_registration_payload(
-            device.keys.public, device.uid.value, enc_token, signature)
+        payload = wire.REGISTRATION_PAYLOAD.encode((
+            device.keys.public, device.uid.value, enc_token, signature))
         return sealed(wire.RegistrationRequest, session_key, payload)
 
     def rejects(error, handler, *args):
@@ -171,11 +171,11 @@ def rejections_case() -> str:
     rejects(roles.Malformed, server.handle_data_report,
             sealed(wire.DataReport, device_key, b"junk"))
     rejects(roles.UnknownDevice, server.handle_data_report, sealed(
-        wire.DataReport, device_key, wire.encode_data_payload(
-            bytes(16), "temperature_c", 21.5, "C", device.device_token)))
+        wire.DataReport, device_key, wire.DATA_PAYLOAD.encode((
+            bytes(16), "temperature_c", 21.5, "C", device.device_token))))
     rejects(roles.TokenMismatch, server.handle_data_report, sealed(
-        wire.DataReport, device_key, wire.encode_data_payload(
-            device.uid.value, "temperature_c", 21.5, "C", bytes(32))))
+        wire.DataReport, device_key, wire.DATA_PAYLOAD.encode((
+            device.uid.value, "temperature_c", 21.5, "C", bytes(32)))))
     server.identity = w.orgs["acme-devices"]
     rejects(roles.LedgerRejected, server.handle_data_report, report)
     rejects(roles.LedgerRejected, server.handle_revocation,
@@ -184,7 +184,7 @@ def rejections_case() -> str:
 
     rejects(roles.Malformed, server.handle_revocation, sealed(
         wire.RevocationRequest, device_key,
-        wire.encode_revocation_payload(device.uid.value)))
+        wire.REVOCATION_PAYLOAD.encode((wire.REVOKE_VERB, device.uid.value))))
     rejects(roles.Malformed, server.handle_revocation,
             sealed(wire.RevocationRequest, session_key, b"junk"))
     rejects(roles.UnknownDevice, server.handle_revocation,

@@ -207,8 +207,8 @@ def test_forged_request_signed_by_adversary_key():
     server_pub = w.device.server_public  # public by assumption
     fake_token = crypto.hybrid_encrypt(server_pub.kem, b"00000000", adv_rng, now)
     fake_sig = crypto.sign(adv_sig_keys, wire.encode_hybrid(fake_token), now)
-    payload = wire.encode_registration_payload(
-        adv_keys.public, adv_rng.bytes(16), fake_token, fake_sig)
+    payload = wire.REGISTRATION_PAYLOAD.encode((
+        adv_keys.public, adv_rng.bytes(16), fake_token, fake_sig))
     forged = wire.RegistrationRequest(
         crypto.hybrid_encrypt(server_pub.kem, payload, adv_rng, now))
     with pytest.raises(SignatureInvalid):
@@ -537,15 +537,16 @@ def test_key_id_of_the_wrong_kind_rejected():
     # A well-formed report, but sealed to a session key.
     report = wire.DataReport(crypto.hybrid_encrypt(
         session_key,
-        wire.encode_data_payload(w.device.uid.value, "temperature_c", 21.5,
-                                 "C", w.device.device_token),
+        wire.DATA_PAYLOAD.encode((w.device.uid.value, "temperature_c", 21.5,
+                                  "C", w.device.device_token)),
         w.rng, now))
     with pytest.raises(Malformed):
         w.server.handle_data_report(report)
     # A revocation sealed to a device's dedicated server key.
     revocation = wire.RevocationRequest(crypto.hybrid_encrypt(
         entry.server_keys.kem.public,
-        wire.encode_revocation_payload(w.device.uid.value), w.rng, now))
+        wire.REVOCATION_PAYLOAD.encode((wire.REVOKE_VERB, w.device.uid.value)),
+        w.rng, now))
     with pytest.raises(Malformed):
         w.server.handle_revocation(revocation)
     assert [(e.kind, e.get("error"), e.get("detail"))
@@ -593,9 +594,9 @@ def test_report_under_replaced_server_key_rejected():
 def _request_with_bundle(w: World, bundle) -> wire.RegistrationRequest:
     """A registration carrying the device's genuine, signed token, but
     ``bundle`` as its device keys."""
-    payload = wire.encode_registration_payload(
+    payload = wire.REGISTRATION_PAYLOAD.encode((
         bundle, w.device.uid.value, w.device._encrypted_token,
-        w.device._token_signature)
+        w.device._token_signature))
     return wire.RegistrationRequest(crypto.hybrid_encrypt(
         w.device.server_public.kem, payload, w.rng, w.clock.now()))
 
@@ -650,9 +651,9 @@ def _mlkem_request_with_kem_key(kem_key):
     public = device.keys.public
     bundle = dataclasses.replace(public, kem=dataclasses.replace(
         public.kem, key=kem_key(public.kem.key)))
-    payload = wire.encode_registration_payload(
+    payload = wire.REGISTRATION_PAYLOAD.encode((
         bundle, device.uid.value, device._encrypted_token,
-        device._token_signature)
+        device._token_signature))
     request = wire.RegistrationRequest(crypto.hybrid_encrypt(
         device.server_public.kem, payload, world.rng, world.clock.now()))
     return world, request
@@ -688,7 +689,7 @@ def _activation_with_bundle(w: World, bundle) -> wire.ActivationResponse:
     server's device keys."""
     return wire.ActivationResponse(crypto.hybrid_encrypt(
         w.device.keys.public.kem,
-        wire.encode_activation_payload(bytes(range(32)), bundle),
+        wire.ACTIVATION_PAYLOAD.encode((bytes(range(32)), bundle)),
         w.rng, w.clock.now()))
 
 

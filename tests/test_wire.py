@@ -6,7 +6,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hearthgate import crypto, wire
+from hearthgate import crypto, ledger, payloads, wire
 from hearthgate.crypto import RoleTag
 from hearthgate.runtime import seeded_rng
 
@@ -109,9 +109,9 @@ def test_key_id_names_the_recipient_key():
     decoded = wire.decode(wire.encode(wire.DataReport(ct))).ciphertext
     assert decoded.key_id == ct.key_id
     # The signed nested encoding carries no key id.
-    assert wire.decode_hybrid(wire.encode_hybrid(ct)).key_id == b""
+    assert wire.HYBRID.decode(wire.encode_hybrid(ct)).key_id == b""
     with pytest.raises(ValueError):
-        wire.encode(wire.DataReport(wire.decode_hybrid(wire.encode_hybrid(ct))))
+        wire.encode(wire.DataReport(wire.HYBRID.decode(wire.encode_hybrid(ct))))
 
 
 def test_fuzz_decode_never_crashes():
@@ -135,6 +135,87 @@ def test_decode_total_over_arbitrary_input(data):
     except wire.WireError:
         return
     assert wire.encode(msg) == data
+
+
+# Replacement values with the sizes and words that fixed-size, text and
+# enum fields accept, and framed lists of them.
+_LEAF = st.one_of(
+    st.binary(max_size=24),
+    st.sampled_from([1, 4, 8, 16, 32]).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)),
+    st.sampled_from([b"data", b"identity", b"active", b"server", b"revoke"]))
+_FRAMED = st.recursive(_LEAF, lambda inner: st.lists(inner, max_size=9).map(
+    wire.pack_fields), max_leaves=12)
+
+
+def _record_samples() -> dict[str, tuple]:
+    """Each record decoder, with valid encodings for it."""
+    rng = seeded_rng(13)
+    now, ttl = 1_700_000_010.0, 86_400.0
+    keys = crypto.generate_role_keys(RoleTag.SERVER_FOR_AUTH, ttl, rng, now)
+    enc = crypto.hybrid_encrypt(keys.kem.public, b"12345678", rng, now)
+    sig = crypto.sign(keys.sig, wire.encode_hybrid(enc), now)
+    uid, token = bytes(range(16)), bytes(range(32))
+    values = {
+        "PUBLIC_KEY": keys.kem.public, "ROLE_PUBLIC": keys.public,
+        "HYBRID": enc, "SIGNATURE": sig,
+        "TOKEN_PAYLOAD": ("00112233", "http://s"),
+        "PROVISION_PAYLOAD": ("http://s", keys.public, enc, sig),
+        "REGISTRATION_PAYLOAD": (keys.public, uid, enc, sig),
+        "ACTIVATION_PAYLOAD": (token, keys.public),
+        "DATA_PAYLOAD": (uid, "temperature_c", 21.5, "C", token),
+        "REVOCATION_PAYLOAD": (wire.REVOKE_VERB, uid),
+    }
+    samples = {name: (getattr(wire, name).decode,
+                      [getattr(wire, name).encode(value)])
+               for name, value in values.items()}
+    entry = payloads.DataEntry(uid, "temperature_c", 21.5, "C", now, bytes(32))
+    device = payloads.DeviceRecord(token, b"s", b"d", b"a", uid,
+                                   payloads.DeviceStatus.ACTIVE, now)
+    alert = payloads.RiskAlert(uid, "temperature_c", 80.0, 60.0, "high",
+                               ("insurer", "emergency_service"), 1, 0)
+    org = ledger.OrgIdentity("server-org", ledger.OrgRole.SERVER,
+                             crypto.sig_keygen(RoleTag.ORG_CREDENTIAL, ttl, rng, now))
+    samples.update(
+        connected_payload=(wire.decode_connected_payload,
+                           [wire.encode_connected_payload(uid)]),
+        decode_payload=(payloads.decode_payload, [
+            payloads.encode_payload(p) for p in (entry, device, alert)]),
+        decode_transaction=(ledger.decode_transaction, [ledger.make_transaction(
+            ledger.ChannelName.DATA, entry, org, now).canonical_bytes]))
+    return samples
+
+
+_RECORD_SAMPLES = _record_samples()
+
+
+@st.composite
+def _mutated(draw, data: bytes, depth: int = 0) -> bytes:
+    """``data`` with one framed field, at some nesting depth, replaced (or
+    the whole of it, when it is not framed or the draw says so)."""
+    for skip in (0, 1):  # payloads start with a one-byte type tag
+        try:
+            fields = wire.unpack_fields(data[skip:])
+        except wire.WireError:
+            continue
+        if fields and depth < 4 and draw(st.booleans()):
+            i = draw(st.integers(0, len(fields) - 1))
+            fields[i] = draw(_mutated(fields[i], depth + 1))
+            return data[:skip] + wire.pack_fields(fields)
+    return draw(st.one_of(_LEAF, _FRAMED))
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_SAMPLES))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_record_decode_is_total(name, data):
+    decode, valid = _RECORD_SAMPLES[name]
+    blob = data.draw(st.one_of(st.binary(max_size=200),
+                               st.sampled_from(valid).flatmap(_mutated)))
+    try:
+        decode(blob)
+    except wire.WireError:
+        pass
 
 
 def test_mutated_valid_encoding_is_structured():
@@ -162,29 +243,29 @@ def test_inner_payload_round_trips():
         crypto.sig_keygen(RoleTag.AUTH_FOR_SERVER, ttl, rng, now),
         wire.encode_hybrid(enc), now)
 
-    assert wire.decode_token_payload(
-        wire.encode_token_payload("00112233", "http://s")) == ("00112233", "http://s")
+    assert wire.TOKEN_PAYLOAD.decode(wire.TOKEN_PAYLOAD.encode(
+        ("00112233", "http://s"))) == ("00112233", "http://s")
 
-    api, pub, enc2, sig2 = wire.decode_provision_payload(
-        wire.encode_provision_payload("http://s", server.public, enc, sig))
+    api, pub, enc2, sig2 = wire.PROVISION_PAYLOAD.decode(
+        wire.PROVISION_PAYLOAD.encode(("http://s", server.public, enc, sig)))
     assert (api, pub, enc2, sig2) == ("http://s", server.public, enc, sig)
 
-    dev_pub, uid2, enc3, sig3 = wire.decode_registration_payload(
-        wire.encode_registration_payload(device.public, uid, enc, sig))
+    dev_pub, uid2, enc3, sig3 = wire.REGISTRATION_PAYLOAD.decode(
+        wire.REGISTRATION_PAYLOAD.encode((device.public, uid, enc, sig)))
     assert (dev_pub, uid2, enc3, sig3) == (device.public, uid, enc, sig)
 
-    token2, pub2 = wire.decode_activation_payload(
-        wire.encode_activation_payload(token32, server.public))
+    token2, pub2 = wire.ACTIVATION_PAYLOAD.decode(
+        wire.ACTIVATION_PAYLOAD.encode((token32, server.public)))
     assert (token2, pub2) == (token32, server.public)
 
     assert wire.decode_connected_payload(wire.encode_connected_payload(uid)) == uid
 
-    fields = wire.decode_data_payload(
-        wire.encode_data_payload(uid, "temperature_c", 21.5, "C", token32))
+    fields = wire.DATA_PAYLOAD.decode(
+        wire.DATA_PAYLOAD.encode((uid, "temperature_c", 21.5, "C", token32)))
     assert fields == (uid, "temperature_c", 21.5, "C", token32)
 
-    assert wire.decode_revocation_payload(
-        wire.encode_revocation_payload(uid)) == uid
+    assert wire.REVOCATION_PAYLOAD.decode(wire.REVOCATION_PAYLOAD.encode(
+        (wire.REVOKE_VERB, uid))) == (wire.REVOKE_VERB, uid)
 
 
 def test_signature_covers_ciphertext_bytes():

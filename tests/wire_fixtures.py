@@ -35,31 +35,33 @@ def build_fixture_messages() -> dict[str, wire.Message]:
         "session_hello": wire.SessionHello(auth.public),
         "nonce_challenge": wire.NonceChallenge(nonce.value),
         "nonce_response": wire.NonceResponse(crypto.hybrid_encrypt(
-            server.kem.public, wire.encode_signature(nonce_sig), rng, now)),
+            server.kem.public, wire.SIGNATURE.encode(nonce_sig), rng, now)),
         "token_delivery": wire.TokenDelivery(crypto.hybrid_encrypt(
-            auth.kem.public, wire.encode_token_payload(token.digits, api),
+            auth.kem.public, wire.TOKEN_PAYLOAD.encode((token.digits, api)),
             rng, now)),
         "device_provision": wire.DeviceProvision(crypto.aead_seal(
             link.value,
-            wire.encode_provision_payload(api, server.public, enc_token, token_sig),
+            wire.PROVISION_PAYLOAD.encode((api, server.public, enc_token,
+                                           token_sig)),
             rng)),
         "registration_request": wire.RegistrationRequest(crypto.hybrid_encrypt(
             server.kem.public,
-            wire.encode_registration_payload(device.public, uid.value,
-                                             enc_token, token_sig),
+            wire.REGISTRATION_PAYLOAD.encode((device.public, uid.value,
+                                              enc_token, token_sig)),
             rng, now)),
         "activation_response": wire.ActivationResponse(crypto.hybrid_encrypt(
             device.kem.public,
-            wire.encode_activation_payload(device_token, server_dev.public),
+            wire.ACTIVATION_PAYLOAD.encode((device_token, server_dev.public)),
             rng, now)),
         "connected_notice": wire.ConnectedNotice(crypto.hybrid_encrypt(
             auth.kem.public, wire.encode_connected_payload(uid.value), rng, now)),
         "data_report": wire.DataReport(crypto.hybrid_encrypt(
             server_dev.kem.public,
-            wire.encode_data_payload(uid.value, "temperature_c", 21.5, "C",
-                                     device_token),
+            wire.DATA_PAYLOAD.encode((uid.value, "temperature_c", 21.5, "C",
+                                      device_token)),
             rng, now)),
         "revocation_request": wire.RevocationRequest(crypto.hybrid_encrypt(
-            server.kem.public, wire.encode_revocation_payload(uid.value),
+            server.kem.public,
+            wire.REVOCATION_PAYLOAD.encode((wire.REVOKE_VERB, uid.value)),
             rng, now)),
     }

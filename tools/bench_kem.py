@@ -142,7 +142,7 @@ def bench_signatures() -> dict[str, float]:
         signature, t_sign = _timed(crypto.sign, pair, message, NOW)
         foreign = crypto.Signature(pair.role_tag, Ed25519PrivateKey.from_private_bytes(
             pair.secret_key).sign(foreign_message))
-        public = wire.decode_public_key(wire.encode_public_key(pair.public))
+        public = wire.PUBLIC_KEY.decode(wire.PUBLIC_KEY.encode(pair.public))
         valid, t_verify = _timed(crypto.verify, public, foreign_message, foreign, NOW)
         valid_own, t_own = _timed(crypto.verify, public, message, signature, NOW)
         if not (valid and valid_own):

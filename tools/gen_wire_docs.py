@@ -7,7 +7,6 @@ Run from the repo root: python3 tools/gen_wire_docs.py
 from __future__ import annotations
 
 import pathlib
-import struct
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -102,22 +101,23 @@ def hex_preview(data: bytes, limit: int = 24) -> str:
     return shown + (f" .. ({len(data)} bytes)" if len(data) > limit else "")
 
 
-def annotate(name: str, encoded: bytes) -> str:
-    lines = []
-    (body_len,) = struct.unpack_from(">I", encoded, 0)
-    tag = encoded[4]
-    lines.append(f"{0:>6}  {encoded[:4].hex(' ')}        u32 body length = {body_len}")
-    lines.append(f"{4:>6}  {encoded[4:5].hex()}                 tag = 0x{tag:02x}")
+def annotate(name: str, msg: wire.Message) -> str:
+    """The dump of one message, its body split by the message's record."""
+    encoded = wire.encode(msg)
+    tag, record = wire.MESSAGES[type(msg)]
+    lines = [f"{0:>6}  {encoded[:4].hex(' ')}        "
+             f"u32 body length = {len(encoded) - 4}",
+             f"{4:>6}  {encoded[4:5].hex()}                 tag = 0x{tag:02x}"]
     pos = 5
-    names = FIELD_NAMES[name]
-    for i, field_name in enumerate(names):
-        (flen,) = struct.unpack_from(">I", encoded, pos)
+    fields = wire.unpack_fields(encoded[pos:], expect=len(record.names))
+    for i, (field_name, field) in enumerate(zip(FIELD_NAMES[name], fields,
+                                                strict=True)):
         lines.append(f"{pos:>6}  {encoded[pos:pos+4].hex(' ')}        "
-                     f"u32 field {i} length = {flen}")
+                     f"u32 field {i} length = {len(field)}")
         pos += 4
-        lines.append(f"{pos:>6}  {hex_preview(encoded[pos:pos+flen])}")
+        lines.append(f"{pos:>6}  {hex_preview(field)}")
         lines.append(f"        ^ {field_name}")
-        pos += flen
+        pos += len(field)
     return "\n".join(lines)
 
 
@@ -129,7 +129,7 @@ def render() -> str:
         parts.append(f"\n## {name} (tag 0x{encoded[4]:02x}, "
                      f"{len(encoded)} bytes)\n")
         parts.append("```")
-        parts.append(annotate(name, encoded))
+        parts.append(annotate(name, msg))
         parts.append("```")
     return "\n".join(parts) + "\n"
 
