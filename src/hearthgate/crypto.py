@@ -27,6 +27,22 @@ identity). Anything else, a tampered byte or a key pair whose stated public
 key is not its seed's, misses and is verified by libsodium. The memo holds
 signatures, public keys and signed messages, no key material.
 
+Decapsulating an X25519 ciphertext this process encapsulated is a lookup
+too. ``encaps`` records the AEAD key it derives in a bounded memo
+(``_ENCAPSULATED_ENTRIES``, oldest encapsulation dropped first), under the
+exact encapsulation bytes and recipient public key bytes; ``decaps`` returns
+it when both match and the pair's secret key derives its stated public key
+(checked once per pair). A hit equals recomputation: both sides compute the
+same Diffie-Hellman value (RFC 7748 section 6.1), and the KDF reads the
+same encapsulation and public key bytes. Anything else, one flipped bit
+(bit 255 included, which X25519 itself ignores), another recipient, or a
+pair whose public key is not its secret's, misses and runs the exchange.
+``hybrid_decrypt`` still checks freshness and opens the AEAD on a hit. Unlike
+the signature memo, this one holds key material, the per-message AEAD keys:
+both endpoints' secrets already live in this process (a world holds every
+key pair), the memo is bounded and never serialized, and where the two
+endpoints run in different processes it never hits.
+
 All randomness comes from an injected :class:`~hearthgate.runtime.Rng` and
 all expiry checks from an injected timestamp, so protocol runs replay
 deterministically.
@@ -280,6 +296,12 @@ class KeyPair:
         use unless keygen stored the one it made (see :func:`_new_pair`)."""
         return _parse_key(_PRIVATE_PARSERS, self.algo, self.secret_key)
 
+    @cached_property
+    def derives_public_key(self) -> bool:
+        """Whether the X25519 secret key derives ``public_key``, byte for
+        byte. Parsing the secret already derived that key, so this compares."""
+        return self.parsed.public_key().public_bytes_raw() == self.public_key
+
     def expired(self, now: float) -> bool:
         return now > self.created_at + self.ttl
 
@@ -305,6 +327,17 @@ def _ensure_fresh(key: KeyPair | PublicKey, now: float) -> None:
 # KEM backends
 # ---------------------------------------------------------------------------
 
+#: Entries in the memo of X25519 encapsulations made: every encapsulation of
+#: one ``fleet`` benchmark iteration (1,766) twice over, at about 250 bytes
+#: each with the encapsulation and the key.
+_ENCAPSULATED_ENTRIES = 4096
+
+#: The AEAD keys ``_X25519Backend.encaps`` derived, each under the
+#: (encapsulation, recipient public key) it derived it for, least recently
+#: encapsulated first. These are per-message keys, kept in memory only.
+_encapsulated: OrderedDict[tuple[bytes, bytes], bytes] = OrderedDict()
+
+
 class _X25519Backend:
     """ECIES-style KEM: ephemeral X25519 exchange, HKDF-free SHA-256 KDF."""
 
@@ -321,10 +354,19 @@ class _X25519Backend:
         eph_secret = rng.bytes(32)
         eph = X25519PrivateKey.from_private_bytes(eph_secret)
         encapsulation = eph.public_key().public_bytes_raw()
-        raw = eph.exchange(peer_key)
-        return encapsulation, self._kdf(raw, encapsulation, peer.key)
+        raw = eph.exchange(peer_key)  # a low-order peer raises: no entry
+        shared = self._kdf(raw, encapsulation, peer.key)
+        entry = (encapsulation, peer.key)
+        _encapsulated.pop(entry, None)
+        _encapsulated[entry] = shared
+        if len(_encapsulated) > _ENCAPSULATED_ENTRIES:
+            _encapsulated.popitem(last=False)
+        return encapsulation, shared
 
     def decaps(self, pair: KeyPair, encapsulation: bytes) -> bytes:
+        shared = _encapsulated.get((encapsulation, pair.public_key))
+        if shared is not None and pair.derives_public_key:
+            return shared
         try:
             eph_pub = X25519PublicKey.from_public_bytes(encapsulation)
         except ValueError as exc:

@@ -374,8 +374,13 @@ class LedgerNetwork:
         return seq
 
     def run_until(self, watermark: float) -> list[CommitReceipt]:
-        """Commit every block whose cut time is at or before ``watermark``."""
+        """Commit every block whose cut time is at or before ``watermark``.
+
+        The blocks are already out of the orderers, so a risk hook that
+        raises stops none of them: every block commits, in order, and the
+        first hook error is raised after the last."""
         new_receipts: list[CommitReceipt] = []
+        hook_error = None
         progress = True
         while progress:
             progress = False
@@ -386,7 +391,12 @@ class LedgerNetwork:
             cuts.sort(key=lambda c: (c[0], c[1].value))
             for commit_time, channel, items in cuts:
                 progress = True
-                new_receipts.extend(self._commit(channel, commit_time, items))
+                try:
+                    new_receipts.extend(self._commit(channel, commit_time, items))
+                except Exception as exc:  # the risk hook's, block recorded
+                    hook_error = hook_error or exc
+        if hook_error is not None:
+            raise hook_error
         return new_receipts
 
     def settle(self) -> list[CommitReceipt]:

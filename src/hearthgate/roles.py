@@ -728,17 +728,26 @@ class Server:
 
     def _submit(self, channel: ChannelName, payload: Payload, now: float,
                 uid_hex: str, **commit_fields: str) -> None:
-        """Commit one payload to the ledger; a refusal raises LedgerRejected."""
+        """Commit one payload to the ledger; a refusal raises LedgerRejected.
+        A risk hook that fails once the payload's block committed is recorded
+        on the commit as ``hook_error``: the payload is on the chain."""
         try:
             tx = make_transaction(channel, payload, self.identity, now)
             seq = self.network.submit(tx, now)
-            self.network.settle()
-            receipt = self.network.receipt(seq)
         except LedgerError as exc:
             raise LedgerRejected(str(exc), uid=uid_hex) from exc
+        try:
+            self.network.settle()
+        except Exception as exc:
+            if self.network.receipt(seq) is not None:
+                commit_fields["hook_error"] = f"{type(exc).__name__}: {exc}"
+            elif isinstance(exc, LedgerError):
+                raise LedgerRejected(str(exc), uid=uid_hex) from exc
+            else:
+                raise
         self.trace.record(self.name, ch.LEDGER_COMMIT, channel=channel.value,
-                          height=str(receipt.height), uid=uid_hex,
-                          **commit_fields)
+                          height=str(self.network.receipt(seq).height),
+                          uid=uid_hex, **commit_fields)
 
     # -- data ingestion -----------------------------------------------------------
 

@@ -15,7 +15,9 @@ import hmac as hmac_mod
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -23,6 +25,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
 from hypothesis import given, settings, strategies as st
 
 from hearthgate import crypto, mlkem, wire
@@ -252,6 +255,77 @@ def test_ml_kem_implicit_rejection_differs():
     ct, shared = mlkem.encaps(ek, rng.bytes(32))
     assert mlkem.decaps(dk, ct) == shared
     assert mlkem.decaps(dk, _flip_bit(ct, 17)) != shared
+
+
+# ---------------------------------------------------------------------------
+# Memo of X25519 encapsulations made
+# ---------------------------------------------------------------------------
+
+X25519 = crypto.kem_backend("x25519")
+_P25519 = 2**255 - 19
+# The u-coordinates of the points of order 1, 2, 4 and 8 (RFC 7748 section 6.1
+# says to check for the all-zero value they give), two of them non-canonical.
+LOW_ORDER = [u.to_bytes(32, "little") for u in (
+    0, 1, _P25519 - 1, _P25519, _P25519 + 1,
+    0xb8495f16056286fdb1329ceb8d09da6ac49ff1fae35616aeb8413b7c7aebe0,
+    0x57119fd0dd4e22d8868e1c58c45c44045bef839c55b1d0b1248c50a3bc959c5f)]
+
+
+def _decaps(pair, encapsulation):
+    """x25519 ``decaps``: (the key, how many exchanges it ran)."""
+    with mock.patch.object(crypto, "X25519PublicKey", wraps=X25519PublicKey) as spy:
+        key = X25519.decaps(pair, encapsulation)
+    return key, spy.from_public_bytes.call_count
+
+
+def _recomputed(pair, encapsulation):
+    """What x25519 ``decaps`` returns with the memo of encapsulations cleared."""
+    kept = crypto._encapsulated.copy()
+    crypto._encapsulated.clear()
+    try:
+        return X25519.decaps(pair, encapsulation)
+    finally:
+        crypto._encapsulated.update(kept)
+
+
+@given(seed=st.integers(0, 2**32 - 1), bit=st.integers(0, 255),
+       bound=st.integers(1, 4), low_order=st.sampled_from(LOW_ORDER))
+@settings(max_examples=60, deadline=None)
+def test_x25519_memo_hits_equal_recomputation_and_near_misses_recompute(
+        seed, bit, bound, low_order):
+    rng = seeded_rng(seed)
+    pair, other = (crypto.kem_keygen(RoleTag.DEVICE_FOR_SERVER, DAY, rng, NOW)
+                   for _ in range(2))
+    twin = crypto.KeyPair(pair.role_tag, "x25519", pair.public_key,
+                          pair.secret_key, NOW, DAY)  # parses its secret anew
+    mismatched = crypto.KeyPair(pair.role_tag, "x25519", other.public_key,
+                                pair.secret_key, NOW, DAY)
+    with mock.patch.object(crypto, "_encapsulated", OrderedDict()), \
+            mock.patch.object(crypto, "_ENCAPSULATED_ENTRIES", bound):
+        encapsulation, shared = X25519.encaps(pair.public, rng)
+        for hit in (pair, twin):
+            assert _decaps(hit, encapsulation) == (shared, 0)
+            assert _recomputed(hit, encapsulation) == shared
+        # X25519 ignores bit 255: only the exact-bytes key tells that flip apart.
+        flips = [(pair, _flip_bit(encapsulation, b)) for b in (bit, 255)]
+        to_other, _ = X25519.encaps(other.public, rng)
+        for miss, miss_encapsulation in flips + [(other, encapsulation),
+                                                 (mismatched, to_other)]:
+            recomputed = _recomputed(miss, miss_encapsulation)
+            assert recomputed != shared
+            assert _decaps(miss, miss_encapsulation) == (recomputed, 1)
+        assert len(crypto._encapsulated) == min(bound, 2)
+        for _ in range(bound):
+            X25519.encaps(other.public, rng)
+        assert len(crypto._encapsulated) == bound
+        assert (encapsulation, pair.public_key) not in crypto._encapsulated
+        assert _decaps(pair, encapsulation) == (shared, 1)  # evicted
+        before = list(crypto._encapsulated.items())
+        low = crypto.PublicKey(RoleTag.DEVICE_FOR_SERVER, "x25519", low_order,
+                               NOW, DAY)
+        with pytest.raises(ValueError):
+            X25519.encaps(low, rng)
+        assert list(crypto._encapsulated.items()) == before
 
 
 _IMPORT_PROBE = """

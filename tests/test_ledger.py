@@ -371,6 +371,29 @@ def test_risk_hook_runs_after_its_block_commits():
     assert [receipt for receipt, _ in sub.poll()] == receipts
 
 
+def test_raising_risk_hook_drops_no_cut_block():
+    rng = seeded_rng(23)
+    net, orgs = make_network(rng, max_block_txs=1)
+    hooked = []
+
+    def hook(entry, receipt):
+        hooked.append(receipt)
+        raise RuntimeError(f"alert write {len(hooked)} failed")
+
+    net.attach_risk_hook(hook)
+    seqs = [net.submit(make_transaction(ChannelName.DATA, sample_entry(rng),
+                                        orgs["server-org"], NOW), NOW)
+            for _ in range(2)]
+    with pytest.raises(RuntimeError, match="alert write 1 failed"):
+        net.settle()
+    receipts = [net.receipt(seq) for seq in seqs]
+    assert [(r.height, r.tx_index) for r in receipts] == [(1, 0), (2, 0)]
+    assert hooked == receipts
+    assert len(net.chains[ChannelName.DATA]) == 3  # genesis and two blocks
+    assert verify_chain(net, ChannelName.DATA)[0]
+    assert net.settle() == []
+
+
 # ---------------------------------------------------------------------------
 # Snapshots
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hearthgate import channels as ch
 from hearthgate import crypto, harness, roles, wire
 from hearthgate.channels import SecureChannel, Trace
 from hearthgate.crypto import KeyExpired, RoleTag
-from hearthgate.ledger import ORG_CREDENTIAL_TTL, ChannelName
+from hearthgate.ledger import ORG_CREDENTIAL_TTL, ChannelName, InvalidPayload
 from hearthgate.payloads import DeviceStatus
 from hearthgate.roles import (
     AlreadyRevoked,
@@ -325,6 +325,26 @@ def test_data_report_after_org_credential_expiry_is_traced_rejection():
     assert [e.get("error") for e in rejected] == ["LedgerRejected"]
     assert "expired" in rejected[0].get("detail")
     assert w.network.query(ChannelName.DATA, "server-org") == []
+
+
+def test_failed_risk_hook_after_commit_is_recorded_on_the_commit():
+    w = World()
+    w.onboard()
+
+    def hook(entry, receipt):
+        raise InvalidPayload("metric and severity must be nonempty")
+
+    w.network.attach_risk_hook(hook)
+    report = w.device.build_data_report("temperature_c", 21.5, "C")
+    w.server.handle_data_report(report.message)
+    assert len(w.trace.by_kind(ch.DATA_ACCEPTED)) == 1
+    assert not w.trace.by_kind(ch.DATA_REJECTED)
+    assert not any(e.get("error") == "LedgerRejected" for e in w.trace.events)
+    commit = w.trace.by_kind(ch.LEDGER_COMMIT)[-1]
+    assert commit.get("channel") == ChannelName.DATA.value
+    assert commit.get("hook_error") == (
+        "InvalidPayload: metric and severity must be nonempty")
+    assert len(w.network.query(ChannelName.DATA, "server-org")) == 1
 
 
 def test_revoke_unknown_device():

@@ -14,7 +14,12 @@ computed before. ML-KEM decapsulation of a ciphertext this process
 encapsulated compares it with the memoised one instead of encrypting again;
 the flipped bit changes ML-KEM's decrypted message (it is the top bit of
 v's last compressed coefficient), so the ``decaps (foreign ciphertext)`` row
-times the full re-encryption check and its implicit rejection. For Ed25519 it
+times the full re-encryption check and its implicit rejection. X25519
+decapsulation of an encapsulation this process made looks up the AEAD key
+``encaps`` recorded; for X25519 the flipped bit is bit 255 of the
+encapsulation, which X25519 itself ignores, but the memo is keyed by the
+exact bytes, so the foreign row still misses and times a full exchange (with
+a key unlike the one encapsulated, as the KDF reads those bytes). For Ed25519 it
 times keygen, one signature with the new key, and two checks against a public
 key decoded from its wire bytes, as a ledger peer or a device receives it:
 ``verify_own`` checks the signature just made, which ``crypto``'s memo of
