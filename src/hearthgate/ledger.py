@@ -377,8 +377,9 @@ class LedgerNetwork:
         """Commit every block whose cut time is at or before ``watermark``.
 
         The blocks are already out of the orderers, so a risk hook that
-        raises stops none of them: every block commits, in order, and the
-        first hook error is raised after the last."""
+        raises stops none of them: every block commits, in order, every
+        data transaction is passed to the hook, and the first hook error is
+        raised after the last block."""
         new_receipts: list[CommitReceipt] = []
         hook_error = None
         progress = True
@@ -423,10 +424,17 @@ class LedgerNetwork:
                 if mode == READ_OWN and not self._owns(sub.org_id, tx.payload):
                     continue
                 sub._queue.append((receipt, tx.payload))
-        # Only once the whole block is recorded: a hook that raises loses no receipt.
+        # Only once the whole block is recorded: a hook that raises loses no
+        # receipt, and every data transaction of the block still gets its call.
         if channel is ChannelName.DATA and self._risk_hook is not None:
+            hook_error = None
             for receipt, (_, tx) in zip(receipts, items):
-                self._risk_hook(tx.payload, receipt)
+                try:
+                    self._risk_hook(tx.payload, receipt)
+                except Exception as exc:
+                    hook_error = hook_error or exc
+            if hook_error is not None:
+                raise hook_error
         return receipts
 
     def receipt(self, seq: int) -> CommitReceipt | None:

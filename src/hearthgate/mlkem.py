@@ -28,20 +28,30 @@ one int64 product of the fields with powers of two; at d = 11 a group is 8
 fields in 11 bytes, two words from bytes 0 and 5. SamplePolyCBD_eta is
 ByteDecode_(2 eta) and a 2^(2 eta)-entry table.
 
-Caches hold public data only. Two LRU caches of read-only arrays
-(``_CACHE_ENTRIES`` entries each) hold A-hat by ``rho`` and, per
-encapsulation key passing the modulus check, the rows encryption multiplies
-by and H(ek); a key failing the check raises and is never cached. A memo
-holds the last ``_CIPHERTEXT_ENTRIES`` ciphertexts ``encaps`` made, keyed
-by the digest SHA3-256(m || H(ek)), and drops the oldest when full.
-``decaps`` looks up its decrypted m' there and compares the ciphertext with
-the memo's instead of encrypting m' again (the Fujisaki-Okamoto
-re-encryption check). A hit equals recomputation: K-PKE's
-randomness is r = G(m || H(ek))[32:], so the ciphertext is a function of ek
-and m alone. A tampered ciphertext that still decrypts to m' hits and fails
-the comparison; any other input misses and is encrypted again. ``decaps``
-never adds to the memo, since its m' is read from dk; nothing secret (s-hat,
-z, m, r, K) is cached.
+Two LRU caches of read-only arrays (``_CACHE_ENTRIES`` entries each) hold
+A-hat by ``rho`` and, per encapsulation key passing the modulus check, the
+rows encryption multiplies by and H(ek); a key failing the check raises and
+is never cached.
+
+Decapsulating a ciphertext this process encapsulated, with a key this
+process generated, is a lookup. ``keygen`` records SHA3-256(dk) of each key
+it returns (``_GENERATED_ENTRIES``, oldest dropped first), and ``encaps``
+records the shared secret K it returns under the exact (ciphertext, ek)
+bytes (``_ENCAPSULATED_ENTRIES``, oldest dropped first). ``decaps``, after
+its length and hash checks, returns the recorded K when the memo holds
+(c, the ek embedded in dk) and H(dk) is recorded. A hit equals
+recomputation: a dk that keygen made embeds the ek it was made with, and
+FIPS 203 decapsulation of a ciphertext that encaps(ek, m) made returns K
+unless K-PKE.Decrypt fails to recover m, with probability delta of about
+2^-139 for ML-KEM-512 (2^-165 for ML-KEM-768, 2^-175 for ML-KEM-1024), in
+which case it would return J(z || c). Anything else misses and runs the
+full path (decrypt, encrypt again, compare, implicit rejection): a flipped
+bit, another key's ciphertext, a dk that keygen did not make (an altered
+s-hat, say, or a non-canonical embedded ek) or an evicted entry. Unlike the
+array caches, the memo holds secrets, the shared secrets K, and the record
+holds digests of decapsulation keys. Both are bounded, in memory only and
+never serialized; both endpoints' keys already live in this process, and
+where they run in different processes the memo never hits.
 """
 
 from __future__ import annotations
@@ -89,10 +99,13 @@ CT_BYTES = ML_KEM_512.ct_bytes   # 768
 
 #: Entries in each LRU array cache: about 20 KiB per ML-KEM-512 key.
 _CACHE_ENTRIES = 64
-#: Ciphertexts kept for decaps, about 0.9 KiB each for ML-KEM-512. A
-#: scenario encapsulates every device's report before the server
-#: decapsulates any, so a 200-device onboarding needs 200 of them.
-_CIPHERTEXT_ENTRIES = 256
+#: Digests of decapsulation keys keygen made, 32 bytes each; a 200-device
+#: ML-KEM onboarding makes 800 key pairs.
+_GENERATED_ENTRIES = 1024
+#: Shared secrets encaps returned, keyed by about 1.6 KiB of ciphertext and
+#: ek for ML-KEM-512. A scenario encapsulates every device's report before
+#: the server decapsulates any, so a 200-device onboarding needs 200 of them.
+_ENCAPSULATED_ENTRIES = 256
 
 
 def _roots():
@@ -253,25 +266,25 @@ def _pke_decrypt(dk: bytes, ct: bytes, p: ParamSet) -> bytes:
     return _pack(_compress((v - _ntt(_mul_sum(s_hat, u_hat), _VI)) % Q, 1), 1)
 
 
-#: K-PKE.Encrypt's ciphertexts made by ``encaps``, by SHA3-256(m || H(ek)),
-#: oldest first.
-_ciphertexts: dict[bytes, bytes] = {}
+#: SHA3-256(dk) of each decapsulation key ``keygen`` returned, oldest first.
+_generated: dict[bytes, None] = {}
+#: K ``encaps`` returned, by its exact (ciphertext, ek) bytes, oldest first.
+_encapsulated: dict[tuple[bytes, bytes], bytes] = {}
 
 
-def _encrypt(key, m: bytes, h_ek: bytes, p: ParamSet, keep: bool) -> tuple[bytes, bytes]:
-    """(c, K): K-PKE.Encrypt(ek, m, r) and K for (K, r) = G(m || H(ek)), c from
-    the memo if it holds it, else encrypted with ek's rows ``key``. Only
-    encaps may ``keep`` c: decaps's m is read from dk."""
-    seed = m + h_ek
-    expanded, digest = _g(seed), _h(seed)
-    ct = _ciphertexts.get(digest)
-    if ct is None:
-        ct = _pke_encrypt(key, m, expanded[32:], p)
-        if keep:
-            _ciphertexts[digest] = ct
-            if len(_ciphertexts) > _CIPHERTEXT_ENTRIES:
-                del _ciphertexts[next(iter(_ciphertexts))]
-    return ct, expanded[:32]
+def _remember(memo: dict, key, value, bound: int) -> None:
+    """Store ``memo[key] = value`` as the newest entry, dropping the oldest past ``bound``."""
+    memo.pop(key, None)
+    memo[key] = value
+    if len(memo) > bound:
+        del memo[next(iter(memo))]
+
+
+def _encrypt(key, m: bytes, h_ek: bytes, p: ParamSet) -> tuple[bytes, bytes]:
+    """(c, K): K-PKE.Encrypt(ek, m, r) with ek's rows ``key``, and K, for
+    (K, r) = G(m || H(ek))."""
+    expanded = _g(m + h_ek)
+    return _pke_encrypt(key, m, expanded[32:], p), expanded[:32]
 
 
 def keygen(seed: bytes, params: ParamSet = ML_KEM_512) -> tuple[bytes, bytes]:
@@ -279,7 +292,9 @@ def keygen(seed: bytes, params: ParamSet = ML_KEM_512) -> tuple[bytes, bytes]:
     if len(seed) != 64:
         raise ValueError(f"keygen needs a 64-byte seed, got {len(seed)}")
     ek, dk_pke = _pke_keygen(seed[:32], params)
-    return ek, dk_pke + ek + _h(ek) + seed[32:]
+    dk = dk_pke + ek + _h(ek) + seed[32:]
+    _remember(_generated, _h(dk), None, _GENERATED_ENTRIES)
+    return ek, dk
 
 
 def check_encapsulation_key(ek: bytes, params: ParamSet = ML_KEM_512):
@@ -296,7 +311,9 @@ def encaps(ek: bytes, randomness: bytes,
     key, h_ek = check_encapsulation_key(ek, params)
     if len(randomness) != 32:
         raise ValueError("encapsulation randomness must be 32 bytes")
-    return _encrypt(key, randomness, h_ek, params, keep=True)
+    ct, shared = _encrypt(key, randomness, h_ek, params)
+    _remember(_encapsulated, (ct, bytes(ek)), shared, _ENCAPSULATED_ENTRIES)
+    return ct, shared
 
 
 def decaps(dk: bytes, ct: bytes, params: ParamSet = ML_KEM_512) -> bytes:
@@ -306,11 +323,14 @@ def decaps(dk: bytes, ct: bytes, params: ParamSet = ML_KEM_512) -> bytes:
         raise ValueError(f"decapsulation key must be {params.dk_bytes} bytes, got {len(dk)}")
     if len(ct) != params.ct_bytes:
         raise ValueError(f"ciphertext must be {params.ct_bytes} bytes, got {len(ct)}")
-    dk = bytes(dk)  # cache keys must be hashable
+    dk, ct = bytes(dk), bytes(ct)  # cache keys must be hashable
     ek = dk[384 * k:768 * k + 32]
     h_stored = dk[768 * k + 32:768 * k + 64]
     if _h(ek) != h_stored:
         raise ValueError("decapsulation key failed hash check")
+    shared = _encapsulated.get((ct, ek))
+    if shared is not None and _h(dk) in _generated:
+        return shared   # the full path's K unless K-PKE fails to decrypt (delta)
     m = _pke_decrypt(dk[:384 * k], ct, params)
     rejected = hashlib.shake_256(dk[768 * k + 64:] + ct).digest(32)   # J(z || c)
     try:
@@ -318,5 +338,5 @@ def decaps(dk: bytes, ct: bytes, params: ParamSet = ML_KEM_512) -> bytes:
     except ValueError:
         # Decaps does not check the embedded key; ByteDecode_12 reduces it.
         key = _encryption_key(_unpack(ek[:384 * k], 12).reshape(k, N) % Q, ek[384 * k:], k)
-    ct_again, shared = _encrypt(key, m, h_stored, params, keep=False)
+    ct_again, shared = _encrypt(key, m, h_stored, params)
     return shared if ct_again == ct else rejected

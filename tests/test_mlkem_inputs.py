@@ -8,9 +8,11 @@ module caches data derived from valid encapsulation keys, so the tests
 also check that a rejected key is rejected again on every call and never
 enters a cache. Through ``crypto`` the same failures surface as
 ``MalformedKey`` (encapsulation) and ``DecryptionFailure`` (decryption).
-Decapsulation compares a ciphertext with the one ``encaps`` made for the
-same key and message when the memo holds it; the tests check that it gives
-the same secret as re-encryption on valid, tampered and foreign inputs.
+Decapsulation returns the secret ``encaps`` recorded when it made the
+ciphertext for the key embedded in a decapsulation key that ``keygen`` made;
+the tests check, for all three parameter sets, that such a hit runs neither
+K-PKE.Decrypt nor K-PKE.Encrypt and gives the full FIPS 203 result, and that
+tampered, foreign, crafted and evicted inputs miss and give it too.
 
 The NTT, inverse NTT and MultiplyNTTs run as numpy array operations (the
 NTTs as float64 matrix products); the tests compare them with FIPS 203
@@ -30,6 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hearthgate import crypto, mlkem
 from hearthgate.crypto import DecryptionFailure, MalformedKey, RoleTag
@@ -178,64 +181,170 @@ def test_decaps_reduces_a_non_canonical_embedded_ek():
     assert mlkem.decaps(dk, ct) == shared
 
 
-# -- the K-PKE.Encrypt memo shared by encaps and decaps -----------------------
+# -- decapsulation of this process's own encapsulations -----------------------
 
 K512 = mlkem.ML_KEM_512.k
+PARAM_SETS = {"512": mlkem.ML_KEM_512, "768": mlkem.ML_KEM_768,
+              "1024": mlkem.ML_KEM_1024}
+SEEDS = st.binary(min_size=64, max_size=64)
+MESSAGES = st.binary(min_size=32, max_size=32)
 
 
-def _rejection(dk: bytes, ct: bytes) -> bytes:
+def _rejection(dk: bytes, ct: bytes, p=mlkem.ML_KEM_512) -> bytes:
     """J(z || c), the implicit-rejection secret."""
-    return hashlib.shake_256(dk[768 * K512 + 64:] + ct).digest(32)
+    return hashlib.shake_256(dk[768 * p.k + 64:] + ct).digest(32)
 
 
-def _message(dk: bytes, ct: bytes) -> bytes:
-    return mlkem._pke_decrypt(dk[:384 * K512], ct, mlkem.ML_KEM_512)
+def _message(dk: bytes, ct: bytes, p=mlkem.ML_KEM_512) -> bytes:
+    return mlkem._pke_decrypt(dk[:384 * p.k], ct, p)
 
 
-def _same_message_flip(dk: bytes, ct: bytes) -> bytes:
+def _same_message_flip(dk: bytes, ct: bytes, p=mlkem.ML_KEM_512) -> bytes:
     """``ct`` with its first one-bit flip that still decrypts to ct's message."""
-    m = _message(dk, ct)
+    m = _message(dk, ct, p)
     for bit in range(8 * len(ct)):
         tampered = _flip(ct, bit)
-        if _message(dk, tampered) == m:
+        if _message(dk, tampered, p) == m:
             return tampered
     raise AssertionError("no one-bit flip keeps the message")
 
 
-def _memo_cases() -> dict[str, tuple[bytes, bytes, bytes]]:
-    """dk, ct and the secret decaps must give, by case; the valid ciphertext
-    is encapsulated in this process, so the memo holds its message."""
-    ek, dk = _keys(b"memo")
-    other_ek, _ = _keys(b"memo-other")
-    ct, shared = mlkem.encaps(ek, bytes(range(32)))
-    foreign, _ = mlkem.encaps(other_ek, bytes(range(1, 33)))
-    random_ct = hashlib.shake_256(b"random ct").digest(mlkem.CT_BYTES)
-    tampered = _same_message_flip(dk, ct)
+def _fips(dk: bytes, ct: bytes, p=mlkem.ML_KEM_512) -> bytes:
+    """decaps with the memo and the record empty: the full FIPS 203 path."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(mlkem, "_generated", {})
+        patched.setattr(mlkem, "_encapsulated", {})
+        return mlkem.decaps(dk, ct, p)
+
+
+def _without_kernels(dk: bytes, ct: bytes, p=mlkem.ML_KEM_512) -> bytes:
+    """decaps with K-PKE.Decrypt and K-PKE.Encrypt unavailable, so only a hit returns."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(mlkem, "_pke_decrypt", None)
+        patched.setattr(mlkem, "_pke_encrypt", None)
+        return mlkem.decaps(dk, ct, p)
+
+
+def _counted(dk: bytes, ct: bytes, p=mlkem.ML_KEM_512) -> tuple[bytes, int]:
+    """decaps's secret, and how many times it ran K-PKE.Decrypt."""
+    calls = []
+    decrypt = mlkem._pke_decrypt
+
+    def spy(*args):
+        calls.append(args)
+        return decrypt(*args)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(mlkem, "_pke_decrypt", spy)
+        shared = mlkem.decaps(dk, ct, p)
+    return shared, len(calls)
+
+
+def _within_bounds() -> bool:
+    return (len(mlkem._generated) <= mlkem._GENERATED_ENTRIES
+            and len(mlkem._encapsulated) <= mlkem._ENCAPSULATED_ENTRIES)
+
+
+def _memo_cases(p=mlkem.ML_KEM_512) -> dict[str, tuple[bytes, bytes, bytes]]:
+    """dk, ct and the secret decaps must give, by case. Every key is made by
+    keygen and every ciphertext but "random" by encaps in this process, so
+    only "valid" is a hit: the others differ from it in ct or in dk."""
+    k = p.k
+    ek, dk = mlkem.keygen(hashlib.sha512(b"memo|%d" % k).digest(), p)
+    other_ek, _ = mlkem.keygen(hashlib.sha512(b"memo-other|%d" % k).digest(), p)
+    ct, shared = mlkem.encaps(ek, bytes(range(32)), p)
+    foreign, _ = mlkem.encaps(other_ek, bytes(range(1, 33)), p)
+    random_ct = hashlib.shake_256(b"random ct").digest(p.ct_bytes)
+    tampered = _same_message_flip(dk, ct, p)
     bad = _with_first_coefficient(ek, 0xFFF)
-    crafted = dk[:384 * K512] + bad + hashlib.sha3_256(bad).digest() + dk[768 * K512 + 64:]
+    crafted = dk[:384 * k] + bad + hashlib.sha3_256(bad).digest() + dk[768 * k + 64:]
+    # One s-hat byte changed, the embedded ek and H(ek) kept: decaps finds
+    # (ct, ek) in the memo but not the key among those keygen made. The
+    # message it decrypts decides FIPS 203's answer.
+    altered = _flip(dk, 8 * 7 + 3)
+    same_m = _message(altered, ct, p) == _message(dk, ct, p)
     return {"valid": (dk, ct, shared),
-            "tampered-same-m": (dk, tampered, _rejection(dk, tampered)),
-            "random": (dk, random_ct, _rejection(dk, random_ct)),
-            "other-key": (dk, foreign, _rejection(dk, foreign)),
-            "non-canonical-dk": (crafted, ct, _rejection(crafted, ct))}
+            "tampered-same-m": (dk, tampered, _rejection(dk, tampered, p)),
+            "random": (dk, random_ct, _rejection(dk, random_ct, p)),
+            "other-key": (dk, foreign, _rejection(dk, foreign, p)),
+            "non-canonical-dk": (crafted, ct, _rejection(crafted, ct, p)),
+            "altered-s-hat": (altered, ct, shared if same_m else _rejection(altered, ct, p))}
 
 
-@pytest.mark.parametrize("name", ["valid", "tampered-same-m", "random", "other-key",
-                                  "non-canonical-dk"])
-def test_decaps_same_with_memo_filled_and_emptied(name, monkeypatch):
-    dk, ct, expected = _memo_cases()[name]
-    memo = dict(mlkem._ciphertexts)
-    if name in ("valid", "tampered-same-m"):
-        # The memo holds ct's message, so decaps compares without encrypting.
-        assert hashlib.sha3_256(_message(dk, ct) + dk[-64:-32]).digest() in memo
-        with monkeypatch.context() as patched:
-            patched.setattr(mlkem, "_pke_encrypt", None)
-            assert mlkem.decaps(dk, ct) == expected
-    filled = mlkem.decaps(dk, ct)
-    assert mlkem._ciphertexts == memo   # decaps never adds to the memo
-    mlkem._ciphertexts.clear()
-    assert filled == mlkem.decaps(dk, ct) == expected
-    assert mlkem._ciphertexts == {}
+MEMO_CASE_NAMES = ["valid", "tampered-same-m", "random", "other-key", "non-canonical-dk",
+                   "altered-s-hat"]
+
+
+# ML-KEM-512's cases carry the bare case name.
+@pytest.mark.parametrize("name, label", [
+    pytest.param(name, label, id=name if label == "512" else f"{name}-{label}")
+    for label in PARAM_SETS for name in MEMO_CASE_NAMES])
+def test_decaps_same_with_memo_filled_and_emptied(name, label):
+    p = PARAM_SETS[label]
+    dk, ct, expected = _memo_cases(p)[name]
+    memo = (dict(mlkem._generated), dict(mlkem._encapsulated))
+    if name == "valid":
+        assert _without_kernels(dk, ct, p) == expected
+    filled, decrypts = _counted(dk, ct, p)
+    assert decrypts == (name != "valid")   # every other case misses
+    assert (mlkem._generated, mlkem._encapsulated) == memo   # decaps adds nothing
+    mlkem._generated.clear()
+    mlkem._encapsulated.clear()
+    assert filled == mlkem.decaps(dk, ct, p) == expected
+    assert mlkem._generated == mlkem._encapsulated == {}
+
+
+@pytest.mark.parametrize("label", PARAM_SETS)
+@given(seed=SEEDS, m=MESSAGES)
+@settings(max_examples=10, deadline=None)
+def test_own_encapsulation_is_a_hit_equal_to_the_fips_result(label, seed, m):
+    p = PARAM_SETS[label]
+    ek, dk = mlkem.keygen(seed, p)
+    ct, shared = mlkem.encaps(ek, m, p)
+    assert _without_kernels(dk, ct, p) == shared == _fips(dk, ct, p)
+    assert _within_bounds()
+
+
+@pytest.mark.parametrize("label", PARAM_SETS)
+@given(seed=SEEDS, other_seed=SEEDS, m=MESSAGES, bit=st.integers(min_value=0))
+@settings(max_examples=10, deadline=None)
+def test_flipped_or_foreign_ciphertext_misses_with_the_fips_result(label, seed,
+                                                                    other_seed, m, bit):
+    p = PARAM_SETS[label]
+    ek, dk = mlkem.keygen(seed, p)
+    other_ek, _ = mlkem.keygen(other_seed, p)
+    assume(other_ek != ek)   # ek depends on the seed's first half only
+    ct, _ = mlkem.encaps(ek, m, p)
+    foreign, _ = mlkem.encaps(other_ek, m, p)
+    for miss in (_flip(ct, bit % (8 * p.ct_bytes)), foreign):
+        shared, decrypts = _counted(dk, miss, p)
+        assert (shared, decrypts) == (_fips(dk, miss, p), 1)
+    assert _within_bounds()
+
+
+@pytest.mark.parametrize("label", PARAM_SETS)
+def test_evicted_entries_miss_with_the_fips_result(label, monkeypatch):
+    p = PARAM_SETS[label]
+    monkeypatch.setattr(mlkem, "_GENERATED_ENTRIES", 2)
+    monkeypatch.setattr(mlkem, "_ENCAPSULATED_ENTRIES", 3)
+    monkeypatch.setattr(mlkem, "_generated", {})
+    monkeypatch.setattr(mlkem, "_encapsulated", {})
+    pairs = []
+    for i in range(3):   # the first key's digest is dropped by the third keygen
+        pairs.append(mlkem.keygen(hashlib.sha512(b"evict|%d" % i).digest(), p))
+        assert len(mlkem._generated) == min(i + 1, 2)
+    made = {}
+    # The fourth encapsulation drops the first, key 1's; key 0's is kept.
+    for n, i in enumerate((1, 0, 2, 2)):
+        made.setdefault(i, []).append(mlkem.encaps(pairs[i][0], bytes([n]) * 32, p))
+        assert len(mlkem._encapsulated) == min(n + 1, 3)
+    assert list(mlkem._generated) == [mlkem._h(dk) for _, dk in pairs[1:]]
+    assert [ct for ct, _ in mlkem._encapsulated] == [made[0][0][0], *(c for c, _ in made[2])]
+    for i, (_, dk) in enumerate(pairs):
+        for ct, shared in made[i]:
+            got, decrypts = _counted(dk, ct, p)
+            assert (got, decrypts) == (shared, int(i < 2))   # key 0: no record; key 1: no K
+            assert got == _fips(dk, ct, p)
 
 
 def test_same_randomness_to_two_keys_decapsulates_under_both():
@@ -248,25 +357,26 @@ def test_same_randomness_to_two_keys_decapsulates_under_both():
     assert mlkem.decaps(pairs[0][1], made[1][0]) == _rejection(pairs[0][1], made[1][0])
 
 
-def test_memo_bounded_oldest_evicted_and_holds_only_ciphertexts():
+def test_memo_bounded_oldest_evicted_and_holds_only_shared_secrets():
     ek, dk = _keys(b"bounded")
     h_ek = hashlib.sha3_256(ek).digest()
-    mlkem._ciphertexts.clear()
+    assert mlkem._generated[hashlib.sha3_256(dk).digest()] is None
+    mlkem._encapsulated.clear()
     made = []
-    for i in range(mlkem._CIPHERTEXT_ENTRIES + 10):
+    for i in range(mlkem._ENCAPSULATED_ENTRIES + 10):
         m = hashlib.sha256(b"m%d" % i).digest()
         ct, shared = mlkem.encaps(ek, m)
         made.append((m, ct, shared))
-        assert len(mlkem._ciphertexts) == min(i + 1, mlkem._CIPHERTEXT_ENTRIES)
-    kept = made[-mlkem._CIPHERTEXT_ENTRIES:]
-    assert mlkem._ciphertexts == {hashlib.sha3_256(m + h_ek).digest(): ct
-                                  for m, ct, _ in kept}
-    secrets = set()   # each m, K and r
-    for m, _, shared in made:
-        secrets |= {m, shared, hashlib.sha3_512(m + h_ek).digest()[32:]}
-    for key, value in mlkem._ciphertexts.items():
-        assert len(key) == 32 and len(value) == mlkem.CT_BYTES
-        assert all(s != key and s not in value for s in secrets)
+        assert len(mlkem._encapsulated) == min(i + 1, mlkem._ENCAPSULATED_ENTRIES)
+    kept = made[-mlkem._ENCAPSULATED_ENTRIES:]
+    assert mlkem._encapsulated == {(ct, ek): shared for _, ct, shared in kept}
+    # Neither m, nor r, nor any part of dk but its ek is kept.
+    secrets = {dk[:384 * K512], dk[-32:]}
+    for m, _, _ in made:
+        secrets |= {m, hashlib.sha3_512(m + h_ek).digest()[32:]}
+    for (ct, key), shared in mlkem._encapsulated.items():
+        assert len(shared) == 32 and len(ct) == mlkem.CT_BYTES and key == ek
+        assert all(s != shared and s not in ct for s in secrets)
     # Each ciphertext, kept or evicted, still decapsulates to its secret.
     for m, ct, shared in made:
         assert mlkem.decaps(dk, ct) == shared
@@ -274,21 +384,27 @@ def test_memo_bounded_oldest_evicted_and_holds_only_ciphertexts():
 
 def test_two_hundred_device_onboarding_decapsulates_from_the_memo(monkeypatch):
     """A scenario encapsulates every device's report before the server
-    decapsulates any; at 200 devices each ciphertext is still in the memo."""
+    decapsulates any; at 200 devices (800 ML-KEM key pairs) no decapsulation
+    runs K-PKE.Decrypt, and neither memo grows past its bound."""
     from hearthgate import channels, harness
-    found = []
-    encrypt = mlkem._encrypt
+    decapsulated, decrypted = [], []
+    decaps, decrypt = mlkem.decaps, mlkem._pke_decrypt
 
-    def spy(key, m, h_ek, p, keep):
-        if not keep:
-            found.append(mlkem._h(m + h_ek) in mlkem._ciphertexts)
-        return encrypt(key, m, h_ek, p, keep)
+    def decaps_spy(*args):
+        decapsulated.append(_within_bounds())
+        return decaps(*args)
 
-    monkeypatch.setattr(mlkem, "_encrypt", spy)
+    def decrypt_spy(*args):
+        decrypted.append(args)
+        return decrypt(*args)
+
+    monkeypatch.setattr(mlkem, "decaps", decaps_spy)
+    monkeypatch.setattr(mlkem, "_pke_decrypt", decrypt_spy)
     spec = harness.ScenarioSpec(devices=200, reports=(("temperature_c", 21.5, "C"),),
                                 kem_algo="ml-kem-512")
     harness.run_scenario(spec, channels.DeliverAll(), 7)
-    assert (len(found), found.count(False)) == (1600, 0)
+    assert (len(decapsulated), len(decrypted)) == (1600, 0)
+    assert all(decapsulated) and _within_bounds()
 
 
 def _bitrev7(n: int) -> int:

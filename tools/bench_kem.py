@@ -11,9 +11,10 @@ the first ciphertext, and the decapsulation of a foreign ciphertext: the
 first one with the top bit of its last byte flipped. The ``encaps (same
 key)`` row shows the cost once data derived from the public key has been
 computed before. ML-KEM decapsulation of a ciphertext this process
-encapsulated compares it with the memoised one instead of encrypting again;
-the flipped bit changes ML-KEM's decrypted message (it is the top bit of
-v's last compressed coefficient), so the ``decaps (foreign ciphertext)`` row
+encapsulated, with a key it generated, looks up the shared secret
+``encaps`` recorded; the flipped ciphertext misses that memo, and the
+flipped bit changes ML-KEM's decrypted message (it is the top bit of v's
+last compressed coefficient), so the ``decaps (foreign ciphertext)`` row
 times the full re-encryption check and its implicit rejection. X25519
 decapsulation of an encapsulation this process made looks up the AEAD key
 ``encaps`` recorded; for X25519 the flipped bit is bit 255 of the
