@@ -4,6 +4,10 @@ Optional post-quantum backend: the backend uses ML-KEM-512, and the kernels
 also take ML-KEM-768 and ML-KEM-1024 (:class:`ParamSet`). Nothing here is
 constant-time; side channels are out of scope for a simulator. ``crypto``
 imports this module, and numpy with it, only when an ML-KEM key is used.
+Numpy is imported with ``OPENBLAS_NUM_THREADS=1`` set for that import
+alone (unless the caller set it): otherwise OpenBLAS starts a thread pool,
+about half the import's time, that products of at most 128 x 128 never use.
+The variable is deleted again, so child processes inherit nothing from here.
 ``tests/test_mlkem_vectors.py`` pins known answers of the plain reference
 version, and ``tests/test_mlkem_native.py`` checks ML-KEM-768/1024 against
 OpenSSL's native implementation.
@@ -19,6 +23,8 @@ f.reshape(128, 2) with V[i][j] = gamma_i^j; the inverse is
 VI[j][i] = 128^-1 gamma_i^-j (mod q). Both run in float64 on coefficients
 of size below q: every product and every sum of 128 is an integer below
 128 q^2 < 2^31, exact (float64 holds 2^53) in whatever order BLAS adds.
+Encryption and decryption add their other terms to the unreduced inverse
+NTT and reduce once.
 
 The byte codecs (ByteDecode_d, ByteEncode_d) work on little-endian 64-bit
 words, never on single bits. A group of whole d-bit fields in whole bytes
@@ -27,6 +33,11 @@ place as one unaligned word and split by a shift and a mask, and packed by
 one int64 product of the fields with powers of two; at d = 11 a group is 8
 fields in 11 bytes, two words from bytes 0 and 5. SamplePolyCBD_eta is
 ByteDecode_(2 eta) and a 2^(2 eta)-entry table.
+
+SampleNTT decodes all k^2 streams of A-hat at once, and a running count
+of the accepted candidates along each row keeps its first 256; while some
+row has fewer, every stream is read again at twice the length (real SHAKE
+output practically never needs it).
 
 Two LRU caches of read-only arrays (``_CACHE_ENTRIES`` entries each) hold
 A-hat by ``rho`` and, per encapsulation key passing the modulus check, the
@@ -59,9 +70,18 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
 from typing import NamedTuple
 
-import numpy as np
+# One OpenBLAS thread, for this import only (see the module docstring).
+_BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+_chosen = _BLAS_THREADS in os.environ
+os.environ.setdefault(_BLAS_THREADS, "1")
+try:
+    import numpy as np
+finally:
+    if not _chosen:
+        del os.environ[_BLAS_THREADS]
 
 N = 256
 Q = 3329
@@ -120,6 +140,8 @@ def _roots():
 
 
 _V, _VI, _ONE_GAMMA = _roots()
+#: Decompress_1 of a set bit, as int64 so uint8 bits widen when multiplied by it.
+_HALF_Q = np.int64((Q + 1) // 2)
 # CBD_eta of a 2 eta-bit field v: popcount(low eta bits) - popcount(high eta bits).
 _CBD = {eta: np.array([bin(v % (1 << eta)).count("1") - bin(v >> eta).count("1")
                       for v in range(1 << 2 * eta)]) for eta in (2, 3)}
@@ -133,19 +155,26 @@ def _g(data: bytes) -> bytes:
     return hashlib.sha3_512(data).digest()
 
 
+def _transform(f, matrix):
+    """``matrix`` times each row's even and odd halves, unreduced: integers
+    below 128 q^2."""
+    halves = f.reshape(-1, 128, 2).astype(np.float64)
+    return np.matmul(matrix, halves).astype(np.int64).reshape(f.shape)
+
+
 def _ntt(f, matrix=_V):
     """NTT of each row of f; with ``matrix=_VI``, the inverse NTT."""
-    halves = f.reshape(-1, 128, 2).astype(np.float64)
-    return (np.matmul(matrix, halves).astype(np.int64) % Q).reshape(f.shape)
+    return _transform(f, matrix) % Q
 
 
 def _mul_sum(a, b):
     """MultiplyNTTs(a, b) summed over the last-but-one axis, reduced mod q."""
     # Each of the at most 8 summed terms is below q^3, far inside int64.
     a, b = a.reshape(*a.shape[:-1], 128, 2), b.reshape(-1, 128, 2)
-    even = np.einsum("...jis,jis->...i", a, b * _ONE_GAMMA)   # a0 b0 + a1 b1 gamma
-    odd = np.einsum("...jis,jis->...i", a, b[..., ::-1])       # a0 b1 + a1 b0
-    return np.stack((even, odd), -1).reshape(*even.shape[:-1], N) % Q
+    out = np.empty((*a.shape[:-3], 128, 2), np.int64)
+    np.einsum("...jis,jis->...i", a, b * _ONE_GAMMA, out=out[..., 0])   # a0 b0 + a1 b1 gamma
+    np.einsum("...jis,jis->...i", a, b[..., ::-1], out=out[..., 1])     # a0 b1 + a1 b0
+    return out.reshape(*out.shape[:-2], N) % Q
 
 
 @functools.cache
@@ -219,9 +248,11 @@ def _matrix(rho: bytes, k: int):
     length = 768   # 512 candidates: about 416 are accepted on average
     while True:
         streams = b"".join(hashlib.shake_128(seed).digest(length) for seed in seeds)
-        rows = [c[c < Q][:N] for c in _unpack(streams, 12).reshape(k * k, -1)]
-        if min(map(len, rows)) == N:
-            return _read_only(np.array(rows).reshape(k, k, N))
+        candidates = _unpack(streams, 12).reshape(k * k, -1)
+        accepted = candidates < Q
+        rank = accepted.cumsum(1)   # accepted candidates up to each one, per row
+        if rank[:, -1].min() >= N:
+            return _read_only(candidates[accepted & (rank <= N)].reshape(k, k, N))
         length *= 2
 
 
@@ -251,8 +282,8 @@ def _pke_encrypt(key, m: bytes, r: bytes, p: ParamSet) -> bytes:
     k = p.k
     y_hat = _ntt(_noise(p.eta1, r, 0, k))
     e = _noise(p.eta2, r, k, k + 1)   # e1, then e2 as the last row
-    e[k] += _decompress(_unpack(m, 1), 1)
-    uv = (_ntt(_mul_sum(key, y_hat), _VI) + e) % Q
+    e[k] += np.unpackbits(np.frombuffer(m, np.uint8), bitorder="little") * _HALF_Q
+    uv = (_transform(_mul_sum(key, y_hat), _VI) + e) % Q
     return _pack(_compress(uv[:k], p.du), p.du) + _pack(_compress(uv[k], p.dv), p.dv)
 
 
@@ -263,7 +294,7 @@ def _pke_decrypt(dk: bytes, ct: bytes, p: ParamSet) -> bytes:
     u_hat = _ntt(_decompress(_unpack(ct[:split], p.du), p.du).reshape(k, N))
     s_hat = _unpack(dk, 12).reshape(k, N) % Q
     v = _decompress(_unpack(ct[split:], p.dv), p.dv)
-    return _pack(_compress((v - _ntt(_mul_sum(s_hat, u_hat), _VI)) % Q, 1), 1)
+    return _pack(_compress((v - _transform(_mul_sum(s_hat, u_hat), _VI)) % Q, 1), 1)
 
 
 #: SHA3-256(dk) of each decapsulation key ``keygen`` returned, oldest first.

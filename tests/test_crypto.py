@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import hmac as hmac_mod
+import json
 import os
 import subprocess
 import sys
@@ -329,7 +330,7 @@ def test_x25519_memo_hits_equal_recomputation_and_near_misses_recompute(
 
 
 _IMPORT_PROBE = """
-import sys
+import json, os, sys
 import hearthgate
 from hearthgate import crypto, harness
 from hearthgate.channels import DeliverAll
@@ -340,21 +341,41 @@ def loaded():
 
 result = harness.run_scenario(harness.ScenarioSpec(), DeliverAll(), seed=7)
 assert result.trace.events, "the scenario ran"
-print(loaded())
+after_x25519 = loaded()
+harness.World(harness.ScenarioSpec(kem_algo="ml-kem-512"), 7)
+after_world = loaded()
 crypto.kem_keygen(crypto.RoleTag.DEVICE_FOR_SERVER, 60.0, seeded_rng(1), 0.0, "ml-kem-512")
-print(loaded())
+threads = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+print(json.dumps({"x25519 run": after_x25519, "ml-kem world": after_world,
+                  "ml-kem keygen": loaded(), "threads": threads,
+                  "blas threads": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
+
+
+def _import_probe(**env: str) -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env={**base, **env},
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    return json.loads(out)
 
 
 def test_x25519_run_never_imports_numpy():
     # Importing numpy costs about as much as all of hearthgate; only an
-    # ML-KEM key may pull it in, so x25519 runs and every set-up stay clear.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout.split("\n")
-    assert out[:2] == ["[]", "['hearthgate.mlkem', 'numpy']"]
+    # ML-KEM key may pull it in, so x25519 runs and every set-up stay clear,
+    # an ML-KEM world's included. mlkem imports numpy with OpenBLAS held to
+    # one thread, and leaves no variable behind for child processes.
+    probe = _import_probe()
+    assert probe["x25519 run"] == probe["ml-kem world"] == []
+    assert probe["ml-kem keygen"] == ["hearthgate.mlkem", "numpy"]
+    assert probe["blas threads"] is None
+    if sys.platform == "linux":
+        assert probe["threads"] == 1
+
+
+def test_caller_set_blas_threads_kept():
+    assert _import_probe(OPENBLAS_NUM_THREADS="3")["blas threads"] == "3"
 
 
 # ---------------------------------------------------------------------------

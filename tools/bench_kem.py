@@ -2,7 +2,7 @@
 """Per-operation micro-benchmark: median microseconds per KEM and signature
 operation, and per ledger transaction.
 
-Run from the repo root: python3 tools/bench_kem.py
+Run from the repo root: python3 tools/bench_kem.py [--against REV]
 
 For each KEM backend (``x25519``, ``ml-kem-512``) it makes REPEATS fresh
 keys from a fixed seed and, for each key, times keygen, one encapsulation to
@@ -42,6 +42,15 @@ polynomials of a vector, as the module calls them: ByteEncode_12 of t-hat
 SamplePolyCBD_3 of two PRF outputs, the SHAKE-256 calls included. Each
 sample is a loop of KERNEL_LOOP calls.
 
+With ``--against REV`` it also compares ML-KEM-512 with the ``mlkem.py`` of
+git revision REV in this one process, so machine drift between two runs
+cannot pass for a difference. REV's file is read with ``git show`` into a
+module of its own (it has no relative imports), and both modules run the
+``kem`` rows' operations on the same inputs, REPEATS pairs, taking turns at
+going first. Every pair must give the same bytes. Each operation's row gives
+both medians, the median of the per-pair ratio (this tree / REV) and the
+pairs this tree won.
+
 Results go to ``BENCH_kem.json`` with the machine's Python, ``cryptography``,
 OpenSSL, libsodium and numpy versions, its usable CPU count and the git commit
 (``-dirty`` when a tracked file other than the ``BENCH_*.json`` results has
@@ -52,6 +61,7 @@ its parent's numbers next to its own.
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import platform
@@ -59,6 +69,7 @@ import statistics
 import subprocess
 import sys
 import time
+import types
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -123,6 +134,54 @@ def bench_backend(name: str) -> dict[str, float]:
         for op, t in zip(KEM_OPS, (t_keygen, t_encaps, t_again, t_decaps, t_foreign)):
             samples[op].append(t)
     return _medians(samples)
+
+
+def load_revision(rev: str) -> types.ModuleType:
+    """``src/hearthgate/mlkem.py`` at git revision ``rev``, as a module of its own."""
+    source = subprocess.run(["git", "show", f"{rev}:src/hearthgate/mlkem.py"], cwd=ROOT,
+                            check=True, capture_output=True, text=True).stdout
+    module = types.ModuleType(f"mlkem_at_{rev}")
+    sys.modules[module.__name__] = module   # what dataclasses and pickling look up
+    exec(compile(source, f"{rev}:src/hearthgate/mlkem.py", "exec"), module.__dict__)
+    return module
+
+
+def _mlkem_ops(module, seed: bytes, m: bytes, m_again: bytes):
+    """The ``kem`` rows' operations on ``module``: (their outputs, µs for each)."""
+    (ek, dk), t_keygen = _timed(module.keygen, seed)
+    (ct, shared), t_encaps = _timed(module.encaps, ek, m)
+    again, t_again = _timed(module.encaps, ek, m_again)
+    recovered, t_decaps = _timed(module.decaps, dk, ct)
+    foreign = ct[:-1] + bytes([ct[-1] ^ 0x80])
+    rejected, t_foreign = _timed(module.decaps, dk, foreign)
+    return ((ek, dk, ct, shared, again, recovered, rejected),
+            (t_keygen, t_encaps, t_again, t_decaps, t_foreign))
+
+
+def compare_against(rev: str) -> dict[str, dict[str, float]]:
+    """Each ML-KEM-512 operation of this tree against ``rev``'s, timed in turns."""
+    from hearthgate import mlkem
+    modules = {"this": mlkem, "rev": load_revision(rev)}
+    rng = seeded_rng(SEED)
+    times: dict[str, dict[str, list[float]]] = {op: {"rev": [], "this": []} for op in KEM_OPS}
+    for i in range(REPEATS):
+        inputs = rng.bytes(64), rng.bytes(32), rng.bytes(32)
+        order = ("this", "rev") if i % 2 else ("rev", "this")
+        outputs = {}
+        for side in order:
+            outputs[side], elapsed = _mlkem_ops(modules[side], *inputs)
+            for op, t in zip(KEM_OPS, elapsed):
+                times[op][side].append(t)
+        if outputs["this"] != outputs["rev"]:
+            raise SystemExit(f"ml-kem-512: this tree and {rev} gave different bytes")
+    rows = {}
+    for op, sides in times.items():
+        ratios = [t / r for t, r in zip(sides["this"], sides["rev"])]
+        rows[op] = {"rev": statistics.median(sides["rev"]),
+                    "this": statistics.median(sides["this"]),
+                    "median ratio": statistics.median(ratios),
+                    "wins": sum(ratio < 1 for ratio in ratios)}
+    return rows
 
 
 def bench_first_use(name: str) -> tuple[float, float]:
@@ -212,7 +271,10 @@ def write_run(run: dict) -> None:
 
 
 def main() -> None:
-    import numpy
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="also time ML-KEM-512 against this git revision's mlkem.py")
+    args = parser.parse_args()
     print(f"# python {platform.python_version()} on {platform.machine()}, "
           f"seed {SEED}, {REPEATS} repeats, median us per operation")
     widths = {op: max(20, len(op) + 2) for op in KEM_OPS}
@@ -240,15 +302,32 @@ def main() -> None:
     kernels = bench_kernels()
     print(f"{'kernel':<12}" + "".join(f"{name:>20}" for name in kernels))
     print(f"{'ml-kem-512':<12}" + "".join(f"{us:>20.1f}" for us in kernels.values()))
+    import numpy   # after mlkem has imported it, as in a real first use
     meta = machine_meta()
     meta.update(numpy=numpy.__version__, machine=platform.machine(), seed=SEED,
                 repeats=REPEATS, kernel_loop=KERNEL_LOOP, unit="median us")
-    write_run({"meta": meta,
-               "kem": {name: _rounded(rows) for name, rows in kem.items()},
-               "first_use": {name: _rounded(rows) for name, rows in first_use.items()},
-               "signature": {crypto.SIG_ALGO: _rounded(signature)},
-               "ledger": {"data tx": round(data_tx, 1)},
-               "kernels": {"ml-kem-512": _rounded(kernels)}})
+    run = {"meta": meta,
+           "kem": {name: _rounded(rows) for name, rows in kem.items()},
+           "first_use": {name: _rounded(rows) for name, rows in first_use.items()},
+           "signature": {crypto.SIG_ALGO: _rounded(signature)},
+           "ledger": {"data tx": round(data_tx, 1)},
+           "kernels": {"ml-kem-512": _rounded(kernels)}}
+    if args.against:
+        rev = subprocess.run(["git", "rev-parse", "--short", args.against], cwd=ROOT,
+                             check=True, capture_output=True, text=True).stdout.strip()
+        print()
+        print(f"# ml-kem-512 against {rev}: {REPEATS} pairs in turns, "
+              f"ratio = this tree / {rev}")
+        print(f"{'operation':<30}{rev:>12}{'this':>12}{'median ratio':>14}{'wins':>10}")
+        rows = compare_against(rev)
+        for op, row in rows.items():
+            print(f"{op:<30}{row['rev']:>12.1f}{row['this']:>12.1f}"
+                  f"{row['median ratio']:>14.3f}{row['wins']:>6}/{REPEATS}")
+        run["against"] = {"rev": rev, "pairs": REPEATS, "ml-kem-512": {
+            op: {rev: round(row["rev"], 1), "this": round(row["this"], 1),
+                 "median ratio": round(row["median ratio"], 3), "wins": row["wins"]}
+            for op, row in rows.items()}}
+    write_run(run)
     print(f"wrote {OUT.name}")
 
 
