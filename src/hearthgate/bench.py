@@ -207,4 +207,7 @@ def parse_rates(text: str) -> list[float]:
         if rates[-1] < stop:
             rates.append(stop)
         return rates
-    return [float(p) for p in text.split(",") if p.strip()]
+    rates = [float(p) for p in text.split(",") if p.strip()]
+    if not rates:
+        raise ValueError("rates must be nonempty")
+    return rates

@@ -18,6 +18,7 @@ replay and tampering take them from.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -381,6 +382,11 @@ class Randomized:
             if unknown:
                 raise ValueError(f"unknown adversary actions: {sorted(unknown)}")
             merged.update(weights)
+            values = merged.values()
+            # All 0 would make every decision the last sorted action.
+            if not (all(math.isfinite(w) and w >= 0 for w in values) and sum(values)):
+                raise ValueError(f"adversary weights must be finite, >= 0 and not all 0: "
+                                 f"{weights}")
         self.weights = merged
         self.budget = RANDOMIZED_BUDGET
         self.forge = forge

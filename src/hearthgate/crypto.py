@@ -66,7 +66,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .runtime import Rng
+from .runtime import Rng, remember
 
 
 class CryptoError(Exception):
@@ -190,9 +190,7 @@ def _ed25519_public(key: bytes) -> bytes:
 _SIGNED_ENTRIES = 4096
 
 #: The signatures ``_ed25519_sign`` made, each mapped to the (public key,
-#: message) it signed, least recently signed first. An OrderedDict drops its
-#: oldest entry in O(1); a plain dict's ``next(iter(...))`` walks over the
-#: slots that earlier drops emptied.
+#: message) it signed, least recently signed first.
 _signed: OrderedDict[bytes, tuple[bytes, bytes]] = OrderedDict()
 
 
@@ -202,11 +200,7 @@ def _ed25519_sign(secret: bytes, message: bytes) -> bytes:
     signature = out.raw
     # secret is _ed25519_secret's: the seed, then the public key libsodium
     # derived from it.
-    _signed.pop(signature, None)
-    _signed[signature] = (secret[ED25519_KEY_LEN:],
-                          message if type(message) is bytes else bytes(message))
-    if len(_signed) > _SIGNED_ENTRIES:
-        _signed.popitem(last=False)
+    remember(_signed, signature, (secret[ED25519_KEY_LEN:], bytes(message)), _SIGNED_ENTRIES)
     return signature
 
 
@@ -356,11 +350,7 @@ class _X25519Backend:
         encapsulation = eph.public_key().public_bytes_raw()
         raw = eph.exchange(peer_key)  # a low-order peer raises: no entry
         shared = self._kdf(raw, encapsulation, peer.key)
-        entry = (encapsulation, peer.key)
-        _encapsulated.pop(entry, None)
-        _encapsulated[entry] = shared
-        if len(_encapsulated) > _ENCAPSULATED_ENTRIES:
-            _encapsulated.popitem(last=False)
+        remember(_encapsulated, (encapsulation, peer.key), shared, _ENCAPSULATED_ENTRIES)
         return encapsulation, shared
 
     def decaps(self, pair: KeyPair, encapsulation: bytes) -> bytes:

@@ -680,6 +680,8 @@ def run_campaign(runs: int, base_seed: int = 1,
                  spec: ScenarioSpec | None = None) -> CampaignResult:
     """Randomized adversarial campaign: distinct seeds, mixed action weights,
     all three checkers per run."""
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     spec = spec or campaign_spec()
     violations: list[tuple[int, LemmaVerdict]] = []
     records: list[CampaignRecord] = []

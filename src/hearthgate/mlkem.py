@@ -71,7 +71,10 @@ import functools
 import hashlib
 import math
 import os
+from collections import OrderedDict
 from typing import NamedTuple
+
+from .runtime import remember
 
 # One OpenBLAS thread, for this import only (see the module docstring).
 _BLAS_THREADS = "OPENBLAS_NUM_THREADS"
@@ -298,17 +301,9 @@ def _pke_decrypt(dk: bytes, ct: bytes, p: ParamSet) -> bytes:
 
 
 #: SHA3-256(dk) of each decapsulation key ``keygen`` returned, oldest first.
-_generated: dict[bytes, None] = {}
+_generated: OrderedDict[bytes, None] = OrderedDict()
 #: K ``encaps`` returned, by its exact (ciphertext, ek) bytes, oldest first.
-_encapsulated: dict[tuple[bytes, bytes], bytes] = {}
-
-
-def _remember(memo: dict, key, value, bound: int) -> None:
-    """Store ``memo[key] = value`` as the newest entry, dropping the oldest past ``bound``."""
-    memo.pop(key, None)
-    memo[key] = value
-    if len(memo) > bound:
-        del memo[next(iter(memo))]
+_encapsulated: OrderedDict[tuple[bytes, bytes], bytes] = OrderedDict()
 
 
 def _encrypt(key, m: bytes, h_ek: bytes, p: ParamSet) -> tuple[bytes, bytes]:
@@ -324,7 +319,7 @@ def keygen(seed: bytes, params: ParamSet = ML_KEM_512) -> tuple[bytes, bytes]:
         raise ValueError(f"keygen needs a 64-byte seed, got {len(seed)}")
     ek, dk_pke = _pke_keygen(seed[:32], params)
     dk = dk_pke + ek + _h(ek) + seed[32:]
-    _remember(_generated, _h(dk), None, _GENERATED_ENTRIES)
+    remember(_generated, _h(dk), None, _GENERATED_ENTRIES)
     return ek, dk
 
 
@@ -343,7 +338,7 @@ def encaps(ek: bytes, randomness: bytes,
     if len(randomness) != 32:
         raise ValueError("encapsulation randomness must be 32 bytes")
     ct, shared = _encrypt(key, randomness, h_ek, params)
-    _remember(_encapsulated, (ct, bytes(ek)), shared, _ENCAPSULATED_ENTRIES)
+    remember(_encapsulated, (ct, bytes(ek)), shared, _ENCAPSULATED_ENTRIES)
     return ct, shared
 
 

@@ -1,15 +1,16 @@
-"""Injectable randomness and clocks.
+"""Injectable randomness and clocks, and the bound on process-wide memos.
 
 Every source of nondeterminism in the simulator flows through one of the
 handles defined here, so any run can be replayed bit-for-bit from a seed.
-Roles, channels, the ledger, and the benchmark all receive an ``Rng`` and a
-clock instead of touching ``os.urandom`` or the wall clock directly.
+Roles, channels, the ledger, and the benchmark all receive a seeded ``Rng``
+and a clock instead of touching ``os.urandom`` or the wall clock directly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections import OrderedDict
 
 #: Fixed starting point for simulated clocks. Arbitrary but stable, so
 #: timestamps embedded in transcripts and snapshots are reproducible.
@@ -17,15 +18,14 @@ SIM_EPOCH = 1_700_000_010.0
 
 
 class Rng:
-    """Random source with byte, float, and integer draws.
+    """Seeded random source with byte, float, and integer draws.
 
-    Wraps either a seeded ``random.Random`` (replayable) or
-    ``random.SystemRandom`` (OS entropy). ``child`` derives an independent
-    labelled stream, so subsystems cannot perturb each other's draws.
+    ``child`` derives an independent labelled stream, so subsystems cannot
+    perturb each other's draws.
     """
 
-    def __init__(self, inner: random.Random, seed: int | None = None):
-        self._inner = inner
+    def __init__(self, seed: int):
+        self._inner = random.Random(seed)
         self._seed = seed
 
     def bytes(self, n: int) -> bytes:
@@ -52,8 +52,6 @@ class Rng:
 
     def child(self, label: str) -> "Rng":
         """Derive an independent stream named by ``label``."""
-        if self._seed is None:
-            return os_rng()
         mix = hashlib.sha256(
             self._seed.to_bytes(16, "big", signed=False) + label.encode()
         ).digest()
@@ -61,11 +59,16 @@ class Rng:
 
 
 def seeded_rng(seed: int) -> Rng:
-    return Rng(random.Random(seed), seed=seed)
+    return Rng(seed)
 
 
-def os_rng() -> Rng:
-    return Rng(random.SystemRandom())
+def remember(memo: OrderedDict, key, value, bound: int) -> None:
+    """Store ``memo[key] = value`` as the newest entry and drop the oldest past
+    ``bound``, in O(1) (a dict's ``next(iter(...))`` walks emptied slots)."""
+    memo.pop(key, None)
+    memo[key] = value
+    if len(memo) > bound:
+        memo.popitem(last=False)
 
 
 class SimClock:

@@ -292,9 +292,20 @@ def test_campaign_with_scenario_file(tmp_path, capsys):
 
 
 def test_campaign_bad_weights(capsys):
-    code, _, err = run_cli(capsys, ["campaign", "--runs", "1",
-                                    "--weights", "deliver"])
-    assert code == EXIT_USAGE
+    # All-zero weights would make every decision the last sorted action.
+    for weights in ("deliver", "deliver=-1", "drop=nan", "tamper=inf",
+                    "deliver=0,drop=0,replay=0,tamper=0,inject=0"):
+        code, _, err = run_cli(capsys, ["campaign", "--runs", "1",
+                                        "--weights", weights])
+        assert code == EXIT_USAGE, weights
+        assert err.startswith("campaign: ") and err.count("\n") == 1, err
+
+
+def test_campaign_needs_a_run(capsys):
+    for runs in ("0", "-3"):
+        code, out, err = run_cli(capsys, ["campaign", "--runs", runs])
+        assert code == EXIT_USAGE and out == "", runs
+        assert err.startswith("campaign: ") and err.count("\n") == 1, err
 
 
 def test_bench_command(tmp_path, capsys):
@@ -309,5 +320,7 @@ def test_bench_command(tmp_path, capsys):
 
 
 def test_bench_bad_rates(capsys):
-    code, _, err = run_cli(capsys, ["bench", "--rates", "300:30:10"])
-    assert code == EXIT_USAGE
+    for rates in ("300:30:10", ",", ""):
+        code, _, err = run_cli(capsys, ["bench", "--rates", rates])
+        assert code == EXIT_USAGE, rates
+        assert err.startswith("bench: ") and err.count("\n") == 1, err

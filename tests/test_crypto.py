@@ -37,7 +37,7 @@ from hearthgate.crypto import (
     MalformedKey,
     RoleTag,
 )
-from hearthgate.runtime import os_rng, seeded_rng
+from hearthgate.runtime import seeded_rng
 
 NOW = 1_700_000_010.0
 DAY = 86_400.0
@@ -755,8 +755,8 @@ def test_sha256_empty_vector():
     )
 
 
-def test_nonces_unique_under_os_rng():
-    rng = os_rng()
+def test_nonces_unique_under_seed():
+    rng = rng7()
     seen = {crypto.gen_nonce(rng).value for _ in range(10_000)}
     assert len(seen) == 10_000
 

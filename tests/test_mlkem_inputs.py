@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -212,8 +213,8 @@ def _same_message_flip(dk: bytes, ct: bytes, p=mlkem.ML_KEM_512) -> bytes:
 def _fips(dk: bytes, ct: bytes, p=mlkem.ML_KEM_512) -> bytes:
     """decaps with the memo and the record empty: the full FIPS 203 path."""
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(mlkem, "_generated", {})
-        patched.setattr(mlkem, "_encapsulated", {})
+        patched.setattr(mlkem, "_generated", OrderedDict())
+        patched.setattr(mlkem, "_encapsulated", OrderedDict())
         return mlkem.decaps(dk, ct, p)
 
 
@@ -327,8 +328,8 @@ def test_evicted_entries_miss_with_the_fips_result(label, monkeypatch):
     p = PARAM_SETS[label]
     monkeypatch.setattr(mlkem, "_GENERATED_ENTRIES", 2)
     monkeypatch.setattr(mlkem, "_ENCAPSULATED_ENTRIES", 3)
-    monkeypatch.setattr(mlkem, "_generated", {})
-    monkeypatch.setattr(mlkem, "_encapsulated", {})
+    monkeypatch.setattr(mlkem, "_generated", OrderedDict())
+    monkeypatch.setattr(mlkem, "_encapsulated", OrderedDict())
     pairs = []
     for i in range(3):   # the first key's digest is dropped by the third keygen
         pairs.append(mlkem.keygen(hashlib.sha512(b"evict|%d" % i).digest(), p))
