@@ -166,14 +166,20 @@ def sodium_version() -> str:
 
 
 # Every length is checked here, before any C call, so libsodium never reads
-# past a buffer that a decoded message or snapshot supplied.
+# past a buffer that a decoded message or snapshot supplied. Output buffers
+# are made by calling these array types, which costs less than
+# ``ctypes.create_string_buffer``, a Python function.
+_KEY_BUFFER = ctypes.c_char * ED25519_KEY_LEN
+_SECRET_BUFFER = ctypes.c_char * (2 * ED25519_KEY_LEN)
+_SIG_BUFFER = ctypes.c_char * ED25519_SIG_LEN
+
 
 def _ed25519_secret(seed: bytes) -> bytes:
     """libsodium's 64-byte signing key (seed || public key) for ``seed``."""
     if len(seed) != ED25519_KEY_LEN:
         raise ValueError(f"an Ed25519 seed is {ED25519_KEY_LEN} bytes long")
-    public = ctypes.create_string_buffer(ED25519_KEY_LEN)
-    secret = ctypes.create_string_buffer(2 * ED25519_KEY_LEN)
+    public = _KEY_BUFFER()
+    secret = _SECRET_BUFFER()
     _sodium.crypto_sign_ed25519_seed_keypair(public, secret, bytes(seed))
     return secret.raw
 
@@ -195,7 +201,7 @@ _signed: OrderedDict[bytes, tuple[bytes, bytes]] = OrderedDict()
 
 
 def _ed25519_sign(secret: bytes, message: bytes) -> bytes:
-    out = ctypes.create_string_buffer(ED25519_SIG_LEN)
+    out = _SIG_BUFFER()
     _sodium.crypto_sign_ed25519_detached(out, None, message, len(message), secret)
     signature = out.raw
     # secret is _ed25519_secret's: the seed, then the public key libsodium

@@ -52,14 +52,24 @@ class BadSignature(LedgerError):
     pass
 
 
+class BadTimestamp(LedgerError):
+    pass
+
+
 class SnapshotError(LedgerError):
     pass
 
+
+# Every transaction looks its channel and its submitter's role up in several
+# tables. Members equal only themselves, so they hash by identity, in C,
+# rather than by name through ``Enum.__hash__``, a Python function.
 
 class ChannelName(Enum):
     IDENTITY = "identity"
     DATA = "data"
     RISK_MANAGEMENT = "risk_management"
+
+    __hash__ = object.__hash__
 
 
 class OrgRole(Enum):
@@ -68,6 +78,8 @@ class OrgRole(Enum):
     INSURER = "insurer"
     EMERGENCY_SERVICE = "emergency_service"
     RISK_ENGINE = "risk_engine"
+
+    __hash__ = object.__hash__
 
 
 _CHANNEL_PAYLOADS = {
@@ -94,6 +106,7 @@ DEFAULT_ACCESS: dict[tuple[ChannelName, OrgRole], dict] = {
     (ChannelName.RISK_MANAGEMENT, OrgRole.EMERGENCY_SERVICE): {"read": READ_ALL, "write": False},
     (ChannelName.RISK_MANAGEMENT, OrgRole.INSURER): {"read": READ_ALL, "write": False},
 }
+_NO_ACCESS = {"read": READ_NONE, "write": False}
 
 
 @dataclass(frozen=True)
@@ -125,12 +138,18 @@ class MembershipRegistry:
         return sorted(self._orgs)
 
 
+def _frame_payload(payload: Payload) -> bytes:
+    data = encode_payload(payload)
+    return wire.LENGTH(len(data)) + data
+
+
 # A transaction's signed body. The payload codec looks ``encode_payload`` up
 # at each call, so perfbench's tracer, which rebinds this module's global,
 # sees every call. The timestamp is checked before the other fields.
 _TX_BODY = wire.Record(None, {
     "channel": wire.enum_of(ChannelName, wire.TEXT),
-    "payload": wire.Codec(lambda payload: encode_payload(payload), decode_payload),
+    "payload": wire.Codec(lambda payload: encode_payload(payload), decode_payload,
+                          frame=_frame_payload),
     "submitter": wire.TEXT,
     "timestamp": wire.F64._replace(size=8),
 })
@@ -141,9 +160,10 @@ class LedgerTransaction:
     """A signed ledger transaction.
 
     Its encodings are computed once per object and kept in the instance
-    ``__dict__`` (``cached_property``), outside the dataclass fields. A
-    transaction decoded from bytes re-derives them from its decoded fields,
-    so tampered bytes never vouch for themselves.
+    ``__dict__`` (``cached_property``), outside the dataclass fields;
+    ``make_transaction`` puts them there as it signs. A transaction decoded
+    from bytes re-derives them from its decoded fields, so tampered bytes
+    never vouch for themselves.
     """
 
     channel: ChannelName
@@ -176,7 +196,12 @@ def make_transaction(channel: ChannelName, payload: Payload,
     except (crypto.KeyExpired, crypto.MalformedKey) as exc:
         raise BadSignature(f"submitter {identity.org_id} cannot sign: {exc}") from exc
     tx = LedgerTransaction(channel, payload, identity.org_id, sig.value, now)
-    tx.__dict__["signing_bytes"] = signing  # the exact bytes just signed
+    # The exact bytes just signed, and those framed with the signature:
+    # filled here, a cached_property would take a lock on its first read.
+    tx.__dict__.update(
+        signing_bytes=signing,
+        canonical_bytes=wire.LENGTH(len(signing)) + signing
+        + wire.LENGTH(len(sig.value)) + sig.value)
     return tx
 
 
@@ -328,11 +353,13 @@ class LedgerNetwork:
     # -- policy -------------------------------------------------------------
 
     def _perm(self, channel: ChannelName, role: OrgRole) -> dict:
-        return self._access.get((channel, role), {"read": READ_NONE, "write": False})
+        return self._access.get((channel, role), _NO_ACCESS)
 
     def check_write(self, channel: ChannelName, org_id: str) -> None:
         """Raise ``PolicyDenied`` unless ``org_id``'s role may write ``channel``."""
-        role, _ = self.membership.lookup(org_id)
+        self._check_write(channel, self.membership.lookup(org_id)[0])
+
+    def _check_write(self, channel: ChannelName, role: OrgRole) -> None:
         if not self._perm(channel, role)["write"]:
             raise PolicyDenied(
                 f"role {role.value} may not write to channel {channel.value}")
@@ -348,17 +375,24 @@ class LedgerNetwork:
 
         Returns a submission sequence number; the commit receipt appears
         under that number once the ordering service cuts the block.
+        A transaction stamped after ``now`` is refused, and so is one whose
+        submitter's credential has expired by ``now``.
         """
         role, credential = self.membership.lookup(tx.submitter)
         sig = crypto.Signature(signer_tag=credential.role_tag, value=tx.signature)
         try:
-            valid = crypto.verify(credential, tx.signing_bytes, sig, tx.timestamp)
+            # At ``now``: with the stamp no later, a credential in force at
+            # submission was in force at the stamp too.
+            valid = crypto.verify(credential, tx.signing_bytes, sig, now)
         except (crypto.KeyExpired, crypto.MalformedKey) as exc:
             raise BadSignature(
                 f"submitter {tx.submitter} signature not checkable: {exc}") from exc
         if not valid:
             raise BadSignature(f"submitter {tx.submitter} signature invalid")
-        self.check_write(tx.channel, tx.submitter)
+        if tx.timestamp > now:
+            raise BadTimestamp(
+                f"transaction stamped {tx.timestamp}, after its submission at {now}")
+        self._check_write(tx.channel, role)
         expected = _CHANNEL_PAYLOADS[tx.channel]
         if not isinstance(tx.payload, expected):
             raise InvalidPayload(
@@ -407,23 +441,23 @@ class LedgerNetwork:
     def _commit(self, channel: ChannelName, commit_time: float,
                 items: list) -> list[CommitReceipt]:
         chain = self.chains[channel]
-        txs = tuple(tx for _, tx in items)
-        block = build_block(len(chain), chain[-1].block_hash, txs)
+        block = build_block(len(chain), chain[-1].block_hash,
+                            [tx for _, tx in items])
         chain.append(block)
+        readers = []  # who reads this channel, and how: the same for the whole block
+        for sub in self._subs:
+            if sub.channel is channel:
+                mode = self._read_mode(channel, sub.org_id)
+                if mode != READ_NONE:
+                    readers.append((sub, mode))
         receipts = []
         for idx, (seq, tx) in enumerate(items):
             receipt = CommitReceipt(channel, block.height, idx, commit_time)
             self._receipts[seq] = receipt
             receipts.append(receipt)
-            for sub in self._subs:
-                if sub.channel is not channel:
-                    continue
-                mode = self._read_mode(channel, sub.org_id)
-                if mode == READ_NONE:
-                    continue
-                if mode == READ_OWN and not self._owns(sub.org_id, tx.payload):
-                    continue
-                sub._queue.append((receipt, tx.payload))
+            for sub, mode in readers:
+                if mode != READ_OWN or self._owns(sub.org_id, tx.payload):
+                    sub._queue.append((receipt, tx.payload))
         # Only once the whole block is recorded: a hook that raises loses no
         # receipt, and every data transaction of the block still gets its call.
         if channel is ChannelName.DATA and self._risk_hook is not None:

@@ -95,26 +95,26 @@ class RiskAlert:
 
 Payload = DeviceRecord | DataEntry | RiskAlert
 
-# Each payload type's tag and record.
+# Each payload type's one-byte tag and record.
 _RECORDS = {
-    DeviceRecord: (1, Record(DeviceRecord, {
+    DeviceRecord: (b"\x01", Record(DeviceRecord, {
         "device_token": RAW, "server_device_public": RAW, "device_public": RAW,
         "auth_public": RAW, "device_uid": RAW, "status": enum_of(DeviceStatus, TEXT),
         "timestamp": F64})),
-    DataEntry: (2, Record(DataEntry, {
+    DataEntry: (b"\x02", Record(DataEntry, {
         "device_uid": RAW, "metric": TEXT, "value": F64, "unit": TEXT,
         "timestamp": F64, "device_public_ref": RAW})),
-    RiskAlert: (3, Record(RiskAlert, {
+    RiskAlert: (b"\x03", Record(RiskAlert, {
         "device_uid": RAW, "metric": TEXT, "observed": F64, "threshold": F64,
         "severity": TEXT, "notified_roles": TEXT_LIST, "entry_height": U32,
         "entry_index": U32})),
 }
-_BY_TAG = dict(_RECORDS.values())
+_BY_TAG = {tag[0]: record for tag, record in _RECORDS.values()}
 
 
 def encode_payload(payload: Payload) -> bytes:
     tag, record = _RECORDS[type(payload)]
-    return bytes([tag]) + record.encode(payload)
+    return tag + record.encode(payload)
 
 
 def decode_payload(data: bytes) -> Payload:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Union
 
@@ -58,13 +59,14 @@ class TrailingBytes(WireError):
     pass
 
 
-_LENGTH = struct.Struct(">I").pack
+#: The ``u32 len`` prefix of a field ``len`` bytes long.
+LENGTH = struct.Struct(">I").pack
 
 
 def pack_fields(fields: list[bytes]) -> bytes:
     out = []
     for f in fields:
-        out.append(_LENGTH(len(f)))
+        out.append(LENGTH(len(f)))
         out.append(f)
     return b"".join(out)
 
@@ -91,11 +93,14 @@ def unpack_fields(data: bytes, expect: int | None = None) -> list[bytes]:
 class Codec(NamedTuple):
     """How one field's value becomes its bytes and back; ``decode`` raises
     only ``WireError``. A record checks that each field with a ``size`` is
-    that long before it decodes any field."""
+    that long before it decodes any field. ``frame`` returns the whole
+    field, ``u32 len || encode(value)``, in one call; a codec without one
+    encodes a value as itself, and the record frames those bytes inline."""
 
     encode: Callable[[Any], bytes]
     decode: Callable[[bytes], Any]
     size: int | None = None
+    frame: Callable[[Any], bytes] | None = None
 
 
 class Record:
@@ -103,17 +108,21 @@ class Record:
     wire order, each field framed as ``u32 len || bytes``. With a ``make``,
     the fields are attributes of the value (a dotted name reaches into one)
     and ``decode`` returns ``make(*values)``; without one, the value is the
-    tuple of field values. A record is a codec itself, so records nest."""
+    tuple of field values. ``encode`` frames each field with its codec's
+    ``frame`` and joins them once. A record is a codec itself, so records
+    nest."""
 
     size = None
 
     def __init__(self, make: Callable | None, fields: dict[str, Codec]):
         self.make = make
         self.names = tuple(fields)
-        codecs = tuple(fields.values())
+        self.codecs = codecs = tuple(fields.values())
+        if any(c.frame is None and c.encode is not _same for c in codecs):
+            raise ValueError("a codec that changes its value needs a frame")
         self._sizes = [(i, c.size) for i, c in enumerate(codecs)
                        if c.size is not None]
-        self._encoders = tuple(c.encode for c in codecs)
+        self._framers = tuple(c.frame for c in codecs)
         self._decoders = [(i, c.decode) for i, c in enumerate(codecs)
                           if c.decode is not _same]
         get = attrgetter(*self.names)
@@ -122,7 +131,12 @@ class Record:
 
     def encode(self, value) -> bytes:
         values = value if self._split is None else self._split(value)
-        return pack_fields([enc(v) for enc, v in zip(self._encoders, values)])
+        return b"".join([LENGTH(len(v)) + v if frame is None else frame(v)
+                         for frame, v in zip(self._framers, values)])
+
+    def frame(self, value) -> bytes:
+        data = self.encode(value)
+        return LENGTH(len(data)) + data
 
     def decode(self, data: bytes):
         values = unpack_fields(data, expect=len(self.names))
@@ -136,6 +150,14 @@ class Record:
 
 def _same(value):
     return value
+
+
+def _framing(encode: Callable[[Any], bytes]) -> Callable[[Any], bytes]:
+    """A codec's ``frame`` from its ``encode``: ``u32 len || encode(value)``."""
+    def frame(value) -> bytes:
+        data = encode(value)
+        return LENGTH(len(data)) + data
+    return frame
 
 
 def _text(data: bytes) -> str:
@@ -154,7 +176,8 @@ def _number(fmt: str) -> Codec:
         if len(data) != packer.size:
             raise Truncated(f"expected {packer.size}-byte number")
         return packer.unpack(data)[0]
-    return Codec(packer.pack, decode)
+    framed = struct.Struct(">I" + fmt.removeprefix(">"))
+    return Codec(packer.pack, decode, frame=partial(framed.pack, packer.size))
 
 
 def enum_of(cls: type[Enum], value: Codec, unknown=Truncated) -> Codec:
@@ -166,7 +189,9 @@ def enum_of(cls: type[Enum], value: Codec, unknown=Truncated) -> Codec:
             return cls(raw)
         except ValueError:
             raise unknown(f"unknown {cls.__name__} {raw!r}") from None
-    return Codec(lambda member: value.encode(member.value), decode)
+    framed = {member: value.frame(member.value) for member in cls}
+    return Codec(lambda member: value.encode(member.value), decode,
+                 frame=framed.__getitem__)
 
 
 def _key_id(key_id: bytes) -> bytes:
@@ -175,12 +200,17 @@ def _key_id(key_id: bytes) -> bytes:
     return key_id
 
 
+def _encode_text_list(items) -> bytes:
+    return pack_fields([s.encode() for s in items])
+
+
 RAW = Codec(_same, _same)
-TEXT = Codec(str.encode, _text)
+TEXT = Codec(str.encode, _text, frame=_framing(str.encode))
 F64 = _number(">d")
 U32 = _number(">I")
-TEXT_LIST = Codec(lambda items: pack_fields([s.encode() for s in items]),
-                  lambda data: tuple(_text(s) for s in unpack_fields(data)))
+TEXT_LIST = Codec(_encode_text_list,
+                  lambda data: tuple(_text(s) for s in unpack_fields(data)),
+                  frame=_framing(_encode_text_list))
 _ROLE_TAG = enum_of(RoleTag, _number(">B"), UnknownTag)
 _UID = Codec(_same, _same, UUID_LEN)
 _DEVICE_TOKEN = Codec(_same, _same, DEVICE_TOKEN_LEN)
@@ -327,7 +357,8 @@ def _keyed_hybrid(cls) -> Record:
     return Record(
         lambda key_id, encap, nonce, body, tag: cls(HybridCiphertext(
             encap, nonce, body, tag, key_id)),
-        {"ciphertext.key_id": Codec(_key_id, _same, KEY_ID_LEN),
+        {"ciphertext.key_id": Codec(_key_id, _same, KEY_ID_LEN,
+                                     frame=_framing(_key_id)),
          "ciphertext.encapsulation": RAW,
          "ciphertext.aead_nonce": _AEAD_NONCE, "ciphertext.body": RAW,
          "ciphertext.auth_tag": _AEAD_TAG})
@@ -355,7 +386,7 @@ _BODIES = dict(MESSAGES.values())
 def encode(message: Message) -> bytes:
     tag, record = MESSAGES[type(message)]
     framed = bytes([tag]) + record.encode(message)
-    return struct.pack(">I", len(framed)) + framed
+    return LENGTH(len(framed)) + framed
 
 
 def decode(data: bytes) -> Message:

@@ -7,9 +7,10 @@ import struct
 import pytest
 
 from conftest import NOW, make_network, verify_chain
-from hearthgate import bench, ledger, wire
+from hearthgate import bench, crypto, ledger, wire
 from hearthgate.ledger import (
     BadSignature,
+    BadTimestamp,
     ChannelName,
     InvalidPayload,
     OrgRole,
@@ -457,6 +458,29 @@ def test_submit_maps_uncheckable_credentials_to_bad_signature():
     tx = make_transaction(ChannelName.DATA, sample_entry(rng), server, 1.0)
     with pytest.raises(BadSignature, match="not checkable"):
         net.submit(tx, 1.0)
+
+
+def test_submit_checks_credential_and_stamp_at_submission():
+    # A credential in force for 10 s, from t = 1000.
+    rng = seeded_rng(25)
+    net, orgs = ledger.build_consortium(ledger.CORE_ORGS, rng, 0.0)
+    short = crypto.sig_keygen(crypto.RoleTag.ORG_CREDENTIAL, 10.0, rng, 1000.0)
+    net.membership.register("server-org", OrgRole.SERVER, short.public)
+    server = dataclasses.replace(orgs["server-org"], credential=short)
+    # Signed while the credential was in force, submitted after it lapsed.
+    tx = make_transaction(ChannelName.DATA, sample_entry(rng, ts=1001.0), server, 1001.0)
+    with pytest.raises(BadSignature, match="expired"):
+        net.submit(tx, 1100.0)
+    # Stamped 1,005 s after its submission.
+    tx = make_transaction(ChannelName.DATA, sample_entry(rng, ts=1005.0), server, 1005.0)
+    with pytest.raises(BadTimestamp, match="after its submission"):
+        net.submit(tx, 0.0)
+    assert net.settle() == []
+    # An audit checks each signature at its transaction's own stamp.
+    seq = net.submit(tx, 1005.0)
+    net.settle()
+    assert net.receipt(seq).height == 1
+    assert verify_chain(net, ChannelName.DATA) == (True, 1, "ok")
 
 
 def test_submit_rejects_a_small_order_forgery():

@@ -3,7 +3,9 @@
 The working tree's ``src/`` is paired with itself at tiny counts, so no git
 is needed: every section, backend and row name of the newest run in
 ``BENCH_kem.json``, and every field of the ``BENCH_scenario.json`` rows,
-comes back with both sides' medians, a median ratio and a win count.
+comes back with both sides' medians, a median ratio and a win count. The
+``commit`` row's settles each cut one full block, and the ``wire`` rows
+decode what they encode.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from hearthgate import ledger, wire
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -56,6 +60,20 @@ def test_self_pair_gives_every_committed_row(monkeypatch):
         assert row["registered"] == row["devices"] == 1
         assert set(row["wall_ms"]) == PAIRED
         assert set(row["wall_ms_per_device"]) == {"rev", "this"}
+
+
+def test_commit_row_settles_one_full_block_per_call():
+    times, (blocks, last_block_txs, _) = perf.sample_commit(0, 3)
+    assert blocks == 1 + 3 and last_block_txs == perf.BLOCK_TXS
+    assert set(times) == {"commit"}
+
+
+def test_wire_rows_decode_what_they_encode():
+    ops = perf._wire_ops()
+    assert set(ops) == {f"{what} {step}" for what in ("RegistrationRequest", "data tx body")
+                        for step in ("encode", "decode")}
+    assert ops["RegistrationRequest encode"]() == wire.encode(ops["RegistrationRequest decode"]())
+    assert ops["data tx body encode"]() == ledger._TX_BODY.encode(ops["data tx body decode"]())
 
 
 class _Side:

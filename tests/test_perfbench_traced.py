@@ -5,7 +5,8 @@
 pass's digest differs from the untraced pass run just before it in the same
 process, or the workload raises. Each workload's ``tiny`` inputs take well
 under a second here, so Tier-1 catches such a failure before a benchmark
-run does.
+run does. On ``ledger-mix`` the traced payload encodings, transactions and
+submits must also match one for one.
 """
 
 from __future__ import annotations
@@ -31,3 +32,9 @@ def test_tiny_traced_run_holds_every_gate(name, tmp_path, monkeypatch):
     _, errors, _, spans = run.traced_run(w, SEED, w.tiny)
     assert errors == []
     assert not spans.missing(w.required_spans)
+    if name == "ledger-mix":
+        # One payload encoding and one transaction per submit: a codec
+        # shortcut that went round the traced functions would lose spans.
+        calls = {span: spans.stats[span][0] for span in (
+            "payloads.encode_payload", "ledger.make_transaction", "ledger.submit")}
+        assert len(set(calls.values())) == 1, calls

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import pathlib
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,3 +282,104 @@ def test_signature_covers_ciphertext_bytes():
     other = crypto.HybridCiphertext(enc.encapsulation, enc.aead_nonce,
                                     enc.body + b"", bytes(16))
     assert not crypto.verify(signer.public, wire.encode_hybrid(other), sig, now)
+
+
+# -- the framed encoder against the plain one ---------------------------------
+
+# Every record there is: message bodies, nested structures, the payload
+# tuples, the ledger payloads, and the ledger's transaction body and org line.
+_RECORDS = {
+    **{f"message {cls.__name__}": record for cls, (_, record) in wire.MESSAGES.items()},
+    **{name: getattr(wire, name) for name in (
+        "PUBLIC_KEY", "ROLE_PUBLIC", "HYBRID", "SIGNATURE", "TOKEN_PAYLOAD",
+        "PROVISION_PAYLOAD", "REGISTRATION_PAYLOAD", "ACTIVATION_PAYLOAD",
+        "DATA_PAYLOAD", "REVOCATION_PAYLOAD")},
+    **{f"payload {cls.__name__}": record
+       for cls, (_, record) in payloads._RECORDS.items()},
+    "ledger._TX_BODY": ledger._TX_BODY,
+    "ledger._ORG": ledger._ORG,
+}
+# The enum each enum-valued field holds, by field name.
+_ENUMS = {"role_tag": RoleTag, "signer_tag": RoleTag,
+          "status": payloads.DeviceStatus, "channel": ledger.ChannelName,
+          "role": ledger.OrgRole}
+_TEXT = st.one_of(st.text(max_size=12),
+                  st.sampled_from(["", "°C", "température", "温度", "\U0001F321"]))
+
+
+def _reference(record: wire.Record, value) -> bytes:
+    """``record``'s bytes the plain way: each field encoded on its own (a
+    nested record by this same function), then all framed together."""
+    values = value if record.make is None else [attrgetter(name)(value)
+                                                for name in record.names]
+    return wire.pack_fields([
+        _reference(codec, v) if isinstance(codec, wire.Record) else codec.encode(v)
+        for codec, v in zip(record.codecs, values)])
+
+
+def _values(record: wire.Record) -> st.SearchStrategy:
+    fields = st.tuples(*(_field(name, codec)
+                         for name, codec in zip(record.names, record.codecs)))
+    return fields if record.make is None else fields.map(lambda v: record.make(*v))
+
+
+def _field(name: str, codec) -> st.SearchStrategy:
+    if isinstance(codec, wire.Record):
+        return _values(codec)
+    if name in _ENUMS:
+        return st.sampled_from(_ENUMS[name])
+    if name == "payload":
+        return st.one_of([_values(record) for _, record in payloads._RECORDS.values()])
+    if name == "verb":
+        return st.just(wire.REVOKE_VERB)
+    if codec is wire.TEXT:
+        return _TEXT
+    if codec is wire.TEXT_LIST:
+        return st.lists(_TEXT, max_size=4).map(tuple)
+    if codec.encode is wire.F64.encode:
+        return st.floats(allow_nan=False)
+    if codec is wire.U32:
+        return st.integers(0, 2**32 - 1)
+    return st.binary(min_size=codec.size or 0, max_size=codec.size or 40)
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_framed_encode_equals_the_per_field_one(name, data):
+    record = _RECORDS[name]
+    value = data.draw(_values(record))
+    encoded = record.encode(value)
+    assert encoded == _reference(record, value)
+    assert record.frame(value) == wire.pack_fields([encoded])
+    decoded = record.decode(encoded)
+    assert decoded == value
+    assert record.encode(decoded) == encoded
+
+
+@given(message=st.sampled_from(list(wire.MESSAGES)).flatmap(
+    lambda cls: _values(wire.MESSAGES[cls][1])))
+@settings(max_examples=100, deadline=None)
+def test_message_is_its_tag_and_body_framed(message):
+    tag, record = wire.MESSAGES[type(message)]
+    body = bytes([tag]) + _reference(record, message)
+    assert wire.encode(message) == wire.pack_fields([body])
+    assert wire.decode(wire.encode(message)) == message
+
+
+@given(payload=st.one_of([_values(record) for _, record in payloads._RECORDS.values()]))
+@settings(max_examples=100, deadline=None)
+def test_payload_is_its_tag_and_record(payload):
+    tag, record = payloads._RECORDS[type(payload)]
+    assert payloads.encode_payload(payload) == tag + _reference(record, payload)
+    assert payloads.decode_payload(payloads.encode_payload(payload)) == payload
+
+
+@pytest.mark.parametrize("name, field", [
+    (name, field) for name, record in sorted(_RECORDS.items())
+    for field in record.names if field in _ENUMS])
+def test_every_enum_member_frames_as_its_value(name, field):
+    codec = _RECORDS[name].codecs[_RECORDS[name].names.index(field)]
+    for member in _ENUMS[field]:
+        assert codec.frame(member) == wire.pack_fields([codec.encode(member)])
+        assert codec.decode(codec.encode(member)) is member

@@ -26,10 +26,15 @@ hearthgate and the first keygen (for ML-KEM, with numpy's import).
 ``signature``: Ed25519 keygen, sign, ``verify`` of the reference signer's
 signature over another message (libsodium checks it) and ``verify_own`` of
 the one just made (``crypto``'s memo answers). ``ledger``:
-``make_transaction`` plus ``LedgerNetwork.submit`` of a data transaction.
-``kernels``: ML-KEM-512's ByteEncode_12, ByteDecode_10 and SamplePolyCBD_3
-on a vector, per call over KERNEL_LOOP calls. Scenario: ``run_scenario``
-under DeliverAll, N devices onboarding and reporting once each, in ms.
+``make_transaction`` plus ``LedgerNetwork.submit`` of a data transaction,
+and ``commit``: ``settle`` of a block of 50 submitted data transactions, per
+transaction. ``wire``: encode and decode of a ``RegistrationRequest`` and of
+a data transaction's signed body. ``kernels``: ML-KEM-512's ByteEncode_12,
+ByteDecode_10 and SamplePolyCBD_3 on a vector. The ``wire``, ``kernels`` and
+``commit`` rows time each sample over KERNEL_LOOP calls: a single call is
+too short to read next to the difference between two worker processes.
+Scenario: ``run_scenario`` under DeliverAll, N devices onboarding and
+reporting once each, in ms.
 
 Runs go to ``BENCH_kem.json`` and ``BENCH_scenario.json`` with the machine's
 library versions, its usable CPU count and the git commit (``-dirty`` when a
@@ -64,6 +69,7 @@ FRESH_SAMPLES = 5
 SCENARIO_SAMPLES = 5
 SIZES = (1, 10, 100, 200)
 KERNEL_LOOP = 100
+BLOCK_TXS = 50
 WORKER = "import sys; sys.path.insert(0, sys.argv[1]); import perf; perf.serve(sys.argv[2])"
 FIRST_USE = """
 import sys, time
@@ -157,6 +163,59 @@ def sample_ledger(i: int):
 
 
 @functools.cache
+def _block():
+    from hearthgate import ledger
+    from hearthgate.payloads import DataEntry
+    from hearthgate.runtime import seeded_rng
+    network, server = _consortium()
+    rng = seeded_rng(SEED)
+    return network.membership, [ledger.make_transaction(
+        ledger.ChannelName.DATA, DataEntry(rng.bytes(16), "temperature_c", 21.5, "C",
+                                           NOW, rng.bytes(32)), server, NOW)
+        for _ in range(BLOCK_TXS)]
+
+
+def sample_commit(i: int, loop: int):
+    from hearthgate import ledger
+    membership, txs = _block()
+    # Rounds are a second apart, and one round's transactions fit in the
+    # one-second block interval, so each settle cuts one full block.
+    network = ledger.LedgerNetwork(membership, max_block_txs=BLOCK_TXS, block_interval=1.0)
+    elapsed = 0.0
+    for k in range(loop):
+        for tx in txs:
+            network.submit(tx, NOW + k)
+        start = time.perf_counter()
+        network.settle()
+        elapsed += time.perf_counter() - start
+    chain = network.chains[ledger.ChannelName.DATA]
+    return ({"commit": elapsed * 1e6 / (loop * len(txs))},
+            [len(chain), len(chain[-1].txs), chain[-1].block_hash.hex()])
+
+
+@functools.cache
+def _wire_ops():
+    from hearthgate import crypto, ledger, wire
+    from hearthgate.payloads import DataEntry
+    from hearthgate.runtime import seeded_rng
+    rng = seeded_rng(SEED)
+    server = crypto.generate_role_keys(crypto.RoleTag.SERVER_FOR_AUTH, 3600.0, rng, NOW)
+    device = crypto.generate_role_keys(crypto.RoleTag.DEVICE_FOR_SERVER, 3600.0, rng, NOW)
+    token = crypto.hybrid_encrypt(server.kem.public, b"12345678", rng, NOW)
+    signature = crypto.sign(device.sig, wire.encode_hybrid(token), NOW)
+    request = wire.RegistrationRequest(crypto.hybrid_encrypt(
+        server.kem.public, wire.REGISTRATION_PAYLOAD.encode(
+            (device.public, rng.bytes(16), token, signature)), rng, NOW))
+    body = (ledger.ChannelName.DATA, DataEntry(rng.bytes(16), "temperature_c", 21.5, "C",
+                                               NOW, rng.bytes(32)), "server-org", NOW)
+    request_bytes, body_bytes = wire.encode(request), ledger._TX_BODY.encode(body)
+    return {"RegistrationRequest encode": lambda: wire.encode(request),
+            "RegistrationRequest decode": lambda: wire.decode(request_bytes),
+            "data tx body encode": lambda: ledger._TX_BODY.encode(body),
+            "data tx body decode": lambda: ledger._TX_BODY.decode(body_bytes)}
+
+
+@functools.cache
 def _kernels():
     from hearthgate import mlkem
     from hearthgate.runtime import seeded_rng
@@ -170,15 +229,25 @@ def _kernels():
             "SamplePolyCBD_3": lambda: mlkem._noise(3, sigma, 0, k)}
 
 
-def sample_kernels(i: int, loop: int):
+def _per_call(ops: dict, loop: int):
+    """Each operation's time per call over ``loop`` calls, and a digest of
+    their last outputs."""
     times, outputs = {}, []
-    for name, kernel in _kernels().items():
+    for name, op in ops.items():
         start = time.perf_counter()
         for _ in range(loop):
-            out = kernel()
+            out = op()
         times[name] = (time.perf_counter() - start) * 1e6 / loop
-        outputs.append(out if isinstance(out, bytes) else out.tobytes())
+        outputs.append(out.tobytes() if hasattr(out, "tobytes") else out)
     return times, _digest(*outputs)
+
+
+def sample_kernels(i: int, loop: int):
+    return _per_call(_kernels(), loop)
+
+
+def sample_wire(i: int, loop: int):
+    return _per_call(_wire_ops(), loop)
 
 
 def sample_scenario(i: int, kem: str, devices: int):
@@ -191,7 +260,8 @@ def sample_scenario(i: int, kem: str, devices: int):
 
 
 SAMPLERS = {"kem": sample_kem, "first_use": sample_first_use, "signature": sample_signature,
-            "ledger": sample_ledger, "kernels": sample_kernels, "scenario": sample_scenario}
+            "ledger": sample_ledger, "commit": sample_commit, "wire": sample_wire,
+            "kernels": sample_kernels, "scenario": sample_scenario}
 
 
 def serve(src: str) -> None:
@@ -275,7 +345,9 @@ def measure(sources: dict[str, pathlib.Path]) -> tuple[dict, list]:
               + [("first_use", kem, {"group": "first_use", "kem": kem}, FRESH_SAMPLES)
                  for kem in BACKENDS]
               + [("signature", "ed25519", {"group": "signature"}, SAMPLES),
+                 ("wire", "", {"group": "wire", "loop": KERNEL_LOOP}, SAMPLES),
                  ("ledger", "", {"group": "ledger"}, SAMPLES),
+                 ("ledger", "", {"group": "commit", "loop": KERNEL_LOOP}, SAMPLES),
                  ("kernels", "ml-kem-512", {"group": "kernels", "loop": KERNEL_LOOP}, SAMPLES)])
     workers = {}
     try:
