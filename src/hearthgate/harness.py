@@ -151,10 +151,8 @@ class World:
             mu=spec.mu, max_block_txs=spec.max_block_txs,
             block_interval=spec.block_interval,
             access_overrides=access_overrides)
-        self.risk_engine = risk.RiskEngine(
-            rules if rules is not None else list(risk.DEFAULT_RULES),
-            self.orgs["risk-engine"])
-        self.risk_engine.attach(self.network)
+        risk.attach(self.network, risk.DEFAULT_RULES if rules is None else rules,
+                    self.orgs["risk-engine"])
 
         self.server = Server(self.rng.child("server"), self.clock, self.trace,
                              network=self.network, identity=self.orgs["server-org"],

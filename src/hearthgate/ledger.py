@@ -205,6 +205,31 @@ def make_transaction(channel: ChannelName, payload: Payload,
     return tx
 
 
+def check_transaction(tx: LedgerTransaction, channel: ChannelName,
+                      membership: MembershipRegistry, at: float) -> OrgRole:
+    """The submitter's role, if it is registered, its credential in force at
+    ``at`` verifies the signature and the payload is a valid ``channel`` type."""
+    role, credential = membership.lookup(tx.submitter)
+    sig = crypto.Signature(signer_tag=credential.role_tag, value=tx.signature)
+    try:
+        valid = crypto.verify(credential, tx.signing_bytes, sig, at)
+    except crypto.CryptoError as exc:
+        raise BadSignature(
+            f"submitter {tx.submitter} signature not checkable: {exc}") from exc
+    if not valid:
+        raise BadSignature(f"submitter {tx.submitter} signature invalid")
+    expected = _CHANNEL_PAYLOADS[channel]
+    if not isinstance(tx.payload, expected):
+        raise InvalidPayload(
+            f"channel {channel.value} accepts {expected.__name__}, "
+            f"got {type(tx.payload).__name__}")
+    try:
+        tx.payload.validate()
+    except ValueError as exc:
+        raise InvalidPayload(str(exc)) from exc
+    return role
+
+
 GENESIS_PREV = bytes(32)
 
 
@@ -378,30 +403,13 @@ class LedgerNetwork:
         A transaction stamped after ``now`` is refused, and so is one whose
         submitter's credential has expired by ``now``.
         """
-        role, credential = self.membership.lookup(tx.submitter)
-        sig = crypto.Signature(signer_tag=credential.role_tag, value=tx.signature)
-        try:
-            # At ``now``: with the stamp no later, a credential in force at
-            # submission was in force at the stamp too.
-            valid = crypto.verify(credential, tx.signing_bytes, sig, now)
-        except (crypto.KeyExpired, crypto.MalformedKey) as exc:
-            raise BadSignature(
-                f"submitter {tx.submitter} signature not checkable: {exc}") from exc
-        if not valid:
-            raise BadSignature(f"submitter {tx.submitter} signature invalid")
+        # At ``now``: with the stamp no later, a credential in force at
+        # submission was in force at the stamp too.
+        role = check_transaction(tx, tx.channel, self.membership, now)
         if tx.timestamp > now:
             raise BadTimestamp(
                 f"transaction stamped {tx.timestamp}, after its submission at {now}")
         self._check_write(tx.channel, role)
-        expected = _CHANNEL_PAYLOADS[tx.channel]
-        if not isinstance(tx.payload, expected):
-            raise InvalidPayload(
-                f"channel {tx.channel.value} accepts {expected.__name__}, "
-                f"got {type(tx.payload).__name__}")
-        try:
-            tx.payload.validate()
-        except ValueError as exc:
-            raise InvalidPayload(str(exc)) from exc
         seq = self._next_seq
         self._next_seq += 1
         self._orderers[tx.channel].submit((seq, tx), now)
@@ -411,9 +419,9 @@ class LedgerNetwork:
         """Commit every block whose cut time is at or before ``watermark``.
 
         The blocks are already out of the orderers, so a risk hook that
-        raises stops none of them: every block commits, in order, every
-        data transaction is passed to the hook, and the first hook error is
-        raised after the last block."""
+        raises stops none of them: every block commits, in order, each data
+        transaction is passed to the hook once its whole block is recorded,
+        and the first hook error is raised after the last block."""
         new_receipts: list[CommitReceipt] = []
         hook_error = None
         progress = True
@@ -426,10 +434,14 @@ class LedgerNetwork:
             cuts.sort(key=lambda c: (c[0], c[1].value))
             for commit_time, channel, items in cuts:
                 progress = True
-                try:
-                    new_receipts.extend(self._commit(channel, commit_time, items))
-                except Exception as exc:  # the risk hook's, block recorded
-                    hook_error = hook_error or exc
+                receipts = self._commit(channel, commit_time, items)
+                new_receipts.extend(receipts)
+                if channel is ChannelName.DATA and self._risk_hook is not None:
+                    for receipt, (_, tx) in zip(receipts, items):
+                        try:
+                            self._risk_hook(tx.payload, receipt)
+                        except Exception as exc:
+                            hook_error = hook_error or exc
         if hook_error is not None:
             raise hook_error
         return new_receipts
@@ -458,17 +470,6 @@ class LedgerNetwork:
             for sub, mode in readers:
                 if mode != READ_OWN or self._owns(sub.org_id, tx.payload):
                     sub._queue.append((receipt, tx.payload))
-        # Only once the whole block is recorded: a hook that raises loses no
-        # receipt, and every data transaction of the block still gets its call.
-        if channel is ChannelName.DATA and self._risk_hook is not None:
-            hook_error = None
-            for receipt, (_, tx) in zip(receipts, items):
-                try:
-                    self._risk_hook(tx.payload, receipt)
-                except Exception as exc:
-                    hook_error = hook_error or exc
-            if hook_error is not None:
-                raise hook_error
         return receipts
 
     def receipt(self, seq: int) -> CommitReceipt | None:
@@ -533,7 +534,7 @@ def build_consortium(orgs: Iterable[tuple[str, OrgRole]], rng: Rng, now: float,
 
 def verify_blocks(blocks: list[Block], channel: ChannelName,
                   membership: MembershipRegistry) -> tuple[bool, int, str]:
-    """Check hash linkage, heights, and every transaction signature from genesis."""
+    """Check linkage and heights from genesis, and each tx by check_transaction."""
     prev_hash = GENESIS_PREV
     for expected_height, block in enumerate(blocks):
         if block.height != expected_height:
@@ -546,19 +547,9 @@ def verify_blocks(blocks: list[Block], channel: ChannelName,
             if tx.channel is not channel:
                 return False, block.height, f"tx {idx} on wrong channel"
             try:
-                _, credential = membership.lookup(tx.submitter)
-            except UnknownIdentity:
-                return False, block.height, f"tx {idx} from unknown submitter"
-            sig = crypto.Signature(signer_tag=credential.role_tag, value=tx.signature)
-            try:
-                valid = crypto.verify(credential, tx.signing_bytes, sig,
-                                      tx.timestamp)
-            except crypto.CryptoError:
-                valid = False
-            if not valid:
-                return False, block.height, f"tx {idx} signature invalid"
-            if not isinstance(tx.payload, _CHANNEL_PAYLOADS[channel]):
-                return False, block.height, f"tx {idx} payload type mismatch"
+                check_transaction(tx, channel, membership, tx.timestamp)
+            except LedgerError as exc:
+                return False, block.height, f"tx {idx}: {exc}"
         prev_hash = block.block_hash
     return True, len(blocks) - 1, "ok"
 

@@ -78,33 +78,27 @@ def evaluate(entry: DataEntry, rules: list[ThresholdRule],
     return None
 
 
-class RiskEngine:
-    """Holds the rule set and writes alerts to the risk management channel."""
+def attach(network: LedgerNetwork, rules: list[ThresholdRule],
+           identity: OrgIdentity) -> None:
+    """Write ``rules``' alerts on each data commit as ``identity``, which must
+    be a risk engine that the access map lets write them: else every alert
+    would be refused at commit time."""
+    if identity.role is not OrgRole.RISK_ENGINE:
+        raise ValueError("risk engine needs a risk_engine identity")
+    try:
+        network.check_write(ChannelName.RISK_MANAGEMENT, identity.org_id)
+    except PolicyDenied as exc:
+        raise ValueError(f"risk engine cannot write alerts: {exc}") from None
+    rules = list(rules)
 
-    def __init__(self, rules: list[ThresholdRule], identity: OrgIdentity):
-        if identity.role is not OrgRole.RISK_ENGINE:
-            raise ValueError("risk engine needs a risk_engine identity")
-        self.rules = list(rules)
-        self.identity = identity
+    def hook(entry: DataEntry, receipt: CommitReceipt) -> None:
+        alert = evaluate(entry, rules, entry_ref=(receipt.height, receipt.tx_index))
+        if alert is not None:
+            tx = make_transaction(ChannelName.RISK_MANAGEMENT, alert, identity,
+                                  receipt.commit_time)
+            network.submit(tx, receipt.commit_time)
 
-    def attach(self, network: LedgerNetwork) -> None:
-        """Wire this engine into the network's data-commit path. A network
-        whose access map bars it from writing alerts is refused here, as an
-        alert refused later would stop a data block's commit partway."""
-        try:
-            network.check_write(ChannelName.RISK_MANAGEMENT, self.identity.org_id)
-        except PolicyDenied as exc:
-            raise ValueError(f"risk engine cannot write alerts: {exc}") from None
-
-        def hook(entry: DataEntry, receipt: CommitReceipt) -> None:
-            alert = evaluate(entry, self.rules,
-                             entry_ref=(receipt.height, receipt.tx_index))
-            if alert is not None:
-                tx = make_transaction(ChannelName.RISK_MANAGEMENT, alert,
-                                      self.identity, receipt.commit_time)
-                network.submit(tx, receipt.commit_time)
-
-        network.attach_risk_hook(hook)
+    network.attach_risk_hook(hook)
 
 
 _RULE_FIELDS = {"metric": "str", "comparator": "str", "threshold": "float",

@@ -10,6 +10,11 @@ Handlers return :class:`Outgoing` messages for the runner to route instead
 of touching channels directly, which keeps each role unit-testable. Message
 handlers reject by raising: their :func:`_traced` decorator records each
 ``ProtocolError`` or ``CryptoError`` once, as one rejection event.
+
+Each received input is recognised whole, by one helper, before a handler
+acts on it: :func:`_open` and ``Server._receive`` (routed by key id) decrypt
+and decode, :func:`_check_bundle` checks a key bundle. A data report sealed
+to one device's key but naming another device is refused.
 """
 
 from __future__ import annotations
@@ -148,6 +153,27 @@ def _digest8(data: bytes) -> str:
     return crypto.sha256(data).hex()[:16]
 
 
+def _open(pair: crypto.KeyPair, ciphertext: crypto.HybridCiphertext, decode,
+          now: float, what: str, **fields: str):
+    """Decrypt a ``what`` sealed to ``pair`` and ``decode`` it; either failure
+    is one Malformed with ``fields`` (an expired ``pair`` raises KeyExpired)."""
+    try:
+        return decode(crypto.hybrid_decrypt(pair, ciphertext, now))
+    except (DecryptionFailure, wire.WireError) as exc:
+        raise Malformed(f"unreadable {what}: {exc}", **fields) from exc
+
+
+def _check_bundle(public: RolePublic, kem_algo: str, now: float, what: str,
+                  **fields: str) -> None:
+    """Malformed unless a peer's bundle holds a ``kem_algo`` key and an Ed25519
+    key, each parsing and in force at ``now``."""
+    try:
+        crypto.check_public_key(public.kem, kem_algo, now)
+        crypto.check_public_key(public.sig, crypto.SIG_ALGO, now)
+    except crypto.CryptoError as exc:
+        raise Malformed(f"unusable {what}: {exc}", **fields) from exc
+
+
 def _traced(kind: str):
     """Decorate a role's message handler: record a ProtocolError or CryptoError
     it raises once, as ``kind`` with ``error=<class name>``, and re-raise it."""
@@ -229,11 +255,8 @@ class Authenticator:
         now = self.clock.now()
         if self._pending_nonce is None:
             raise NonceMismatch("no outstanding challenge")
-        try:
-            raw = crypto.hybrid_decrypt(self.keys.kem, msg.ciphertext, now)
-            signature = wire.SIGNATURE.decode(raw)
-        except (DecryptionFailure, wire.WireError) as exc:
-            raise Malformed(f"unreadable nonce response: {exc}") from exc
+        signature = _open(self.keys.kem, msg.ciphertext, wire.SIGNATURE.decode,
+                          now, "nonce response")
         if not crypto.verify(self.server_public.sig, self._pending_nonce,
                              signature, now):
             raise NonceMismatch("server signature does not cover my nonce")
@@ -251,13 +274,9 @@ class Authenticator:
         now = self.clock.now()
         if self.phase is not AuthPhase.AWAITING_TOKEN:
             raise NoSession(f"unexpected token delivery in phase {self.phase.value}")
-        try:
-            raw = crypto.hybrid_decrypt(self.keys.kem, msg.ciphertext, now)
-            digits, api = wire.TOKEN_PAYLOAD.decode(raw)
-        except (DecryptionFailure, wire.WireError) as exc:
-            raise Malformed(f"unreadable token delivery: {exc}") from exc
-        self._token_digits = digits
-        self._api_address = api
+        self._token_digits, self._api_address = _open(
+            self.keys.kem, msg.ciphertext, wire.TOKEN_PAYLOAD.decode, now,
+            "token delivery")
 
     def build_provision(self, device_name: str) -> wire.DeviceProvision:
         """Package (api address, server keys, encrypted token, signature) for
@@ -284,11 +303,8 @@ class Authenticator:
     @_traced(ch.MESSAGE_REJECTED)
     def handle_connected_notice(self, msg: wire.ConnectedNotice) -> None:
         now = self.clock.now()
-        try:
-            raw = crypto.hybrid_decrypt(self.keys.kem, msg.ciphertext, now)
-            uid = wire.decode_connected_payload(raw)
-        except (DecryptionFailure, wire.WireError) as exc:
-            raise Malformed(f"unreadable connected notice: {exc}") from exc
+        uid = _open(self.keys.kem, msg.ciphertext, wire.decode_connected_payload,
+                    now, "connected notice")
         if self.phase is not AuthPhase.TOKEN_FORWARDED:
             raise NoSession(f"unexpected notice in phase {self.phase.value}")
         self.phase = AuthPhase.DEVICE_CONNECTED
@@ -407,17 +423,10 @@ class Device:
         if self.phase is not DevicePhase.REQUEST_SENT:
             raise Malformed(f"activation in phase {self.phase.value}",
                             detail=f"phase {self.phase.value}")
-        try:
-            raw = crypto.hybrid_decrypt(self.keys.kem, msg.ciphertext, now)
-            token, server_device_public = wire.ACTIVATION_PAYLOAD.decode(raw)
-        except (DecryptionFailure, wire.WireError) as exc:
-            raise Malformed(f"unreadable activation: {exc}",
-                            detail="undecryptable") from exc
-        try:
-            crypto.check_public_key(server_device_public.kem, self.kem_algo, now)
-            crypto.check_public_key(server_device_public.sig, crypto.SIG_ALGO, now)
-        except crypto.CryptoError as exc:
-            raise Malformed(f"unusable server keys: {exc}") from exc
+        token, server_device_public = _open(
+            self.keys.kem, msg.ciphertext, wire.ACTIVATION_PAYLOAD.decode, now,
+            "activation", detail="undecryptable")
+        _check_bundle(server_device_public, self.kem_algo, now, "server keys")
         self.device_token = token
         self.server_device_public = server_device_public
         self.phase = DevicePhase.ACTIVE
@@ -538,11 +547,8 @@ class Server:
             raise NoSession(f"unknown session {session_id}")
         if session.pending_nonce is None:
             raise NonceMismatch("no outstanding nonce for this session")
-        try:
-            raw = crypto.hybrid_decrypt(session.keys.kem, msg.ciphertext, now)
-            signature = wire.SIGNATURE.decode(raw)
-        except (DecryptionFailure, wire.WireError) as exc:
-            raise Malformed(f"unreadable nonce response: {exc}") from exc
+        signature = _open(session.keys.kem, msg.ciphertext, wire.SIGNATURE.decode,
+                          now, "nonce response")
         if signature.signer_tag is not RoleTag.AUTH_FOR_SERVER:
             raise SignatureInvalid("nonce response signed by the wrong role")
         if not crypto.verify(session.auth_public.sig, session.pending_nonce,
@@ -599,22 +605,11 @@ class Server:
         step, and first use of that token.
         """
         now = self.clock.now()
-        session, raw = self._route(msg.ciphertext, Session, now)
-        if session is None:
-            raise Malformed("request not decryptable by the session key it names",
-                            detail="request not decryptable")
-        try:
-            device_public, uid, encrypted_token, signature = \
-                wire.REGISTRATION_PAYLOAD.decode(raw)
-        except wire.WireError as exc:
-            raise Malformed(f"bad registration payload: {exc}",
-                            detail=f"bad payload: {exc}") from exc
+        session, (device_public, uid, encrypted_token, signature) = self._receive(
+            msg.ciphertext, Session, wire.REGISTRATION_PAYLOAD.decode, now,
+            "registration")
         uid_hex = uid.hex()
-        try:
-            crypto.check_public_key(device_public.kem, self.kem_algo, now)
-            crypto.check_public_key(device_public.sig, crypto.SIG_ALGO, now)
-        except crypto.CryptoError as exc:
-            raise Malformed(f"unusable device keys: {exc}", uid=uid_hex) from exc
+        _check_bundle(device_public, self.kem_algo, now, "device keys", uid=uid_hex)
 
         if not crypto.verify(session.auth_public.sig,
                              wire.encode_hybrid(encrypted_token), signature, now):
@@ -623,13 +618,9 @@ class Server:
                 detail="token signature not from session authenticator",
                 uid=uid_hex)
 
-        try:
-            digits = wire.TEXT.decode(crypto.hybrid_decrypt(
-                session.keys.kem, encrypted_token, now))
-        except (DecryptionFailure, wire.WireError) as exc:
-            raise Malformed(f"encrypted token unreadable: {exc}",
-                            detail="encrypted token unreadable",
-                            uid=uid_hex) from exc
+        digits = _open(session.keys.kem, encrypted_token, wire.TEXT.decode, now,
+                       "encrypted token", detail="encrypted token unreadable",
+                       uid=uid_hex)
 
         candidates = [p for p in self.pending if p.session_id == session.session_id]
         live = [p for p in candidates
@@ -659,19 +650,26 @@ class Server:
         return self._activate_device(session, device_public, uid_hex, digits,
                                      reply_to, now)
 
-    def _route(self, ciphertext, kind, now):
-        """Decrypt with the key the ciphertext's key id names, if a ``kind``
-        (Session or RegistryEntry) holds it. Returns (holder, plaintext), or
-        (None, None) when the key is unknown, of the other kind, expired, or
-        does not open the ciphertext."""
+    def _receive(self, ciphertext, kind, decode, now, what):
+        """Decrypt a ``what`` with the key its key id names, held by a ``kind``
+        (Session or RegistryEntry), and ``decode`` it: (holder, fields). Else
+        Malformed "... not decryptable" or "bad payload" (why, for a registration)."""
         holder = self.routes.get(ciphertext.key_id)
-        if not isinstance(holder, kind):
-            return None, None
-        keys = holder.keys if kind is Session else holder.server_keys
         try:
-            return holder, crypto.hybrid_decrypt(keys.kem, ciphertext, now)
-        except (DecryptionFailure, KeyExpired):
-            return None, None
+            if not isinstance(holder, kind):
+                raise DecryptionFailure(f"no {kind.__name__} holds that key id")
+            keys = holder.keys if kind is Session else holder.server_keys
+            raw = crypto.hybrid_decrypt(keys.kem, ciphertext, now)
+        except (DecryptionFailure, KeyExpired) as exc:
+            noun = "request" if kind is Session else "report"
+            raise Malformed(f"{what} not decryptable by the key it names: {exc}",
+                            detail=f"{noun} not decryptable") from exc
+        try:
+            return holder, decode(raw)
+        except wire.WireError as exc:
+            reason = f": {exc}" if what == "registration" else ""
+            raise Malformed(f"bad {what} payload: {exc}",
+                            detail="bad payload" + reason) from exc
 
     def _activate_device(self, session: Session, device_public: RolePublic,
                          uid_hex: str, digits: str, reply_to: str,
@@ -729,8 +727,8 @@ class Server:
     def _submit(self, channel: ChannelName, payload: Payload, now: float,
                 uid_hex: str, **commit_fields: str) -> None:
         """Commit one payload to the ledger; a refusal raises LedgerRejected.
-        A risk hook that fails once the payload's block committed is recorded
-        on the commit as ``hook_error``: the payload is on the chain."""
+        ``settle`` raises only a risk hook's error, once every cut block has
+        committed, so it is recorded on the commit as ``hook_error``."""
         try:
             tx = make_transaction(channel, payload, self.identity, now)
             seq = self.network.submit(tx, now)
@@ -739,12 +737,7 @@ class Server:
         try:
             self.network.settle()
         except Exception as exc:
-            if self.network.receipt(seq) is not None:
-                commit_fields["hook_error"] = f"{type(exc).__name__}: {exc}"
-            elif isinstance(exc, LedgerError):
-                raise LedgerRejected(str(exc), uid=uid_hex) from exc
-            else:
-                raise
+            commit_fields["hook_error"] = f"{type(exc).__name__}: {exc}"
         self.trace.record(self.name, ch.LEDGER_COMMIT, channel=channel.value,
                           height=str(self.network.receipt(seq).height),
                           uid=uid_hex, **commit_fields)
@@ -754,19 +747,18 @@ class Server:
     @_traced(ch.DATA_REJECTED)
     def handle_data_report(self, msg: wire.DataReport) -> None:
         now = self.clock.now()
-        entry, raw = self._route(msg.ciphertext, RegistryEntry, now)
-        if entry is None:
-            raise Malformed("report not decryptable by the device key it names",
-                            detail="report not decryptable")
-        try:
-            uid, metric, value, unit, token = wire.DATA_PAYLOAD.decode(raw)
-        except wire.WireError as exc:
-            raise Malformed(f"bad data payload: {exc}", detail="bad payload") from exc
+        entry, (uid, metric, value, unit, token) = self._receive(
+            msg.ciphertext, RegistryEntry, wire.DATA_PAYLOAD.decode, now, "report")
         uid_hex = uid.hex()
         registered = self.registry.get(uid_hex)
         if registered is None:
             raise UnknownDevice(f"no registered device {uid_hex}", detail=None,
                                 uid=uid_hex)
+        # The key a report is sealed to identifies its device: another
+        # device's reading under this key is refused, whatever it carries.
+        if registered is not entry:
+            raise Malformed(f"report sealed to device {entry.uid_hex}'s key",
+                            detail="uid not the key's device", uid=uid_hex)
         if (registered.status is DeviceStatus.DEACTIVATED
                 or registered.device_public.kem.key in self.crl):
             raise RevokedDevice(f"device {uid_hex} is revoked", detail=None,
@@ -789,15 +781,9 @@ class Server:
     @_traced(ch.REVOCATION_REJECTED)
     def handle_revocation(self, msg: wire.RevocationRequest) -> None:
         now = self.clock.now()
-        session, raw = self._route(msg.ciphertext, Session, now)
-        if session is None:
-            raise Malformed("revocation not decryptable by the session key it names",
-                            detail="request not decryptable")
-        try:
-            _, uid = wire.REVOCATION_PAYLOAD.decode(raw)
-        except wire.WireError as exc:
-            raise Malformed(f"bad revocation payload: {exc}",
-                            detail="bad payload") from exc
+        session, (_, uid) = self._receive(msg.ciphertext, Session,
+                                          wire.REVOCATION_PAYLOAD.decode, now,
+                                          "revocation")
         uid_hex = uid.hex()
         entry = self.registry.get(uid_hex)
         if entry is None:

@@ -18,7 +18,7 @@ from hearthgate.config import load_config
 from hearthgate.crypto import gen_link_key
 from hearthgate.ledger import ChannelName, make_transaction
 from hearthgate.payloads import DataEntry, DeviceStatus
-from hearthgate.risk import RiskEngine, DEFAULT_RULES
+from hearthgate.risk import DEFAULT_RULES, attach
 from hearthgate.roles import (
     Authenticator,
     Device,
@@ -194,8 +194,7 @@ def test_criterion_6_risk_alerting():
     subscribed role, in commit order."""
     rng = seeded_rng(6)
     net, orgs = make_network(rng)
-    engine = RiskEngine(list(DEFAULT_RULES), orgs["risk-engine"])
-    engine.attach(net)
+    attach(net, list(DEFAULT_RULES), orgs["risk-engine"])
     subs = {org: net.subscribe(ChannelName.RISK_MANAGEMENT, org)
             for org in ("server-org", "fire-dept", "homesure")}
     t = NOW

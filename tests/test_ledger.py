@@ -439,6 +439,23 @@ def test_snapshot_corruption_detected(tmp_path):
     assert "data" in detail
 
 
+def test_snapshot_verification_applies_the_payload_check(tmp_path):
+    # A correctly signed reading that ``submit`` refuses: an audit of a
+    # snapshot whose data block holds it fails there too.
+    rng = seeded_rng(26)
+    net, orgs = make_network(rng)
+    tx = make_transaction(ChannelName.DATA, sample_entry(rng, value=float("nan")),
+                          orgs["server-org"], NOW)
+    with pytest.raises(InvalidPayload, match="value must be finite"):
+        net.submit(tx, NOW)
+    chain = net.chains[ChannelName.DATA]
+    chain.append(ledger.build_block(len(chain), chain[-1].block_hash, [tx]))
+    path = tmp_path / "ledger.snapshot"
+    ledger.write_snapshot(net, str(path))
+    assert ledger.verify_snapshot(str(path)) == (
+        False, "channel data: block 1: tx 0: value must be finite")
+
+
 def test_submit_maps_uncheckable_credentials_to_bad_signature():
     rng = seeded_rng(21)
     net, orgs = ledger.build_consortium(ledger.CORE_ORGS, rng, 0.0)

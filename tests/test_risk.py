@@ -8,7 +8,7 @@ from conftest import NOW, make_network, verify_chain
 from hearthgate import risk
 from hearthgate.ledger import ChannelName, OrgRole, make_transaction
 from hearthgate.payloads import DataEntry, RiskAlert
-from hearthgate.risk import Comparator, RiskEngine, ThresholdRule, evaluate
+from hearthgate.risk import Comparator, ThresholdRule, attach, evaluate
 from hearthgate.runtime import seeded_rng
 
 
@@ -66,10 +66,8 @@ def test_rule_invariants():
         ThresholdRule("m", Comparator.ABOVE, 1.0, "C", "", (OrgRole.SERVER,))
 
 
-def _engine(rng, net, orgs) -> RiskEngine:
-    engine = RiskEngine([HIGH_TEMP], orgs["risk-engine"])
-    engine.attach(net)
-    return engine
+def _engine(rng, net, orgs) -> None:
+    attach(net, [HIGH_TEMP], orgs["risk-engine"])
 
 
 def test_commit_hook_writes_alert_to_risk_channel():

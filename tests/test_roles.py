@@ -609,6 +609,34 @@ def test_report_under_replaced_server_key_rejected():
     assert len(w.trace.by_kind(ch.DATA_ACCEPTED)) == 1
 
 
+def test_report_sealed_to_another_devices_key_rejected():
+    # Device 1 seals its own uid and token to device 0's dedicated server
+    # key. That key names device 0, so the reading is refused before the
+    # ledger is written.
+    w = harness.World(harness.ScenarioSpec(devices=2, reports=()), seed=7,
+                      direct=True)
+    for auth, device in zip(w.auths, w.devices):
+        session_id = establish_session(auth, w.server, w.h_s[auth.name])
+        w.session_of[session_id] = auth
+        deliver_token(auth, w.server, session_id, w.h_s[auth.name])
+        provision_device(auth, device)
+        w.send_outgoing(device.build_registration_request())
+        w.pump(strategy=None)
+    assert [d.phase for d in w.devices] == [DevicePhase.ACTIVE] * 2
+    owner, sender = w.devices
+    payload = wire.DATA_PAYLOAD.encode((sender.uid.value, "temperature_c", 21.5,
+                                        "C", sender.device_token))
+    report = wire.DataReport(crypto.hybrid_encrypt(
+        owner.server_device_public.kem, payload, sender.rng, w.clock.now()))
+    before = len(w.trace.events)
+    w.send_outgoing(roles.Outgoing("public", "server", report, src=sender.name))
+    w.pump(strategy=None)
+    assert [(e.kind, e.get("error"), e.get("detail"), e.get("uid"))
+            for e in w.trace.events[before:]] == [
+        (ch.DATA_REJECTED, "Malformed", "uid not the key's device", sender.uid.hex)]
+    assert w.network.query(ChannelName.DATA, "server-org") == []
+
+
 # -- recognising the device key bundle before acting on it ------------------------
 
 def _request_with_bundle(w: World, bundle) -> wire.RegistrationRequest:
