@@ -26,7 +26,7 @@ from .runtime import SIM_EPOCH, Rng, seeded_rng
 WARMUP_FRACTION = 0.1  # head of the run excluded from statistics
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class LoadProfile:
     """Offered load for one rate row: arrival rate, duration, process and channel mix."""
 
@@ -50,7 +50,7 @@ class LoadProfile:
             raise ValueError(f"unknown channels in tx mix: {sorted(unknown)}")
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class RateRow:
     """One offered rate's measured throughput and commit-latency percentiles."""
 
@@ -63,7 +63,7 @@ class RateRow:
     success: int
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class LatencyReport:
     """A sweep's rate rows at one service rate ``mu``, writable as CSV."""
 

@@ -51,7 +51,7 @@ REJECTION_KINDS = (DEVICE_REQUEST_REJECTED, ACTIVATION_REJECTED, DATA_REJECTED,
                    REVOCATION_REJECTED, MESSAGE_REJECTED)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class TraceEvent:
     """One traced event: logical time, role, kind and sorted key-value fields."""
 
@@ -242,7 +242,7 @@ class SecureChannel:
         raise ValueError(f"{endpoint} is not an endpoint of this channel")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CustodyEntry:
     """A public-channel message waiting for an adversary decision."""
 
@@ -281,7 +281,7 @@ class PublicChannel:
 # Adversary strategies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class AdversaryAction:
     """One adversary move on the public channel, as a script names it."""
 

@@ -8,7 +8,6 @@ defaults.
 
 from __future__ import annotations
 
-import configparser
 import os
 from dataclasses import dataclass, field
 
@@ -22,7 +21,7 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Config:
     """Settings from a ``hearthgate`` config file, with defaults; [access] keys fill one map."""
 
@@ -114,6 +113,8 @@ def load_config(path: str | None = None,
     """Defaults, then the file (if any), then environment overrides."""
     cfg = Config()
     if path is not None:
+        import configparser   # only config files need it, not ``import hearthgate``
+
         parser = configparser.ConfigParser()
         try:
             with open(path) as fh:

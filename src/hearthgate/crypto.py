@@ -245,7 +245,8 @@ def _parse_key(parsers: dict, algo: str, raw: bytes):
 # The derived values below are cached_property entries in the instance
 # __dict__, outside the dataclass fields: equality, hashing, repr, asdict and
 # every wire encoding see only the fields. A frozen instance never changes,
-# so its derived values cannot go stale.
+# so its derived values cannot go stale: that is why these two key types are
+# frozen, where most value types are plain dataclasses.
 
 @dataclass(frozen=True)
 class PublicKey:
@@ -277,7 +278,7 @@ class KeyPair:
     role_tag: RoleTag
     algo: str
     public_key: bytes
-    secret_key: bytes
+    secret_key: bytes = field(repr=False)   # no traceback or log line shows it
     created_at: float
     ttl: float
 
@@ -452,7 +453,7 @@ def sig_keygen(role_tag: RoleTag, ttl: float, rng: Rng, now: float) -> KeyPair:
                      ttl, secret)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class RolePublic:
     """The public halves of a role's KEM and signing pairs, as exchanged."""
 
@@ -460,7 +461,7 @@ class RolePublic:
     sig: PublicKey
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class RoleKeys:
     """KEM pair plus companion signing pair, exchanged as one bundle."""
 
@@ -484,7 +485,7 @@ def generate_role_keys(role_tag: RoleTag, ttl: float, rng: Rng, now: float,
 # AEAD and hybrid encryption
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class AeadBox:
     """An AES-GCM sealed payload: nonce, ciphertext body and tag."""
 
@@ -510,7 +511,7 @@ def aead_open(key: bytes, box: AeadBox, aad: bytes = b"") -> bytes:
         raise DecryptionFailure("AEAD authentication failed") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class HybridCiphertext:
     """A KEM encapsulation plus the AEAD box keyed by its shared secret."""
 
@@ -551,7 +552,7 @@ def hybrid_decrypt(pair: KeyPair, ciphertext: HybridCiphertext,
 # Signatures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class Signature:
     """An Ed25519 signature tagged with the signer's role."""
 
@@ -567,21 +568,26 @@ def sign(pair: KeyPair, message: bytes, now: float) -> Signature:
                      value=_ed25519_sign(pair.parsed, message))
 
 
-def verify(public: PublicKey, message: bytes, signature: Signature,
+def verify(public: PublicKey, message: bytes, signature: Signature | bytes,
            now: float) -> bool:
+    """Whether ``signature`` over ``message`` is ``public``'s. A bare
+    signature value stands for one tagged with ``public``'s own role, as a
+    ledger transaction's is: its submitter's registered credential is the tag."""
     if public.algo != SIG_ALGO:
         raise MalformedKey(f"cannot verify with a {public.algo} key")
     _ensure_fresh(public, now)
-    if signature.signer_tag != public.role_tag:
-        return False
-    return _ed25519_verify(public.parsed, message, signature.value)
+    if isinstance(signature, Signature):
+        if signature.signer_tag != public.role_tag:
+            return False
+        signature = signature.value
+    return _ed25519_verify(public.parsed, message, signature)
 
 
 # ---------------------------------------------------------------------------
 # One-time tokens (HOTP/TOTP, 8 digits, SHA-1, 30 s step)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class TransientToken:
     """A TOTP code and the time step it was issued in."""
 
@@ -618,18 +624,7 @@ def totp_verify(secret: bytes, digits: str, now: float, step: int = TOTP_STEP) -
 # Random values and identifiers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Nonce:
-    """A random 16-byte protocol nonce."""
-
-    value: bytes  # 16 bytes
-
-    @property
-    def hex(self) -> str:
-        return self.value.hex()
-
-
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class PseudoUuid:
     """A device instance's random 16-byte identifier."""
 
@@ -640,7 +635,7 @@ class PseudoUuid:
         return self.value.hex()
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class LinkKey:
     """Symmetric key pre-provisioned between authenticator and device."""
 
@@ -651,8 +646,9 @@ class LinkKey:
         return _key_id("link", self.value)
 
 
-def gen_nonce(rng: Rng) -> Nonce:
-    return Nonce(rng.bytes(NONCE_LEN))
+def gen_nonce(rng: Rng) -> bytes:
+    """A random 16-byte protocol nonce."""
+    return rng.bytes(NONCE_LEN)
 
 
 def gen_pseudo_uuid(rng: Rng) -> PseudoUuid:

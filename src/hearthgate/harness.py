@@ -64,7 +64,7 @@ class ScenarioInvalid(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class ScenarioSpec:
     """What one scenario runs: devices, reports, revocation, timing, KEM and ledger."""
 
@@ -298,7 +298,7 @@ class World:
             self.knowledge.grant(bundle_atom(entry.server_keys.public))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RunResult:
     """A finished scenario: its world, trace, adversary knowledge and protected terms."""
 
@@ -433,7 +433,7 @@ TOKEN_INTEGRITY = "TokenIntegrity"
 KEYPAIR_CONFIDENTIALITY = "KeypairConfidentiality"
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class LemmaVerdict:
     """One security lemma's verdict on a trace, with a witness when violated."""
 
@@ -502,7 +502,7 @@ def check_all(result: RunResult) -> dict[str, LemmaVerdict]:
 # Attack script library
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class AttackScript:
     """A built-in attack: its ``Scripted`` rules, forged bytes and expected rejection."""
 
@@ -559,7 +559,7 @@ ATTACK_SCRIPTS: dict[str, AttackScript] = {
 }
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class AttackOutcome:
     """A built-in attack's run: whether it was defeated, and the lemma verdicts."""
 
@@ -642,7 +642,7 @@ def run_script_file(path: str, seed: int = 7,
 # Randomized campaign
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class CampaignRecord:
     """One campaign run: its seed, each lemma's verdict and its trace digest."""
 
@@ -655,7 +655,7 @@ class CampaignRecord:
                            "trace": self.trace_digest}, sort_keys=True)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CampaignResult:
     """A campaign's run count, violations and per-run records."""
 

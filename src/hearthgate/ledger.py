@@ -109,7 +109,7 @@ DEFAULT_ACCESS: dict[tuple[ChannelName, OrgRole], dict] = {
 _NO_ACCESS = {"read": READ_NONE, "write": False}
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class OrgIdentity:
     """A consortium organisation: id, role and signing credential."""
 
@@ -155,7 +155,7 @@ _TX_BODY = wire.Record(None, {
 })
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class LedgerTransaction:
     """A signed ledger transaction.
 
@@ -210,9 +210,8 @@ def check_transaction(tx: LedgerTransaction, channel: ChannelName,
     """The submitter's role, if it is registered, its credential in force at
     ``at`` verifies the signature and the payload is a valid ``channel`` type."""
     role, credential = membership.lookup(tx.submitter)
-    sig = crypto.Signature(signer_tag=credential.role_tag, value=tx.signature)
     try:
-        valid = crypto.verify(credential, tx.signing_bytes, sig, at)
+        valid = crypto.verify(credential, tx.signing_bytes, tx.signature, at)
     except crypto.CryptoError as exc:
         raise BadSignature(
             f"submitter {tx.submitter} signature not checkable: {exc}") from exc
@@ -233,7 +232,7 @@ def check_transaction(tx: LedgerTransaction, channel: ChannelName,
 GENESIS_PREV = bytes(32)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class Block:
     """A committed block: height, previous hash, transactions and its own hash."""
 
@@ -278,7 +277,7 @@ def decode_block(data: bytes) -> Block:
     return Block(height, prev_hash, txs, block_hash)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class CommitReceipt:
     """Where and when a transaction committed: channel, height, index, time."""
 

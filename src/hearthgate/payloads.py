@@ -21,7 +21,7 @@ class DeviceStatus(Enum):
     DEACTIVATED = "deactivated"
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class DeviceRecord:
     """Identity-channel record: exactly the fields of the activation transaction."""
 
@@ -43,7 +43,7 @@ class DeviceRecord:
                 raise ValueError(f"{name} must be nonempty")
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class DataEntry:
     """Data-channel record: one reading from an active device."""
 
@@ -67,7 +67,7 @@ class DataEntry:
             raise ValueError("device public ref must be a 32-byte digest")
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class RiskAlert:
     """Risk-channel record raised by a threshold rule over one data entry."""
 

@@ -33,7 +33,7 @@ class Comparator(Enum):
     BELOW = "below"
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class ThresholdRule:
     """Alert when a metric crosses a threshold; names the severity and targets."""
 

@@ -116,7 +116,7 @@ class DevicePhase(Enum):
     ACTIVE = "active"
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class Outgoing:
     """A message a role sends: path, destination, wire message and symbolic term."""
 
@@ -246,9 +246,8 @@ class Authenticator:
     def challenge_server(self) -> wire.NonceChallenge:
         if self.keys is None or self.server_public is None:
             raise NoSession("login incomplete")
-        nonce = crypto.gen_nonce(self.rng)
-        self._pending_nonce = nonce.value
-        return wire.NonceChallenge(nonce.value)
+        self._pending_nonce = crypto.gen_nonce(self.rng)
+        return wire.NonceChallenge(self._pending_nonce)
 
     def handle_server_nonce_response(self, msg: wire.NonceResponse,
                                      session_id: str) -> None:
@@ -453,7 +452,7 @@ class Device:
 # Server
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Session:
     """The server's state for one authenticator session: keys, peer keys and nonce."""
 
@@ -465,7 +464,7 @@ class Session:
     established: bool = False
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class PendingRegistration:
     """A transient token the server issued to a session, and whether it was used."""
 
@@ -476,7 +475,7 @@ class PendingRegistration:
     consumed: bool = False
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RegistryEntry:
     """A device the server registered: its keys, device token and status."""
 
@@ -529,16 +528,16 @@ class Server:
         keys = crypto.generate_role_keys(RoleTag.SERVER_FOR_AUTH, self.key_ttl,
                                          self.rng, now, kem_algo=self.kem_algo)
         nonce = crypto.gen_nonce(self.rng)
-        if nonce.hex in self.used_nonces:
+        nonce_hex = nonce.hex()
+        if nonce_hex in self.used_nonces:
             raise NonceMismatch("nonce reuse detected at issue time")
-        self.used_nonces.add(nonce.hex)
+        self.used_nonces.add(nonce_hex)
         session_id = f"session-{self._session_counter}"
         self._session_counter += 1
         self.sessions[session_id] = Session(
             session_id=session_id, keys=keys, auth_public=hello.public,
-            nonce_hex=nonce.hex, pending_nonce=nonce.value)
-        return session_id, [wire.SessionHello(keys.public),
-                            wire.NonceChallenge(nonce.value)]
+            nonce_hex=nonce_hex, pending_nonce=nonce)
+        return session_id, [wire.SessionHello(keys.public), wire.NonceChallenge(nonce)]
 
     def handle_nonce_response(self, session_id: str, msg: wire.NonceResponse) -> None:
         now = self.clock.now()
@@ -584,13 +583,14 @@ class Server:
             raise NoSession(f"no established session {session_id}")
         secret = crypto.gen_totp_secret(self.rng)
         token = crypto.totp_generate(secret, now, self.totp_step)
+        payload = wire.TOKEN_PAYLOAD.encode((token.digits, self.api_address))
+        # Encrypted first: a token that cannot be delivered is not on record.
+        ct = crypto.hybrid_encrypt(session.auth_public.kem, payload, self.rng, now)
         self.pending.append(PendingRegistration(
             secret=secret, session_id=session_id,
             issued_digits=token.digits, issued_step=token.issued_step))
         self.trace.record(self.name, ch.TOKEN_ISSUED, token=token.digits,
                           nonce=session.nonce_hex, session=session_id)
-        payload = wire.TOKEN_PAYLOAD.encode((token.digits, self.api_address))
-        ct = crypto.hybrid_encrypt(session.auth_public.kem, payload, self.rng, now)
         return wire.TokenDelivery(ct)
 
     # -- registration ----------------------------------------------------------

@@ -274,70 +274,70 @@ REVOCATION_PAYLOAD = Record(None, {
 
 # -- top-level messages -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class SessionHello:
     """Authenticator to server: opens a session with the role's public keys."""
 
     public: RolePublic
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class NonceChallenge:
     """Either side's 16-byte nonce for the peer to sign."""
 
     nonce: bytes  # 16 bytes
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class NonceResponse:
     """The encrypted signature over the peer's nonce."""
 
     ciphertext: HybridCiphertext  # encrypted signature over the peer's nonce
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class TokenDelivery:
     """Server to authenticator: the transient token and API address."""
 
     ciphertext: HybridCiphertext  # (token digits, api address) for the authenticator
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class DeviceProvision:
     """Authenticator to device, under the link key: what it needs to register."""
 
     box: AeadBox  # link-key AEAD of (api, server keys, encrypted token, signature)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class RegistrationRequest:
     """Device to server: its keys, uid and the signed encrypted token."""
 
     ciphertext: HybridCiphertext  # (device keys, uid, encrypted token, signature)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class ActivationResponse:
     """Server to device: the device token and the dedicated server keys."""
 
     ciphertext: HybridCiphertext  # (device token, dedicated server keys)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class ConnectedNotice:
     """Server to authenticator: the device with this uid is connected."""
 
     ciphertext: HybridCiphertext  # uid || "connected" for the authenticator
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class DataReport:
     """Device to server: one reading under the device token."""
 
     ciphertext: HybridCiphertext  # (uid, metric, value, unit, device token)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class RevocationRequest:
     """Authenticator to server: revoke the device with this uid."""
 

@@ -683,6 +683,14 @@ def test_key_caches_leave_dataclass_views_unchanged(make):
     assert wire.PUBLIC_KEY.encode(pair.public) == wire.PUBLIC_KEY.encode(twin.public)
 
 
+@pytest.mark.parametrize("make", [crypto.sig_keygen, crypto.kem_keygen])
+def test_key_pair_repr_shows_no_secret_key(make):
+    pair = make(RoleTag.DEVICE_FOR_SERVER, DAY, rng7(), NOW)
+    shown = repr(pair)
+    assert pair.secret_key.hex() not in shown and repr(pair.secret_key) not in shown
+    assert repr(pair.public_key) in shown
+
+
 def test_key_pair_built_from_bytes_signs_and_decrypts():
     rng = rng7()
     sig_pair = crypto.sig_keygen(RoleTag.SERVER_FOR_AUTH, DAY, rng, NOW)
@@ -757,7 +765,7 @@ def test_sha256_empty_vector():
 
 def test_nonces_unique_under_seed():
     rng = rng7()
-    seen = {crypto.gen_nonce(rng).value for _ in range(10_000)}
+    seen = {crypto.gen_nonce(rng) for _ in range(10_000)}
     assert len(seen) == 10_000
 
 

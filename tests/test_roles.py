@@ -637,6 +637,25 @@ def test_report_sealed_to_another_devices_key_rejected():
     assert w.network.query(ChannelName.DATA, "server-org") == []
 
 
+def test_undeliverable_token_leaves_no_token_on_record():
+    # The hello's KEM key is the authenticator's Ed25519 key: the session
+    # opens and completes, but no token can be encrypted to that key.
+    w = harness.World(harness.ScenarioSpec(devices=1, reports=()), seed=7, direct=True)
+    auth, server = w.auths[0], w.server
+    auth.login()
+    ed25519 = auth.keys.sig.public
+    session_id, (hello, challenge) = server.accept_session(
+        wire.SessionHello(crypto.RolePublic(kem=ed25519, sig=ed25519)))
+    auth.handle_session_hello(hello)
+    server.handle_nonce_response(session_id, auth.handle_nonce_challenge(challenge))
+    server.complete_session(session_id)
+    pending = list(server.pending)
+    with pytest.raises(crypto.MalformedKey):
+        server.issue_transient_token(session_id)
+    assert server.pending == pending
+    assert not w.trace.by_kind(ch.TOKEN_ISSUED)
+
+
 # -- recognising the device key bundle before acting on it ------------------------
 
 def _request_with_bundle(w: World, bundle) -> wire.RegistrationRequest:

@@ -26,14 +26,14 @@ def build_fixture_messages() -> dict[str, wire.Message]:
     token = crypto.totp_generate(totp_secret, now)
     api = "https://server.example/api"
 
-    nonce_sig = crypto.sign(auth.sig, nonce.value, now)
+    nonce_sig = crypto.sign(auth.sig, nonce, now)
     enc_token = crypto.hybrid_encrypt(server.kem.public, token.digits.encode(),
                                       rng, now)
     token_sig = crypto.sign(auth.sig, wire.encode_hybrid(enc_token), now)
 
     return {
         "session_hello": wire.SessionHello(auth.public),
-        "nonce_challenge": wire.NonceChallenge(nonce.value),
+        "nonce_challenge": wire.NonceChallenge(nonce),
         "nonce_response": wire.NonceResponse(crypto.hybrid_encrypt(
             server.kem.public, wire.SIGNATURE.encode(nonce_sig), rng, now)),
         "token_delivery": wire.TokenDelivery(crypto.hybrid_encrypt(

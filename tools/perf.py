@@ -90,8 +90,11 @@ def _timed(fn, *args):
     return out, (time.perf_counter() - start) * 1e6
 
 
-def _digest(*outputs) -> str:
-    return hashlib.sha256(repr(outputs).encode()).hexdigest()[:16]
+def _digest(*outputs: bytes) -> str:
+    digest = hashlib.sha256()
+    for out in outputs:
+        digest.update(len(out).to_bytes(4, "big") + out)
+    return digest.hexdigest()[:16]
 
 
 def sample_kem(i: int, kem: str):
@@ -109,7 +112,7 @@ def sample_kem(i: int, kem: str):
         raise SystemExit(f"{kem}: decapsulation returned the wrong secret")
     return ({"keygen": t_keygen, "encaps": t_encaps, "encaps (same key)": t_again,
              "decaps": t_decaps, "decaps (foreign ciphertext)": t_foreign},
-            _digest(pair.public.key, encapsulation, shared, again, rejected))
+            _digest(pair.public.key, encapsulation, shared, *again, rejected))
 
 
 def sample_first_use(i: int, kem: str):
@@ -229,25 +232,32 @@ def _kernels():
             "SamplePolyCBD_3": lambda: mlkem._noise(3, sigma, 0, k)}
 
 
-def _per_call(ops: dict, loop: int):
-    """Each operation's time per call over ``loop`` calls, and a digest of
-    their last outputs."""
-    times, outputs = {}, []
+def _per_call(ops: dict, loop: int) -> tuple[dict, dict]:
+    """Each operation's time per call over ``loop`` calls, and its last output."""
+    times, outputs = {}, {}
     for name, op in ops.items():
         start = time.perf_counter()
         for _ in range(loop):
             out = op()
         times[name] = (time.perf_counter() - start) * 1e6 / loop
-        outputs.append(out.tobytes() if hasattr(out, "tobytes") else out)
-    return times, _digest(*outputs)
+        outputs[name] = out
+    return times, outputs
 
 
 def sample_kernels(i: int, loop: int):
-    return _per_call(_kernels(), loop)
+    times, out = _per_call(_kernels(), loop)
+    return times, _digest(*(o if isinstance(o, bytes) else o.tobytes() for o in out.values()))
 
 
 def sample_wire(i: int, loop: int):
-    return _per_call(_wire_ops(), loop)
+    from hearthgate import ledger, wire
+    times, out = _per_call(_wire_ops(), loop)
+    # Each decoded value re-encoded with the codec that decoded it: the two
+    # trees compare bytes, not how their objects print.
+    return times, _digest(out["RegistrationRequest encode"],
+                          wire.encode(out["RegistrationRequest decode"]),
+                          out["data tx body encode"],
+                          ledger._TX_BODY.encode(out["data tx body decode"]))
 
 
 def sample_scenario(i: int, kem: str, devices: int):
