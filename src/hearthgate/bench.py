@@ -36,14 +36,18 @@ class LoadProfile:
     tx_mix: tuple[tuple[str, float], ...] = (("data", 1.0),)
 
     def validate(self) -> None:
-        if self.arrival_rate <= 0:
-            raise ValueError("arrival rate must be positive")
-        if self.duration < 10.0:
-            raise ValueError("duration below 10 s gives unstable estimates")
+        # Every bound fails for NaN: an infinite rate or duration, or a NaN
+        # anywhere, would keep generate_load's arrival loop running.
+        if not 0 < self.arrival_rate < math.inf:
+            raise ValueError("arrival rate must be positive and finite")
+        if not 10.0 <= self.duration < math.inf:
+            raise ValueError("duration must be finite; below 10 s gives unstable estimates")
         if self.process not in ("poisson", "uniform"):
             raise ValueError(f"unknown arrival process {self.process!r}")
-        if not self.tx_mix or abs(sum(w for _, w in self.tx_mix) - 1.0) > 1e-9:
-            raise ValueError("tx mix weights must sum to 1")
+        weights = [w for _, w in self.tx_mix]
+        if not (weights and all(w >= 0 for w in weights)
+                and abs(sum(weights) - 1.0) <= 1e-9):
+            raise ValueError("tx mix weights must be nonnegative and sum to 1")
         known = {"identity", "data", "risk_management"}
         unknown = {name for name, _ in self.tx_mix} - known
         if unknown:
@@ -130,37 +134,35 @@ def generate_load(profile: LoadProfile, seed: int = 1, mu: float = 200.0,
         ChannelName.RISK_MANAGEMENT: orgs["risk-engine"],
     }
 
-    submissions: list[tuple[int, float]] = []  # (seq, submit time offset)
-    t = 0.0
-    step = 1.0 / profile.arrival_rate
+    seqs, offsets = [], []  # each submission's number and time since the start
+    rate, duration, t = profile.arrival_rate, profile.duration, 0.0
+    poisson, step = profile.process == "poisson", 1.0 / rate
+    choose, submit = payload_rng.weighted_choice, network.submit
     while True:
-        t += (arrivals_rng.expovariate(profile.arrival_rate)
-              if profile.process == "poisson" else step)
-        if t > profile.duration:
+        t += arrivals_rng.expovariate(rate) if poisson else step
+        if t > duration:
             break
         when = SIM_EPOCH + t
-        channel_name = payload_rng.weighted_choice(mix_names, mix_weights)
-        channel, payload = _payload_for(channel_name, payload_rng, when)
-        tx = make_transaction(channel, payload, submitter[channel], when)
-        seq = network.submit(tx, when)
-        submissions.append((seq, t))
+        channel, payload = _payload_for(choose(mix_names, mix_weights), payload_rng, when)
+        seqs.append(submit(make_transaction(channel, payload, submitter[channel], when),
+                           when))
+        offsets.append(t)
     network.settle()
 
-    warmup = WARMUP_FRACTION * profile.duration
+    warmup = WARMUP_FRACTION * duration
     latencies = []
     committed_in_window = 0
-    for seq, t_submit in submissions:
-        receipt = network.receipt(seq)
-        commit_offset = receipt.commit_time - SIM_EPOCH
+    for seq, t_submit in zip(seqs, offsets):
+        commit_offset = network.receipt(seq).commit_time - SIM_EPOCH
         if t_submit >= warmup:
             latencies.append((commit_offset - t_submit) * 1000.0)
-            if commit_offset <= profile.duration:
+            if commit_offset <= duration:
                 committed_in_window += 1
     latencies.sort()
-    window = profile.duration - warmup
+    window = duration - warmup
     mean_ms = sum(latencies) / len(latencies) if latencies else float("nan")
     return RateRow(
-        offered=profile.arrival_rate,
+        offered=rate,
         throughput=committed_in_window / window,
         mean_ms=mean_ms,
         p50_ms=percentile(latencies, 50),
@@ -197,8 +199,8 @@ def parse_rates(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError("rate range must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValueError("rate range must ascend")
+        if not (step > 0 and -math.inf < start <= stop < math.inf):  # NaN fails too
+            raise ValueError("rate range must be finite and ascend")
         rates = []
         value = start
         while value <= stop + 1e-9:
@@ -208,6 +210,6 @@ def parse_rates(text: str) -> list[float]:
             rates.append(stop)
         return rates
     rates = [float(p) for p in text.split(",") if p.strip()]
-    if not rates:
-        raise ValueError("rates must be nonempty")
+    if not rates or not all(map(math.isfinite, rates)):
+        raise ValueError("rates must be nonempty and finite")
     return rates

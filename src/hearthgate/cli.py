@@ -295,6 +295,9 @@ def cmd_campaign(args) -> int:
             for record in result.records:
                 fh.write(record.to_json() + "\n")
     print(f"{len(result.violations)} violations / {result.runs} runs")
+    counts = "".join(f"\n  {kind}/{code} {n}"
+                     for (kind, code), n in sorted(result.rejections.items()))
+    print(f"rejections:{counts or ' none'}")
     if not result.clean:
         for seed, verdict in result.violations[:10]:
             print(f"  seed {seed}: {verdict.lemma}: {verdict.witness}")

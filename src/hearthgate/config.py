@@ -8,6 +8,7 @@ defaults.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -101,7 +102,9 @@ def _assign(cfg: Config, section: str, key: str, raw: str) -> None:
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: expected {caster.__name__}, got {raw!r}") from None
-    if key in _POSITIVE and value <= 0:
+    if caster is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be a finite number")
+    if key in _POSITIVE and not value > 0:
         raise ConfigError(f"[{section}] {key}: must be positive")
     if key == "seed" and value < 0:
         raise ConfigError(f"[{section}] {key}: must be nonnegative")

@@ -21,6 +21,7 @@ do not prove.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -657,11 +658,12 @@ class CampaignRecord:
 
 @dataclass(eq=False, repr=False)
 class CampaignResult:
-    """A campaign's run count, violations and per-run records."""
+    """A campaign's runs, violations, records and rejections by (kind, code)."""
 
     runs: int
     violations: list[tuple[int, LemmaVerdict]]
     records: list[CampaignRecord]
+    rejections: Counter[tuple[str, str]]
 
     @property
     def clean(self) -> bool:
@@ -683,6 +685,7 @@ def run_campaign(runs: int, base_seed: int = 1,
     spec = spec or campaign_spec()
     violations: list[tuple[int, LemmaVerdict]] = []
     records: list[CampaignRecord] = []
+    rejections: Counter[tuple[str, str]] = Counter()
     for i in range(runs):
         seed = base_seed + i
         result = run_scenario(
@@ -698,7 +701,10 @@ def run_campaign(runs: int, base_seed: int = 1,
             seed=seed,
             holds={k: v.holds for k, v in verdicts.items()},
             trace_digest=result.trace.digest()))
-    return CampaignResult(runs=runs, violations=violations, records=records)
+        rejections.update((e.kind, e.get("error") or "other")
+                          for e in result.trace.events if e.kind in ch.REJECTION_KINDS)
+    return CampaignResult(runs=runs, violations=violations, records=records,
+                          rejections=rejections)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import base64
 import struct
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from math import inf
 from typing import Callable, Iterable
 
 from . import crypto, wire
@@ -138,18 +140,12 @@ class MembershipRegistry:
         return sorted(self._orgs)
 
 
-def _frame_payload(payload: Payload) -> bytes:
-    data = encode_payload(payload)
-    return wire.LENGTH(len(data)) + data
-
-
 # A transaction's signed body. The payload codec looks ``encode_payload`` up
 # at each call, so perfbench's tracer, which rebinds this module's global,
 # sees every call. The timestamp is checked before the other fields.
 _TX_BODY = wire.Record(None, {
     "channel": wire.enum_of(ChannelName, wire.TEXT),
-    "payload": wire.Codec(lambda payload: encode_payload(payload), decode_payload,
-                          frame=_frame_payload),
+    "payload": wire.Codec(lambda payload: encode_payload(payload), decode_payload),
     "submitter": wire.TEXT,
     "timestamp": wire.F64._replace(size=8),
 })
@@ -192,16 +188,18 @@ def make_transaction(channel: ChannelName, payload: Payload,
                      identity: OrgIdentity, now: float) -> LedgerTransaction:
     signing = _TX_BODY.encode((channel, payload, identity.org_id, now))
     try:
-        sig = crypto.sign(identity.credential, signing, now)
+        sig = crypto.sign(identity.credential, signing, now).value
     except (crypto.KeyExpired, crypto.MalformedKey) as exc:
         raise BadSignature(f"submitter {identity.org_id} cannot sign: {exc}") from exc
-    tx = LedgerTransaction(channel, payload, identity.org_id, sig.value, now)
-    # The exact bytes just signed, and those framed with the signature:
-    # filled here, a cached_property would take a lock on its first read.
+    # The fields, the exact bytes just signed and those framed with the
+    # signature, in one write: the frozen __init__ sets each field through
+    # object.__setattr__, and a cached_property takes a lock on its first read.
+    tx = object.__new__(LedgerTransaction)
     tx.__dict__.update(
-        signing_bytes=signing,
-        canonical_bytes=wire.LENGTH(len(signing)) + signing
-        + wire.LENGTH(len(sig.value)) + sig.value)
+        channel=channel, payload=payload, submitter=identity.org_id,
+        signature=sig, timestamp=now, signing_bytes=signing,
+        canonical_bytes=b"".join((wire.LENGTH(len(signing)), signing,
+                                  wire.LENGTH(len(sig)), sig)))
     return tx
 
 
@@ -251,10 +249,8 @@ class Block:
 def encode_block_body(height: int, prev_hash: bytes,
                       txs: tuple[LedgerTransaction, ...]) -> bytes:
     """The bytes a block hash covers: height, previous hash, transactions."""
-    return wire.pack_fields(
-        [struct.pack(">Q", height), prev_hash]
-        + [tx.canonical_bytes for tx in txs]
-    )
+    return wire.pack_fields([struct.pack(">Q", height), prev_hash,
+                             *[tx.canonical_bytes for tx in txs]])
 
 
 def build_block(height: int, prev_hash: bytes,
@@ -288,52 +284,48 @@ class CommitReceipt:
 
 
 class _OrderingService:
-    """Virtual-time FIFO orderer with service rate mu and batch cutting."""
+    """Virtual-time FIFO orderer with service rate mu and batch cutting.
+
+    The queue is three parallel lists: each transaction's ordered time, its
+    submission number and the transaction. Ordered times strictly increase,
+    so a block's batch is found by bisection."""
 
     def __init__(self, mu: float, max_block_txs: int, block_interval: float):
-        if mu <= 0 or max_block_txs <= 0 or block_interval <= 0:
-            raise ValueError("ordering parameters must be positive")
-        self.mu = mu
+        # Each bound also fails for NaN, which no comparison satisfies.
+        if not (0 < mu < inf and max_block_txs > 0 and 0 < block_interval < inf):
+            raise ValueError("ordering parameters must be positive and finite")
+        self.service = 1.0 / mu
         self.max_block_txs = max_block_txs
         self.block_interval = block_interval
-        self._busy_until: float | None = None
-        self._last_submit = float("-inf")
-        self._last_cut = float("-inf")
-        self._ordered: deque[tuple[float, object]] = deque()
+        self._busy_until = self._last_submit = self._last_cut = -inf
+        self._ends, self._seqs, self._txs = [], [], []
 
-    def submit(self, item, t: float) -> None:
-        t = max(t, self._last_submit)
-        self._last_submit = t
-        start = t if self._busy_until is None else max(t, self._busy_until)
-        start = max(start, self._last_cut)
-        end = start + 1.0 / self.mu
-        self._busy_until = end
-        self._ordered.append((end, item))
+    def submit(self, seq: int, tx: LedgerTransaction, t: float) -> None:
+        self._last_submit = t = max(t, self._last_submit)
+        self._busy_until = end = max(t, self._busy_until, self._last_cut) + self.service
+        self._ends.append(end)
+        self._seqs.append(seq)
+        self._txs.append(tx)
 
-    def cut_ready(self, watermark: float) -> list[tuple[float, list]]:
-        """Cut all blocks whose commit time is at or before ``watermark``."""
+    def cut_ready(self, watermark: float) -> list[tuple[float, list, list]]:
+        """Cut all blocks whose commit time is at or before ``watermark``:
+        each is its commit time, submission numbers and transactions."""
         blocks = []
-        while self._ordered:
-            deadline = self._ordered[0][0] + self.block_interval
-            batch: list[tuple[float, object]] = []
-            commit = None
-            for ordered_at, item in self._ordered:
-                if ordered_at > deadline:
-                    break
-                batch.append((ordered_at, item))
-                if len(batch) == self.max_block_txs:
-                    commit = ordered_at
-                    break
-            if commit is None:
-                if deadline > watermark:
-                    break
-                commit = deadline
+        ends, head = self._ends, 0
+        while head < len(ends):
+            # A full batch commits at its last ordered time, any other at
+            # the deadline its first transaction set.
+            deadline = ends[head] + self.block_interval
+            full = head + self.max_block_txs
+            stop = bisect_right(ends, deadline, head, min(full, len(ends)))
+            commit = ends[stop - 1] if stop == full else deadline
             if commit > watermark:
                 break
-            for _ in batch:
-                self._ordered.popleft()
             self._last_cut = commit
-            blocks.append((commit, [item for _, item in batch]))
+            blocks.append((commit, self._seqs[head:stop], self._txs[head:stop]))
+            head = stop
+        for queue in (ends, self._seqs, self._txs):
+            del queue[:head]
         return blocks
 
 
@@ -368,6 +360,7 @@ class LedgerNetwork:
         self._access = dict(DEFAULT_ACCESS)
         if access_overrides:
             self._access.update(access_overrides)
+        self._writers = {key for key, perm in self._access.items() if perm["write"]}
         self._receipts: dict[int, CommitReceipt] = {}
         self._next_seq = 0
         self._subs: list[SubscriptionHandle] = []
@@ -384,7 +377,7 @@ class LedgerNetwork:
         self._check_write(channel, self.membership.lookup(org_id)[0])
 
     def _check_write(self, channel: ChannelName, role: OrgRole) -> None:
-        if not self._perm(channel, role)["write"]:
+        if (channel, role) not in self._writers:
             raise PolicyDenied(
                 f"role {role.value} may not write to channel {channel.value}")
 
@@ -404,14 +397,15 @@ class LedgerNetwork:
         """
         # At ``now``: with the stamp no later, a credential in force at
         # submission was in force at the stamp too.
-        role = check_transaction(tx, tx.channel, self.membership, now)
+        channel = tx.channel
+        role = check_transaction(tx, channel, self.membership, now)
         if tx.timestamp > now:
             raise BadTimestamp(
                 f"transaction stamped {tx.timestamp}, after its submission at {now}")
-        self._check_write(tx.channel, role)
+        self._check_write(channel, role)
         seq = self._next_seq
-        self._next_seq += 1
-        self._orderers[tx.channel].submit((seq, tx), now)
+        self._next_seq = seq + 1
+        self._orderers[channel].submit(seq, tx, now)
         return seq
 
     def run_until(self, watermark: float) -> list[CommitReceipt]:
@@ -427,16 +421,16 @@ class LedgerNetwork:
         while progress:
             progress = False
             cuts = []
-            for channel in ChannelName:
-                for commit_time, items in self._orderers[channel].cut_ready(watermark):
-                    cuts.append((commit_time, channel, items))
+            for channel, orderer in self._orderers.items():
+                for commit_time, seqs, txs in orderer.cut_ready(watermark):
+                    cuts.append((commit_time, channel, seqs, txs))
             cuts.sort(key=lambda c: (c[0], c[1].value))
-            for commit_time, channel, items in cuts:
+            for commit_time, channel, seqs, txs in cuts:
                 progress = True
-                receipts = self._commit(channel, commit_time, items)
+                receipts = self._commit(channel, commit_time, seqs, txs)
                 new_receipts.extend(receipts)
                 if channel is ChannelName.DATA and self._risk_hook is not None:
-                    for receipt, (_, tx) in zip(receipts, items):
+                    for receipt, tx in zip(receipts, txs):
                         try:
                             self._risk_hook(tx.payload, receipt)
                         except Exception as exc:
@@ -447,28 +441,23 @@ class LedgerNetwork:
 
     def settle(self) -> list[CommitReceipt]:
         """Drain the orderers: commit everything currently queued."""
-        return self.run_until(float("inf"))
+        return self.run_until(inf)
 
     def _commit(self, channel: ChannelName, commit_time: float,
-                items: list) -> list[CommitReceipt]:
+                seqs: list[int], txs: list[LedgerTransaction]) -> list[CommitReceipt]:
         chain = self.chains[channel]
-        block = build_block(len(chain), chain[-1].block_hash,
-                            [tx for _, tx in items])
-        chain.append(block)
-        readers = []  # who reads this channel, and how: the same for the whole block
+        height = len(chain)
+        chain.append(build_block(height, chain[-1].block_hash, txs))
+        receipts = [CommitReceipt(channel, height, idx, commit_time)
+                    for idx in range(len(txs))]
+        self._receipts.update(zip(seqs, receipts))
         for sub in self._subs:
             if sub.channel is channel:
                 mode = self._read_mode(channel, sub.org_id)
                 if mode != READ_NONE:
-                    readers.append((sub, mode))
-        receipts = []
-        for idx, (seq, tx) in enumerate(items):
-            receipt = CommitReceipt(channel, block.height, idx, commit_time)
-            self._receipts[seq] = receipt
-            receipts.append(receipt)
-            for sub, mode in readers:
-                if mode != READ_OWN or self._owns(sub.org_id, tx.payload):
-                    sub._queue.append((receipt, tx.payload))
+                    sub._queue.extend(
+                        (receipt, tx.payload) for receipt, tx in zip(receipts, txs)
+                        if mode != READ_OWN or self._owns(sub.org_id, tx.payload))
         return receipts
 
     def receipt(self, seq: int) -> CommitReceipt | None:

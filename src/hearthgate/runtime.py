@@ -9,6 +9,7 @@ and a clock instead of touching ``os.urandom`` or the wall clock directly.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from collections import OrderedDict
 
@@ -28,8 +29,10 @@ class Rng:
         self._inner = random.Random(seed)
         self._seed = seed
 
+    # ``bytes`` and ``expovariate`` compute what ``random.Random.randbytes``
+    # and ``expovariate`` return, without their Python frames.
     def bytes(self, n: int) -> bytes:
-        return self._inner.randbytes(n)
+        return self._inner.getrandbits(n * 8).to_bytes(n, "little")
 
     def random(self) -> float:
         return self._inner.random()
@@ -38,7 +41,7 @@ class Rng:
         return self._inner.randrange(n)
 
     def expovariate(self, rate: float) -> float:
-        return self._inner.expovariate(rate)
+        return -math.log(1.0 - self._inner.random()) / rate
 
     def weighted_choice(self, options: list, weights: list[float]):
         total = sum(weights)

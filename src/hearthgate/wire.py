@@ -93,9 +93,10 @@ def unpack_fields(data: bytes, expect: int | None = None) -> list[bytes]:
 class Codec(NamedTuple):
     """How one field's value becomes its bytes and back; ``decode`` raises
     only ``WireError``. A record checks that each field with a ``size`` is
-    that long before it decodes any field. ``frame`` returns the whole
-    field, ``u32 len || encode(value)``, in one call; a codec without one
-    encodes a value as itself, and the record frames those bytes inline."""
+    that long before it decodes any field. ``frame``, where a codec has one,
+    returns the whole field, ``u32 len || encode(value)``, in one C call (a
+    struct or a table of framed members); for any other codec the record
+    frames ``encode(value)`` inline, and ``RAW``'s value is its own bytes."""
 
     encode: Callable[[Any], bytes]
     decode: Callable[[bytes], Any]
@@ -108,9 +109,8 @@ class Record:
     wire order, each field framed as ``u32 len || bytes``. With a ``make``,
     the fields are attributes of the value (a dotted name reaches into one)
     and ``decode`` returns ``make(*values)``; without one, the value is the
-    tuple of field values. ``encode`` frames each field with its codec's
-    ``frame`` and joins them once. A record is a codec itself, so records
-    nest."""
+    tuple of field values. ``encode`` frames each field in one pass and
+    joins them once. A record is a codec itself, so records nest."""
 
     size = None
 
@@ -118,11 +118,10 @@ class Record:
         self.make = make
         self.names = tuple(fields)
         self.codecs = codecs = tuple(fields.values())
-        if any(c.frame is None and c.encode is not _same for c in codecs):
-            raise ValueError("a codec that changes its value needs a frame")
         self._sizes = [(i, c.size) for i, c in enumerate(codecs)
                        if c.size is not None]
         self._framers = tuple(c.frame for c in codecs)
+        self._encoders = tuple(None if c.encode is _same else c.encode for c in codecs)
         self._decoders = [(i, c.decode) for i, c in enumerate(codecs)
                           if c.decode is not _same]
         get = attrgetter(*self.names)
@@ -130,9 +129,16 @@ class Record:
                        else lambda value: (get(value),))
 
     def encode(self, value) -> bytes:
-        values = value if self._split is None else self._split(value)
-        return b"".join([LENGTH(len(v)) + v if frame is None else frame(v)
-                         for frame, v in zip(self._framers, values)])
+        out = []
+        for frame, encode, v in zip(self._framers, self._encoders,
+                                    value if self._split is None else self._split(value)):
+            if frame is not None:
+                out.append(frame(v))
+            else:
+                if encode is not None:
+                    v = encode(v)
+                out.append(LENGTH(len(v)) + v)
+        return b"".join(out)
 
     def frame(self, value) -> bytes:
         data = self.encode(value)
@@ -150,14 +156,6 @@ class Record:
 
 def _same(value):
     return value
-
-
-def _framing(encode: Callable[[Any], bytes]) -> Callable[[Any], bytes]:
-    """A codec's ``frame`` from its ``encode``: ``u32 len || encode(value)``."""
-    def frame(value) -> bytes:
-        data = encode(value)
-        return LENGTH(len(data)) + data
-    return frame
 
 
 def _text(data: bytes) -> str:
@@ -189,7 +187,7 @@ def enum_of(cls: type[Enum], value: Codec, unknown=Truncated) -> Codec:
             return cls(raw)
         except ValueError:
             raise unknown(f"unknown {cls.__name__} {raw!r}") from None
-    framed = {member: value.frame(member.value) for member in cls}
+    framed = {member: pack_fields([value.encode(member.value)]) for member in cls}
     return Codec(lambda member: value.encode(member.value), decode,
                  frame=framed.__getitem__)
 
@@ -200,17 +198,12 @@ def _key_id(key_id: bytes) -> bytes:
     return key_id
 
 
-def _encode_text_list(items) -> bytes:
-    return pack_fields([s.encode() for s in items])
-
-
 RAW = Codec(_same, _same)
-TEXT = Codec(str.encode, _text, frame=_framing(str.encode))
+TEXT = Codec(str.encode, _text)
 F64 = _number(">d")
 U32 = _number(">I")
-TEXT_LIST = Codec(_encode_text_list,
-                  lambda data: tuple(_text(s) for s in unpack_fields(data)),
-                  frame=_framing(_encode_text_list))
+TEXT_LIST = Codec(lambda items: pack_fields([s.encode() for s in items]),
+                  lambda data: tuple(_text(s) for s in unpack_fields(data)))
 _ROLE_TAG = enum_of(RoleTag, _number(">B"), UnknownTag)
 _UID = Codec(_same, _same, UUID_LEN)
 _DEVICE_TOKEN = Codec(_same, _same, DEVICE_TOKEN_LEN)
@@ -357,8 +350,7 @@ def _keyed_hybrid(cls) -> Record:
     return Record(
         lambda key_id, encap, nonce, body, tag: cls(HybridCiphertext(
             encap, nonce, body, tag, key_id)),
-        {"ciphertext.key_id": Codec(_key_id, _same, KEY_ID_LEN,
-                                     frame=_framing(_key_id)),
+        {"ciphertext.key_id": Codec(_key_id, _same, KEY_ID_LEN),
          "ciphertext.encapsulation": RAW,
          "ciphertext.aead_nonce": _AEAD_NONCE, "ciphertext.body": RAW,
          "ciphertext.auth_tag": _AEAD_TAG})

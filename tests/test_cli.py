@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hearthgate import cli, harness, ledger
+from hearthgate import channels, cli, harness, ledger
 from hearthgate.cli import EXIT_CORRUPT, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from hearthgate.config import load_config
 from hearthgate.ledger import ChannelName
@@ -319,8 +319,45 @@ def test_bench_command(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["--rates", "inf"], ["--rates", "30:inf:25"], ["--rates", "nan"],
+    ["--duration", "nan"], ["--duration", "inf"], ["--mu", "nan"], ["--mu", "inf"],
+    ["--block-interval", "nan"], ["--block-interval", "inf"],
+], ids=" ".join)
+def test_bench_refuses_non_finite_numbers(capsys, argv):
+    # Each of these once kept the load generator's arrival loop running.
+    code, out, err = run_cli(capsys, ["bench", "--rates", "30", "--duration", "10", *argv])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("bench: ") and err.count("\n") == 1, err
+
+
 def test_bench_bad_rates(capsys):
     for rates in ("300:30:10", ",", ""):
         code, _, err = run_cli(capsys, ["bench", "--rates", rates])
         assert code == EXIT_USAGE, rates
         assert err.startswith("bench: ") and err.count("\n") == 1, err
+
+
+def test_campaign_prints_rejection_counts_by_kind_and_code(capsys):
+    code, out, _ = run_cli(capsys, ["campaign", "--runs", "12", "--seed", "3000"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[:2] == ["0 violations / 12 runs", "rejections:"]
+    printed = {}
+    for line in lines[2:]:
+        label, n = line.split()
+        kind, error = label.split("/")
+        printed[kind, error] = int(n)
+    # The same runs counted here, event by event.
+    direct = {}
+    for seed in range(3000, 3012):
+        result = harness.run_scenario(
+            harness.campaign_spec(),
+            lambda world: channels.Randomized(lambda: harness.forge_registration(world)),
+            seed)
+        for event in result.trace.events:
+            if event.kind in channels.REJECTION_KINDS:
+                key = (event.kind, event.get("error"))
+                direct[key] = direct.get(key, 0) + 1
+    assert printed == direct and sum(direct.values()) > 0
+    assert list(printed) == sorted(printed)

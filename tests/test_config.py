@@ -77,6 +77,24 @@ def test_env_overrides_file(tmp_path):
     assert cfg.mu == 120.0
 
 
+@pytest.mark.parametrize("name, raw", [
+    ("HEARTHGATE_LEDGER_MU", "nan"), ("HEARTHGATE_LEDGER_MU", "inf"),
+    ("HEARTHGATE_LEDGER_BLOCK_INTERVAL", "nan"), ("HEARTHGATE_CORE_KEY_TTL", "-inf"),
+    ("HEARTHGATE_DEMO_PROVISIONING_DELAY", "nan"),
+])
+def test_env_non_finite_number_rejected(name, raw):
+    # ``nan <= 0`` is False, so a positivity check alone let NaN through.
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(None, env={name: raw})
+
+
+def test_file_nan_rate_rejected(tmp_path):
+    path = tmp_path / "hg.conf"
+    path.write_text("[ledger]\nmu = NaN\n")
+    with pytest.raises(ConfigError, match="mu"):
+        load_config(str(path), env={})
+
+
 def test_env_unknown_rejected():
     with pytest.raises(ConfigError):
         load_config(None, env={"HEARTHGATE_CORE_SPEED": "9"})

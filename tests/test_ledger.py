@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import struct
 
 import pytest
@@ -596,3 +597,13 @@ def test_generate_load_encodes_each_payload_once(monkeypatch):
                                           tx_mix=mix), seed=24)
     assert calls["tx"] > 250
     assert calls["encode"] == calls["tx"]
+
+
+@pytest.mark.parametrize("mu, block_interval", [
+    (math.nan, 0.1), (math.inf, 0.1), (0.0, 0.1),
+    (200.0, math.nan), (200.0, math.inf), (200.0, -1.0),
+])
+def test_orderer_refuses_non_finite_or_nonpositive_parameters(mu, block_interval):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ledger.LedgerNetwork(ledger.MembershipRegistry(), mu=mu,
+                             block_interval=block_interval)

@@ -4,8 +4,8 @@ The working tree's ``src/`` is paired with itself at tiny counts, so no git
 is needed: every section, backend and row name of the newest run in
 ``BENCH_kem.json``, and every field of the ``BENCH_scenario.json`` rows,
 comes back with both sides' medians, a median ratio and a win count. The
-``commit`` row's settles each cut one full block, and the ``wire`` rows
-decode what they encode.
+``commit`` row's settles each cut one full block, the load row digests the
+blocks it commits, and the ``wire`` rows decode what they encode.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _leaves(tree: dict, path: tuple = ()) -> dict:
 
 def test_self_pair_gives_every_committed_row(monkeypatch):
     for name, tiny in (("SAMPLES", 2), ("FRESH_SAMPLES", 1), ("SCENARIO_SAMPLES", 1),
-                       ("SIZES", (1,)), ("KERNEL_LOOP", 1)):
+                       ("LOAD_SAMPLES", 1), ("SIZES", (1,)), ("KERNEL_LOOP", 1)):
         monkeypatch.setattr(perf, name, tiny)
     src = ROOT / "src"
     sections, scenario = perf.measure({"rev": src, "this": src})
@@ -66,6 +66,14 @@ def test_commit_row_settles_one_full_block_per_call():
     times, (blocks, last_block_txs, _) = perf.sample_commit(0, 3)
     assert blocks == 1 + 3 and last_block_txs == perf.BLOCK_TXS
     assert set(times) == {"commit"}
+
+
+def test_load_row_times_each_committed_transaction_and_checks_its_bytes():
+    times, check = perf.sample_load(0)
+    assert set(times) == {"mixed load row"} and 0 < times["mixed load row"] < 1e5
+    # The check digests every committed block, so both trees must commit the
+    # same bytes; a second run of the same sample commits them again.
+    assert perf.sample_load(0)[1] == check != perf.sample_load(1)[1]
 
 
 def test_wire_rows_decode_what_they_encode():

@@ -27,8 +27,10 @@ hearthgate and the first keygen (for ML-KEM, with numpy's import).
 signature over another message (libsodium checks it) and ``verify_own`` of
 the one just made (``crypto``'s memo answers). ``ledger``:
 ``make_transaction`` plus ``LedgerNetwork.submit`` of a data transaction,
-and ``commit``: ``settle`` of a block of 50 submitted data transactions, per
-transaction. ``wire``: encode and decode of a ``RegistrationRequest`` and of
+``commit``: ``settle`` of a block of 50 submitted data transactions, per
+transaction, and ``mixed load row``: one 10-second Poisson ``generate_load``
+row at 150 tx/s in ``ledger-mix``'s channel mix, per committed transaction
+(about 1,500 of them, so it takes LOAD_SAMPLES samples a side). ``wire``: encode and decode of a ``RegistrationRequest`` and of
 a data transaction's signed body. ``kernels``: ML-KEM-512's ByteEncode_12,
 ByteDecode_10 and SamplePolyCBD_3 on a vector. The ``wire``, ``kernels`` and
 ``commit`` rows time each sample over KERNEL_LOOP calls: a single call is
@@ -67,6 +69,8 @@ BACKENDS = ("x25519", "ml-kem-512")
 SAMPLES = 200
 FRESH_SAMPLES = 5
 SCENARIO_SAMPLES = 5
+LOAD_SAMPLES = 40
+LOAD_MIX = (("data", 0.8), ("identity", 0.15), ("risk_management", 0.05))
 SIZES = (1, 10, 100, 200)
 KERNEL_LOOP = 100
 BLOCK_TXS = 50
@@ -196,6 +200,28 @@ def sample_commit(i: int, loop: int):
             [len(chain), len(chain[-1].txs), chain[-1].block_hash.hex()])
 
 
+def sample_load(i: int):
+    from hearthgate import bench, ledger
+    networks = []
+    build = ledger.build_consortium
+
+    def capture(*args, **kwargs):
+        network, orgs = build(*args, **kwargs)
+        networks.append(network)
+        return network, orgs
+
+    profile = bench.LoadProfile(arrival_rate=150.0, duration=10.0, process="poisson",
+                                tx_mix=LOAD_MIX)
+    ledger.build_consortium = capture   # to read the committed blocks back
+    try:
+        _, t = _timed(bench.generate_load, profile, SEED + i)
+    finally:
+        ledger.build_consortium = build
+    blocks = [block for chain in networks[0].chains.values() for block in chain]
+    return ({"mixed load row": t / sum(len(block.txs) for block in blocks)},
+            _digest(*(block.canonical_bytes() for block in blocks)))
+
+
 @functools.cache
 def _wire_ops():
     from hearthgate import crypto, ledger, wire
@@ -270,7 +296,8 @@ def sample_scenario(i: int, kem: str, devices: int):
 
 
 SAMPLERS = {"kem": sample_kem, "first_use": sample_first_use, "signature": sample_signature,
-            "ledger": sample_ledger, "commit": sample_commit, "wire": sample_wire,
+            "ledger": sample_ledger, "commit": sample_commit, "load": sample_load,
+            "wire": sample_wire,
             "kernels": sample_kernels, "scenario": sample_scenario}
 
 
@@ -358,6 +385,7 @@ def measure(sources: dict[str, pathlib.Path]) -> tuple[dict, list]:
                  ("wire", "", {"group": "wire", "loop": KERNEL_LOOP}, SAMPLES),
                  ("ledger", "", {"group": "ledger"}, SAMPLES),
                  ("ledger", "", {"group": "commit", "loop": KERNEL_LOOP}, SAMPLES),
+                 ("ledger", "", {"group": "load"}, LOAD_SAMPLES),
                  ("kernels", "ml-kem-512", {"group": "kernels", "loop": KERNEL_LOOP}, SAMPLES)])
     workers = {}
     try:
@@ -429,9 +457,10 @@ def main() -> None:
     args = parser.parse_args()
     meta = machine_meta()
     print(f"# python {meta['python']} on {meta['machine']}; median us (scenario: ms) of "
-          f"{SAMPLES} samples a side ({FRESH_SAMPLES} for first_use and {SCENARIO_SAMPLES} "
-          f"for scenario); ratio = this / rev, wins of {2 * SAMPLES - 1} pairs "
-          f"({2 * FRESH_SAMPLES - 1}, {2 * SCENARIO_SAMPLES - 1})")
+          f"{SAMPLES} samples a side ({FRESH_SAMPLES} for first_use, {LOAD_SAMPLES} for the "
+          f"load row and {SCENARIO_SAMPLES} for scenario); ratio = this / rev, wins of "
+          f"{2 * SAMPLES - 1} pairs ({2 * FRESH_SAMPLES - 1}, {2 * LOAD_SAMPLES - 1}, "
+          f"{2 * SCENARIO_SAMPLES - 1})")
     with tempfile.TemporaryDirectory() as tmp:
         sources = {"this": ROOT / "src"}
         if args.against:
@@ -446,6 +475,7 @@ def main() -> None:
         sections, scenario = measure(sources)
     write_run(ROOT / "BENCH_kem.json", {
         "meta": {**meta, "seed": SEED, "samples": SAMPLES, "fresh_samples": FRESH_SAMPLES,
+                 "load_samples": LOAD_SAMPLES,
                  "kernel_loop": KERNEL_LOOP, "unit": "median us"}, **sections})
     write_run(ROOT / "BENCH_scenario.json", {
         "meta": {**meta, "seed": SCENARIO_SEED, "samples": SCENARIO_SAMPLES,
