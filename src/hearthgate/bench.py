@@ -6,7 +6,7 @@ per-transaction commit latency is measured submit-to-commit.
 
 The generator runs as a discrete-event simulation in virtual time: arrivals
 are scheduled on the same virtual clock the ordering service uses, so a run
-is bit-reproducible from its seed and covers about 57-90 simulated seconds of
+is bit-reproducible from its seed and covers about 62-98 simulated seconds of
 load per wall second (2 cores, CPython 3.11, raw wall time; signing dominates,
 since checking a signature this process made is a lookup).
 The service rate ``mu`` is explicit calibration, not a measurement of any
@@ -144,8 +144,8 @@ def generate_load(profile: LoadProfile, seed: int = 1, mu: float = 200.0,
             break
         when = SIM_EPOCH + t
         channel, payload = _payload_for(choose(mix_names, mix_weights), payload_rng, when)
-        seqs.append(submit(make_transaction(channel, payload, submitter[channel], when),
-                           when))
+        tx = make_transaction(channel, payload, submitter[channel], when)
+        seqs.append(submit(tx, when))
         offsets.append(t)
     network.settle()
 

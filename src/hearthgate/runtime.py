@@ -29,9 +29,8 @@ class Rng:
         self._inner = random.Random(seed)
         self._seed = seed
 
-    # ``bytes`` and ``expovariate`` compute what ``random.Random.randbytes``
-    # and ``expovariate`` return, without their Python frames.
     def bytes(self, n: int) -> bytes:
+        # ``random.Random.randbytes(n)``, without its Python frame.
         return self._inner.getrandbits(n * 8).to_bytes(n, "little")
 
     def random(self) -> float:
@@ -41,6 +40,7 @@ class Rng:
         return self._inner.randrange(n)
 
     def expovariate(self, rate: float) -> float:
+        # ``random.Random.expovariate(rate)``, without its Python frame.
         return -math.log(1.0 - self._inner.random()) / rate
 
     def weighted_choice(self, options: list, weights: list[float]):
