@@ -324,8 +324,9 @@ class _OrderingService:
             self._last_cut = commit
             blocks.append((commit, self._seqs[head:stop], self._txs[head:stop]))
             head = stop
-        for queue in (ends, self._seqs, self._txs):
-            del queue[:head]
+        if head:
+            for queue in (ends, self._seqs, self._txs):
+                del queue[:head]
         return blocks
 
 
