@@ -24,6 +24,7 @@ from .payloads import DataEntry, DeviceRecord, DeviceStatus, RiskAlert
 from .runtime import SIM_EPOCH, Rng, seeded_rng
 
 WARMUP_FRACTION = 0.1  # head of the run excluded from statistics
+MAX_RATE_ROWS = 1_000  # a start:stop:step range's rows; a tiny step would never end
 
 
 @dataclass(eq=False, repr=False)
@@ -201,6 +202,8 @@ def parse_rates(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
         if not (step > 0 and -math.inf < start <= stop < math.inf):  # NaN fails too
             raise ValueError("rate range must be finite and ascend")
+        if (stop - start) / step > MAX_RATE_ROWS:
+            raise ValueError(f"rate range must ask for at most {MAX_RATE_ROWS} rows")
         rates = []
         value = start
         while value <= stop + 1e-9:

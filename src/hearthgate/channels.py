@@ -281,72 +281,77 @@ class PublicChannel:
 # Adversary strategies
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False, repr=False)
-class AdversaryAction:
-    """One adversary move on the public channel, as a script names it."""
-
-    action: str            # deliver | drop | replay | tamper | delay | inject
-    index: int | None = None
-    dst: str | None = None
-    data: bytes | None = None
-    bit: int | None = None
-
-    def describe(self) -> str:
-        parts = [self.action]
-        if self.index is not None:
-            parts.append(f"idx={self.index}")
-        if self.bit is not None:
-            parts.append(f"bit={self.bit}")
-        if self.dst is not None:
-            parts.append(f"dst={self.dst}")
-        return " ".join(parts)
-
-
-# The rule names a script may use, for ``Scripted`` and for script files.
+# The rule names a script may use. Only ``check_rule`` reads them.
 SCRIPT_ACTIONS = ("deliver", "drop", "replay", "tamper", "delay", "inject", "stop")
+RULE_DEFAULTS = {"tamper": {"bit": 0}, "delay": {"seconds": 40}}  # what a rule may omit
+
+
+def check_rule(rule) -> dict:
+    """A checked copy of one adversary rule, with its defaults filled in.
+
+    A rule is ``{"on": <message index>, "action": <name>, ...params}`` with a
+    name from ``SCRIPT_ACTIONS``. ``on``, and ``bit`` or ``seconds`` when
+    given, are integers (``seconds`` not negative); ``tamper`` flips ``bit``
+    (default 0), ``delay`` waits ``seconds`` (default 40), and ``inject``
+    sends bytes ``data`` to the string ``dst``. Raises ``ValueError``.
+    """
+    if not isinstance(rule, dict) or "on" not in rule or "action" not in rule:
+        raise ValueError("needs 'on' and 'action'")
+    action = rule["action"]
+    if action not in SCRIPT_ACTIONS:
+        raise ValueError(f"unknown action {action!r}")
+    for key in ("on", "bit", "seconds"):
+        if key in rule and type(rule[key]) is not int:  # bool is not an index
+            raise ValueError(f"{key!r} must be an integer, got {rule[key]!r}")
+    if rule.get("seconds", 0) < 0:
+        raise ValueError(f"'seconds' must not be negative, got {rule['seconds']}")
+    if action == "inject" and not (isinstance(rule.get("dst"), str)
+                                   and isinstance(rule.get("data"), bytes)):
+        raise ValueError("inject needs a string 'dst' and bytes 'data'")
+    return {**RULE_DEFAULTS.get(action, {}), **rule}
+
+
+def describe(rule: dict) -> str:
+    """A played rule as its adversary trace event reads, ``tamper idx=0 bit=900``."""
+    action = rule["action"]
+    text = f"{action} idx={rule['on']}"
+    if action == "tamper":
+        return f"{text} bit={rule['bit']}"
+    if action == "delay":
+        # A delay reads ``bit=<seconds>``: the attack/replay-stale-token
+        # replay digest pins ``delay idx=0 bit=40``.
+        return f"{text} bit={rule['seconds']}"
+    if action == "inject":
+        return f"{text} dst={rule['dst']}"
+    return text
 
 
 class Scripted:
     """Plays a fixed list of rules keyed on public-channel message index.
 
-    Each rule is ``{"on": <message index>, "action": <name>, ...params}``
-    with a name from ``SCRIPT_ACTIONS``: ``tamper`` takes ``bit``, ``delay``
-    takes ``seconds`` (default 40), ``inject`` takes ``dst`` and ``data``,
-    and ``stop`` withholds message ``on`` and every later one (device
-    retries still run). Messages without a rule are delivered in order. Two
-    rules on one index are an error. Unconsumed rules simply never fire (the
-    message they target may not exist in a given run).
+    Rules are in ``check_rule``'s format, which every rule is checked against
+    when the script is built; ``Randomized`` decides in the same format.
+    ``stop`` withholds message ``on`` and every later one (device retries
+    still run). Messages without a rule are delivered in order. Two rules on
+    one index are an error. Unconsumed rules simply never fire (the message
+    they target may not exist in a given run).
     """
 
     def __init__(self, rules: list[dict]):
         self.rules: dict[int, dict] = {}
-        for rule in rules:
-            on = int(rule["on"])
-            if rule["action"] not in SCRIPT_ACTIONS:
-                raise ValueError(f"unknown scripted action {rule['action']!r}")
-            if on in self.rules:
-                raise ValueError(f"two rules on message {on}")
-            self.rules[on] = dict(rule)
+        for rule in map(check_rule, rules):
+            if rule["on"] in self.rules:
+                raise ValueError(f"two rules on message {rule['on']}")
+            self.rules[rule["on"]] = rule
         self.stop = min((on for on, rule in self.rules.items()
                          if rule["action"] == "stop"), default=float("inf"))
 
-    def decide(self, channel: PublicChannel, rng: Rng) -> AdversaryAction | None:
+    def decide(self, channel: PublicChannel, rng: Rng) -> dict | None:
+        """The rule for the oldest pending message, or None to stop."""
         if not channel.pending or channel.pending[0].index >= self.stop:
             return None
-        entry = channel.pending[0]
-        rule = self.rules.pop(entry.index, {"action": "deliver"})
-        action = rule["action"]
-        if action == "tamper":
-            return AdversaryAction("tamper", index=entry.index,
-                                   bit=int(rule.get("bit", 0)))
-        if action == "delay":
-            # The bit field carries the delay in seconds.
-            return AdversaryAction("delay", index=entry.index,
-                                   bit=int(rule.get("seconds", 40)))
-        if action == "inject":
-            return AdversaryAction("inject", dst=rule["dst"],
-                                   data=rule["data"], index=entry.index)
-        return AdversaryAction(action, index=entry.index)
+        index = channel.pending[0].index
+        return self.rules.pop(index, {"on": index, "action": "deliver"})
 
 
 class DeliverAll(Scripted):
@@ -369,9 +374,10 @@ RANDOMIZED_BUDGET = 48
 class Randomized:
     """Seeded scheduler choosing weighted actions per custody message.
 
-    ``forge`` builds the bytes of each injection (a forged registration).
-    ``RANDOMIZED_BUDGET`` actions bound replays and injections so every run
-    terminates.
+    Each decision is a rule in ``Scripted``'s format whose ``on`` is the
+    custody message it drew. ``forge`` builds the bytes of each injection (a
+    forged registration). ``RANDOMIZED_BUDGET`` actions bound replays and
+    injections so every run terminates.
     """
 
     def __init__(self, forge: Callable[[], bytes],
@@ -387,24 +393,23 @@ class Randomized:
             if not (all(math.isfinite(w) and w >= 0 for w in values) and sum(values)):
                 raise ValueError(f"adversary weights must be finite, >= 0 and not all 0: "
                                  f"{weights}")
-        self.weights = merged
+        self.actions = sorted(merged)
+        self.weights = [merged[n] for n in self.actions]
         self.budget = RANDOMIZED_BUDGET
         self.forge = forge
 
-    def decide(self, channel: PublicChannel, rng: Rng) -> AdversaryAction | None:
+    def decide(self, channel: PublicChannel, rng: Rng) -> dict | None:
         if not channel.pending or self.budget <= 0:
             return None
         self.budget -= 1
         entry = channel.pending[rng.randrange(len(channel.pending))]
-        names = sorted(self.weights)
-        action = rng.weighted_choice(names, [self.weights[n] for n in names])
+        action = rng.weighted_choice(self.actions, self.weights)
         if action == "replay" and entry.replays_left <= 0:
             action = "deliver"
+        rule = {"on": entry.index, "action": action}
         if action == "tamper":
-            return AdversaryAction("tamper", index=entry.index,
-                                   bit=rng.randrange(len(entry.data) * 8))
-        if action == "inject":
-            dst = entry.dst if rng.random() < 0.8 else entry.src
-            return AdversaryAction("inject", dst=dst, data=self.forge(),
-                                   index=entry.index)
-        return AdversaryAction(action, index=entry.index)
+            rule["bit"] = rng.randrange(len(entry.data) * 8)
+        elif action == "inject":
+            rule["dst"] = entry.dst if rng.random() < 0.8 else entry.src
+            rule["data"] = self.forge()
+        return rule

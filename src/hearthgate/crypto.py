@@ -437,7 +437,7 @@ def check_public_key(public: PublicKey, algo: str, now: float) -> None:
 def kem_keygen(role_tag: RoleTag, ttl: float, rng: Rng, now: float,
                algo: str = DEFAULT_KEM) -> KeyPair:
     """Generate an ephemeral KEM pair for one role relationship."""
-    if ttl <= 0:
+    if not ttl > 0:  # NaN too
         raise ValueError("ttl must be positive")
     public, secret, parsed = kem_backend(algo).keygen(rng)
     return _new_pair(role_tag, algo, public, secret, now, ttl, parsed)
@@ -445,7 +445,7 @@ def kem_keygen(role_tag: RoleTag, ttl: float, rng: Rng, now: float,
 
 def sig_keygen(role_tag: RoleTag, ttl: float, rng: Rng, now: float) -> KeyPair:
     """Generate the companion Ed25519 signing pair for a role."""
-    if ttl <= 0:
+    if not ttl > 0:  # NaN too
         raise ValueError("ttl must be positive")
     seed = rng.bytes(ED25519_KEY_LEN)
     secret = _ed25519_secret(seed)

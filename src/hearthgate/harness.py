@@ -21,6 +21,7 @@ do not prove.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -28,7 +29,6 @@ from typing import Callable
 from . import channels as ch
 from . import crypto, ledger, risk, wire
 from .channels import (
-    AdversaryAction,
     AdversaryKnowledge,
     PublicChannel,
     Randomized,
@@ -83,8 +83,9 @@ class ScenarioSpec:
     def validate(self) -> None:
         if self.devices < 1:
             raise ScenarioInvalid("scenario needs at least one device")
-        if self.totp_step <= 0 or self.key_ttl <= 0:
-            raise ScenarioInvalid("durations must be positive")
+        for name in ("totp_step", "key_ttl", "mu", "max_block_txs", "block_interval"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ScenarioInvalid(f"{name} must be positive and finite")
         try:
             crypto.kem_backend(self.kem_algo)
         except crypto.MalformedKey as exc:
@@ -215,34 +216,28 @@ class World:
         for out in replies or ():
             self.send_outgoing(out)
 
-    def execute(self, act: AdversaryAction) -> None:
+    def execute(self, rule: dict) -> None:
+        """Play one adversary rule (``channels.check_rule``'s format)."""
         self.clock.advance(STEP_DT)
-        self.trace.record("adversary", ch.ADVERSARY_ACTION, act=act.describe())
-        if act.action == "deliver":
-            entry = self.h_p.take(act.index)
-            self.dispatch(entry.dst, entry.data, entry.src)
-        elif act.action == "drop":
-            self.h_p.take(act.index)
-        elif act.action == "replay":
-            entry = self.h_p.take(act.index)
-            self.dispatch(entry.dst, entry.data, entry.src)
-            if entry.replays_left > 0:
-                copy = self.h_p.send(entry.src, entry.dst, entry.data, entry.term)
-                copy.replays_left = entry.replays_left - 1
-        elif act.action == "tamper":
-            entry = self.h_p.take(act.index)
-            mutated = bytearray(entry.data)
-            bit = act.bit % (len(mutated) * 8)
-            mutated[bit // 8] ^= 1 << (bit % 8)
-            self.dispatch(entry.dst, bytes(mutated), entry.src)
-        elif act.action == "delay":
-            entry = self.h_p.take(act.index)
-            self.clock.advance(act.bit or 0)  # bit field reused as seconds
-            self.dispatch(entry.dst, entry.data, entry.src)
-        elif act.action == "inject":
-            self.dispatch(act.dst, act.data, "adversary")
-        else:
-            raise ScenarioInvalid(f"unknown adversary action {act.action!r}")
+        self.trace.record("adversary", ch.ADVERSARY_ACTION, act=ch.describe(rule))
+        action = rule["action"]
+        if action == "inject":
+            self.dispatch(rule["dst"], rule["data"], "adversary")
+            return
+        entry = self.h_p.take(rule["on"])
+        if action == "drop":
+            return
+        data = entry.data
+        if action == "tamper":
+            data = bytearray(data)
+            bit = rule["bit"] % (len(data) * 8)
+            data[bit // 8] ^= 1 << (bit % 8)
+        elif action == "delay":
+            self.clock.advance(rule["seconds"])
+        self.dispatch(entry.dst, bytes(data), entry.src)
+        if action == "replay" and entry.replays_left > 0:
+            copy = self.h_p.send(entry.src, entry.dst, entry.data, entry.term)
+            copy.replays_left = entry.replays_left - 1
 
     def pump(self, strategy) -> None:
         """Run adversary decisions (and device retries) to quiescence."""
@@ -253,9 +248,9 @@ class World:
                 dst, data, src = self._direct_queue.pop(0)
                 self.dispatch(dst, data, src)
                 continue
-            act = strategy.decide(self.h_p, self.adv_rng)
-            if act is not None:
-                self.execute(act)
+            rule = strategy.decide(self.h_p, self.adv_rng)
+            if rule is not None:
+                self.execute(rule)
                 continue
             retried = False
             for device in self.devices:
@@ -605,28 +600,24 @@ def run_attack(name: str, seed: int = 7) -> AttackOutcome:
 
 
 def load_attack_rules(path: str) -> list[dict]:
-    """Load a declarative adversary script: a JSON list of
-    {"on": <public message index>, "action": <name>, ...params} rules."""
+    """Load a declarative adversary script: a JSON list of rules in
+    ``channels.check_rule``'s format, an ``inject`` giving its bytes as the
+    hex string ``data_hex``."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ScenarioInvalid("attack script file must hold a JSON list")
+    rules = []
     for i, rule in enumerate(raw):
-        if not isinstance(rule, dict) or "on" not in rule or "action" not in rule:
-            raise ScenarioInvalid(f"rule {i}: needs 'on' and 'action'")
-        if rule["action"] not in ch.SCRIPT_ACTIONS:
-            raise ScenarioInvalid(f"rule {i}: unknown action {rule['action']!r}")
-        for key in ("on", "bit", "seconds"):
-            if key in rule and not is_json_type(rule[key], "int"):
-                raise ScenarioInvalid(f"rule {i}: {key!r} must be an integer, "
-                                      f"got {rule[key]!r}")
-        if rule["action"] == "inject":
-            if not (is_json_type(rule.get("dst"), "str")
-                    and is_json_type(rule.get("data_hex"), "str")):
-                raise ScenarioInvalid(
-                    f"rule {i}: inject needs string 'dst' and 'data_hex'")
-            rule["data"] = bytes.fromhex(rule.pop("data_hex"))
-    return raw
+        try:
+            if isinstance(rule, dict) and "data_hex" in rule:
+                if not isinstance(rule["data_hex"], str):
+                    raise ValueError("'data_hex' must be a hex string")
+                rule = dict(rule, data=bytes.fromhex(rule["data_hex"]))
+            rules.append(ch.check_rule(rule))
+        except ValueError as exc:
+            raise ScenarioInvalid(f"rule {i}: {exc}") from None
+    return rules
 
 
 def run_script_file(path: str, seed: int = 7,

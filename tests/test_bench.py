@@ -194,6 +194,10 @@ def test_parse_rates():
     assert parse_rates("10,20,40") == [10.0, 20.0, 40.0]
     with pytest.raises(ValueError):
         parse_rates("300:30:25")
+    # 30.0 + 1e-20 == 30.0: without a bound on the rows the first never ends.
+    for text in ("30:300:1e-20", "30:300:1e-9", "30:300:0.25"):
+        with pytest.raises(ValueError, match="at most 1000 rows"):
+            parse_rates(text)
 
 
 def test_rng_draws_are_the_standard_librarys():

@@ -11,6 +11,7 @@ from hearthgate.channels import (
     Enc,
     HashT,
     PublicChannel,
+    Randomized,
     Scripted,
     Secret,
     SecureChannel,
@@ -77,8 +78,8 @@ def test_deliver_all_behaves_like_reliable_channel():
     for i in range(5):
         sent.append(hp.send("device", "server", bytes([i]), Atom(f"m{i}")))
     delivered = []
-    while (act := strategy.decide(hp, rng)) is not None:
-        delivered.append(hp.take(act.index).data)
+    while (rule := strategy.decide(hp, rng)) is not None:
+        delivered.append(hp.take(rule["on"]).data)
     assert delivered == [bytes([i]) for i in range(5)]
 
 
@@ -88,8 +89,7 @@ def test_scripted_replay_delivers_twice():
     rng = seeded_rng(0)
     hp.send("device", "server", b"msg", Atom("m"))
     strategy = Scripted([{"on": 0, "action": "replay"}])
-    act = strategy.decide(hp, rng)
-    assert act.action == "replay" and act.index == 0
+    assert strategy.decide(hp, rng) == {"on": 0, "action": "replay"}
 
 
 def test_scripted_stop_withholds_its_index_and_every_later_one():
@@ -100,14 +100,29 @@ def test_scripted_stop_withholds_its_index_and_every_later_one():
     strategy = Scripted([{"on": 0, "action": "drop"},
                          {"on": 2, "action": "stop"}])
     played = []
-    while (act := strategy.decide(hp, rng)) is not None:
-        played.append(act.describe())
-        hp.take(act.index)
+    while (rule := strategy.decide(hp, rng)) is not None:
+        played.append(ch.describe(rule))
+        hp.take(rule["on"])
     assert played == ["drop idx=0", "deliver idx=1"]
     for i in range(3, 5):  # later messages, a retry say, stay withheld too
         hp.send("device", "server", bytes([i]), Atom(f"m{i}"))
         assert strategy.decide(hp, rng) is None
     assert [e.index for e in hp.pending] == [2, 3, 4]
+
+
+def test_randomized_decides_in_script_rules():
+    hp = PublicChannel(AdversaryKnowledge())
+    for i in range(4):
+        hp.send("device", "server", bytes(8), Atom(f"m{i}"))
+    strategy = Randomized(lambda: b"forged", weights=dict.fromkeys(ch.DEFAULT_WEIGHTS, 1.0))
+    rng = seeded_rng(3)
+    actions = set()
+    for _ in range(40):
+        rule = strategy.decide(hp, rng)
+        assert ch.check_rule(rule) == rule
+        assert rule["on"] in {e.index for e in hp.pending}
+        actions.add(rule["action"])
+    assert actions == set(ch.DEFAULT_WEIGHTS)
 
 
 @pytest.mark.parametrize("second", ["replay", "stop"])

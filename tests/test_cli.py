@@ -273,6 +273,7 @@ def test_campaign_scenario_file_malformed(tmp_path, capsys):
     scenario = tmp_path / "bad.json"
     for text in ('{"reports": 5}', '{"devices": "3"}', '{"totp_step": "30"}',
                  '{"kem_algo": "ml-kem-768"}', '{"revoke": 1}', '[]',
+                 '{"key_ttl": NaN}',
                  # keys that expire before the run ends
                  '{"key_ttl": 3.0, "revoke": true}'):
         scenario.write_text(text)
@@ -332,7 +333,7 @@ def test_bench_refuses_non_finite_numbers(capsys, argv):
 
 
 def test_bench_bad_rates(capsys):
-    for rates in ("300:30:10", ",", ""):
+    for rates in ("300:30:10", ",", "", "30:300:1e-20"):
         code, _, err = run_cli(capsys, ["bench", "--rates", rates])
         assert code == EXIT_USAGE, rates
         assert err.startswith("bench: ") and err.count("\n") == 1, err

@@ -158,6 +158,9 @@ def test_keygen_rejects_nonpositive_ttl():
         crypto.kem_keygen(RoleTag.SERVER_FOR_AUTH, 0, rng7(), NOW)
     with pytest.raises(ValueError):
         crypto.sig_keygen(RoleTag.SERVER_FOR_AUTH, -1, rng7(), NOW)
+    for keygen in (crypto.kem_keygen, crypto.sig_keygen):
+        with pytest.raises(ValueError):
+            keygen(RoleTag.SERVER_FOR_AUTH, float("nan"), rng7(), NOW)
 
 
 # ---------------------------------------------------------------------------

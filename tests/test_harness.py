@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import struct
 
 import pytest
@@ -11,6 +12,7 @@ from hearthgate.channels import (
     AdversaryKnowledge,
     DeliverAll,
     PublicChannel,
+    Scripted,
     Trace,
     derive_closure,
     kem_secret,
@@ -28,6 +30,7 @@ from hearthgate.harness import (
     check_authentication,
     check_keypair_confidentiality,
     check_token_integrity,
+    load_attack_rules,
     load_scenario,
     run_attack,
     run_campaign,
@@ -238,6 +241,33 @@ def test_unknown_attack_script():
         run_attack("no-such-script")
 
 
+# Rules as a script file writes them; ``Scripted`` gets ``data_hex`` as bytes.
+MALFORMED_RULES = {
+    "bool on": {"on": True, "action": "drop"},
+    "string on": {"on": "0", "action": "drop"},
+    "string bit": {"on": 0, "action": "tamper", "bit": "x"},
+    "negative seconds": {"on": 0, "action": "delay", "seconds": -1},
+    "unknown action": {"on": 0, "action": "vanish"},
+    "inject without dst": {"on": 0, "action": "inject", "data_hex": "00"},
+    "inject with list dst": {"on": 0, "action": "inject", "dst": ["server"],
+                             "data_hex": "00"},
+    "inject without data": {"on": 0, "action": "inject", "dst": "server"},
+}
+
+
+@pytest.mark.parametrize("rule", MALFORMED_RULES.values(), ids=MALFORMED_RULES)
+def test_malformed_rule_refused_before_any_run(rule, tmp_path):
+    scripted = dict(rule)
+    if "data_hex" in scripted:
+        scripted["data"] = bytes.fromhex(scripted.pop("data_hex"))
+    with pytest.raises(ValueError):
+        Scripted([{"on": 5, "action": "drop"}, scripted])
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps([{"on": 5, "action": "drop"}, rule]))
+    with pytest.raises(ScenarioInvalid, match="^rule 1: "):
+        load_attack_rules(str(path))
+
+
 def test_callable_adversary_runs_once_before_any_registration(public_sends):
     script = ATTACK_SCRIPTS["token-swap-across-devices"]
     seen = []
@@ -331,6 +361,14 @@ def test_scenario_loader(tmp_path):
                  '{"devices": true}',
                  '{"totp_step": "30"}',
                  '{"key_ttl": null}',
+                 '{"key_ttl": NaN}',
+                 '{"key_ttl": Infinity}',
+                 '{"mu": NaN}',
+                 '{"mu": Infinity}',
+                 '{"mu": 0}',
+                 '{"block_interval": NaN}',
+                 '{"max_block_txs": 0}',
+                 '{"block_interval": -0.1}',
                  '{"revoke": 1}',
                  '{"api_address": 5}',
                  '{"kem_algo": "ml-kem-768"}',
