@@ -281,8 +281,10 @@ class PublicChannel:
 # Adversary strategies
 # ---------------------------------------------------------------------------
 
-# The rule names a script may use. Only ``check_rule`` reads them.
-SCRIPT_ACTIONS = ("deliver", "drop", "replay", "tamper", "delay", "inject", "stop")
+# The rule names a script may use, each with the parameters its rule may
+# carry. Only ``check_rule`` reads them.
+SCRIPT_ACTIONS = {"deliver": (), "drop": (), "replay": (), "tamper": ("bit",),
+                  "delay": ("seconds",), "inject": ("dst", "data"), "stop": ()}
 RULE_DEFAULTS = {"tamper": {"bit": 0}, "delay": {"seconds": 40}}  # what a rule may omit
 
 
@@ -293,13 +295,18 @@ def check_rule(rule) -> dict:
     name from ``SCRIPT_ACTIONS``. ``on``, and ``bit`` or ``seconds`` when
     given, are integers (``seconds`` not negative); ``tamper`` flips ``bit``
     (default 0), ``delay`` waits ``seconds`` (default 40), and ``inject``
-    sends bytes ``data`` to the string ``dst``. Raises ``ValueError``.
+    sends bytes ``data`` to the string ``dst``; a rule carries no other key.
+    Raises ``ValueError``.
     """
     if not isinstance(rule, dict) or "on" not in rule or "action" not in rule:
         raise ValueError("needs 'on' and 'action'")
     action = rule["action"]
-    if action not in SCRIPT_ACTIONS:
+    params = SCRIPT_ACTIONS.get(action) if isinstance(action, str) else None
+    if params is None:
         raise ValueError(f"unknown action {action!r}")
+    extra = set(rule) - {"on", "action", *params}
+    if extra:
+        raise ValueError(f"{action} takes no {', '.join(sorted(map(repr, extra)))}")
     for key in ("on", "bit", "seconds"):
         if key in rule and type(rule[key]) is not int:  # bool is not an index
             raise ValueError(f"{key!r} must be an integer, got {rule[key]!r}")

@@ -587,14 +587,6 @@ def verify(public: PublicKey, message: bytes, signature: Signature | bytes,
 # One-time tokens (HOTP/TOTP, 8 digits, SHA-1, 30 s step)
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False, repr=False)
-class TransientToken:
-    """A TOTP code and the time step it was issued in."""
-
-    digits: str
-    issued_step: int
-
-
 def hotp(secret: bytes, counter: int, digits: int = TOTP_DIGITS) -> str:
     mac = hmac.new(secret, struct.pack(">Q", counter), hashlib.sha1).digest()
     offset = mac[-1] & 0x0F
@@ -602,10 +594,9 @@ def hotp(secret: bytes, counter: int, digits: int = TOTP_DIGITS) -> str:
     return str(code % 10 ** digits).zfill(digits)
 
 
-def totp_generate(secret: bytes, now: float, step: int = TOTP_STEP) -> TransientToken:
+def totp_generate(secret: bytes, now: float, step: int = TOTP_STEP) -> str:
     """One-time token for the 30-second step containing ``now``."""
-    step_index = int(now // step)
-    return TransientToken(digits=hotp(secret, step_index), issued_step=step_index)
+    return hotp(secret, int(now // step))
 
 
 def totp_verify(secret: bytes, digits: str, now: float, step: int = TOTP_STEP) -> bool:
@@ -614,10 +605,10 @@ def totp_verify(secret: bytes, digits: str, now: float, step: int = TOTP_STEP) -
     No step skew is allowed; a wider window would stretch the brute-force
     exposure the short validity is meant to bound.
     """
-    if not isinstance(digits, str) or len(digits) != TOTP_DIGITS or not digits.isdigit():
+    if (not isinstance(digits, str) or len(digits) != TOTP_DIGITS
+            or not digits.isascii() or not digits.isdigit()):
         return False
-    expected = totp_generate(secret, now, step).digits
-    return hmac.compare_digest(expected, digits)
+    return hmac.compare_digest(totp_generate(secret, now, step), digits)
 
 
 # ---------------------------------------------------------------------------
@@ -635,17 +626,6 @@ class PseudoUuid:
         return self.value.hex()
 
 
-@dataclass(eq=False, repr=False)
-class LinkKey:
-    """Symmetric key pre-provisioned between authenticator and device."""
-
-    value: bytes  # 32 bytes
-
-    @property
-    def key_id(self) -> str:
-        return _key_id("link", self.value)
-
-
 def gen_nonce(rng: Rng) -> bytes:
     """A random 16-byte protocol nonce."""
     return rng.bytes(NONCE_LEN)
@@ -660,8 +640,14 @@ def gen_long_lived_token(rng: Rng) -> bytes:
     return rng.bytes(DEVICE_TOKEN_LEN)
 
 
-def gen_link_key(rng: Rng) -> LinkKey:
-    return LinkKey(rng.bytes(LINK_KEY_LEN))
+def gen_link_key(rng: Rng) -> bytes:
+    """The 32-byte symmetric key pre-provisioned between authenticator and device."""
+    return rng.bytes(LINK_KEY_LEN)
+
+
+def link_key_id(link_key: bytes) -> str:
+    """The id that names a link key as a symbolic secret."""
+    return _key_id("link", link_key)
 
 
 def gen_totp_secret(rng: Rng) -> bytes:

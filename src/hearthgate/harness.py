@@ -163,7 +163,7 @@ class World:
         self.auths: list[Authenticator] = []
         self.devices: list[Device] = []
         self.h_s: dict[str, SecureChannel] = {}
-        self.link_keys: list[crypto.LinkKey] = []
+        self.link_keys: list[bytes] = []
         for i in range(spec.devices):
             auth = Authenticator(self.rng.child(f"auth-{i}"), self.clock,
                                  self.trace, name=f"auth-{i}",
@@ -203,15 +203,16 @@ class World:
         device = self.device_by_name.get(dst)
         if dst != "server" and device is None:
             return  # addressed elsewhere (e.g. back at the adversary): vanishes
-        if dst == "server" and isinstance(message, wire.RegistrationRequest):
+        kind = message.kind
+        if dst == "server" and kind is wire.Kind.RegistrationRequest:
             replies = _handle(self.server.handle_registration, message, reply_to)
-        elif dst == "server" and isinstance(message, wire.DataReport):
+        elif dst == "server" and kind is wire.Kind.DataReport:
             replies = _handle(self.server.handle_data_report, message)
-        elif device is not None and isinstance(message, wire.ActivationResponse):
+        elif device is not None and kind is wire.Kind.ActivationResponse:
             replies = _handle(device.handle_activation, message)
         else:
             self.trace.record(dst, ch.MESSAGE_REJECTED, error="Malformed",
-                              detail=type(message).__name__)
+                              detail=kind.name)
             return
         for out in replies or ():
             self.send_outgoing(out)
@@ -277,7 +278,7 @@ class World:
             terms.add(entry.activation_term)
             terms.add(entry.activation_term.items[0])
         for link in self.link_keys:
-            terms.add(sym_secret(link.key_id))
+            terms.add(sym_secret(crypto.link_key_id(link)))
         return terms
 
     def grant_public_atoms(self) -> None:
@@ -327,7 +328,7 @@ def _forged_request(world: World, label: str,
     payload = wire.REGISTRATION_PAYLOAD.encode((keys.public, rng.bytes(16),
                                                 *token))
     ct = crypto.hybrid_encrypt(device.server_public.kem, payload, rng, now)
-    return wire.encode(wire.RegistrationRequest(ct))
+    return wire.encode(wire.Message(wire.Kind.RegistrationRequest, ct))
 
 
 def forge_registration(world: World) -> bytes:
@@ -611,9 +612,11 @@ def load_attack_rules(path: str) -> list[dict]:
     for i, rule in enumerate(raw):
         try:
             if isinstance(rule, dict) and "data_hex" in rule:
-                if not isinstance(rule["data_hex"], str):
+                rule = dict(rule)
+                data_hex = rule.pop("data_hex")
+                if not isinstance(data_hex, str):
                     raise ValueError("'data_hex' must be a hex string")
-                rule = dict(rule, data=bytes.fromhex(rule["data_hex"]))
+                rule["data"] = bytes.fromhex(data_hex)
             rules.append(ch.check_rule(rule))
         except ValueError as exc:
             raise ScenarioInvalid(f"rule {i}: {exc}") from None
@@ -730,8 +733,8 @@ def bounded_exhaustive(spec: ScenarioSpec, seed: int = 7,
         if len(plan) > MAX_PUBLIC_MESSAGES:
             raise ScenarioInvalid(
                 "scenario produces more public messages than bounded mode allows")
-        rules = [{"on": on, "action": action, "bit": 13}
-                 for on, action in plan.items()]
+        rules = [{"on": on, "action": action, "bit": 13} if action == "tamper"
+                 else {"on": on, "action": action} for on, action in plan.items()]
         rules.append({"on": max(plan, default=-1) + 1, "action": "stop"})
         result = run_scenario(spec, Scripted(rules), seed)
         results.append((tuple(plan[on] for on in sorted(plan)),

@@ -29,7 +29,6 @@ from .channels import Atom, Enc, Secret, SigT, Term, Trace, Tup
 from .crypto import (
     DecryptionFailure,
     KeyExpired,
-    LinkKey,
     RoleKeys,
     RolePublic,
     RoleTag,
@@ -208,53 +207,53 @@ class Authenticator:
         self.phase = AuthPhase.IDLE
         self.keys: RoleKeys | None = None
         self.server_public: RolePublic | None = None
-        self.link_keys: dict[str, LinkKey] = {}
+        self.link_keys: dict[str, bytes] = {}
         self._pending_nonce: bytes | None = None
         # Transient-token material held between delivery and provisioning.
         self._token_digits: str | None = None
         self._api_address: str | None = None
         self._session_id: str | None = None
 
-    def provision_link_key(self, device_name: str, link_key: LinkKey) -> None:
+    def provision_link_key(self, device_name: str, link_key: bytes) -> None:
         self.link_keys[device_name] = link_key
 
-    def login(self) -> wire.SessionHello:
+    def login(self) -> wire.Message:
         """Fresh ephemeral keys at login; expired keys force a re-login."""
         now = self.clock.now()
         self.keys = crypto.generate_role_keys(RoleTag.AUTH_FOR_SERVER,
                                               self.key_ttl, self.rng, now,
                                               kem_algo=self.kem_algo)
-        return wire.SessionHello(self.keys.public)
+        return wire.Message(wire.Kind.SessionHello, self.keys.public)
 
-    def handle_session_hello(self, msg: wire.SessionHello) -> None:
+    def handle_session_hello(self, msg: wire.Message) -> None:
         now = self.clock.now()
-        if msg.public.kem.expired(now) or msg.public.sig.expired(now):
+        if msg.value.kem.expired(now) or msg.value.sig.expired(now):
             raise KeyExpired("server presented an expired key bundle")
-        self.server_public = msg.public
+        self.server_public = msg.value
 
-    def handle_nonce_challenge(self, msg: wire.NonceChallenge) -> wire.NonceResponse:
+    def handle_nonce_challenge(self, msg: wire.Message) -> wire.Message:
         """Sign the server's nonce, then encrypt the signature to the server."""
         now = self.clock.now()
         if self.keys is None or self.server_public is None:
             raise NoSession("login incomplete")
-        signature = crypto.sign(self.keys.sig, msg.nonce, now)
+        signature = crypto.sign(self.keys.sig, msg.value, now)
         ct = crypto.hybrid_encrypt(self.server_public.kem,
                                    wire.SIGNATURE.encode(signature),
                                    self.rng, now)
-        return wire.NonceResponse(ct)
+        return wire.Message(wire.Kind.NonceResponse, ct)
 
-    def challenge_server(self) -> wire.NonceChallenge:
+    def challenge_server(self) -> wire.Message:
         if self.keys is None or self.server_public is None:
             raise NoSession("login incomplete")
         self._pending_nonce = crypto.gen_nonce(self.rng)
-        return wire.NonceChallenge(self._pending_nonce)
+        return wire.Message(wire.Kind.NonceChallenge, self._pending_nonce)
 
-    def handle_server_nonce_response(self, msg: wire.NonceResponse,
+    def handle_server_nonce_response(self, msg: wire.Message,
                                      session_id: str) -> None:
         now = self.clock.now()
         if self._pending_nonce is None:
             raise NonceMismatch("no outstanding challenge")
-        signature = _open(self.keys.kem, msg.ciphertext, wire.SIGNATURE.decode,
+        signature = _open(self.keys.kem, msg.value, wire.SIGNATURE.decode,
                           now, "nonce response")
         if not crypto.verify(self.server_public.sig, self._pending_nonce,
                              signature, now):
@@ -269,15 +268,15 @@ class Authenticator:
             raise NoSession(f"cannot request a token in phase {self.phase.value}")
         self.phase = AuthPhase.AWAITING_TOKEN
 
-    def handle_token_delivery(self, msg: wire.TokenDelivery) -> None:
+    def handle_token_delivery(self, msg: wire.Message) -> None:
         now = self.clock.now()
         if self.phase is not AuthPhase.AWAITING_TOKEN:
             raise NoSession(f"unexpected token delivery in phase {self.phase.value}")
         self._token_digits, self._api_address = _open(
-            self.keys.kem, msg.ciphertext, wire.TOKEN_PAYLOAD.decode, now,
+            self.keys.kem, msg.value, wire.TOKEN_PAYLOAD.decode, now,
             "token delivery")
 
-    def build_provision(self, device_name: str) -> wire.DeviceProvision:
+    def build_provision(self, device_name: str) -> wire.Message:
         """Package (api address, server keys, encrypted token, signature) for
         the device under the shared link key."""
         now = self.clock.now()
@@ -293,30 +292,30 @@ class Authenticator:
                                 now)
         payload = wire.PROVISION_PAYLOAD.encode((
             self._api_address, self.server_public, encrypted_token, signature))
-        box = crypto.aead_seal(link.value, payload, self.rng)
+        box = crypto.aead_seal(link, payload, self.rng)
         self._token_digits = None
         self._api_address = None
         self.phase = AuthPhase.TOKEN_FORWARDED
-        return wire.DeviceProvision(box)
+        return wire.Message(wire.Kind.DeviceProvision, box)
 
     @_traced(ch.MESSAGE_REJECTED)
-    def handle_connected_notice(self, msg: wire.ConnectedNotice) -> None:
+    def handle_connected_notice(self, msg: wire.Message) -> None:
         now = self.clock.now()
-        uid = _open(self.keys.kem, msg.ciphertext, wire.decode_connected_payload,
+        uid = _open(self.keys.kem, msg.value, wire.decode_connected_payload,
                     now, "connected notice")
         if self.phase is not AuthPhase.TOKEN_FORWARDED:
             raise NoSession(f"unexpected notice in phase {self.phase.value}")
         self.phase = AuthPhase.DEVICE_CONNECTED
         self.trace.record(self.name, ch.CONNECTED_NOTICE, uid=uid.hex())
 
-    def build_revocation(self, uid_hex: str) -> wire.RevocationRequest:
+    def build_revocation(self, uid_hex: str) -> wire.Message:
         now = self.clock.now()
         if self.phase is AuthPhase.IDLE or self.server_public is None:
             raise NoSession("no established session for revocation")
         payload = wire.REVOCATION_PAYLOAD.encode((wire.REVOKE_VERB,
                                                   bytes.fromhex(uid_hex)))
         ct = crypto.hybrid_encrypt(self.server_public.kem, payload, self.rng, now)
-        return wire.RevocationRequest(ct)
+        return wire.Message(wire.Kind.RevocationRequest, ct)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +326,7 @@ class Device:
     """An IoT device: provisioned over the link key, registered over the
     public path, then reporting data under its long-lived token."""
 
-    def __init__(self, rng: Rng, clock, trace: Trace, link_key: LinkKey,
+    def __init__(self, rng: Rng, clock, trace: Trace, link_key: bytes,
                  name: str = "device-1", kem_algo: str = crypto.DEFAULT_KEM,
                  key_ttl: float = 86_400.0, max_retries: int = 1):
         self.rng = rng
@@ -351,13 +350,13 @@ class Device:
         self.device_token: bytes | None = None
         self.server_device_public: RolePublic | None = None
 
-    def receive_provision(self, msg: wire.DeviceProvision,
+    def receive_provision(self, msg: wire.Message,
                           token_term: Term | None = None) -> None:
         now = self.clock.now()
         if self.phase is not DevicePhase.UNPROVISIONED:
             raise Malformed(f"provision in phase {self.phase.value}")
         try:
-            raw = crypto.aead_open(self.link_key.value, msg.box)
+            raw = crypto.aead_open(self.link_key, msg.value)
         except DecryptionFailure as exc:
             raise LinkKeyMismatch(str(exc)) from exc
         try:
@@ -397,7 +396,8 @@ class Device:
         self.phase = DevicePhase.REQUEST_SENT
         self.trace.record(self.name, ch.DEVICE_REQUEST_SENT, uid=self.uid.hex,
                           **trace_fields)
-        return Outgoing("public", "server", wire.RegistrationRequest(ct),
+        return Outgoing("public", "server",
+                        wire.Message(wire.Kind.RegistrationRequest, ct),
                         self._request_term(), src=self.name)
 
     def build_registration_request(self) -> Outgoing:
@@ -417,13 +417,13 @@ class Device:
         return self._registration_request(retry=str(self.retries_left))
 
     @_traced(ch.ACTIVATION_REJECTED)
-    def handle_activation(self, msg: wire.ActivationResponse) -> None:
+    def handle_activation(self, msg: wire.Message) -> None:
         now = self.clock.now()
         if self.phase is not DevicePhase.REQUEST_SENT:
             raise Malformed(f"activation in phase {self.phase.value}",
                             detail=f"phase {self.phase.value}")
         token, server_device_public = _open(
-            self.keys.kem, msg.ciphertext, wire.ACTIVATION_PAYLOAD.decode, now,
+            self.keys.kem, msg.value, wire.ACTIVATION_PAYLOAD.decode, now,
             "activation", detail="undecryptable")
         _check_bundle(server_device_public, self.kem_algo, now, "server keys")
         self.device_token = token
@@ -444,8 +444,8 @@ class Device:
             Atom(f"reading:{metric}={value!r}"),
             device_token_secret(self.device_token),
         )))
-        return Outgoing("public", "server", wire.DataReport(ct), term,
-                        src=self.name)
+        return Outgoing("public", "server", wire.Message(wire.Kind.DataReport, ct),
+                        term, src=self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +521,9 @@ class Server:
 
     # -- session establishment -------------------------------------------------
 
-    def accept_session(self, hello: wire.SessionHello) -> tuple[str, list[wire.Message]]:
+    def accept_session(self, hello: wire.Message) -> tuple[str, list[wire.Message]]:
         now = self.clock.now()
-        if hello.public.kem.expired(now) or hello.public.sig.expired(now):
+        if hello.value.kem.expired(now) or hello.value.sig.expired(now):
             raise KeyExpired("authenticator presented an expired key bundle")
         keys = crypto.generate_role_keys(RoleTag.SERVER_FOR_AUTH, self.key_ttl,
                                          self.rng, now, kem_algo=self.kem_algo)
@@ -535,18 +535,19 @@ class Server:
         session_id = f"session-{self._session_counter}"
         self._session_counter += 1
         self.sessions[session_id] = Session(
-            session_id=session_id, keys=keys, auth_public=hello.public,
+            session_id=session_id, keys=keys, auth_public=hello.value,
             nonce_hex=nonce_hex, pending_nonce=nonce)
-        return session_id, [wire.SessionHello(keys.public), wire.NonceChallenge(nonce)]
+        return session_id, [wire.Message(wire.Kind.SessionHello, keys.public),
+                            wire.Message(wire.Kind.NonceChallenge, nonce)]
 
-    def handle_nonce_response(self, session_id: str, msg: wire.NonceResponse) -> None:
+    def handle_nonce_response(self, session_id: str, msg: wire.Message) -> None:
         now = self.clock.now()
         session = self.sessions.get(session_id)
         if session is None:
             raise NoSession(f"unknown session {session_id}")
         if session.pending_nonce is None:
             raise NonceMismatch("no outstanding nonce for this session")
-        signature = _open(session.keys.kem, msg.ciphertext, wire.SIGNATURE.decode,
+        signature = _open(session.keys.kem, msg.value, wire.SIGNATURE.decode,
                           now, "nonce response")
         if signature.signer_tag is not RoleTag.AUTH_FOR_SERVER:
             raise SignatureInvalid("nonce response signed by the wrong role")
@@ -556,16 +557,16 @@ class Server:
         session.pending_nonce = None
 
     def handle_auth_challenge(self, session_id: str,
-                              msg: wire.NonceChallenge) -> wire.NonceResponse:
+                              msg: wire.Message) -> wire.Message:
         now = self.clock.now()
         session = self.sessions.get(session_id)
         if session is None:
             raise NoSession(f"unknown session {session_id}")
-        signature = crypto.sign(session.keys.sig, msg.nonce, now)
+        signature = crypto.sign(session.keys.sig, msg.value, now)
         ct = crypto.hybrid_encrypt(session.auth_public.kem,
                                    wire.SIGNATURE.encode(signature),
                                    self.rng, now)
-        return wire.NonceResponse(ct)
+        return wire.Message(wire.Kind.NonceResponse, ct)
 
     def complete_session(self, session_id: str) -> None:
         session = self.sessions[session_id]
@@ -576,27 +577,27 @@ class Server:
 
     # -- token issue -------------------------------------------------------------
 
-    def issue_transient_token(self, session_id: str) -> wire.TokenDelivery:
+    def issue_transient_token(self, session_id: str) -> wire.Message:
         now = self.clock.now()
         session = self.sessions.get(session_id)
         if session is None or not session.established:
             raise NoSession(f"no established session {session_id}")
         secret = crypto.gen_totp_secret(self.rng)
-        token = crypto.totp_generate(secret, now, self.totp_step)
-        payload = wire.TOKEN_PAYLOAD.encode((token.digits, self.api_address))
+        digits = crypto.totp_generate(secret, now, self.totp_step)
+        payload = wire.TOKEN_PAYLOAD.encode((digits, self.api_address))
         # Encrypted first: a token that cannot be delivered is not on record.
         ct = crypto.hybrid_encrypt(session.auth_public.kem, payload, self.rng, now)
         self.pending.append(PendingRegistration(
             secret=secret, session_id=session_id,
-            issued_digits=token.digits, issued_step=token.issued_step))
-        self.trace.record(self.name, ch.TOKEN_ISSUED, token=token.digits,
+            issued_digits=digits, issued_step=int(now // self.totp_step)))
+        self.trace.record(self.name, ch.TOKEN_ISSUED, token=digits,
                           nonce=session.nonce_hex, session=session_id)
-        return wire.TokenDelivery(ct)
+        return wire.Message(wire.Kind.TokenDelivery, ct)
 
     # -- registration ----------------------------------------------------------
 
     @_traced(ch.DEVICE_REQUEST_REJECTED)
-    def handle_registration(self, msg: wire.RegistrationRequest,
+    def handle_registration(self, msg: wire.Message,
                             reply_to: str) -> list[Outgoing]:
         """Validate a device request; on success activate the device.
 
@@ -606,7 +607,7 @@ class Server:
         """
         now = self.clock.now()
         session, (device_public, uid, encrypted_token, signature) = self._receive(
-            msg.ciphertext, Session, wire.REGISTRATION_PAYLOAD.decode, now,
+            msg.value, Session, wire.REGISTRATION_PAYLOAD.decode, now,
             "registration")
         uid_hex = uid.hex()
         _check_bundle(device_public, self.kem_algo, now, "device keys", uid=uid_hex)
@@ -695,11 +696,11 @@ class Server:
         self.trace.record(self.name, ch.KEYPAIR_DELIVERED, uid=uid_hex,
                           key=server_keys.kem.key_id)
 
-        activation = wire.ActivationResponse(crypto.hybrid_encrypt(
+        activation = wire.Message(wire.Kind.ActivationResponse, crypto.hybrid_encrypt(
             device_public.kem,
             wire.ACTIVATION_PAYLOAD.encode((device_token, server_keys.public)),
             self.rng, now))
-        notice = wire.ConnectedNotice(crypto.hybrid_encrypt(
+        notice = wire.Message(wire.Kind.ConnectedNotice, crypto.hybrid_encrypt(
             session.auth_public.kem,
             wire.encode_connected_payload(bytes.fromhex(uid_hex)),
             self.rng, now))
@@ -745,10 +746,10 @@ class Server:
     # -- data ingestion -----------------------------------------------------------
 
     @_traced(ch.DATA_REJECTED)
-    def handle_data_report(self, msg: wire.DataReport) -> None:
+    def handle_data_report(self, msg: wire.Message) -> None:
         now = self.clock.now()
         entry, (uid, metric, value, unit, token) = self._receive(
-            msg.ciphertext, RegistryEntry, wire.DATA_PAYLOAD.decode, now, "report")
+            msg.value, RegistryEntry, wire.DATA_PAYLOAD.decode, now, "report")
         uid_hex = uid.hex()
         registered = self.registry.get(uid_hex)
         if registered is None:
@@ -779,9 +780,9 @@ class Server:
     # -- revocation ----------------------------------------------------------------
 
     @_traced(ch.REVOCATION_REJECTED)
-    def handle_revocation(self, msg: wire.RevocationRequest) -> None:
+    def handle_revocation(self, msg: wire.Message) -> None:
         now = self.clock.now()
-        session, (_, uid) = self._receive(msg.ciphertext, Session,
+        session, (_, uid) = self._receive(msg.value, Session,
                                           wire.REVOCATION_PAYLOAD.decode, now,
                                           "revocation")
         uid_hex = uid.hex()

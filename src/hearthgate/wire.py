@@ -21,11 +21,10 @@ it returns a value or raises a structured ``WireError``, never anything else.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from functools import partial
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple, Union
+from typing import Any, Callable, NamedTuple
 
 from .crypto import (
     AEAD_NONCE_LEN,
@@ -59,8 +58,9 @@ class TrailingBytes(WireError):
     pass
 
 
-#: The ``u32 len`` prefix of a field ``len`` bytes long.
+#: The ``u32 len`` prefix of a field ``len`` bytes long, and reading one back.
 LENGTH = struct.Struct(">I").pack
+_LENGTH_AT = struct.Struct(">I").unpack_from
 
 
 def pack_fields(fields: list[bytes]) -> bytes:
@@ -77,7 +77,7 @@ def unpack_fields(data: bytes, expect: int | None = None) -> list[bytes]:
     while pos < len(data):
         if pos + 4 > len(data):
             raise Truncated("field length prefix cut short")
-        (length,) = struct.unpack_from(">I", data, pos)
+        (length,) = _LENGTH_AT(data, pos)
         pos += 4
         if pos + length > len(data):
             raise Truncated("field body cut short")
@@ -109,13 +109,13 @@ class Record:
     wire order, each field framed as ``u32 len || bytes``. With a ``make``,
     the fields are attributes of the value (a dotted name reaches into one)
     and ``decode`` returns ``make(*values)``; without one, the value is the
-    tuple of field values. ``encode`` frames each field in one pass and
-    joins them once. A record is a codec itself, so records nest."""
+    tuple of field values, or a one-field record's one value. ``encode``
+    frames each field in one pass and joins them once. A record is a codec
+    itself, so records nest."""
 
     size = None
 
     def __init__(self, make: Callable | None, fields: dict[str, Codec]):
-        self.make = make
         self.names = tuple(fields)
         self.codecs = codecs = tuple(fields.values())
         self._sizes = [(i, c.size) for i, c in enumerate(codecs)
@@ -127,6 +127,9 @@ class Record:
         get = attrgetter(*self.names)
         self._split = (None if make is None else get if len(self.names) > 1
                        else lambda value: (get(value),))
+        if make is None and len(self.names) == 1:  # the value is the field's own
+            make, self._split = _same, lambda value: (value,)
+        self.make = make
 
     def encode(self, value) -> bytes:
         out = []
@@ -267,131 +270,68 @@ REVOCATION_PAYLOAD = Record(None, {
 
 # -- top-level messages -------------------------------------------------------
 
-@dataclass(repr=False)
-class SessionHello:
-    """Authenticator to server: opens a session with the role's public keys."""
+class Kind(IntEnum):
+    """Each message's tag byte, named after the message."""
 
-    public: RolePublic
-
-
-@dataclass(repr=False)
-class NonceChallenge:
-    """Either side's 16-byte nonce for the peer to sign."""
-
-    nonce: bytes  # 16 bytes
-
-
-@dataclass(repr=False)
-class NonceResponse:
-    """The encrypted signature over the peer's nonce."""
-
-    ciphertext: HybridCiphertext  # encrypted signature over the peer's nonce
+    SessionHello = 0x01         # authenticator to server: its key bundle
+    NonceChallenge = 0x02       # either side's 16-byte nonce for the peer to sign
+    NonceResponse = 0x03        # the signature over the peer's nonce
+    TokenDelivery = 0x04        # server to authenticator: token digits, api address
+    DeviceProvision = 0x05      # authenticator to device, under the link key
+    RegistrationRequest = 0x06  # device to server: keys, uid, signed encrypted token
+    ActivationResponse = 0x07   # server to device: device token, dedicated server keys
+    ConnectedNotice = 0x08      # server to authenticator: uid || "connected"
+    DataReport = 0x09           # device to server: one reading under the device token
+    RevocationRequest = 0x0A    # authenticator to server: ("revoke", uid)
 
 
-@dataclass(repr=False)
-class TokenDelivery:
-    """Server to authenticator: the transient token and API address."""
+class Message(NamedTuple):
+    """One protocol message: its kind and its one value, which is a
+    ``RolePublic`` (SessionHello), a nonce's bytes (NonceChallenge), an
+    ``AeadBox`` (DeviceProvision) or, for every other kind, a
+    ``HybridCiphertext`` whose key id names the recipient's key."""
 
-    ciphertext: HybridCiphertext  # (token digits, api address) for the authenticator
-
-
-@dataclass(repr=False)
-class DeviceProvision:
-    """Authenticator to device, under the link key: what it needs to register."""
-
-    box: AeadBox  # link-key AEAD of (api, server keys, encrypted token, signature)
+    kind: Kind
+    value: Any
 
 
-@dataclass(repr=False)
-class RegistrationRequest:
-    """Device to server: its keys, uid and the signed encrypted token."""
+# The body of every message whose value is a hybrid ciphertext: the
+# recipient's key id, then the ciphertext's fields.
+_KEYED_HYBRID = Record(
+    lambda key_id, encap, nonce, body, tag: HybridCiphertext(
+        encap, nonce, body, tag, key_id),
+    {"key_id": Codec(_key_id, _same, KEY_ID_LEN), "encapsulation": RAW,
+     "aead_nonce": _AEAD_NONCE, "body": RAW, "auth_tag": _AEAD_TAG})
 
-    ciphertext: HybridCiphertext  # (device keys, uid, encrypted token, signature)
-
-
-@dataclass(repr=False)
-class ActivationResponse:
-    """Server to device: the device token and the dedicated server keys."""
-
-    ciphertext: HybridCiphertext  # (device token, dedicated server keys)
-
-
-@dataclass(repr=False)
-class ConnectedNotice:
-    """Server to authenticator: the device with this uid is connected."""
-
-    ciphertext: HybridCiphertext  # uid || "connected" for the authenticator
-
-
-@dataclass(repr=False)
-class DataReport:
-    """Device to server: one reading under the device token."""
-
-    ciphertext: HybridCiphertext  # (uid, metric, value, unit, device token)
-
-
-@dataclass(repr=False)
-class RevocationRequest:
-    """Authenticator to server: revoke the device with this uid."""
-
-    ciphertext: HybridCiphertext  # ("revoke", uid)
-
-
-Message = Union[
-    SessionHello, NonceChallenge, NonceResponse, TokenDelivery, DeviceProvision,
-    RegistrationRequest, ActivationResponse, ConnectedNotice, DataReport,
-    RevocationRequest,
-]
-
-
-def _keyed_hybrid(cls) -> Record:
-    """The body of a message whose one field is a hybrid ciphertext: the
-    recipient's key id, then the ciphertext's fields."""
-    return Record(
-        lambda key_id, encap, nonce, body, tag: cls(HybridCiphertext(
-            encap, nonce, body, tag, key_id)),
-        {"ciphertext.key_id": Codec(_key_id, _same, KEY_ID_LEN),
-         "ciphertext.encapsulation": RAW,
-         "ciphertext.aead_nonce": _AEAD_NONCE, "ciphertext.body": RAW,
-         "ciphertext.auth_tag": _AEAD_TAG})
-
-
-# Each message class's tag and the record of its body.
-MESSAGES: dict[type, tuple[int, Record]] = {
-    SessionHello: (0x01, Record(SessionHello, {"public": ROLE_PUBLIC})),
-    NonceChallenge: (0x02, Record(NonceChallenge,
-                                  {"nonce": Codec(_same, _same, NONCE_LEN)})),
-    NonceResponse: (0x03, _keyed_hybrid(NonceResponse)),
-    TokenDelivery: (0x04, _keyed_hybrid(TokenDelivery)),
-    DeviceProvision: (0x05, Record(
-        lambda *fields: DeviceProvision(AeadBox(*fields)),
-        {"box.nonce": _AEAD_NONCE, "box.body": RAW, "box.tag": _AEAD_TAG})),
-    RegistrationRequest: (0x06, _keyed_hybrid(RegistrationRequest)),
-    ActivationResponse: (0x07, _keyed_hybrid(ActivationResponse)),
-    ConnectedNotice: (0x08, _keyed_hybrid(ConnectedNotice)),
-    DataReport: (0x09, _keyed_hybrid(DataReport)),
-    RevocationRequest: (0x0A, _keyed_hybrid(RevocationRequest)),
+# The record of each kind's body.
+BODIES: dict[Kind, Record] = dict.fromkeys(Kind, _KEYED_HYBRID) | {
+    Kind.SessionHello: Record(None, {"public": ROLE_PUBLIC}),
+    Kind.NonceChallenge: Record(None, {"nonce": Codec(_same, _same, NONCE_LEN)}),
+    Kind.DeviceProvision: Record(AeadBox, {"nonce": _AEAD_NONCE, "body": RAW,
+                                           "tag": _AEAD_TAG}),
 }
-_BODIES = dict(MESSAGES.values())
+_BY_TAG = {kind.value: (kind, record.decode) for kind, record in BODIES.items()}
 
 
 def encode(message: Message) -> bytes:
-    tag, record = MESSAGES[type(message)]
-    framed = bytes([tag]) + record.encode(message)
+    kind, value = message
+    framed = bytes((kind,)) + BODIES[kind].encode(value)
     return LENGTH(len(framed)) + framed
 
 
 def decode(data: bytes) -> Message:
     if len(data) < 4:
         raise Truncated("missing message length prefix")
-    (length,) = struct.unpack_from(">I", data, 0)
+    (length,) = _LENGTH_AT(data, 0)
     if len(data) < 4 + length:
         raise Truncated("message body cut short")
     if len(data) > 4 + length:
         raise TrailingBytes(f"{len(data) - 4 - length} bytes after message end")
     if not length:
         raise Truncated("empty message body")
-    record = _BODIES.get(data[4])
-    if record is None:
+    found = _BY_TAG.get(data[4])
+    if found is None:
         raise UnknownTag(f"unknown message tag 0x{data[4]:02x}")
-    return record.decode(data[5:])
+    kind, decode_body = found
+    # tuple.__new__ builds the Message without NamedTuple's Python-level __new__.
+    return tuple.__new__(Message, (kind, decode_body(data[5:])))

@@ -85,48 +85,46 @@ def test_oracle_matches_reference_vectors():
 
 def test_totp_generate_matches_oracle_on_vectors():
     for t, expected in RFC_VECTORS:
-        token = crypto.totp_generate(RFC_SECRET, float(t))
-        assert token.digits == expected
-        assert token.issued_step == t // 30
+        assert crypto.totp_generate(RFC_SECRET, float(t)) == expected
 
 
 def test_totp_same_step_same_token():
-    a = crypto.totp_generate(RFC_SECRET, 0.0)
-    b = crypto.totp_generate(RFC_SECRET, 29.0)
-    assert a.digits == b.digits
-    assert a.issued_step == b.issued_step == 0
+    assert crypto.totp_generate(RFC_SECRET, 0.0) == crypto.totp_generate(RFC_SECRET, 29.0)
 
 
 def test_totp_next_step_differs_on_vectors():
     # t=29 and t=30 fall into adjacent steps; assert against the oracle.
-    assert crypto.totp_generate(RFC_SECRET, 29.0).digits == oracle_totp(RFC_SECRET, 29)
-    assert crypto.totp_generate(RFC_SECRET, 30.0).digits == oracle_totp(RFC_SECRET, 30)
+    assert crypto.totp_generate(RFC_SECRET, 29.0) == oracle_totp(RFC_SECRET, 29)
+    assert crypto.totp_generate(RFC_SECRET, 30.0) == oracle_totp(RFC_SECRET, 30)
     assert oracle_totp(RFC_SECRET, 29) != oracle_totp(RFC_SECRET, 30)
 
 
 def test_totp_verify_window():
     issued = 60.0  # step-aligned
-    token = crypto.totp_generate(RFC_SECRET, issued)
-    assert crypto.totp_verify(RFC_SECRET, token.digits, issued + 29.0)
-    assert not crypto.totp_verify(RFC_SECRET, token.digits, issued + 31.0)
+    digits = crypto.totp_generate(RFC_SECRET, issued)
+    assert crypto.totp_verify(RFC_SECRET, digits, issued + 29.0)
+    assert not crypto.totp_verify(RFC_SECRET, digits, issued + 31.0)
 
 
 def test_totp_verify_rejects_malformed():
     assert not crypto.totp_verify(RFC_SECRET, "", NOW)
     assert not crypto.totp_verify(RFC_SECRET, "1234567", NOW)
     assert not crypto.totp_verify(RFC_SECRET, "1234567x", NOW)
+    # str.isdigit() accepts these eight Arabic-Indic digits, and
+    # hmac.compare_digest raises TypeError on a non-ASCII str.
+    assert not crypto.totp_verify(RFC_SECRET, "١٢٣٤٥٦٧٨", NOW)
 
 
 @given(t=st.integers(0, 10**10), t2=st.integers(0, 10**10))
 @settings(max_examples=200)
 def test_totp_verify_iff_same_step(t, t2):
-    token = crypto.totp_generate(RFC_SECRET, float(t))
-    ok = crypto.totp_verify(RFC_SECRET, token.digits, float(t2))
+    digits = crypto.totp_generate(RFC_SECRET, float(t))
+    ok = crypto.totp_verify(RFC_SECRET, digits, float(t2))
     if t // 30 == t2 // 30:
         assert ok
     elif ok:
         # Cross-step acceptance is only possible on an outright token collision.
-        assert crypto.totp_generate(RFC_SECRET, float(t2)).digits == token.digits
+        assert crypto.totp_generate(RFC_SECRET, float(t2)) == digits
 
 
 # ---------------------------------------------------------------------------
@@ -795,11 +793,11 @@ def test_ciphertext_never_contains_secret_key():
 def test_aead_round_trip_and_tamper():
     rng = rng7()
     key = crypto.gen_link_key(rng)
-    box = crypto.aead_seal(key.value, b"provisioning payload", rng)
-    assert crypto.aead_open(key.value, box) == b"provisioning payload"
+    box = crypto.aead_seal(key, b"provisioning payload", rng)
+    assert crypto.aead_open(key, box) == b"provisioning payload"
     wrong = crypto.gen_link_key(rng)
     with pytest.raises(DecryptionFailure):
-        crypto.aead_open(wrong.value, box)
+        crypto.aead_open(wrong, box)
     bad = crypto.AeadBox(box.nonce, _flip_bit(box.body, 3), box.tag)
     with pytest.raises(DecryptionFailure):
-        crypto.aead_open(key.value, bad)
+        crypto.aead_open(key, bad)

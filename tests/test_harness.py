@@ -37,6 +37,7 @@ from hearthgate.harness import (
     run_scenario,
 )
 from hearthgate.roles import DevicePhase
+from wire_fixtures import build_fixture_messages
 
 
 @pytest.fixture
@@ -214,26 +215,40 @@ def test_non_utf8_payload_field_is_one_traced_rejection(target):
     signature = wire.pack_fields([b"\x01", bytes(64)])
     if target == "registration":
         (session,) = world.server.sessions.values()
-        dst, key, message, kind = ("server", session.keys.kem.public,
-                                   wire.RegistrationRequest,
+        dst, key, message_kind, kind = ("server", session.keys.kem.public,
+                                   wire.Kind.RegistrationRequest,
                                    ch.DEVICE_REQUEST_REJECTED)
         plaintext = wire.pack_fields([_bundle_naming(b"\xff\xfe"),
                                       device.uid.value, hybrid, signature])
     elif target == "activation":
-        dst, key, message, kind = (device.name, device.keys.kem.public,
-                                   wire.ActivationResponse, ch.ACTIVATION_REJECTED)
+        dst, key, message_kind, kind = (device.name, device.keys.kem.public,
+                                   wire.Kind.ActivationResponse, ch.ACTIVATION_REJECTED)
         plaintext = wire.pack_fields([bytes(32), _bundle_naming(b"\xff\xfe")])
     else:
         entry = world.server.registry[device.uid.hex]
-        dst, key, message, kind = ("server", entry.server_keys.kem.public,
-                                   wire.DataReport, ch.DATA_REJECTED)
+        dst, key, message_kind, kind = ("server", entry.server_keys.kem.public,
+                                   wire.Kind.DataReport, ch.DATA_REJECTED)
         plaintext = wire.pack_fields([device.uid.value, b"\xff\xfe",
                                       struct.pack(">d", 1.0), b"C", bytes(32)])
     ct = crypto.hybrid_encrypt(key, plaintext, world.rng, world.clock.now())
     before = len(world.trace.events)
-    world.dispatch(dst, wire.encode(message(ct)), "adversary")
+    world.dispatch(dst, wire.encode(wire.Message(message_kind, ct)), "adversary")
     assert [(e.kind, e.get("error")) for e in world.trace.events[before:]] == [
         (kind, "Malformed")]
+
+
+@pytest.mark.parametrize("kind", list(wire.Kind), ids=lambda kind: kind.name)
+def test_message_without_a_handler_is_one_rejection_naming_its_kind(kind):
+    # Trace digests pin each kind's name as this event's detail.
+    world = harness.World(ScenarioSpec(devices=1, reports=(), retries=0), seed=7)
+    message = next(m for m in build_fixture_messages().values() if m.kind is kind)
+    # The server handles registrations and reports, a device its activation.
+    dst = "server" if kind is wire.Kind.ActivationResponse else world.devices[0].name
+    before = len(world.trace.events)
+    world.dispatch(dst, wire.encode(message), "adversary")
+    assert [(e.kind, e.role, e.get("error"), e.get("detail"))
+            for e in world.trace.events[before:]] == [
+        (ch.MESSAGE_REJECTED, dst, "Malformed", kind.name)]
 
 
 def test_unknown_attack_script():
@@ -247,6 +262,8 @@ MALFORMED_RULES = {
     "string on": {"on": "0", "action": "drop"},
     "string bit": {"on": 0, "action": "tamper", "bit": "x"},
     "negative seconds": {"on": 0, "action": "delay", "seconds": -1},
+    "misspelt seconds": {"on": 0, "action": "delay", "second": 5},
+    "bit on a drop": {"on": 0, "action": "drop", "bit": 3},
     "unknown action": {"on": 0, "action": "vanish"},
     "inject without dst": {"on": 0, "action": "inject", "data_hex": "00"},
     "inject with list dst": {"on": 0, "action": "inject", "dst": ["server"],
@@ -287,7 +304,7 @@ def test_callable_adversary_runs_once_before_any_registration(public_sends):
     # The table's inject rule, with forged registration bytes as its data.
     rule = seen[0]["rules"][1]
     assert {k: rule[k] for k in ("on", "action", "dst")} == script.rules[0]
-    assert isinstance(wire.decode(rule["data"]), wire.RegistrationRequest)
+    assert wire.decode(rule["data"]).kind is wire.Kind.RegistrationRequest
     # Forged, not replayed: no public-channel message carried these bytes.
     assert public_sends
     assert rule["data"] not in {data for _, _, data, _ in public_sends}

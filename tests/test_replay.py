@@ -104,14 +104,14 @@ def rejections_case() -> str:
     w.session()
     session_key = server.sessions[w.session_id].keys.kem.public
 
-    def sealed(message_cls, key, plaintext: bytes):
-        return message_cls(crypto.hybrid_encrypt(key, plaintext, w.rng, now()))
+    def sealed(kind, key, plaintext: bytes):
+        return wire.Message(kind, crypto.hybrid_encrypt(key, plaintext, w.rng, now()))
 
     def registration(enc_token, signer=auth.keys.sig):
         signature = crypto.sign(signer, wire.encode_hybrid(enc_token), now())
         payload = wire.REGISTRATION_PAYLOAD.encode((
             device.keys.public, device.uid.value, enc_token, signature))
-        return sealed(wire.RegistrationRequest, session_key, payload)
+        return sealed(wire.Kind.RegistrationRequest, session_key, payload)
 
     def rejects(error, handler, *args):
         with pytest.raises(error):
@@ -130,10 +130,10 @@ def rejections_case() -> str:
     roles.provision_device(auth, device)
     request = device.build_registration_request().message
     register = server.handle_registration
-    rejects(roles.Malformed, register, wire.RegistrationRequest(
-        dataclasses.replace(request.ciphertext, key_id=bytes(8))), "device-1")
+    rejects(roles.Malformed, register, request._replace(value=dataclasses.replace(
+        request.value, key_id=bytes(8))), "device-1")
     rejects(roles.Malformed, register,
-            sealed(wire.RegistrationRequest, session_key, b"junk"), "device-1")
+            sealed(wire.Kind.RegistrationRequest, session_key, b"junk"), "device-1")
     token_for_session = crypto.hybrid_encrypt(session_key, b"00000000", w.rng,
                                               now())
     rejects(roles.SignatureInvalid, register,
@@ -166,15 +166,14 @@ def rejections_case() -> str:
     device_key = entry.server_keys.kem.public
     report = device.build_data_report("temperature_c", 21.5, "C").message
     rejects(roles.Malformed, server.handle_data_report,
-            dataclasses.replace(report, ciphertext=dataclasses.replace(
-                report.ciphertext, key_id=bytes(8))))
+            report._replace(value=dataclasses.replace(report.value, key_id=bytes(8))))
     rejects(roles.Malformed, server.handle_data_report,
-            sealed(wire.DataReport, device_key, b"junk"))
+            sealed(wire.Kind.DataReport, device_key, b"junk"))
     rejects(roles.UnknownDevice, server.handle_data_report, sealed(
-        wire.DataReport, device_key, wire.DATA_PAYLOAD.encode((
+        wire.Kind.DataReport, device_key, wire.DATA_PAYLOAD.encode((
             bytes(16), "temperature_c", 21.5, "C", device.device_token))))
     rejects(roles.TokenMismatch, server.handle_data_report, sealed(
-        wire.DataReport, device_key, wire.DATA_PAYLOAD.encode((
+        wire.Kind.DataReport, device_key, wire.DATA_PAYLOAD.encode((
             device.uid.value, "temperature_c", 21.5, "C", bytes(32)))))
     server.identity = w.orgs["acme-devices"]
     rejects(roles.LedgerRejected, server.handle_data_report, report)
@@ -183,10 +182,10 @@ def rejections_case() -> str:
     server.identity = w.orgs["server-org"]
 
     rejects(roles.Malformed, server.handle_revocation, sealed(
-        wire.RevocationRequest, device_key,
+        wire.Kind.RevocationRequest, device_key,
         wire.REVOCATION_PAYLOAD.encode((wire.REVOKE_VERB, device.uid.value))))
     rejects(roles.Malformed, server.handle_revocation,
-            sealed(wire.RevocationRequest, session_key, b"junk"))
+            sealed(wire.Kind.RevocationRequest, session_key, b"junk"))
     rejects(roles.UnknownDevice, server.handle_revocation,
             auth.build_revocation("00" * 16))
     server.handle_revocation(auth.build_revocation(device.uid.hex))
@@ -196,7 +195,7 @@ def rejections_case() -> str:
 
     rejects(roles.Malformed, device.handle_activation, activation)
     rejects(roles.Malformed, unwritten.handle_activation,
-            sealed(wire.ActivationResponse, auth.keys.kem.public, b"junk"))
+            sealed(wire.Kind.ActivationResponse, auth.keys.kem.public, b"junk"))
     return w.trace.digest()
 
 

@@ -74,9 +74,9 @@ class World:
         outgoing = self.server.handle_registration(request.message, "device-1")
         for out in outgoing:
             self.sent_wire.append(wire.encode(out.message))
-            if isinstance(out.message, wire.ActivationResponse):
+            if out.message.kind is wire.Kind.ActivationResponse:
                 self.device.handle_activation(out.message)
-            elif isinstance(out.message, wire.ConnectedNotice):
+            elif out.message.kind is wire.Kind.ConnectedNotice:
                 self.auth.handle_connected_notice(out.message)
         return outgoing
 
@@ -209,8 +209,8 @@ def test_forged_request_signed_by_adversary_key():
     fake_sig = crypto.sign(adv_sig_keys, wire.encode_hybrid(fake_token), now)
     payload = wire.REGISTRATION_PAYLOAD.encode((
         adv_keys.public, adv_rng.bytes(16), fake_token, fake_sig))
-    forged = wire.RegistrationRequest(
-        crypto.hybrid_encrypt(server_pub.kem, payload, adv_rng, now))
+    forged = wire.Message(wire.Kind.RegistrationRequest, crypto.hybrid_encrypt(
+        server_pub.kem, payload, adv_rng, now))
     with pytest.raises(SignatureInvalid):
         w.server.handle_registration(forged, "device-1")
     assert not w.trace.by_kind(ch.REGISTRATION_SUCCESS)
@@ -234,6 +234,31 @@ def test_totp_boundary_through_protocol():
         else:
             with pytest.raises(TokenExpired):
                 w.server.handle_registration(request.message, "device-1")
+        # The server records the step it issued the token in.
+        assert w.server.pending[0].issued_step == (now // 30 + 1)
+
+
+def test_non_ascii_digits_in_a_signed_registration_are_an_unknown_token():
+    # str.isdigit() accepts Arabic-Indic digits; the token check must refuse
+    # them as one traced rejection, not raise past the handler.
+    w = World()
+    w.session()
+    deliver_token(w.auth, w.server, w.session_id, w.h_s)
+    provision_device(w.auth, w.device)
+    now = w.clock.now()
+    digits = "١٢٣٤٥٦٧٨"
+    enc_token = crypto.hybrid_encrypt(w.device.server_public.kem, digits.encode(),
+                                      w.rng, now)
+    signature = crypto.sign(w.auth.keys.sig, wire.encode_hybrid(enc_token), now)
+    payload = wire.REGISTRATION_PAYLOAD.encode((
+        w.device.keys.public, w.device.uid.value, enc_token, signature))
+    request = wire.Message(wire.Kind.RegistrationRequest, crypto.hybrid_encrypt(
+        w.device.server_public.kem, payload, w.rng, now))
+    with pytest.raises(TokenUnknown):
+        w.server.handle_registration(request, "device-1")
+    rejected = w.trace.by_kind(ch.DEVICE_REQUEST_REJECTED)
+    assert [(e.get("error"), e.get("token")) for e in rejected] == [
+        ("TokenUnknown", digits)]
 
 
 def test_ledger_policy_denial_aborts_activation():
@@ -267,7 +292,7 @@ def test_expired_earlier_session_skipped_by_trial_decryption():
     w = World(key_ttl=100.0)
     w.session()  # session-0: its keys expire at NOW + 100
     stale_key = w.server.sessions[w.session_id].keys.kem.public
-    stale = wire.RegistrationRequest(crypto.hybrid_encrypt(
+    stale = wire.Message(wire.Kind.RegistrationRequest, crypto.hybrid_encrypt(
         stale_key, b"for the old session only", w.rng, w.clock.now()))
     w.clock.advance(90.0)
     w.session()  # session-1, same TOTP step as the request below
@@ -400,12 +425,13 @@ def test_phase_safety_no_out_of_phase_emission():
     w.auth.handle_token_delivery(w.h_s.recv("authenticator"))
     provision_device(w.auth, w.device)
     with pytest.raises(Malformed):
-        w.device.receive_provision(wire.DeviceProvision(
-            crypto.aead_seal(w.link.value, b"again", w.rng)))
+        w.device.receive_provision(wire.Message(
+            wire.Kind.DeviceProvision, crypto.aead_seal(w.link, b"again", w.rng)))
     # Activation before request:
     fresh = Device(w.rng.child("fresh"), w.clock, w.trace, w.link, name="d2")
     with pytest.raises(Malformed):
-        fresh.handle_activation(wire.ActivationResponse(
+        fresh.handle_activation(wire.Message(
+            wire.Kind.ActivationResponse,
             crypto.hybrid_encrypt(w.auth.keys.kem.public, b"x", w.rng,
                                   w.clock.now())))
 
@@ -420,7 +446,7 @@ def test_no_secret_bytes_ever_on_the_wire():
     secrets = [
         w.device.keys.kem.secret_key, w.device.keys.sig.secret_key,
         w.auth.keys.kem.secret_key, w.auth.keys.sig.secret_key,
-        w.link.value,
+        w.link,
     ]
     for session in w.server.sessions.values():
         secrets.append(session.keys.kem.secret_key)
@@ -447,7 +473,7 @@ def test_reregistration_after_revocation_uses_fresh_uid():
     provision_device(w.auth, fresh)
     request = fresh.build_registration_request()
     for out in w.server.handle_registration(request.message, fresh.name):
-        if isinstance(out.message, wire.ActivationResponse):
+        if out.message.kind is wire.Kind.ActivationResponse:
             fresh.handle_activation(out.message)
     assert fresh.phase is DevicePhase.ACTIVE
     records = w.network.query(ChannelName.IDENTITY, "server-org")
@@ -537,8 +563,8 @@ def test_unknown_key_id_rejected_without_decrypting(monkeypatch):
     deliver_token(w.auth, w.server, w.session_id, w.h_s)
     provision_device(w.auth, w.device)
     request = w.device.build_registration_request().message
-    rerouted = wire.RegistrationRequest(
-        dataclasses.replace(request.ciphertext, key_id=bytes(8)))
+    rerouted = request._replace(value=dataclasses.replace(request.value,
+                                                          key_id=bytes(8)))
     calls = _count_decrypts(monkeypatch)
     with pytest.raises(Malformed):
         w.server.handle_registration(rerouted, "device-1")
@@ -555,7 +581,7 @@ def test_key_id_of_the_wrong_kind_rejected():
     session_key = w.server.sessions[w.session_id].keys.kem.public
     entry = w.server.registry[w.device.uid.hex]
     # A well-formed report, but sealed to a session key.
-    report = wire.DataReport(crypto.hybrid_encrypt(
+    report = wire.Message(wire.Kind.DataReport, crypto.hybrid_encrypt(
         session_key,
         wire.DATA_PAYLOAD.encode((w.device.uid.value, "temperature_c", 21.5,
                                   "C", w.device.device_token)),
@@ -563,7 +589,7 @@ def test_key_id_of_the_wrong_kind_rejected():
     with pytest.raises(Malformed):
         w.server.handle_data_report(report)
     # A revocation sealed to a device's dedicated server key.
-    revocation = wire.RevocationRequest(crypto.hybrid_encrypt(
+    revocation = wire.Message(wire.Kind.RevocationRequest, crypto.hybrid_encrypt(
         entry.server_keys.kem.public,
         wire.REVOCATION_PAYLOAD.encode((wire.REVOKE_VERB, w.device.uid.value)),
         w.rng, now))
@@ -595,7 +621,7 @@ def test_report_under_replaced_server_key_rejected():
     provision_device(w.auth, again)
     request = again.build_registration_request()
     for out in w.server.handle_registration(request.message, again.name):
-        if isinstance(out.message, wire.ActivationResponse):
+        if out.message.kind is wire.Kind.ActivationResponse:
             again.handle_activation(out.message)
     assert again.phase is DevicePhase.ACTIVE
 
@@ -626,7 +652,7 @@ def test_report_sealed_to_another_devices_key_rejected():
     owner, sender = w.devices
     payload = wire.DATA_PAYLOAD.encode((sender.uid.value, "temperature_c", 21.5,
                                         "C", sender.device_token))
-    report = wire.DataReport(crypto.hybrid_encrypt(
+    report = wire.Message(wire.Kind.DataReport, crypto.hybrid_encrypt(
         owner.server_device_public.kem, payload, sender.rng, w.clock.now()))
     before = len(w.trace.events)
     w.send_outgoing(roles.Outgoing("public", "server", report, src=sender.name))
@@ -645,7 +671,8 @@ def test_undeliverable_token_leaves_no_token_on_record():
     auth.login()
     ed25519 = auth.keys.sig.public
     session_id, (hello, challenge) = server.accept_session(
-        wire.SessionHello(crypto.RolePublic(kem=ed25519, sig=ed25519)))
+        wire.Message(wire.Kind.SessionHello,
+                     crypto.RolePublic(kem=ed25519, sig=ed25519)))
     auth.handle_session_hello(hello)
     server.handle_nonce_response(session_id, auth.handle_nonce_challenge(challenge))
     server.complete_session(session_id)
@@ -658,13 +685,13 @@ def test_undeliverable_token_leaves_no_token_on_record():
 
 # -- recognising the device key bundle before acting on it ------------------------
 
-def _request_with_bundle(w: World, bundle) -> wire.RegistrationRequest:
+def _request_with_bundle(w: World, bundle) -> wire.Message:
     """A registration carrying the device's genuine, signed token, but
     ``bundle`` as its device keys."""
     payload = wire.REGISTRATION_PAYLOAD.encode((
         bundle, w.device.uid.value, w.device._encrypted_token,
         w.device._token_signature))
-    return wire.RegistrationRequest(crypto.hybrid_encrypt(
+    return wire.Message(wire.Kind.RegistrationRequest, crypto.hybrid_encrypt(
         w.device.server_public.kem, payload, w.rng, w.clock.now()))
 
 
@@ -721,7 +748,7 @@ def _mlkem_request_with_kem_key(kem_key):
     payload = wire.REGISTRATION_PAYLOAD.encode((
         bundle, device.uid.value, device._encrypted_token,
         device._token_signature))
-    request = wire.RegistrationRequest(crypto.hybrid_encrypt(
+    request = wire.Message(wire.Kind.RegistrationRequest, crypto.hybrid_encrypt(
         device.server_public.kem, payload, world.rng, world.clock.now()))
     return world, request
 
@@ -751,10 +778,10 @@ def test_mlkem_device_key_failing_modulus_check_rejected():
     assert not server.pending[0].consumed
 
 
-def _activation_with_bundle(w: World, bundle) -> wire.ActivationResponse:
+def _activation_with_bundle(w: World, bundle) -> wire.Message:
     """An activation response to ``w.device`` carrying ``bundle`` as the
     server's device keys."""
-    return wire.ActivationResponse(crypto.hybrid_encrypt(
+    return wire.Message(wire.Kind.ActivationResponse, crypto.hybrid_encrypt(
         w.device.keys.public.kem,
         wire.ACTIVATION_PAYLOAD.encode((bytes(range(32)), bundle)),
         w.rng, w.clock.now()))
@@ -793,8 +820,8 @@ def _registration_unknown_key(w, monkeypatch):
     deliver_token(w.auth, w.server, w.session_id, w.h_s)
     provision_device(w.auth, w.device)
     request = w.device.build_registration_request().message
-    return lambda: w.server.handle_registration(wire.RegistrationRequest(
-        dataclasses.replace(request.ciphertext, key_id=bytes(8))), "device-1")
+    return lambda: w.server.handle_registration(request._replace(
+        value=dataclasses.replace(request.value, key_id=bytes(8))), "device-1")
 
 
 def _registration_expired_auth_key(w, monkeypatch):
@@ -839,7 +866,7 @@ def _revocation_ledger_key_expired(w, monkeypatch):
 
 def _activation_twice(w, monkeypatch):
     activation = next(out.message for out in w.onboard()
-                      if isinstance(out.message, wire.ActivationResponse))
+                      if out.message.kind is wire.Kind.ActivationResponse)
     return lambda: w.device.handle_activation(activation)
 
 
@@ -855,7 +882,7 @@ def _activation_expired_device_key(w, monkeypatch):
 
 def _notice_twice(w, monkeypatch):
     notice = next(out.message for out in w.onboard()
-                  if isinstance(out.message, wire.ConnectedNotice))
+                  if out.message.kind is wire.Kind.ConnectedNotice)
     return lambda: w.auth.handle_connected_notice(notice)
 
 

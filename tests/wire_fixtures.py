@@ -5,6 +5,7 @@ from __future__ import annotations
 from hearthgate import crypto, wire
 from hearthgate.crypto import RoleTag
 from hearthgate.runtime import seeded_rng
+from hearthgate.wire import Kind
 
 FIXTURE_NOW = 1_700_000_010.0
 FIXTURE_TTL = 86_400.0
@@ -23,45 +24,43 @@ def build_fixture_messages() -> dict[str, wire.Message]:
     device_token = crypto.gen_long_lived_token(rng)
     nonce = crypto.gen_nonce(rng)
     totp_secret = crypto.gen_totp_secret(rng)
-    token = crypto.totp_generate(totp_secret, now)
+    digits = crypto.totp_generate(totp_secret, now)
     api = "https://server.example/api"
 
     nonce_sig = crypto.sign(auth.sig, nonce, now)
-    enc_token = crypto.hybrid_encrypt(server.kem.public, token.digits.encode(),
+    enc_token = crypto.hybrid_encrypt(server.kem.public, digits.encode(),
                                       rng, now)
     token_sig = crypto.sign(auth.sig, wire.encode_hybrid(enc_token), now)
 
+    def sealed(kind: Kind, key: crypto.PublicKey, plaintext: bytes) -> wire.Message:
+        return wire.Message(kind, crypto.hybrid_encrypt(key, plaintext, rng, now))
+
     return {
-        "session_hello": wire.SessionHello(auth.public),
-        "nonce_challenge": wire.NonceChallenge(nonce),
-        "nonce_response": wire.NonceResponse(crypto.hybrid_encrypt(
-            server.kem.public, wire.SIGNATURE.encode(nonce_sig), rng, now)),
-        "token_delivery": wire.TokenDelivery(crypto.hybrid_encrypt(
-            auth.kem.public, wire.TOKEN_PAYLOAD.encode((token.digits, api)),
-            rng, now)),
-        "device_provision": wire.DeviceProvision(crypto.aead_seal(
-            link.value,
+        "session_hello": wire.Message(Kind.SessionHello, auth.public),
+        "nonce_challenge": wire.Message(Kind.NonceChallenge, nonce),
+        "nonce_response": sealed(Kind.NonceResponse, server.kem.public,
+                                 wire.SIGNATURE.encode(nonce_sig)),
+        "token_delivery": sealed(Kind.TokenDelivery, auth.kem.public,
+                                 wire.TOKEN_PAYLOAD.encode((digits, api))),
+        "device_provision": wire.Message(Kind.DeviceProvision, crypto.aead_seal(
+            link,
             wire.PROVISION_PAYLOAD.encode((api, server.public, enc_token,
                                            token_sig)),
             rng)),
-        "registration_request": wire.RegistrationRequest(crypto.hybrid_encrypt(
-            server.kem.public,
+        "registration_request": sealed(
+            Kind.RegistrationRequest, server.kem.public,
             wire.REGISTRATION_PAYLOAD.encode((device.public, uid.value,
-                                              enc_token, token_sig)),
-            rng, now)),
-        "activation_response": wire.ActivationResponse(crypto.hybrid_encrypt(
-            device.kem.public,
-            wire.ACTIVATION_PAYLOAD.encode((device_token, server_dev.public)),
-            rng, now)),
-        "connected_notice": wire.ConnectedNotice(crypto.hybrid_encrypt(
-            auth.kem.public, wire.encode_connected_payload(uid.value), rng, now)),
-        "data_report": wire.DataReport(crypto.hybrid_encrypt(
-            server_dev.kem.public,
+                                              enc_token, token_sig))),
+        "activation_response": sealed(
+            Kind.ActivationResponse, device.kem.public,
+            wire.ACTIVATION_PAYLOAD.encode((device_token, server_dev.public))),
+        "connected_notice": sealed(Kind.ConnectedNotice, auth.kem.public,
+                                   wire.encode_connected_payload(uid.value)),
+        "data_report": sealed(
+            Kind.DataReport, server_dev.kem.public,
             wire.DATA_PAYLOAD.encode((uid.value, "temperature_c", 21.5, "C",
-                                      device_token)),
-            rng, now)),
-        "revocation_request": wire.RevocationRequest(crypto.hybrid_encrypt(
-            server.kem.public,
-            wire.REVOCATION_PAYLOAD.encode((wire.REVOKE_VERB, uid.value)),
-            rng, now)),
+                                      device_token))),
+        "revocation_request": sealed(
+            Kind.RevocationRequest, server.kem.public,
+            wire.REVOCATION_PAYLOAD.encode((wire.REVOKE_VERB, uid.value))),
     }

@@ -104,10 +104,10 @@ def hex_preview(data: bytes, limit: int = 24) -> str:
 def annotate(name: str, msg: wire.Message) -> str:
     """The dump of one message, its body split by the message's record."""
     encoded = wire.encode(msg)
-    tag, record = wire.MESSAGES[type(msg)]
+    record = wire.BODIES[msg.kind]
     lines = [f"{0:>6}  {encoded[:4].hex(' ')}        "
              f"u32 body length = {len(encoded) - 4}",
-             f"{4:>6}  {encoded[4:5].hex()}                 tag = 0x{tag:02x}"]
+             f"{4:>6}  {encoded[4:5].hex()}                 tag = 0x{msg.kind:02x}"]
     pos = 5
     fields = wire.unpack_fields(encoded[pos:], expect=len(record.names))
     for i, (field_name, field) in enumerate(zip(FIELD_NAMES[name], fields,

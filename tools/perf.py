@@ -30,7 +30,7 @@ the one just made (``crypto``'s memo answers). ``ledger``:
 ``commit``: ``settle`` of a block of 50 submitted data transactions, per
 transaction, and ``mixed load row``: one 10-second Poisson ``generate_load``
 row at 150 tx/s in ``ledger-mix``'s channel mix, per committed transaction
-(about 1,500 of them, so it takes LOAD_SAMPLES samples a side). ``wire``: encode and decode of a ``RegistrationRequest`` and of
+(about 1,500 of them, so it takes LOAD_SAMPLES samples a side). ``wire``: encode and decode of a registration request and of
 a data transaction's signed body. ``kernels``: ML-KEM-512's ByteEncode_12,
 ByteDecode_10 and SamplePolyCBD_3 on a vector. The ``wire``, ``kernels`` and
 ``commit`` rows time each sample over KERNEL_LOOP calls: a single call is
@@ -232,9 +232,13 @@ def _wire_ops():
     device = crypto.generate_role_keys(crypto.RoleTag.DEVICE_FOR_SERVER, 3600.0, rng, NOW)
     token = crypto.hybrid_encrypt(server.kem.public, b"12345678", rng, NOW)
     signature = crypto.sign(device.sig, wire.encode_hybrid(token), NOW)
-    request = wire.RegistrationRequest(crypto.hybrid_encrypt(
-        server.kem.public, wire.REGISTRATION_PAYLOAD.encode(
-            (device.public, rng.bytes(16), token, signature)), rng, NOW))
+    sealed = crypto.hybrid_encrypt(server.kem.public, wire.REGISTRATION_PAYLOAD.encode(
+        (device.public, rng.bytes(16), token, signature)), rng, NOW)
+    # Framed by hand (tag 0x06, then the key id and the ciphertext's four
+    # fields) and decoded, so that any tree's own message type holds it.
+    request = wire.decode(wire.pack_fields([b"\x06" + wire.pack_fields([
+        sealed.key_id, sealed.encapsulation, sealed.aead_nonce, sealed.body,
+        sealed.auth_tag])]))
     body = (ledger.ChannelName.DATA, DataEntry(rng.bytes(16), "temperature_c", 21.5, "C",
                                                NOW, rng.bytes(32)), "server-org", NOW)
     request_bytes, body_bytes = wire.encode(request), ledger._TX_BODY.encode(body)
