@@ -229,6 +229,7 @@ class Authenticator:
         now = self.clock.now()
         if msg.value.kem.expired(now) or msg.value.sig.expired(now):
             raise KeyExpired("server presented an expired key bundle")
+        _check_bundle(msg.value, self.kem_algo, now, "server keys")
         self.server_public = msg.value
 
     def handle_nonce_challenge(self, msg: wire.Message) -> wire.Message:
@@ -364,6 +365,7 @@ class Device:
                 wire.PROVISION_PAYLOAD.decode(raw)
         except wire.WireError as exc:
             raise Malformed(f"bad provision payload: {exc}") from exc
+        _check_bundle(server_public, self.kem_algo, now, "server keys")
         self.api_address = api
         self.server_public = server_public
         self._encrypted_token = encrypted_token
@@ -525,6 +527,7 @@ class Server:
         now = self.clock.now()
         if hello.value.kem.expired(now) or hello.value.sig.expired(now):
             raise KeyExpired("authenticator presented an expired key bundle")
+        _check_bundle(hello.value, self.kem_algo, now, "authenticator keys")
         keys = crypto.generate_role_keys(RoleTag.SERVER_FOR_AUTH, self.key_ttl,
                                          self.rng, now, kem_algo=self.kem_algo)
         nonce = crypto.gen_nonce(self.rng)

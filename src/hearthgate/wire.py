@@ -16,6 +16,18 @@ ciphertext puts the recipient's 8-byte KEM key id in its first field, so the
 receiver decrypts with the one key it names; nested ciphertexts (the signed
 encrypted token) carry none. Every decoder is total over arbitrary input:
 it returns a value or raises a structured ``WireError``, never anything else.
+
+A record compiles its layout once, when it is built: one ``exec`` defines
+its ``encode`` and ``decode`` as straight-line code that calls each field's
+codec directly. ``encode`` takes the value's fields apart in one step (a
+tuple of the wrong length raises ``ValueError``), frames each field and
+joins once. ``decode`` finds each field's span with one length read, then
+checks once that the last field ends at the end of the input and that each
+sized field has its size, and only then runs the field decoders in order.
+Any input that fails those checks goes to ``Record.reference_decode``, the
+generic decoder, which is the only code that raises framing errors: so every
+error and its message is the generic decoder's by construction, and the
+generated code needs no error path of its own.
 """
 
 from __future__ import annotations
@@ -23,7 +35,6 @@ from __future__ import annotations
 import struct
 from enum import Enum, IntEnum
 from functools import partial
-from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 from .crypto import (
@@ -109,45 +120,29 @@ class Record:
     wire order, each field framed as ``u32 len || bytes``. With a ``make``,
     the fields are attributes of the value (a dotted name reaches into one)
     and ``decode`` returns ``make(*values)``; without one, the value is the
-    tuple of field values, or a one-field record's one value. ``encode``
-    frames each field in one pass and joins them once. A record is a codec
-    itself, so records nest."""
+    tuple of field values, or a one-field record's one value. A record is a
+    codec itself, so records nest.
+
+    At construction the record generates its ``encode`` and ``decode`` as
+    straight-line code (see the module docstring); ``frame`` prefixes the
+    length to ``encode``'s bytes. ``reference_decode`` is the generic decoder
+    that every input with a framing or size anomaly goes to, and the only
+    raiser of framing errors."""
 
     size = None
 
     def __init__(self, make: Callable | None, fields: dict[str, Codec]):
-        self.names = tuple(fields)
+        self.names = names = tuple(fields)
         self.codecs = codecs = tuple(fields.values())
-        self._sizes = [(i, c.size) for i, c in enumerate(codecs)
-                       if c.size is not None]
-        self._framers = tuple(c.frame for c in codecs)
-        self._encoders = tuple(None if c.encode is _same else c.encode for c in codecs)
+        if make is None and len(names) == 1:  # the value is the field's own
+            make = _same
+        self.make = make
+        self._sizes = [(i, c.size) for i, c in enumerate(codecs) if c.size is not None]
         self._decoders = [(i, c.decode) for i, c in enumerate(codecs)
                           if c.decode is not _same]
-        get = attrgetter(*self.names)
-        self._split = (None if make is None else get if len(self.names) > 1
-                       else lambda value: (get(value),))
-        if make is None and len(self.names) == 1:  # the value is the field's own
-            make, self._split = _same, lambda value: (value,)
-        self.make = make
+        self.encode, self.frame, self.decode = _generate(self)
 
-    def encode(self, value) -> bytes:
-        out = []
-        for frame, encode, v in zip(self._framers, self._encoders,
-                                    value if self._split is None else self._split(value)):
-            if frame is not None:
-                out.append(frame(v))
-            else:
-                if encode is not None:
-                    v = encode(v)
-                out.append(LENGTH(len(v)) + v)
-        return b"".join(out)
-
-    def frame(self, value) -> bytes:
-        data = self.encode(value)
-        return LENGTH(len(data)) + data
-
-    def decode(self, data: bytes):
+    def reference_decode(self, data: bytes):
         values = unpack_fields(data, expect=len(self.names))
         for i, size in self._sizes:
             if len(values[i]) != size:
@@ -155,6 +150,54 @@ class Record:
         for i, dec in self._decoders:
             values[i] = dec(values[i])
         return tuple(values) if self.make is None else self.make(*values)
+
+
+def _generate(record: Record) -> tuple[Callable, Callable, Callable]:
+    """``record``'s encode, frame and decode; encode and decode are compiled
+    from one generated source. In it, field ``i`` ends at ``end{i}`` and its
+    codec's functions are ``frame{i}``, ``encode{i}`` and ``decode{i}``."""
+    n, make, label = len(record.names), record.make, f"record ({', '.join(record.names)})"
+    env = {"LENGTH": LENGTH, "LENGTH_AT": _LENGTH_AT, "error": struct.error,
+           "make": make, "reference": record.reference_decode, "label": label}
+    split = []  # the statements that unpack a tuple value
+    if make is None:  # a tuple of exactly n values
+        reads = [f"v{i}" for i in range(n)]
+        split = [f"    try: {', '.join(reads)} = value",
+                 "    except ValueError as exc: raise ValueError(f'{label}: {exc}') from None"]
+    elif make is _same:
+        reads = ["value"]
+    elif all(part.isidentifier() for name in record.names for part in name.split(".")):
+        reads = [f"value.{name}" for name in record.names]
+    else:
+        raise ValueError(f"{label}: a field name is not an attribute path")
+    parts, ends, checks, fields = [], [], [f"end{n - 1} != len(data)"], []
+    for i, (codec, read) in enumerate(zip(record.codecs, reads)):
+        env |= {f"frame{i}": codec.frame, f"encode{i}": codec.encode,
+                f"decode{i}": codec.decode}
+        # A nested record is framed here: its own frame would cost one more call.
+        parts.append(f"frame{i}({read})" if codec.frame and not isinstance(codec, Record)
+                     else f"LENGTH(len(v{i} := {read})), v{i}" if codec.encode is _same
+                     else f"LENGTH(len(v{i} := encode{i}({read}))), v{i}")
+        at, start = (f"end{i - 1}", f"end{i - 1} + 4") if i else ("0", "4")
+        ends.append(f"        end{i} = {start} + LENGTH_AT(data, {at})[0]")
+        if codec.size is not None:
+            checks.append(f"end{i} - {at} != {codec.size + 4}")
+        field = f"data[{start}:end{i}]"
+        fields.append(field if codec.decode is _same else f"decode{i}({field})")
+    build = (fields[0] if make is _same else f"({', '.join(fields)})" if make is None
+             else f"make({', '.join(fields)})")
+    source = "\n".join([
+        "def encode(value):", *split, f'    return b"".join(({", ".join(parts)},))',
+        "def decode(data):", "    try:", *ends, "    except error:",
+        "        return reference(data)", f"    if {' or '.join(checks)}:",
+        "        return reference(data)", f"    return {build}"])
+    exec(compile(source, f"<{label}>", "exec"), env)
+    encode = env["encode"]
+
+    def frame(value):
+        data = encode(value)
+        return LENGTH(len(data)) + data
+    return encode, frame, env["decode"]
 
 
 def _same(value):
@@ -184,12 +227,14 @@ def _number(fmt: str) -> Codec:
 def enum_of(cls: type[Enum], value: Codec, unknown=Truncated) -> Codec:
     """Members of ``cls``, each as ``value`` encodes the member's value; a
     value no member has raises ``unknown``."""
+    members = {member.value: member for member in cls}
+
     def decode(data: bytes) -> Enum:
         raw = value.decode(data)
-        try:
-            return cls(raw)
-        except ValueError:
-            raise unknown(f"unknown {cls.__name__} {raw!r}") from None
+        member = members.get(raw)
+        if member is None:
+            raise unknown(f"unknown {cls.__name__} {raw!r}")
+        return member
     framed = {member: pack_fields([value.encode(member.value)]) for member in cls}
     return Codec(lambda member: value.encode(member.value), decode,
                  frame=framed.__getitem__)

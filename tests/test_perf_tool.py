@@ -78,9 +78,12 @@ def test_load_row_times_each_committed_transaction_and_checks_its_bytes():
 
 def test_wire_rows_decode_what_they_encode():
     ops = perf._wire_ops()
-    assert set(ops) == {f"{what} {step}" for what in ("RegistrationRequest", "data tx body")
-                        for step in ("encode", "decode")}
+    assert set(ops) == {f"{what} {step}" for what in (
+        "RegistrationRequest", "registration payload", "data tx body")
+        for step in ("encode", "decode")}
     assert ops["RegistrationRequest encode"]() == wire.encode(ops["RegistrationRequest decode"]())
+    assert ops["registration payload encode"]() == wire.REGISTRATION_PAYLOAD.encode(
+        ops["registration payload decode"]())
     assert ops["data tx body encode"]() == ledger._TX_BODY.encode(ops["data tx body decode"]())
 
 

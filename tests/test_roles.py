@@ -129,6 +129,44 @@ def test_expired_authenticator_keys_force_relogin():
     assert w.auth.phase is AuthPhase.SESSION_ESTABLISHED
 
 
+def _ed25519_as_kem(public: crypto.RolePublic) -> crypto.RolePublic:
+    """``public`` with its Ed25519 key in the KEM key's place too."""
+    return crypto.RolePublic(kem=public.sig, sig=public.sig)
+
+
+def test_session_hello_with_an_ed25519_kem_key_opens_no_session():
+    w = World()
+    probe = wire.Message(wire.Kind.SessionHello, _ed25519_as_kem(w.auth.login().value))
+    with pytest.raises(Malformed, match="unusable authenticator keys"):
+        w.server.accept_session(probe)
+    assert not w.server.sessions
+    w.session()  # an honest login still works
+    assert w.auth.phase is AuthPhase.SESSION_ESTABLISHED
+
+
+def test_server_hello_with_an_ed25519_kem_key_is_refused():
+    w = World()
+    _, (hello, _) = w.server.accept_session(w.auth.login())
+    with pytest.raises(Malformed, match="unusable server keys"):
+        w.auth.handle_session_hello(
+            wire.Message(wire.Kind.SessionHello, _ed25519_as_kem(hello.value)))
+    assert w.auth.server_public is None
+
+
+def test_provision_with_an_ed25519_kem_key_is_refused():
+    w = World()
+    deliver_token(w.auth, w.server, w.session(), w.h_s)
+    box = w.auth.build_provision("device-1").value
+    api, server_public, token, signature = wire.PROVISION_PAYLOAD.decode(
+        crypto.aead_open(w.link, box))
+    payload = wire.PROVISION_PAYLOAD.encode(
+        (api, _ed25519_as_kem(server_public), token, signature))
+    with pytest.raises(Malformed, match="unusable server keys"):
+        w.device.receive_provision(wire.Message(
+            wire.Kind.DeviceProvision, crypto.aead_seal(w.link, payload, w.rng)))
+    assert w.device.phase is DevicePhase.UNPROVISIONED
+
+
 def test_issue_token_requires_session():
     w = World()
     with pytest.raises(NoSession):
@@ -664,18 +702,13 @@ def test_report_sealed_to_another_devices_key_rejected():
 
 
 def test_undeliverable_token_leaves_no_token_on_record():
-    # The hello's KEM key is the authenticator's Ed25519 key: the session
-    # opens and completes, but no token can be encrypted to that key.
+    # accept_session refuses a hello whose KEM key is an Ed25519 key, so the
+    # completed session's peer key is replaced after the fact: no token can
+    # be encrypted to that key.
     w = harness.World(harness.ScenarioSpec(devices=1, reports=()), seed=7, direct=True)
     auth, server = w.auths[0], w.server
-    auth.login()
-    ed25519 = auth.keys.sig.public
-    session_id, (hello, challenge) = server.accept_session(
-        wire.Message(wire.Kind.SessionHello,
-                     crypto.RolePublic(kem=ed25519, sig=ed25519)))
-    auth.handle_session_hello(hello)
-    server.handle_nonce_response(session_id, auth.handle_nonce_challenge(challenge))
-    server.complete_session(session_id)
+    session_id = establish_session(auth, server, w.h_s[auth.name])
+    server.sessions[session_id].auth_public = _ed25519_as_kem(auth.keys.public)
     pending = list(server.pending)
     with pytest.raises(crypto.MalformedKey):
         server.issue_transient_token(session_id)

@@ -385,3 +385,73 @@ def test_every_enum_member_frames_as_its_value(name, field):
     for member in _ENUMS[field]:
         assert codec.frame(member) == wire.pack_fields([codec.encode(member)])
         assert codec.decode(codec.encode(member)) is member
+
+
+def test_every_record_is_covered():
+    # Records sit at module level, in dicts and in (tag, record) pairs.
+    found = set()
+    for module in (wire, payloads, ledger):
+        for value in vars(module).values():
+            for item in value.values() if isinstance(value, dict) else (value,):
+                for record in item if isinstance(item, tuple) else (item,):
+                    if isinstance(record, wire.Record):
+                        found.add(id(record))
+    assert found == {id(record) for record in _RECORDS.values()}
+
+
+@pytest.mark.parametrize("value", [("12345678",), ("12345678", "http://s", "x")])
+def test_tuple_record_refuses_the_wrong_number_of_values(value):
+    with pytest.raises(ValueError, match=r"^record \(digits, api_address\): "):
+        wire.TOKEN_PAYLOAD.encode(value)
+
+
+# -- the generated decoder against the reference one --------------------------
+# (The generated encoder is held to ``_reference`` by
+# test_framed_encode_equals_the_per_field_one above.)
+
+def _prefix_offsets(encoded: bytes) -> list[int]:
+    """Where each top-level field's length prefix starts in a valid encoding."""
+    offsets, pos = [], 0
+    while pos < len(encoded):
+        offsets.append(pos)
+        pos += 4 + int.from_bytes(encoded[pos:pos + 4], "big")
+    return offsets
+
+
+def _flip(data: bytes, byte: int, bit: int) -> bytes:
+    return data[:byte] + bytes([data[byte] ^ 1 << bit]) + data[byte + 1:]
+
+
+def _decoder_inputs(record: wire.Record) -> st.SearchStrategy:
+    """Valid encodings of ``record``, the same cut short, extended, or with
+    one bit of one field's length prefix flipped, and random bytes."""
+    return _values(record).map(record.encode).flatmap(lambda encoded: st.one_of(
+        st.just(encoded),
+        st.integers(1, 4).map(lambda cut: encoded[:-cut]),
+        st.binary(min_size=1, max_size=4).map(lambda extra: encoded + extra),
+        st.tuples(st.sampled_from(_prefix_offsets(encoded)), st.integers(0, 3),
+                  st.integers(0, 7)).map(
+            lambda at: _flip(encoded, at[0] + at[1], at[2])),
+        st.binary(max_size=120)))
+
+
+def _outcome(decode, data: bytes):
+    try:
+        return "value", decode(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_generated_decode_equals_the_reference(name, data):
+    # Nested fields decode through their own generated decoders on both
+    # sides; each of those is held to its reference by its own case here.
+    record = _RECORDS[name]
+    blob = data.draw(_decoder_inputs(record))
+    got, want = _outcome(record.decode, blob), _outcome(record.reference_decode, blob)
+    if got[0] == want[0] == "value" and got[1] != want[1]:  # NaN is unequal to itself
+        assert record.encode(got[1]) == record.encode(want[1])
+    else:
+        assert got == want

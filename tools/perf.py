@@ -30,11 +30,14 @@ the one just made (``crypto``'s memo answers). ``ledger``:
 ``commit``: ``settle`` of a block of 50 submitted data transactions, per
 transaction, and ``mixed load row``: one 10-second Poisson ``generate_load``
 row at 150 tx/s in ``ledger-mix``'s channel mix, per committed transaction
-(about 1,500 of them, so it takes LOAD_SAMPLES samples a side). ``wire``: encode and decode of a registration request and of
-a data transaction's signed body. ``kernels``: ML-KEM-512's ByteEncode_12,
-ByteDecode_10 and SamplePolyCBD_3 on a vector. The ``wire``, ``kernels`` and
-``commit`` rows time each sample over KERNEL_LOOP calls: a single call is
-too short to read next to the difference between two worker processes.
+(about 1,500 of them, so it takes LOAD_SAMPLES samples a side). ``wire``:
+encode and decode of a registration request, of the registration payload it
+seals (nested records: a key bundle of two public keys, a hybrid ciphertext
+and a signature) and of a data transaction's signed body. ``kernels``:
+ML-KEM-512's ByteEncode_12, ByteDecode_10 and SamplePolyCBD_3 on a vector.
+The ``wire``, ``kernels`` and ``commit`` rows time each sample over
+KERNEL_LOOP calls: a single call is too short to read next to the difference
+between two worker processes.
 Scenario: ``run_scenario`` under DeliverAll, N devices onboarding and
 reporting once each, in ms.
 
@@ -232,8 +235,9 @@ def _wire_ops():
     device = crypto.generate_role_keys(crypto.RoleTag.DEVICE_FOR_SERVER, 3600.0, rng, NOW)
     token = crypto.hybrid_encrypt(server.kem.public, b"12345678", rng, NOW)
     signature = crypto.sign(device.sig, wire.encode_hybrid(token), NOW)
-    sealed = crypto.hybrid_encrypt(server.kem.public, wire.REGISTRATION_PAYLOAD.encode(
-        (device.public, rng.bytes(16), token, signature)), rng, NOW)
+    payload = (device.public, rng.bytes(16), token, signature)
+    payload_bytes = wire.REGISTRATION_PAYLOAD.encode(payload)
+    sealed = crypto.hybrid_encrypt(server.kem.public, payload_bytes, rng, NOW)
     # Framed by hand (tag 0x06, then the key id and the ciphertext's four
     # fields) and decoded, so that any tree's own message type holds it.
     request = wire.decode(wire.pack_fields([b"\x06" + wire.pack_fields([
@@ -244,6 +248,9 @@ def _wire_ops():
     request_bytes, body_bytes = wire.encode(request), ledger._TX_BODY.encode(body)
     return {"RegistrationRequest encode": lambda: wire.encode(request),
             "RegistrationRequest decode": lambda: wire.decode(request_bytes),
+            "registration payload encode": lambda: wire.REGISTRATION_PAYLOAD.encode(payload),
+            "registration payload decode": lambda: wire.REGISTRATION_PAYLOAD.decode(
+                payload_bytes),
             "data tx body encode": lambda: ledger._TX_BODY.encode(body),
             "data tx body decode": lambda: ledger._TX_BODY.decode(body_bytes)}
 
@@ -286,6 +293,8 @@ def sample_wire(i: int, loop: int):
     # trees compare bytes, not how their objects print.
     return times, _digest(out["RegistrationRequest encode"],
                           wire.encode(out["RegistrationRequest decode"]),
+                          out["registration payload encode"],
+                          wire.REGISTRATION_PAYLOAD.encode(out["registration payload decode"]),
                           out["data tx body encode"],
                           ledger._TX_BODY.encode(out["data tx body decode"]))
 
