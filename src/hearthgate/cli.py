@@ -13,17 +13,20 @@ import argparse
 import json
 import sys
 
-from . import __version__, bench, harness, ledger, risk
+from . import __version__, bench, harness, ledger, risk, wire
 from .channels import REJECTION_KINDS
 from .config import Config, ConfigError, load_config
 from .crypto import CryptoError
 from .ledger import ChannelName, OrgRole
 from .roles import (
     DevicePhase,
+    Outgoing,
     ProtocolError,
+    deliver,
     deliver_token,
     establish_session,
     provision_device,
+    receive,
 )
 
 EXIT_OK = 0
@@ -73,10 +76,13 @@ def run_demo(cfg: Config) -> tuple[int, list[str], harness.World]:
         lines.append(f"[{step_no}] {label}: {detail}")
         return True
 
+    def to_server(out: Outgoing):
+        """Deliver a device's message to the server; a rejection raises."""
+        return receive(server, "public", wire.encode(out.message), out.src)
+
     def s_login():
         nonlocal session_id
         session_id = establish_session(auth, server, h_s)
-        world.session_of[session_id] = auth
         return f"session {session_id} established, both nonces verified"
 
     def s_token():
@@ -94,8 +100,7 @@ def run_demo(cfg: Config) -> tuple[int, list[str], harness.World]:
 
     def s_register():
         nonlocal replies
-        request = device.build_registration_request()
-        replies = server.handle_registration(request.message, device.name)
+        replies = to_server(device.build_registration_request())
         return "request accepted: signature valid, token fresh and unused"
 
     def s_record():
@@ -111,16 +116,14 @@ def run_demo(cfg: Config) -> tuple[int, list[str], harness.World]:
         return "long-lived token and dedicated server key delivered; device active"
 
     def s_report_normal():
-        server.handle_data_report(device.build_data_report(
-            "temperature_c", 21.5, "C").message)
+        to_server(device.build_data_report("temperature_c", 21.5, "C"))
         height = len(network.chains[ChannelName.DATA]) - 1
         alerts = len(network.chains[ChannelName.RISK_MANAGEMENT]) - 1
         return (f"temperature_c=21.5 C committed (data height {height}); "
                 f"risk alerts so far: {alerts}")
 
     def s_report_hot():
-        server.handle_data_report(device.build_data_report(
-            "temperature_c", 82.0, "C").message)
+        to_server(device.build_data_report("temperature_c", 82.0, "C"))
         network.settle()
         data_h = len(network.chains[ChannelName.DATA]) - 1
         alerts = network.query(ChannelName.RISK_MANAGEMENT, "server-org")
@@ -135,7 +138,7 @@ def run_demo(cfg: Config) -> tuple[int, list[str], harness.World]:
                 f"fire-dept events: {len(events)}")
 
     def s_revoke():
-        server.handle_revocation(auth.build_revocation(device.uid.hex))
+        deliver(h_s, auth, server, auth.build_revocation(device.uid.hex))
         statuses = [r.status.value for r in
                     network.query(ChannelName.IDENTITY, "server-org")]
         return (f"device deactivated; key added to the revocation list; "

@@ -1,9 +1,12 @@
 """Adversarial scenario runner and security-property checkers.
 
 ``run_scenario`` drives a full onboarding (plus optional data reports and
-revocation) through the public channel under a chosen adversary strategy,
-producing a deterministic trace for a given seed. Three checkers then decide
-the protocol's core properties over that trace and the adversary's derived
+revocation) under a chosen adversary strategy, producing a deterministic
+trace for a given seed. Every message travels as ``wire`` bytes, through
+adversary custody on the public channel and straight to its peer on an
+authenticator's secure channel, and ends in ``roles.receive``, which decodes
+it and calls the handler its table names. Three checkers then decide the
+protocol's core properties over that trace and the adversary's derived
 knowledge:
 
 * authentication  - registration success implies a prior validated request
@@ -50,9 +53,11 @@ from .roles import (
     ProtocolError,
     Server,
     bundle_atom,
+    deliver,
     deliver_token,
     establish_session,
     provision_device,
+    receive,
     token_secret,
 )
 from .runtime import SimClock, seeded_rng
@@ -177,44 +182,29 @@ class World:
             self.devices.append(device)
             self.link_keys.append(link)
             self.h_s[auth.name] = SecureChannel(auth.name, "server")
+        # Session id -> authenticator, for callers that record one; routing
+        # goes by the name a secure Outgoing carries and never reads it.
         self.session_of: dict[str, Authenticator] = {}
-        self.device_by_name = {d.name: d for d in self.devices}
+        self.by_name = {r.name: r for r in (self.server, *self.auths, *self.devices)}
 
     # -- routing ---------------------------------------------------------------
 
     def send_outgoing(self, out: Outgoing) -> None:
-        if out.path == "public":
-            if self.direct:
-                # Direct wiring is still a wire: FIFO, just adversary-free.
-                self._direct_queue.append((out.dst, wire.encode(out.message),
-                                           out.src))
-                return
+        if out.path == "secure":  # on the channel of the authenticator at one end
+            sender, receiver = self.by_name[out.src], self.by_name[out.dst]
+            auth = receiver if sender is self.server else sender
+            _handle(deliver, self.h_s[auth.name], sender, receiver, out.message)
+        elif self.direct:
+            # Direct wiring is still a wire: FIFO, just adversary-free.
+            self._direct_queue.append((out.dst, wire.encode(out.message), out.src))
+        else:
             self.h_p.send(out.src, out.dst, wire.encode(out.message), out.term)
-        elif out.dst in self.session_of:  # a connected notice for an authenticator
-            _handle(self.session_of[out.dst].handle_connected_notice, out.message)
 
     def dispatch(self, dst: str, data: bytes, reply_to: str) -> None:
-        try:
-            message = wire.decode(data)
-        except wire.WireError as exc:
-            self.trace.record(dst, ch.MESSAGE_REJECTED, error="Malformed",
-                              detail=type(exc).__name__)
-            return
-        device = self.device_by_name.get(dst)
-        if dst != "server" and device is None:
-            return  # addressed elsewhere (e.g. back at the adversary): vanishes
-        kind = message.kind
-        if dst == "server" and kind is wire.Kind.RegistrationRequest:
-            replies = _handle(self.server.handle_registration, message, reply_to)
-        elif dst == "server" and kind is wire.Kind.DataReport:
-            replies = _handle(self.server.handle_data_report, message)
-        elif device is not None and kind is wire.Kind.ActivationResponse:
-            replies = _handle(device.handle_activation, message)
-        else:
-            self.trace.record(dst, ch.MESSAGE_REJECTED, error="Malformed",
-                              detail=kind.name)
-            return
-        for out in replies or ():
+        role = self.by_name.get(dst)
+        if role is None or isinstance(role, Authenticator):
+            return  # no one takes public messages by that name: they vanish
+        for out in _handle(receive, role, "public", data, reply_to) or ():
             self.send_outgoing(out)
 
     def execute(self, rule: dict) -> None:
@@ -387,7 +377,6 @@ def run_scenario(spec: ScenarioSpec, adversary, seed: int) -> RunResult:
         for auth, device in wave:
             h_s = world.h_s[auth.name]
             session_id = establish_session(auth, world.server, h_s)
-            world.session_of[session_id] = auth
             world.clock.advance(PHASE_DT)
             deliver_token(auth, world.server, session_id, h_s)
             reg = world.server.pending[-1]
@@ -411,8 +400,9 @@ def run_scenario(spec: ScenarioSpec, adversary, seed: int) -> RunResult:
         world.clock.advance(PHASE_DT)
         for auth, device in zip(world.auths, world.devices):
             if device.uid.hex in world.server.registry:
-                _handle(world.server.handle_revocation,
-                        auth.build_revocation(device.uid.hex))
+                world.send_outgoing(Outgoing(
+                    "secure", world.server.name,
+                    auth.build_revocation(device.uid.hex), src=auth.name))
         world.pump(strategy)
 
     world.network.settle()

@@ -6,10 +6,14 @@ issue, device provisioning over the pre-shared link key, registration over
 the public path, activation (ledger write first, then the key delivery),
 data reporting, and revocation.
 
-Handlers return :class:`Outgoing` messages for the runner to route instead
-of touching channels directly, which keeps each role unit-testable. Message
-handlers reject by raising: their :func:`_traced` decorator records each
-``ProtocolError`` or ``CryptoError`` once, as one rejection event.
+Both paths carry ``wire.encode`` bytes to one receive path: :func:`receive`
+decodes them whole and calls the handler :data:`HANDLERS` names for (path,
+receiving role, kind); anything else is one traced ``MessageRejected``.
+Handlers return their replies instead of touching channels, which keeps each
+role unit-testable: :func:`deliver` sends a secure-path reply back over its
+channel, and the runner routes :class:`Outgoing` messages. Handlers reject
+by raising: :func:`_traced` records each ``ProtocolError`` or
+``CryptoError`` once, as one rejection event.
 
 Each received input is recognised whole, by one helper, before a handler
 acts on it: :func:`_open` and ``Server._receive`` (routed by key id) decrypt
@@ -117,7 +121,10 @@ class DevicePhase(Enum):
 
 @dataclass(eq=False, repr=False)
 class Outgoing:
-    """A message a role sends: path, destination, wire message and symbolic term."""
+    """A message a role sends: path, destination, wire message and symbolic
+    term. The runner encodes it, and the receiver's :func:`receive` decodes
+    it. A secure-path message travels on the channel of the authenticator at
+    one of its ends."""
 
     path: str  # "public" | "secure"
     dst: str
@@ -212,7 +219,6 @@ class Authenticator:
         # Transient-token material held between delivery and provisioning.
         self._token_digits: str | None = None
         self._api_address: str | None = None
-        self._session_id: str | None = None
 
     def provision_link_key(self, device_name: str, link_key: bytes) -> None:
         self.link_keys[device_name] = link_key
@@ -232,8 +238,9 @@ class Authenticator:
         _check_bundle(msg.value, self.kem_algo, now, "server keys")
         self.server_public = msg.value
 
-    def handle_nonce_challenge(self, msg: wire.Message) -> wire.Message:
-        """Sign the server's nonce, then encrypt the signature to the server."""
+    def handle_nonce_challenge(self, msg: wire.Message) -> list[wire.Message]:
+        """Sign the server's nonce and encrypt the signature to the server,
+        then challenge the server with a nonce of our own."""
         now = self.clock.now()
         if self.keys is None or self.server_public is None:
             raise NoSession("login incomplete")
@@ -241,16 +248,11 @@ class Authenticator:
         ct = crypto.hybrid_encrypt(self.server_public.kem,
                                    wire.SIGNATURE.encode(signature),
                                    self.rng, now)
-        return wire.Message(wire.Kind.NonceResponse, ct)
-
-    def challenge_server(self) -> wire.Message:
-        if self.keys is None or self.server_public is None:
-            raise NoSession("login incomplete")
         self._pending_nonce = crypto.gen_nonce(self.rng)
-        return wire.Message(wire.Kind.NonceChallenge, self._pending_nonce)
+        return [wire.Message(wire.Kind.NonceResponse, ct),
+                wire.Message(wire.Kind.NonceChallenge, self._pending_nonce)]
 
-    def handle_server_nonce_response(self, msg: wire.Message,
-                                     session_id: str) -> None:
+    def handle_server_nonce_response(self, msg: wire.Message) -> None:
         now = self.clock.now()
         if self._pending_nonce is None:
             raise NonceMismatch("no outstanding challenge")
@@ -260,7 +262,6 @@ class Authenticator:
                              signature, now):
             raise NonceMismatch("server signature does not cover my nonce")
         self._pending_nonce = None
-        self._session_id = session_id
         self.phase = AuthPhase.SESSION_ESTABLISHED
 
     def request_token(self) -> None:
@@ -456,9 +457,11 @@ class Device:
 
 @dataclass(eq=False, repr=False)
 class Session:
-    """The server's state for one authenticator session: keys, peer keys and nonce."""
+    """The server's state for one authenticator session: the peer whose secure
+    channel it was opened on, keys, peer keys and nonce."""
 
     session_id: str
+    peer: str
     keys: RoleKeys
     auth_public: RolePublic
     nonce_hex: str                  # the nonce that named this session
@@ -511,6 +514,9 @@ class Server:
         self.totp_step = totp_step
         self.name = "server"
         self.sessions: dict[str, Session] = {}
+        # Peer name -> the session last opened on that peer's secure channel,
+        # which the peer's later handshake messages belong to.
+        self.session_on: dict[str, Session] = {}
         self.pending: list[PendingRegistration] = []
         self.registry: dict[str, RegistryEntry] = {}
         # Recipient KEM key id -> the established session or registry entry
@@ -523,7 +529,8 @@ class Server:
 
     # -- session establishment -------------------------------------------------
 
-    def accept_session(self, hello: wire.Message) -> tuple[str, list[wire.Message]]:
+    def accept_session(self, hello: wire.Message, peer: str) -> list[wire.Message]:
+        """Open a session on ``peer``'s channel: our keys and a nonce to sign."""
         now = self.clock.now()
         if hello.value.kem.expired(now) or hello.value.sig.expired(now):
             raise KeyExpired("authenticator presented an expired key bundle")
@@ -537,17 +544,21 @@ class Server:
         self.used_nonces.add(nonce_hex)
         session_id = f"session-{self._session_counter}"
         self._session_counter += 1
-        self.sessions[session_id] = Session(
-            session_id=session_id, keys=keys, auth_public=hello.value,
+        self.sessions[session_id] = self.session_on[peer] = Session(
+            session_id=session_id, peer=peer, keys=keys, auth_public=hello.value,
             nonce_hex=nonce_hex, pending_nonce=nonce)
-        return session_id, [wire.Message(wire.Kind.SessionHello, keys.public),
-                            wire.Message(wire.Kind.NonceChallenge, nonce)]
+        return [wire.Message(wire.Kind.SessionHello, keys.public),
+                wire.Message(wire.Kind.NonceChallenge, nonce)]
 
-    def handle_nonce_response(self, session_id: str, msg: wire.Message) -> None:
-        now = self.clock.now()
-        session = self.sessions.get(session_id)
+    def _channel_session(self, peer: str) -> Session:
+        session = self.session_on.get(peer)
         if session is None:
-            raise NoSession(f"unknown session {session_id}")
+            raise NoSession(f"no session opened on {peer}'s channel")
+        return session
+
+    def handle_nonce_response(self, msg: wire.Message, peer: str) -> None:
+        now = self.clock.now()
+        session = self._channel_session(peer)
         if session.pending_nonce is None:
             raise NonceMismatch("no outstanding nonce for this session")
         signature = _open(session.keys.kem, msg.value, wire.SIGNATURE.decode,
@@ -559,24 +570,23 @@ class Server:
             raise NonceMismatch("signature does not cover the outstanding nonce")
         session.pending_nonce = None
 
-    def handle_auth_challenge(self, session_id: str,
-                              msg: wire.Message) -> wire.Message:
+    def handle_auth_challenge(self, msg: wire.Message,
+                              peer: str) -> list[wire.Message]:
+        """Sign the authenticator's nonce, which completes the session: the
+        authenticator has already signed ours."""
         now = self.clock.now()
-        session = self.sessions.get(session_id)
-        if session is None:
-            raise NoSession(f"unknown session {session_id}")
+        session = self._channel_session(peer)
+        if session.pending_nonce is not None:
+            raise NonceMismatch("challenged before our nonce was answered")
         signature = crypto.sign(session.keys.sig, msg.value, now)
         ct = crypto.hybrid_encrypt(session.auth_public.kem,
                                    wire.SIGNATURE.encode(signature),
                                    self.rng, now)
-        return wire.Message(wire.Kind.NonceResponse, ct)
-
-    def complete_session(self, session_id: str) -> None:
-        session = self.sessions[session_id]
         session.established = True
         self.routes[bytes.fromhex(session.keys.kem.key_id)] = session
         self.trace.record(self.name, ch.SESSION_ESTABLISHED,
-                          session=session_id, nonce=session.nonce_hex)
+                          session=session.session_id, nonce=session.nonce_hex)
+        return [wire.Message(wire.Kind.NonceResponse, ct)]
 
     # -- token issue -------------------------------------------------------------
 
@@ -710,7 +720,7 @@ class Server:
         return [
             Outgoing("public", reply_to, activation,
                      Enc(device_public.kem.key_id, term)),
-            Outgoing("secure", session.session_id, notice),
+            Outgoing("secure", session.peer, notice),
         ]
 
     def _commit_record(self, entry: RegistryEntry, auth_public: RolePublic,
@@ -749,7 +759,8 @@ class Server:
     # -- data ingestion -----------------------------------------------------------
 
     @_traced(ch.DATA_REJECTED)
-    def handle_data_report(self, msg: wire.Message) -> None:
+    def handle_data_report(self, msg: wire.Message, src: str | None = None) -> None:
+        """Commit a reading; ``src`` goes unused: the key names the device."""
         now = self.clock.now()
         entry, (uid, metric, value, unit, token) = self._receive(
             msg.value, RegistryEntry, wire.DATA_PAYLOAD.decode, now, "report")
@@ -783,7 +794,8 @@ class Server:
     # -- revocation ----------------------------------------------------------------
 
     @_traced(ch.REVOCATION_REJECTED)
-    def handle_revocation(self, msg: wire.Message) -> None:
+    def handle_revocation(self, msg: wire.Message, src: str | None = None) -> None:
+        """Deactivate a device; ``src`` goes unused: the key names the session."""
         now = self.clock.now()
         session, (_, uid) = self._receive(msg.value, Session,
                                           wire.REVOCATION_PAYLOAD.decode, now,
@@ -805,41 +817,79 @@ class Server:
 
 
 # ---------------------------------------------------------------------------
-# Secure-path drivers
+# The one receive path
 # ---------------------------------------------------------------------------
+
+# (path, receiving role, kind) -> the name of the role's handler, looked up at
+# call time. A device's provision comes over its link key, a secure path.
+HANDLERS: dict[tuple[str, type, wire.Kind], str] = {
+    ("secure", Server, wire.Kind.SessionHello): "accept_session",
+    ("secure", Server, wire.Kind.NonceResponse): "handle_nonce_response",
+    ("secure", Server, wire.Kind.NonceChallenge): "handle_auth_challenge",
+    ("secure", Server, wire.Kind.RevocationRequest): "handle_revocation",
+    ("secure", Authenticator, wire.Kind.SessionHello): "handle_session_hello",
+    ("secure", Authenticator, wire.Kind.NonceChallenge): "handle_nonce_challenge",
+    ("secure", Authenticator, wire.Kind.NonceResponse): "handle_server_nonce_response",
+    ("secure", Authenticator, wire.Kind.TokenDelivery): "handle_token_delivery",
+    ("secure", Authenticator, wire.Kind.ConnectedNotice): "handle_connected_notice",
+    ("secure", Device, wire.Kind.DeviceProvision): "receive_provision",
+    ("public", Server, wire.Kind.RegistrationRequest): "handle_registration",
+    ("public", Server, wire.Kind.DataReport): "handle_data_report",
+    ("public", Device, wire.Kind.ActivationResponse): "handle_activation",
+}
+
+
+@_traced(ch.MESSAGE_REJECTED)
+def _recognise(role, path: str, data: bytes) -> tuple[wire.Message, str]:
+    """``data`` decoded whole, and the name of ``role``'s handler for its kind
+    on ``path``; else Malformed naming the decode error or the kind."""
+    try:
+        message = wire.decode(data)
+    except wire.WireError as exc:
+        raise Malformed(f"undecodable: {exc}", detail=type(exc).__name__) from exc
+    name = HANDLERS.get((path, type(role), message.kind))
+    if name is None:
+        raise Malformed(f"no {path} handler for {message.kind.name}",
+                        detail=message.kind.name)
+    return message, name
+
+
+def receive(role, path: str, data: bytes, src: str, **extra):
+    """Hand bytes from ``src`` to ``role``'s handler for their kind on ``path``
+    and return its result; a rejection is traced once and raises. A server
+    handler is also told ``src``: the device to answer, or the authenticator
+    whose secure channel the message came on. ``extra`` are keywords for it."""
+    message, name = _recognise(role, path, data)
+    if isinstance(role, Server):
+        return getattr(role, name)(message, src, **extra)
+    return getattr(role, name)(message, **extra)
+
+
+def deliver(h_s: ch.SecureChannel, sender, receiver, message: wire.Message) -> None:
+    """Send ``message`` over ``h_s`` as bytes, for ``receiver`` to :func:`receive`;
+    each reply goes back the same way."""
+    h_s.send(sender.name, wire.encode(message))
+    for reply in receive(receiver, "secure", h_s.recv(receiver.name), sender.name) or ():
+        deliver(h_s, receiver, sender, reply)
+
 
 def establish_session(auth: Authenticator, server: Server,
                       h_s: ch.SecureChannel) -> str:
     """Mutual authentication over the secure path: both sides verify a
     signed, encrypted nonce. Returns the new session id."""
-    h_s.send(auth.name, auth.login())
-    session_id, replies = server.accept_session(h_s.recv(server.name))
-    for reply in replies:
-        h_s.send(server.name, reply)
-    auth.handle_session_hello(h_s.recv(auth.name))
-    response = auth.handle_nonce_challenge(h_s.recv(auth.name))
-    h_s.send(auth.name, response)
-    server.handle_nonce_response(session_id, h_s.recv(server.name))
-
-    challenge = auth.challenge_server()
-    h_s.send(auth.name, challenge)
-    reply = server.handle_auth_challenge(session_id, h_s.recv(server.name))
-    h_s.send(server.name, reply)
-    auth.handle_server_nonce_response(h_s.recv(auth.name), session_id)
-    server.complete_session(session_id)
-    return session_id
+    deliver(h_s, auth, server, auth.login())
+    return server.session_on[auth.name].session_id
 
 
 def deliver_token(auth: Authenticator, server: Server, session_id: str,
                   h_s: ch.SecureChannel) -> None:
     """Token request and delivery over the secure path."""
     auth.request_token()
-    h_s.send(server.name, server.issue_transient_token(session_id))
-    auth.handle_token_delivery(h_s.recv(auth.name))
+    deliver(h_s, server, auth, server.issue_transient_token(session_id))
 
 
 def provision_device(auth: Authenticator, device: Device,
                      token_term: Term | None = None) -> None:
     """Hand the provisioning package to the device over the shared link key."""
-    msg = auth.build_provision(device.name)
-    device.receive_provision(msg, token_term=token_term)
+    receive(device, "secure", wire.encode(auth.build_provision(device.name)),
+            auth.name, token_term=token_term)

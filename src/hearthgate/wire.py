@@ -124,12 +124,12 @@ class Record:
     codec itself, so records nest.
 
     At construction the record generates its ``encode`` and ``decode`` as
-    straight-line code (see the module docstring); ``frame`` prefixes the
-    length to ``encode``'s bytes. ``reference_decode`` is the generic decoder
-    that every input with a framing or size anomaly goes to, and the only
-    raiser of framing errors."""
+    straight-line code (see the module docstring). ``reference_decode`` is
+    the generic decoder that every input with a framing or size anomaly goes
+    to, and the only raiser of framing errors."""
 
     size = None
+    frame = None
 
     def __init__(self, make: Callable | None, fields: dict[str, Codec]):
         self.names = names = tuple(fields)
@@ -140,7 +140,7 @@ class Record:
         self._sizes = [(i, c.size) for i, c in enumerate(codecs) if c.size is not None]
         self._decoders = [(i, c.decode) for i, c in enumerate(codecs)
                           if c.decode is not _same]
-        self.encode, self.frame, self.decode = _generate(self)
+        self.encode, self.decode = _generate(self)
 
     def reference_decode(self, data: bytes):
         values = unpack_fields(data, expect=len(self.names))
@@ -152,10 +152,10 @@ class Record:
         return tuple(values) if self.make is None else self.make(*values)
 
 
-def _generate(record: Record) -> tuple[Callable, Callable, Callable]:
-    """``record``'s encode, frame and decode; encode and decode are compiled
-    from one generated source. In it, field ``i`` ends at ``end{i}`` and its
-    codec's functions are ``frame{i}``, ``encode{i}`` and ``decode{i}``."""
+def _generate(record: Record) -> tuple[Callable, Callable]:
+    """``record``'s encode and decode, compiled from one generated source. In
+    it, field ``i`` ends at ``end{i}`` and its codec's functions are
+    ``frame{i}``, ``encode{i}`` and ``decode{i}``."""
     n, make, label = len(record.names), record.make, f"record ({', '.join(record.names)})"
     env = {"LENGTH": LENGTH, "LENGTH_AT": _LENGTH_AT, "error": struct.error,
            "make": make, "reference": record.reference_decode, "label": label}
@@ -174,8 +174,7 @@ def _generate(record: Record) -> tuple[Callable, Callable, Callable]:
     for i, (codec, read) in enumerate(zip(record.codecs, reads)):
         env |= {f"frame{i}": codec.frame, f"encode{i}": codec.encode,
                 f"decode{i}": codec.decode}
-        # A nested record is framed here: its own frame would cost one more call.
-        parts.append(f"frame{i}({read})" if codec.frame and not isinstance(codec, Record)
+        parts.append(f"frame{i}({read})" if codec.frame
                      else f"LENGTH(len(v{i} := {read})), v{i}" if codec.encode is _same
                      else f"LENGTH(len(v{i} := encode{i}({read}))), v{i}")
         at, start = (f"end{i - 1}", f"end{i - 1} + 4") if i else ("0", "4")
@@ -192,12 +191,7 @@ def _generate(record: Record) -> tuple[Callable, Callable, Callable]:
         "        return reference(data)", f"    if {' or '.join(checks)}:",
         "        return reference(data)", f"    return {build}"])
     exec(compile(source, f"<{label}>", "exec"), env)
-    encode = env["encode"]
-
-    def frame(value):
-        data = encode(value)
-        return LENGTH(len(data)) + data
-    return encode, frame, env["decode"]
+    return env["encode"], env["decode"]
 
 
 def _same(value):

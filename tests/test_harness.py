@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import Counter
 
 import pytest
 
 from conftest import registry_crl_disjoint
 from hearthgate import channels as ch
-from hearthgate import crypto, harness, wire
+from hearthgate import crypto, harness, roles, wire
 from hearthgate.channels import (
     AdversaryKnowledge,
     DeliverAll,
@@ -237,18 +238,124 @@ def test_non_utf8_payload_field_is_one_traced_rejection(target):
         (kind, "Malformed")]
 
 
+def _onboarded_world() -> harness.World:
+    """A direct world whose one device is active: a session, a consumed token
+    and a registry entry that a stray message must leave alone."""
+    return run_scenario(ScenarioSpec(devices=1, reports=(), retries=0), None,
+                        seed=7).world
+
+
+def _state(world: harness.World) -> tuple:
+    server = world.server
+    return ([(sid, s.established, s.pending_nonce)
+             for sid, s in server.sessions.items()],
+            [(p, p.consumed) for p in server.pending],
+            [(uid, e, e.status) for uid, e in server.registry.items()],
+            [d.phase for d in world.devices], [a.phase for a in world.auths])
+
+
+def _encoded(kind: wire.Kind) -> bytes:
+    return wire.encode(next(m for m in build_fixture_messages().values()
+                            if m.kind is kind))
+
+
+# Every (path, role) a message can arrive at; an authenticator is not on the
+# public path at all.
+ENDPOINTS = [("public", roles.Server), ("public", roles.Device),
+             ("secure", roles.Server), ("secure", roles.Authenticator),
+             ("secure", roles.Device)]
+
+
 @pytest.mark.parametrize("kind", list(wire.Kind), ids=lambda kind: kind.name)
 def test_message_without_a_handler_is_one_rejection_naming_its_kind(kind):
     # Trace digests pin each kind's name as this event's detail.
-    world = harness.World(ScenarioSpec(devices=1, reports=(), retries=0), seed=7)
-    message = next(m for m in build_fixture_messages().values() if m.kind is kind)
-    # The server handles registrations and reports, a device its activation.
-    dst = "server" if kind is wire.Kind.ActivationResponse else world.devices[0].name
-    before = len(world.trace.events)
-    world.dispatch(dst, wire.encode(message), "adversary")
-    assert [(e.kind, e.role, e.get("error"), e.get("detail"))
-            for e in world.trace.events[before:]] == [
-        (ch.MESSAGE_REJECTED, dst, "Malformed", kind.name)]
+    world = _onboarded_world()
+    endpoints = [(path, cls) for path, cls in ENDPOINTS
+                 if (path, cls, kind) not in roles.HANDLERS]
+    assert endpoints
+    data = _encoded(kind)
+    for path, cls in endpoints:
+        role = next(r for r in world.by_name.values() if type(r) is cls)
+        before, state = len(world.trace.events), _state(world)
+        if path == "public":
+            world.dispatch(role.name, data, "adversary")
+        else:
+            with pytest.raises(roles.Malformed):
+                roles.receive(role, path, data, "adversary")
+        assert [(e.kind, e.role, e.get("error"), e.get("detail"))
+                for e in world.trace.events[before:]] == [
+            (ch.MESSAGE_REJECTED, role.name, "Malformed", kind.name)], (path, cls)
+        assert _state(world) == state
+
+
+def test_public_path_takes_registrations_reports_and_activations_only():
+    assert {key for key in roles.HANDLERS if key[0] == "public"} == {
+        ("public", roles.Server, wire.Kind.RegistrationRequest),
+        ("public", roles.Server, wire.Kind.DataReport),
+        ("public", roles.Device, wire.Kind.ActivationResponse)}
+
+
+def test_session_hello_on_the_public_path_opens_no_session():
+    world = harness.World(ScenarioSpec(devices=1, reports=()), seed=7)
+    hello = wire.encode(world.auths[0].login())
+    world.execute({"on": 0, "action": "inject", "dst": "server", "data": hello})
+    assert world.server.sessions == {}
+    assert [(e.kind, e.get("detail")) for e in world.trace.events
+            if e.kind in ch.REJECTION_KINDS] == [(ch.MESSAGE_REJECTED, "SessionHello")]
+
+
+def test_public_message_for_an_authenticator_vanishes():
+    world = _onboarded_world()
+    auth = world.auths[0]
+    before, state = len(world.trace.events), _state(world)
+    for kind in wire.Kind:
+        world.dispatch(auth.name, _encoded(kind), "adversary")
+    assert world.trace.events[before:] == []
+    assert _state(world) == state
+
+
+def test_every_message_of_a_run_is_decoded_once(monkeypatch):
+    encoded, decoded = [], []
+    encode, decode = wire.encode, wire.decode
+
+    def encoding(message):
+        encoded.append(encode(message))
+        return encoded[-1]
+
+    def decoding(data):
+        decoded.append(data)
+        return decode(data)
+
+    monkeypatch.setattr(wire, "encode", encoding)
+    monkeypatch.setattr(wire, "decode", decoding)
+    result = run_scenario(honest_spec(revoke=True), None, seed=7)
+    assert result.trace.by_kind(ch.DEVICE_REVOKED)
+    assert sorted(decoded) == sorted(encoded)
+    K = wire.Kind
+    assert Counter(decode(data).kind for data in decoded) == Counter({
+        K.SessionHello: 2, K.NonceChallenge: 2, K.NonceResponse: 2,
+        K.TokenDelivery: 1, K.DeviceProvision: 1, K.ConnectedNotice: 1,
+        K.RevocationRequest: 1, K.RegistrationRequest: 1,
+        K.ActivationResponse: 1, K.DataReport: 1})
+
+
+def test_undecodable_bytes_are_one_rejection_on_either_path():
+    junk = wire.encode(wire.Message(wire.Kind.NonceChallenge, bytes(16)))[:-3]
+    rejections = []
+    for path in ("public", "secure"):
+        world = harness.World(ScenarioSpec(devices=1, reports=()), seed=7)
+        auth, server = world.auths[0], world.server
+        if path == "public":
+            world.dispatch(server.name, junk, auth.name)
+        else:
+            h_s = world.h_s[auth.name]
+            h_s.send(auth.name, junk)
+            with pytest.raises(roles.Malformed):
+                roles.receive(server, path, h_s.recv(server.name), auth.name)
+        rejections.append([(e.kind, e.role, e.get("error"), e.get("detail"))
+                           for e in world.trace.events])
+    assert rejections[0] == rejections[1] == [
+        (ch.MESSAGE_REJECTED, "server", "Malformed", "Truncated")]
 
 
 def test_unknown_attack_script():

@@ -106,16 +106,25 @@ def test_mutual_auth_rejects_replayed_nonce_response():
     w.session()
     # Capture a legitimate response from a second login, then replay it
     # against a third session whose nonce differs.
-    hello = w.auth.login()
-    w.h_s.send("authenticator", hello)
-    sid2, replies = w.server.accept_session(w.h_s.recv("server"))
-    for m in replies:
-        w.h_s.send("server", m)
-    w.auth.handle_session_hello(w.h_s.recv("authenticator"))
-    response2 = w.auth.handle_nonce_challenge(w.h_s.recv("authenticator"))
-    w.server.handle_nonce_response(sid2, response2)
+    hello, challenge = w.server.accept_session(w.auth.login(), "authenticator")
+    w.auth.handle_session_hello(hello)
+    response2, _ = w.auth.handle_nonce_challenge(challenge)
+    w.server.handle_nonce_response(response2, "authenticator")
+    with pytest.raises(NonceMismatch):  # a replay: the nonce is cleared
+        w.server.handle_nonce_response(response2, "authenticator")
+
+
+def test_server_signs_no_challenge_before_its_own_nonce_is_answered():
+    w = World()
+    w.server.accept_session(w.auth.login(), "authenticator")
     with pytest.raises(NonceMismatch):
-        w.server.handle_nonce_response(sid2, response2)  # replay, nonce cleared
+        w.server.handle_auth_challenge(
+            wire.Message(wire.Kind.NonceChallenge, bytes(16)), "authenticator")
+    assert not any(s.established for s in w.server.sessions.values())
+    with pytest.raises(NoSession):  # no session was opened on this channel
+        w.server.handle_auth_challenge(
+            wire.Message(wire.Kind.NonceChallenge, bytes(16)), "stranger")
+    assert w.trace.events == []
 
 
 def test_expired_authenticator_keys_force_relogin():
@@ -123,7 +132,7 @@ def test_expired_authenticator_keys_force_relogin():
     hello = w.auth.login()
     w.clock.advance(101.0)
     with pytest.raises(KeyExpired):
-        w.server.accept_session(hello)
+        w.server.accept_session(hello, "authenticator")
     # Fresh login after the failure succeeds.
     w.session()
     assert w.auth.phase is AuthPhase.SESSION_ESTABLISHED
@@ -138,7 +147,7 @@ def test_session_hello_with_an_ed25519_kem_key_opens_no_session():
     w = World()
     probe = wire.Message(wire.Kind.SessionHello, _ed25519_as_kem(w.auth.login().value))
     with pytest.raises(Malformed, match="unusable authenticator keys"):
-        w.server.accept_session(probe)
+        w.server.accept_session(probe, "authenticator")
     assert not w.server.sessions
     w.session()  # an honest login still works
     assert w.auth.phase is AuthPhase.SESSION_ESTABLISHED
@@ -146,7 +155,7 @@ def test_session_hello_with_an_ed25519_kem_key_opens_no_session():
 
 def test_server_hello_with_an_ed25519_kem_key_is_refused():
     w = World()
-    _, (hello, _) = w.server.accept_session(w.auth.login())
+    hello, _ = w.server.accept_session(w.auth.login(), "authenticator")
     with pytest.raises(Malformed, match="unusable server keys"):
         w.auth.handle_session_hello(
             wire.Message(wire.Kind.SessionHello, _ed25519_as_kem(hello.value)))
@@ -967,6 +976,7 @@ def test_rejection_kinds_are_named_only_by_traced_decorators():
                     decorated[node.name] = getattr(ch, deco.args[0].attr)
                     in_decorators.add(id(deco.args[0]))
     assert decorated == {
+        "_recognise": ch.MESSAGE_REJECTED,
         "handle_connected_notice": ch.MESSAGE_REJECTED,
         "handle_activation": ch.ACTIVATION_REJECTED,
         "handle_registration": ch.DEVICE_REQUEST_REJECTED,
