@@ -2,9 +2,9 @@
 
 Two kinds of channel exist. The authenticator-to-server path is secure and
 authenticated (its transport handshake is out of scope, so it is modeled as
-a lossless FIFO queue the adversary cannot see). The device-to-server path
-is public: every message enters adversary custody, and delivery happens only
-when an adversary strategy decides it does.
+a hand-off straight to the peer, which the adversary cannot see). The
+device-to-server path is public: every message enters adversary custody, and
+delivery happens only when an adversary strategy decides it does.
 
 The adversary is symbolic. For each observed message it records a term
 describing the plaintext structure, so "what can the attacker derive" is
@@ -212,34 +212,19 @@ def derive_closure(knowledge: AdversaryKnowledge) -> AdversaryKnowledge:
 # Channels
 # ---------------------------------------------------------------------------
 
-class ChannelClosed(Exception):
-    pass
-
-
 class SecureChannel:
-    """Reliable, ordered, adversary-invisible path between two endpoints."""
+    """Lossless, ordered, adversary-invisible path between two endpoints: each
+    message is handed straight to its peer, so nothing waits on it."""
 
     def __init__(self, endpoint_a: str, endpoint_b: str):
         self.endpoints = (endpoint_a, endpoint_b)
-        self._queues: dict[str, list] = {endpoint_a: [], endpoint_b: []}
 
-    def send(self, sender: str, message) -> None:
-        receiver = self._other(sender)
-        self._queues[receiver].append(message)
-
-    def recv(self, receiver: str):
-        queue = self._queues[receiver]
-        if not queue:
-            raise ChannelClosed(f"no message queued for {receiver}")
-        return queue.pop(0)
-
-    def _other(self, endpoint: str) -> str:
-        a, b = self.endpoints
-        if endpoint == a:
-            return b
-        if endpoint == b:
-            return a
-        raise ValueError(f"{endpoint} is not an endpoint of this channel")
+    def hand_off(self, sender: str, receiver: str, message: bytes) -> bytes:
+        """``message``, now at ``receiver``; ValueError unless the two names
+        are this channel's two endpoints."""
+        if (sender, receiver) not in (self.endpoints, self.endpoints[::-1]):
+            raise ValueError(f"{sender} -> {receiver} is not on this channel")
+        return message
 
 
 @dataclass(eq=False, repr=False)

@@ -4,16 +4,16 @@ The flow follows the onboarding sequence end to end: mutual authentication
 between authenticator and server over the secure path, transient-token
 issue, device provisioning over the pre-shared link key, registration over
 the public path, activation (ledger write first, then the key delivery),
-data reporting, and revocation.
+data reporting, and revocation by the device's registering authenticator.
 
 Both paths carry ``wire.encode`` bytes to one receive path: :func:`receive`
 decodes them whole and calls the handler :data:`HANDLERS` names for (path,
 receiving role, kind); anything else is one traced ``MessageRejected``.
 Handlers return their replies instead of touching channels, which keeps each
-role unit-testable: :func:`deliver` sends a secure-path reply back over its
-channel, and the runner routes :class:`Outgoing` messages. Handlers reject
-by raising: :func:`_traced` records each ``ProtocolError`` or
-``CryptoError`` once, as one rejection event.
+role unit-testable: :func:`deliver` hands a secure-path message and each
+reply straight across its channel, and the runner routes :class:`Outgoing`
+messages. Every handler rejects by raising: :func:`_traced` records each
+``ProtocolError`` or ``CryptoError`` once, as one rejection event.
 
 Each received input is recognised whole, by one helper, before a handler
 acts on it: :func:`_open` and ``Server._receive`` (routed by key id) decrypt
@@ -231,6 +231,7 @@ class Authenticator:
                                               kem_algo=self.kem_algo)
         return wire.Message(wire.Kind.SessionHello, self.keys.public)
 
+    @_traced(ch.MESSAGE_REJECTED)
     def handle_session_hello(self, msg: wire.Message) -> None:
         now = self.clock.now()
         if msg.value.kem.expired(now) or msg.value.sig.expired(now):
@@ -238,6 +239,7 @@ class Authenticator:
         _check_bundle(msg.value, self.kem_algo, now, "server keys")
         self.server_public = msg.value
 
+    @_traced(ch.MESSAGE_REJECTED)
     def handle_nonce_challenge(self, msg: wire.Message) -> list[wire.Message]:
         """Sign the server's nonce and encrypt the signature to the server,
         then challenge the server with a nonce of our own."""
@@ -252,6 +254,7 @@ class Authenticator:
         return [wire.Message(wire.Kind.NonceResponse, ct),
                 wire.Message(wire.Kind.NonceChallenge, self._pending_nonce)]
 
+    @_traced(ch.MESSAGE_REJECTED)
     def handle_server_nonce_response(self, msg: wire.Message) -> None:
         now = self.clock.now()
         if self._pending_nonce is None:
@@ -270,6 +273,7 @@ class Authenticator:
             raise NoSession(f"cannot request a token in phase {self.phase.value}")
         self.phase = AuthPhase.AWAITING_TOKEN
 
+    @_traced(ch.MESSAGE_REJECTED)
     def handle_token_delivery(self, msg: wire.Message) -> None:
         now = self.clock.now()
         if self.phase is not AuthPhase.AWAITING_TOKEN:
@@ -352,6 +356,7 @@ class Device:
         self.device_token: bytes | None = None
         self.server_device_public: RolePublic | None = None
 
+    @_traced(ch.MESSAGE_REJECTED)
     def receive_provision(self, msg: wire.Message,
                           token_term: Term | None = None) -> None:
         now = self.clock.now()
@@ -482,9 +487,11 @@ class PendingRegistration:
 
 @dataclass(eq=False, repr=False)
 class RegistryEntry:
-    """A device the server registered: its keys, device token and status."""
+    """A registered device: keys, token, status, and the authenticator (peer)
+    whose session registered it, which alone may revoke it."""
 
     uid_hex: str
+    peer: str
     device_public: RolePublic
     server_keys: RoleKeys
     device_token: bytes | None
@@ -529,6 +536,7 @@ class Server:
 
     # -- session establishment -------------------------------------------------
 
+    @_traced(ch.MESSAGE_REJECTED)
     def accept_session(self, hello: wire.Message, peer: str) -> list[wire.Message]:
         """Open a session on ``peer``'s channel: our keys and a nonce to sign."""
         now = self.clock.now()
@@ -556,6 +564,7 @@ class Server:
             raise NoSession(f"no session opened on {peer}'s channel")
         return session
 
+    @_traced(ch.MESSAGE_REJECTED)
     def handle_nonce_response(self, msg: wire.Message, peer: str) -> None:
         now = self.clock.now()
         session = self._channel_session(peer)
@@ -570,6 +579,7 @@ class Server:
             raise NonceMismatch("signature does not cover the outstanding nonce")
         session.pending_nonce = None
 
+    @_traced(ch.MESSAGE_REJECTED)
     def handle_auth_challenge(self, msg: wire.Message,
                               peer: str) -> list[wire.Message]:
         """Sign the authenticator's nonce, which completes the session: the
@@ -590,6 +600,7 @@ class Server:
 
     # -- token issue -------------------------------------------------------------
 
+    @_traced(ch.MESSAGE_REJECTED)
     def issue_transient_token(self, session_id: str) -> wire.Message:
         now = self.clock.now()
         session = self.sessions.get(session_id)
@@ -695,7 +706,7 @@ class Server:
                                                 kem_algo=self.kem_algo)
         term = activation_term(device_token, server_keys.public)
         entry = RegistryEntry(
-            uid_hex=uid_hex, device_public=device_public,
+            uid_hex=uid_hex, peer=session.peer, device_public=device_public,
             server_keys=server_keys, device_token=device_token,
             status=DeviceStatus.ACTIVE, activation_term=term)
         self._commit_record(entry, session.auth_public, DeviceStatus.ACTIVE, now)
@@ -805,6 +816,9 @@ class Server:
         if entry is None:
             raise UnknownDevice(f"no registered device {uid_hex}", detail=None,
                                 uid=uid_hex)
+        if session.peer != entry.peer:
+            raise UnknownDevice(f"device {uid_hex} not registered by {session.peer}",
+                                detail="registered by another authenticator", uid=uid_hex)
         if entry.status is DeviceStatus.DEACTIVATED:
             raise AlreadyRevoked(f"device {uid_hex} already revoked", detail=None,
                                  uid=uid_hex)
@@ -866,10 +880,10 @@ def receive(role, path: str, data: bytes, src: str, **extra):
 
 
 def deliver(h_s: ch.SecureChannel, sender, receiver, message: wire.Message) -> None:
-    """Send ``message`` over ``h_s`` as bytes, for ``receiver`` to :func:`receive`;
+    """Hand ``message`` as bytes across ``h_s`` for ``receiver`` to :func:`receive`;
     each reply goes back the same way."""
-    h_s.send(sender.name, wire.encode(message))
-    for reply in receive(receiver, "secure", h_s.recv(receiver.name), sender.name) or ():
+    data = h_s.hand_off(sender.name, receiver.name, wire.encode(message))
+    for reply in receive(receiver, "secure", data, sender.name) or ():
         deliver(h_s, receiver, sender, reply)
 
 

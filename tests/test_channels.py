@@ -26,27 +26,14 @@ from hearthgate.channels import (
 from hearthgate.runtime import seeded_rng
 
 
-def test_secure_channel_fifo():
+def test_secure_channel_hands_off_between_its_endpoints_only():
     hs = SecureChannel("authenticator", "server")
-    hs.send("authenticator", "m1")
-    hs.send("authenticator", "m2")
-    assert hs.recv("server") == "m1"
-    assert hs.recv("server") == "m2"
-
-
-def test_secure_channel_directions_independent():
-    hs = SecureChannel("authenticator", "server")
-    hs.send("authenticator", "up")
-    hs.send("server", "down")
-    assert hs.recv("authenticator") == "down"
-    assert hs.recv("server") == "up"
-
-
-def test_secure_channel_recv_from_empty_queue():
-    hs = SecureChannel("a", "b")
-    hs.send("a", "m")
-    with pytest.raises(ch.ChannelClosed):
-        hs.recv("a")
+    assert hs.hand_off("authenticator", "server", b"up") == b"up"
+    assert hs.hand_off("server", "authenticator", b"down") == b"down"
+    for sender, receiver in (("authenticator", "authenticator"),
+                             ("device-0", "server"), ("server", "auth-1")):
+        with pytest.raises(ValueError):
+            hs.hand_off(sender, receiver, b"m")
 
 
 def test_secure_traffic_invisible_to_adversary():
@@ -54,8 +41,7 @@ def test_secure_traffic_invisible_to_adversary():
     before_terms = set(knowledge.terms)
     hs = SecureChannel("authenticator", "server")
     for i in range(20):
-        hs.send("authenticator", f"secret-{i}")
-        hs.recv("server")
+        hs.hand_off("authenticator", "server", f"secret-{i}".encode())
     assert knowledge.terms == before_terms
 
 

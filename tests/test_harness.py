@@ -348,14 +348,34 @@ def test_undecodable_bytes_are_one_rejection_on_either_path():
         if path == "public":
             world.dispatch(server.name, junk, auth.name)
         else:
-            h_s = world.h_s[auth.name]
-            h_s.send(auth.name, junk)
             with pytest.raises(roles.Malformed):
-                roles.receive(server, path, h_s.recv(server.name), auth.name)
+                roles.receive(server, path, junk, auth.name)
         rejections.append([(e.kind, e.role, e.get("error"), e.get("detail"))
                            for e in world.trace.events])
     assert rejections[0] == rejections[1] == [
         (ch.MESSAGE_REJECTED, "server", "Malformed", "Truncated")]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: nothing authenticates an "
+                   "activation, so a forged one binds the device to the adversary's key")
+def test_forged_activation_does_not_bind_the_device():
+    def forge(world):
+        device, now = world.devices[0], world.clock.now()
+        rng = world.adv_rng.child("forge-activation")
+        keys = crypto.generate_role_keys(crypto.RoleTag.SERVER_FOR_DEVICE,
+                                         world.spec.key_ttl, rng, now,
+                                         kem_algo=world.spec.kem_algo)
+        payload = wire.ACTIVATION_PAYLOAD.encode((rng.bytes(32), keys.public))
+        sealed = crypto.hybrid_encrypt(device.keys.public.kem, payload, rng, now)
+        data = wire.encode(wire.Message(wire.Kind.ActivationResponse, sealed))
+        return Scripted([{"on": 0, "action": "inject", "dst": device.name,
+                          "data": data}])
+
+    result = run_scenario(ScenarioSpec(devices=1, reports=(), retries=0), forge, seed=7)
+    assert all(v.holds for v in check_all(result).values())
+    device = result.world.devices[0]
+    registered = result.world.server.registry[device.uid.hex]
+    assert device.server_device_public == registered.server_keys.public
 
 
 def test_unknown_attack_script():

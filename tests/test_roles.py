@@ -124,7 +124,8 @@ def test_server_signs_no_challenge_before_its_own_nonce_is_answered():
     with pytest.raises(NoSession):  # no session was opened on this channel
         w.server.handle_auth_challenge(
             wire.Message(wire.Kind.NonceChallenge, bytes(16)), "stranger")
-    assert w.trace.events == []
+    assert [(e.kind, e.get("error")) for e in w.trace.events] == [
+        (ch.MESSAGE_REJECTED, "NonceMismatch"), (ch.MESSAGE_REJECTED, "NoSession")]
 
 
 def test_expired_authenticator_keys_force_relogin():
@@ -468,8 +469,7 @@ def test_phase_safety_no_out_of_phase_emission():
     with pytest.raises(NoSession):
         w.auth.request_token()  # already awaiting
     # Device double-provision:
-    w.h_s.send("server", w.server.issue_transient_token(w.session_id))
-    w.auth.handle_token_delivery(w.h_s.recv("authenticator"))
+    roles.deliver(w.h_s, w.server, w.auth, w.server.issue_transient_token(w.session_id))
     provision_device(w.auth, w.device)
     with pytest.raises(Malformed):
         w.device.receive_provision(wire.Message(
@@ -710,6 +710,33 @@ def test_report_sealed_to_another_devices_key_rejected():
     assert w.network.query(ChannelName.DATA, "server-org") == []
 
 
+def test_only_the_registering_authenticator_may_revoke():
+    w = harness.run_scenario(harness.ScenarioSpec(devices=2, reports=()), None,
+                             seed=7).world
+    (owner, other), uid = w.auths, w.devices[0].uid.hex
+    entry = w.server.registry[uid]
+    chain = w.network.query(ChannelName.IDENTITY, "server-org")
+    crl = set(w.server.crl)
+
+    def revoke(auth):
+        before = len(w.trace.events)
+        w.send_outgoing(roles.Outgoing("secure", w.server.name,
+                                       auth.build_revocation(uid), src=auth.name))
+        return [(e.kind, e.get("error"), e.get("detail"))
+                for e in w.trace.events[before:]
+                if e.kind in ch.REJECTION_KINDS or e.kind == ch.DEVICE_REVOKED]
+
+    assert revoke(other) == [(ch.REVOCATION_REJECTED, "UnknownDevice",
+                              "registered by another authenticator")]
+    assert entry.status is DeviceStatus.ACTIVE
+    assert w.server.crl == crl
+    assert w.network.query(ChannelName.IDENTITY, "server-org") == chain
+
+    establish_session(owner, w.server, w.h_s[owner.name])
+    assert revoke(owner) == [(ch.DEVICE_REVOKED, None, None)]
+    assert entry.status is DeviceStatus.DEACTIVATED
+
+
 def test_undeliverable_token_leaves_no_token_on_record():
     # accept_session refuses a hello whose KEM key is an Ed25519 key, so the
     # completed session's peer key is replaced after the fact: no token can
@@ -857,6 +884,63 @@ def test_unusable_server_keys_in_activation_rejected(bundle):
 
 # -- one rejection event per failed handler call ----------------------------------
 
+def _hello_expired_auth_key(w, monkeypatch):
+    w.auth.key_ttl = 50.0
+    hello = w.auth.login()
+    w.clock.advance(60.0)
+    return lambda: w.server.accept_session(hello, "authenticator")
+
+
+def _nonce_response_replayed(w, monkeypatch):
+    hello, challenge = w.server.accept_session(w.auth.login(), "authenticator")
+    w.auth.handle_session_hello(hello)
+    response, _ = w.auth.handle_nonce_challenge(challenge)
+    w.server.handle_nonce_response(response, "authenticator")
+    return lambda: w.server.handle_nonce_response(response, "authenticator")
+
+
+def _auth_challenge_before_our_nonce(w, monkeypatch):
+    w.server.accept_session(w.auth.login(), "authenticator")
+    return lambda: w.server.handle_auth_challenge(
+        wire.Message(wire.Kind.NonceChallenge, bytes(16)), "authenticator")
+
+
+def _token_for_unknown_session(w, monkeypatch):
+    return lambda: w.server.issue_transient_token("session-9")
+
+
+def _server_hello_expired(w, monkeypatch):
+    hello, _ = w.server.accept_session(w.auth.login(), "authenticator")
+    w.clock.advance(w.server.key_ttl + 1)
+    return lambda: w.auth.handle_session_hello(hello)
+
+
+def _nonce_challenge_before_login(w, monkeypatch):
+    return lambda: w.auth.handle_nonce_challenge(
+        wire.Message(wire.Kind.NonceChallenge, bytes(16)))
+
+
+def _server_nonce_response_unasked(w, monkeypatch):
+    w.session()
+    response = wire.Message(wire.Kind.NonceResponse, crypto.hybrid_encrypt(
+        w.auth.keys.kem.public, bytes(16), w.rng, w.clock.now()))
+    return lambda: w.auth.handle_server_nonce_response(response)
+
+
+def _token_delivery_unrequested(w, monkeypatch):
+    w.session()
+    token = w.server.issue_transient_token(w.session_id)
+    return lambda: w.auth.handle_token_delivery(token)
+
+
+def _provision_under_another_link_key(w, monkeypatch):
+    w.session()
+    deliver_token(w.auth, w.server, w.session_id, w.h_s)
+    provision = w.auth.build_provision("device-1")
+    w.device.link_key = crypto.gen_link_key(w.rng.child("other-link"))
+    return lambda: w.device.receive_provision(provision)
+
+
 def _registration_unknown_key(w, monkeypatch):
     w.session()
     deliver_token(w.auth, w.server, w.session_id, w.h_s)
@@ -939,6 +1023,17 @@ def _notice_expired_auth_key(w, monkeypatch):
 
 
 @pytest.mark.parametrize("setup, role, kind, error", [
+    (_hello_expired_auth_key, "server", ch.MESSAGE_REJECTED, KeyExpired),
+    (_nonce_response_replayed, "server", ch.MESSAGE_REJECTED, NonceMismatch),
+    (_auth_challenge_before_our_nonce, "server", ch.MESSAGE_REJECTED, NonceMismatch),
+    (_token_for_unknown_session, "server", ch.MESSAGE_REJECTED, NoSession),
+    (_server_hello_expired, "authenticator", ch.MESSAGE_REJECTED, KeyExpired),
+    (_nonce_challenge_before_login, "authenticator", ch.MESSAGE_REJECTED, NoSession),
+    (_server_nonce_response_unasked, "authenticator", ch.MESSAGE_REJECTED,
+     NonceMismatch),
+    (_token_delivery_unrequested, "authenticator", ch.MESSAGE_REJECTED, NoSession),
+    (_provision_under_another_link_key, "device-1", ch.MESSAGE_REJECTED,
+     LinkKeyMismatch),
     (_registration_unknown_key, "server", ch.DEVICE_REQUEST_REJECTED, Malformed),
     (_registration_expired_auth_key, "server", ch.DEVICE_REQUEST_REJECTED,
      KeyExpired),
@@ -977,6 +1072,15 @@ def test_rejection_kinds_are_named_only_by_traced_decorators():
                     in_decorators.add(id(deco.args[0]))
     assert decorated == {
         "_recognise": ch.MESSAGE_REJECTED,
+        "accept_session": ch.MESSAGE_REJECTED,
+        "handle_nonce_response": ch.MESSAGE_REJECTED,
+        "handle_auth_challenge": ch.MESSAGE_REJECTED,
+        "issue_transient_token": ch.MESSAGE_REJECTED,
+        "handle_session_hello": ch.MESSAGE_REJECTED,
+        "handle_nonce_challenge": ch.MESSAGE_REJECTED,
+        "handle_server_nonce_response": ch.MESSAGE_REJECTED,
+        "handle_token_delivery": ch.MESSAGE_REJECTED,
+        "receive_provision": ch.MESSAGE_REJECTED,
         "handle_connected_notice": ch.MESSAGE_REJECTED,
         "handle_activation": ch.ACTIVATION_REJECTED,
         "handle_registration": ch.DEVICE_REQUEST_REJECTED,
