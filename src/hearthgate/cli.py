@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (for ``attack``, success means the attack was
 defeated); 1 a demo step failed; 2 usage, configuration, or missing-input
-error; 3 ledger verification failed; 4 a security property was violated
-(an attack or campaign run produced a lemma violation, which indicates an
-implementation bug, not an operator error).
+error, or an unwritable ``--out``: :func:`main` alone turns each into one
+stderr line ``<command>: <reason>``; 3 ledger verification failed; 4 a
+security property was violated (an attack or campaign run produced a lemma
+violation, which indicates an implementation bug, not an operator error).
 """
 
 from __future__ import annotations
@@ -176,17 +177,12 @@ def run_demo(cfg: Config) -> tuple[int, list[str], harness.World]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _load_config_or_die(args) -> Config:
-    cfg = load_config(getattr(args, "config", None))
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "snapshot", None):
-        cfg.snapshot = args.snapshot
-    return cfg
-
-
 def cmd_demo(args) -> int:
-    cfg = _load_config_or_die(args)
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.seed = args.seed
+    if args.snapshot:
+        cfg.snapshot = args.snapshot
     code, lines, _ = run_demo(cfg)
     for line in lines:
         print(line)
@@ -194,11 +190,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_verify_ledger(args) -> int:
-    try:
-        ok, detail = ledger.verify_snapshot(args.snapshot)
-    except OSError as exc:
-        print(f"cannot read snapshot: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    ok, detail = ledger.verify_snapshot(args.snapshot)
     if not ok:
         print(f"snapshot verification FAILED: {detail}")
         return EXIT_CORRUPT
@@ -227,14 +219,8 @@ def cmd_attack(args) -> int:
     if args.script_file:
         return _attack_from_file(args)
     if not args.script:
-        print("attack: --script NAME or --script-file PATH required (or --list)",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        outcome = harness.run_attack(args.script, seed=args.seed)
-    except harness.ScenarioInvalid as exc:
-        print(f"attack: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--script NAME or --script-file PATH required (or --list)")
+    outcome = harness.run_attack(args.script, seed=args.seed)
     verdicts = {k: v.holds for k, v in outcome.verdicts.items()}
     print(f"script {outcome.name}: {outcome.detail}")
     print(f"properties: {json.dumps(verdicts, sort_keys=True)}")
@@ -261,14 +247,10 @@ def cmd_attack(args) -> int:
 
 def _attack_from_file(args) -> int:
     """Run a declarative adversary script file against a scenario."""
-    try:
-        spec = (harness.load_scenario(args.scenario)
-                if args.scenario else None)
-        result, verdicts = harness.run_script_file(args.script_file,
-                                                   seed=args.seed, spec=spec)
-    except (harness.ScenarioInvalid, OSError, ValueError, CryptoError) as exc:
-        print(f"attack: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = (harness.load_scenario(args.scenario)
+            if args.scenario else None)
+    result, verdicts = harness.run_script_file(args.script_file,
+                                               seed=args.seed, spec=spec)
     holds = {k: v.holds for k, v in verdicts.items()}
     rejections = [f"{e.get('error')}({e.get('detail')})"
                   for e in result.trace.events if e.kind in REJECTION_KINDS]
@@ -284,15 +266,11 @@ def _attack_from_file(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    try:
-        weights = _parse_weights(args.weights)
-        spec = (harness.load_scenario(args.scenario)
-                if args.scenario else None)
-        result = harness.run_campaign(args.runs, base_seed=args.seed,
-                                      weights=weights, spec=spec)
-    except (ValueError, harness.ScenarioInvalid, OSError, CryptoError) as exc:
-        print(f"campaign: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    weights = _parse_weights(args.weights)
+    spec = (harness.load_scenario(args.scenario)
+            if args.scenario else None)
+    result = harness.run_campaign(args.runs, base_seed=args.seed,
+                                  weights=weights, spec=spec)
     if args.out:
         with open(args.out, "w") as fh:
             for record in result.records:
@@ -309,17 +287,13 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        rates = bench.parse_rates(args.rates)
-        profile = bench.LoadProfile(arrival_rate=rates[0],
-                                    duration=args.duration,
-                                    process=args.process)
-        report = bench.sweep(rates, profile=profile, seed=args.seed,
-                             mu=args.mu, max_block_txs=args.max_block_txs,
-                             block_interval=args.block_interval)
-    except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rates = bench.parse_rates(args.rates)
+    profile = bench.LoadProfile(arrival_rate=rates[0],
+                                duration=args.duration,
+                                process=args.process)
+    report = bench.sweep(rates, profile=profile, seed=args.seed,
+                         mu=args.mu, max_block_txs=args.max_block_txs,
+                         block_interval=args.block_interval)
     if args.out:
         report.write_csv(args.out)
     print(f"{'rate':>8} {'throughput':>11} {'mean_ms':>9} {'p50':>8} "
@@ -395,11 +369,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, harness.ScenarioInvalid, ValueError, OSError,
+            CryptoError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

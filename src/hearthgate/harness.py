@@ -616,9 +616,15 @@ def load_attack_rules(path: str) -> list[dict]:
 def run_script_file(path: str, seed: int = 7,
                     spec: ScenarioSpec | None = None) -> tuple[RunResult, dict]:
     """Run a user-supplied adversary script against a scenario; returns the
-    run and its property verdicts."""
+    run and its property verdicts. An ``inject`` must name the server or
+    one of the scenario's devices, the roles that take public messages."""
     rules = load_attack_rules(path)
     spec = spec or ScenarioSpec(devices=1, reports=(), retries=0)
+    receivers = {"server", *(f"device-{i}" for i in range(spec.devices))}
+    for i, rule in enumerate(rules):
+        if rule["action"] == "inject" and rule["dst"] not in receivers:
+            raise ScenarioInvalid(f"rule {i}: inject 'dst' {rule['dst']!r} "
+                                  "names no server or device of the scenario")
     result = run_scenario(spec, Scripted(rules), seed)
     return result, check_all(result)
 

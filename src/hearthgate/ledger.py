@@ -3,9 +3,9 @@ validation with per-channel access policies, hash-chained blocks, and
 exactly-once event subscriptions.
 
 Consensus is deliberately simulated: submitted transactions are validated,
-then pass through a single rate-limited ordering service (service rate mu
-transactions/second, blocks cut at ``max_block_txs`` or ``block_interval``
-seconds, whichever first). Timing is virtual: callers submit with explicit
+then pass through their channel's rate-limited ordering service (each
+channel's own service rate mu transactions/second, blocks cut at
+``max_block_txs`` or ``block_interval`` seconds, whichever first). Timing is virtual: callers submit with explicit
 timestamps and pump commits forward with ``run_until``/``settle``, which
 makes both protocol runs and the saturation benchmark deterministic.
 """

@@ -234,8 +234,6 @@ class Authenticator:
     @_traced(ch.MESSAGE_REJECTED)
     def handle_session_hello(self, msg: wire.Message) -> None:
         now = self.clock.now()
-        if msg.value.kem.expired(now) or msg.value.sig.expired(now):
-            raise KeyExpired("server presented an expired key bundle")
         _check_bundle(msg.value, self.kem_algo, now, "server keys")
         self.server_public = msg.value
 
@@ -540,8 +538,6 @@ class Server:
     def accept_session(self, hello: wire.Message, peer: str) -> list[wire.Message]:
         """Open a session on ``peer``'s channel: our keys and a nonce to sign."""
         now = self.clock.now()
-        if hello.value.kem.expired(now) or hello.value.sig.expired(now):
-            raise KeyExpired("authenticator presented an expired key bundle")
         _check_bundle(hello.value, self.kem_algo, now, "authenticator keys")
         keys = crypto.generate_role_keys(RoleTag.SERVER_FOR_AUTH, self.key_ttl,
                                          self.rng, now, kem_algo=self.kem_algo)

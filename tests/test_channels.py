@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hearthgate import channels as ch
+from hearthgate import harness, wire
 from hearthgate.channels import (
     AdversaryKnowledge,
     Atom,
@@ -36,13 +37,28 @@ def test_secure_channel_hands_off_between_its_endpoints_only():
             hs.hand_off(sender, receiver, b"m")
 
 
-def test_secure_traffic_invisible_to_adversary():
-    knowledge = AdversaryKnowledge()
-    before_terms = set(knowledge.terms)
-    hs = SecureChannel("authenticator", "server")
-    for i in range(20):
-        hs.hand_off("authenticator", "server", f"secret-{i}".encode())
-    assert knowledge.terms == before_terms
+def test_secure_traffic_invisible_to_adversary(monkeypatch):
+    # A whole run: only the device's own messages pass through custody, and
+    # the adversary learns no encryption it did not see there.
+    sends = []
+    send = PublicChannel.send
+
+    def recorded(channel, src, dst, data, term):
+        sends.append(send(channel, src, dst, data, term))
+        return sends[-1]
+
+    monkeypatch.setattr(PublicChannel, "send", recorded)
+    spec = harness.ScenarioSpec(devices=2, revoke=True)
+    result = harness.run_scenario(spec, DeliverAll(), seed=7)
+    assert {wire.decode(entry.data).kind for entry in sends} == {
+        wire.Kind.RegistrationRequest, wire.Kind.ActivationResponse,
+        wire.Kind.DataReport}
+    assert {t for t in result.knowledge.terms if isinstance(t, Enc)} == \
+        {entry.term for entry in sends}
+    kinds = [e.kind for e in result.trace.events]
+    for kind in (ch.SESSION_ESTABLISHED, ch.DEVICE_PROVISIONED,
+                 ch.CONNECTED_NOTICE, ch.DEVICE_REVOKED):
+        assert kinds.count(kind) == 2, kind
 
 
 def test_public_channel_observation_is_immediate():

@@ -117,7 +117,7 @@ def test_demo_refuses_mistyped_rules(tmp_path, capsys, ledger_submits, rules,
                     f"[demo]\nsnapshot = {tmp_path / 'x.snapshot'}\n")
     code, out, err = run_cli(capsys, ["demo", "--config", str(conf)])
     assert code == EXIT_USAGE
-    assert err == f"error: {message}\n"
+    assert err == f"demo: {message}\n"
     assert out == "" and ledger_submits == []
     assert not (tmp_path / "x.snapshot").exists()
 
@@ -129,7 +129,7 @@ def test_demo_refuses_access_map_barring_risk_engine(tmp_path, capsys,
                     f"[demo]\nsnapshot = {tmp_path / 'x.snapshot'}\n")
     code, out, err = run_cli(capsys, ["demo", "--config", str(conf)])
     assert code == EXIT_USAGE
-    assert err == ("error: risk engine cannot write alerts: role risk_engine "
+    assert err == ("demo: risk engine cannot write alerts: role risk_engine "
                    "may not write to channel risk_management\n")
     assert out == "" and ledger_submits == []
     assert not (tmp_path / "x.snapshot").exists()
@@ -138,7 +138,32 @@ def test_demo_refuses_access_map_barring_risk_engine(tmp_path, capsys,
 def test_verify_ledger_missing_file(capsys):
     code, _, err = run_cli(capsys, ["verify-ledger", "/nonexistent.snapshot"])
     assert code == EXIT_USAGE
-    assert "cannot read" in err
+    assert err.startswith("verify-ledger: ") and err.count("\n") == 1, err
+    assert "/nonexistent.snapshot" in err
+
+
+def test_demo_missing_rules_file(tmp_path, capsys):
+    conf = tmp_path / "hg.conf"
+    conf.write_text(f"[risk]\nrules = {tmp_path / 'absent.json'}\n"
+                    f"[demo]\nsnapshot = {tmp_path / 'x.snapshot'}\n")
+    code, out, err = run_cli(capsys, ["demo", "--config", str(conf)])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("demo: ") and err.count("\n") == 1, err
+    assert "absent.json" in err
+    assert not (tmp_path / "x.snapshot").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "--script", "replay-device-request"],
+    ["campaign", "--runs", "2"],
+    ["bench", "--rates", "30", "--duration", "10"],
+], ids=lambda argv: argv[0])
+def test_out_in_a_missing_directory_is_one_line(tmp_path, capsys, argv):
+    out_file = tmp_path / "missing" / "out"
+    code, _, err = run_cli(capsys, [*argv, "--out", str(out_file)])
+    assert code == EXIT_USAGE
+    assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and str(out_file) in err
 
 
 def test_verify_ledger_corruption(tmp_path, capsys):
@@ -261,12 +286,17 @@ def test_attack_script_file_malformed(tmp_path, capsys):
                  '[{"on": 0, "action": "inject", "dst": "server", '
                  '"data_hex": 5}]',
                  '[{"on": 0, "action": "inject", "dst": ["server"], '
+                 '"data_hex": "00"}]',
+                 # names no role that takes public messages: it would vanish
+                 '[{"on": 0, "action": "inject", "dst": "servr", '
+                 '"data_hex": "00"}]',
+                 '[{"on": 0, "action": "inject", "dst": "auth-0", '
                  '"data_hex": "00"}]'):
         script.write_text(text)
-        code, _, err = run_cli(capsys, ["attack", "--script-file",
-                                        str(script)])
-        assert code == EXIT_USAGE, text
-        assert err.startswith("attack: ") and err.count("\n") == 1, err
+        code, out, err = run_cli(capsys, ["attack", "--script-file",
+                                          str(script)])
+        assert code == EXIT_USAGE and out == "", text
+        assert err.startswith("attack: rule 0: ") and err.count("\n") == 1, err
 
 
 def test_campaign_scenario_file_malformed(tmp_path, capsys):
