@@ -46,13 +46,9 @@ DEMO_ORGS = ledger.CORE_ORGS + (
 def run_demo(cfg: Config) -> tuple[int, list[str], harness.World]:
     """The scripted end-to-end flow, narrated over one :class:`harness.World`
     built from ``cfg``; returns (exit code, transcript, world)."""
-    lines = [f"hearthgate demo v{__version__} (seed {cfg.seed}, kem {cfg.kem})"]
-    spec = harness.ScenarioSpec(
-        reports=(), totp_step=cfg.totp_step,
-        key_ttl=cfg.key_ttl, kem_algo=cfg.kem, mu=cfg.mu,
-        max_block_txs=cfg.max_block_txs, block_interval=cfg.block_interval)
+    lines = [f"hearthgate demo v{__version__} (seed {cfg.seed}, kem {cfg.spec.kem_algo})"]
     rules = risk.load_rules(cfg.rules) if cfg.rules else None
-    world = harness.World(spec, cfg.seed, rules=rules, direct=True,
+    world = harness.World(cfg.spec, cfg.seed, rules=rules, direct=True,
                           orgs=DEMO_ORGS,
                           access_overrides=cfg.access_overrides)
     network, server, clock = world.network, world.server, world.clock
@@ -88,7 +84,7 @@ def run_demo(cfg: Config) -> tuple[int, list[str], harness.World]:
 
     def s_token():
         deliver_token(auth, server, session_id, h_s)
-        return (f"8-digit token issued ({cfg.totp_step} s step); "
+        return (f"8-digit token issued ({cfg.spec.totp_step} s step); "
                 f"api {server.api_address}")
 
     def s_provision():
@@ -216,6 +212,10 @@ def cmd_attack(args) -> int:
         for name, script in sorted(harness.ATTACK_SCRIPTS.items()):
             print(f"{name:28s} {script.description}")
         return EXIT_OK
+    if args.script_file and args.out:
+        raise ValueError("--out goes with --script, not --script-file")
+    if args.scenario and not args.script_file:
+        raise ValueError("--scenario goes with --script-file only")
     if args.script_file:
         return _attack_from_file(args)
     if not args.script:

@@ -3,7 +3,9 @@
 Unknown sections or keys are errors, values are validated, and every setting
 can be overridden from the environment as ``HEARTHGATE_<SECTION>_<KEY>``
 (e.g. ``HEARTHGATE_LEDGER_MU=150``). Environment wins over file, file over
-defaults.
+defaults. The ``[core]`` keys ``totp_step``, ``key_ttl`` and ``kem`` and the
+``[ledger]`` keys are the run's :class:`harness.ScenarioSpec`: the fields a
+``--scenario`` file sets, checked by ``ScenarioSpec.validate``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .crypto import MalformedKey, kem_backend
+from .harness import ScenarioInvalid, ScenarioSpec
 from .ledger import READ_ALL, READ_NONE, READ_OWN, ChannelName, OrgRole
 
 ENV_PREFIX = "HEARTHGATE_"
@@ -24,17 +26,12 @@ class ConfigError(Exception):
 
 @dataclass(eq=False, repr=False)
 class Config:
-    """Settings from a ``hearthgate`` config file, with defaults; [access] keys fill one map."""
+    """Settings from a ``hearthgate`` config file, with defaults; [access] keys
+    fill one map, and the scenario keys set ``spec`` (``kem`` sets ``kem_algo``)."""
 
-    # [core]
+    # [core] seed; totp_step, key_ttl, kem and the [ledger] keys set spec
     seed: int = 7
-    totp_step: int = 30
-    key_ttl: float = 86_400.0
-    kem: str = "x25519"
-    # [ledger]
-    mu: float = 200.0
-    max_block_txs: int = 50
-    block_interval: float = 0.1
+    spec: ScenarioSpec = field(default_factory=lambda: ScenarioSpec(reports=()))
     # [risk]
     rules: str | None = None  # path to a JSON rule file; built-ins if absent
     # [demo]
@@ -50,19 +47,6 @@ _SCHEMA = {
     "risk": {"rules": str},
     "demo": {"snapshot": str, "provisioning_delay": float},
 }
-
-_POSITIVE = {"totp_step", "key_ttl", "mu", "max_block_txs", "block_interval"}
-
-
-def is_json_type(value, kind: str) -> bool:
-    """Whether a decoded JSON value has the type an input file declares for
-    it (``bool`` is an ``int`` to Python, but not a number here)."""
-    if kind == "bool":
-        return isinstance(value, bool)
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, {"int": int, "float": (int, float), "str": str,
-                              "list": list}[kind])
 
 
 def _parse_access_value(key: str, value: str) -> tuple[tuple, dict]:
@@ -104,11 +88,11 @@ def _assign(cfg: Config, section: str, key: str, raw: str) -> None:
             f"[{section}] {key}: expected {caster.__name__}, got {raw!r}") from None
     if caster is float and not math.isfinite(value):
         raise ConfigError(f"[{section}] {key}: must be a finite number")
-    if key in _POSITIVE and not value > 0:
-        raise ConfigError(f"[{section}] {key}: must be positive")
     if key == "seed" and value < 0:
         raise ConfigError(f"[{section}] {key}: must be nonnegative")
-    setattr(cfg, key, value)
+    name = "kem_algo" if key == "kem" else key
+    setattr(cfg.spec if name in ScenarioSpec.__dataclass_fields__ else cfg,
+            name, value)
 
 
 def load_config(path: str | None = None,
@@ -154,7 +138,7 @@ def load_config(path: str | None = None,
             raise ConfigError(f"unknown environment override {name}")
         _assign(cfg, section, candidates[0], raw)
     try:
-        kem_backend(cfg.kem)
-    except MalformedKey as exc:
+        cfg.spec.validate()
+    except ScenarioInvalid as exc:
         raise ConfigError(str(exc)) from None
     return cfg

@@ -53,6 +53,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import hmac
+import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -420,10 +421,13 @@ def kem_backend(name: str):
 
 def check_public_key(public: PublicKey, algo: str, now: float) -> None:
     """Recognise a peer's public key before any use: MalformedKey unless it is
-    an ``algo`` key its parser accepts (for ML-KEM, one passing FIPS 203's
-    length and modulus checks), KeyExpired if it expired at ``now``."""
+    an ``algo`` key with a finite validity window that its parser accepts (for
+    ML-KEM, one passing FIPS 203's length and modulus checks), KeyExpired if
+    it expired at ``now``."""
     if public.algo != algo:
         raise MalformedKey(f"expected a {algo} key, got {public.algo!r}")
+    if not (math.isfinite(public.created_at) and math.isfinite(public.ttl)):
+        raise MalformedKey(f"{algo} key validity window is not finite")
     _ensure_fresh(public, now)
     if algo in _PUBLIC_PARSERS:
         public.parsed  # raises MalformedKey unless the key parses
@@ -437,16 +441,16 @@ def check_public_key(public: PublicKey, algo: str, now: float) -> None:
 def kem_keygen(role_tag: RoleTag, ttl: float, rng: Rng, now: float,
                algo: str = DEFAULT_KEM) -> KeyPair:
     """Generate an ephemeral KEM pair for one role relationship."""
-    if not ttl > 0:  # NaN too
-        raise ValueError("ttl must be positive")
+    if not 0 < ttl < math.inf:  # NaN too
+        raise ValueError("ttl must be positive and finite")
     public, secret, parsed = kem_backend(algo).keygen(rng)
     return _new_pair(role_tag, algo, public, secret, now, ttl, parsed)
 
 
 def sig_keygen(role_tag: RoleTag, ttl: float, rng: Rng, now: float) -> KeyPair:
     """Generate the companion Ed25519 signing pair for a role."""
-    if not ttl > 0:  # NaN too
-        raise ValueError("ttl must be positive")
+    if not 0 < ttl < math.inf:  # NaN too
+        raise ValueError("ttl must be positive and finite")
     seed = rng.bytes(ED25519_KEY_LEN)
     secret = _ed25519_secret(seed)
     return _new_pair(role_tag, SIG_ALGO, secret[ED25519_KEY_LEN:], seed, now,

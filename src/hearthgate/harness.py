@@ -44,7 +44,6 @@ from .channels import (
     sig_secret,
     sym_secret,
 )
-from .config import is_json_type
 from .roles import (
     Authenticator,
     Device,
@@ -60,7 +59,7 @@ from .roles import (
     receive,
     token_secret,
 )
-from .runtime import SimClock, seeded_rng
+from .runtime import SimClock, is_json_type, seeded_rng
 
 STEP_DT = 0.1          # simulated seconds per adversary action
 PHASE_DT = 1.0         # simulated seconds between scenario phases
@@ -88,6 +87,10 @@ class ScenarioSpec:
     def validate(self) -> None:
         if self.devices < 1:
             raise ScenarioInvalid("scenario needs at least one device")
+        if self.retries < 0:
+            raise ScenarioInvalid("retries must not be negative")
+        if not all(math.isfinite(value) for _, value, _ in self.reports):
+            raise ScenarioInvalid("report values must be finite")
         for name in ("totp_step", "key_ttl", "mu", "max_block_txs", "block_interval"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ScenarioInvalid(f"{name} must be positive and finite")

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .config import is_json_type
 from .ledger import (
     ChannelName,
     CommitReceipt,
@@ -26,6 +25,7 @@ from .ledger import (
     make_transaction,
 )
 from .payloads import DataEntry, RiskAlert
+from .runtime import is_json_type
 
 
 class Comparator(Enum):

@@ -1,4 +1,4 @@
-"""Injectable randomness and clocks, and the bound on process-wide memos.
+"""Injectable randomness and clocks, the memo bound, and the JSON type test.
 
 Every source of nondeterminism in the simulator flows through one of the
 handles defined here, so any run can be replayed bit-for-bit from a seed.
@@ -72,6 +72,17 @@ def remember(memo: OrderedDict, key, value, bound: int) -> None:
     memo[key] = value
     if len(memo) > bound:
         memo.popitem(last=False)
+
+
+def is_json_type(value, kind: str) -> bool:
+    """Whether a decoded JSON value has the type an input file declares for
+    it (``bool`` is an ``int`` to Python, but not a number here)."""
+    if kind == "bool":
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, {"int": int, "float": (int, float), "str": str,
+                              "list": list}[kind])
 
 
 class SimClock:

@@ -276,6 +276,22 @@ def test_attack_script_file_with_scenario(tmp_path, capsys):
     assert err.startswith("attack: ") and err.count("\n") == 1, err
 
 
+def test_attack_refuses_options_it_would_ignore(tmp_path, capsys):
+    script = tmp_path / "drop.json"
+    script.write_text('[{"on": 0, "action": "drop"}]')
+    out_path = tmp_path / "o.json"
+    for argv, reason in (
+            (["--script-file", str(script), "--out", str(out_path)],
+             "--out goes with --script, not --script-file"),
+            # the scenario file need not exist: nothing reads it
+            (["--script", "replay-device-request",
+              "--scenario", str(tmp_path / "missing.json")],
+             "--scenario goes with --script-file only")):
+        code, out, err = run_cli(capsys, ["attack", *argv])
+        assert (code, out, err) == (EXIT_USAGE, "", f"attack: {reason}\n")
+    assert not out_path.exists()
+
+
 def test_attack_script_file_malformed(tmp_path, capsys):
     script = tmp_path / "bad.json"
     for text in ('[{"action": "replay"}]',
@@ -304,6 +320,8 @@ def test_campaign_scenario_file_malformed(tmp_path, capsys):
     for text in ('{"reports": 5}', '{"devices": "3"}', '{"totp_step": "30"}',
                  '{"kem_algo": "ml-kem-768"}', '{"revoke": 1}', '[]',
                  '{"key_ttl": NaN}',
+                 # a reading and retries the run would refuse mid-run
+                 '{"reports": [["temperature_c", NaN, "C"]], "retries": -3}',
                  # keys that expire before the run ends
                  '{"key_ttl": 3.0, "revoke": true}'):
         scenario.write_text(text)
@@ -311,6 +329,32 @@ def test_campaign_scenario_file_malformed(tmp_path, capsys):
                                         "--scenario", str(scenario)])
         assert code == EXIT_USAGE, text
         assert err.startswith("campaign: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("section, key, field, raw, value, reason", [
+    ("core", "totp_step", "totp_step", "0", 0,
+     "totp_step must be positive and finite"),
+    ("ledger", "mu", "mu", "0", 0, "mu must be positive and finite"),
+    ("ledger", "max_block_txs", "max_block_txs", "0", 0,
+     "max_block_txs must be positive and finite"),
+    ("core", "kem", "kem_algo", "rot13", "rot13", "unknown KEM backend 'rot13'"),
+], ids=["totp_step", "mu", "max_block_txs", "kem"])
+def test_each_scenario_setting_has_one_rule(tmp_path, capsys, monkeypatch,
+                                            section, key, field, raw, value,
+                                            reason):
+    """A config file, a ``HEARTHGATE_*`` override and a ``--scenario`` file
+    refuse the same bad value with the same reason: ``ScenarioSpec``'s."""
+    conf = tmp_path / "hg.conf"
+    conf.write_text(f"[{section}]\n{key} = {raw}\n")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({field: value}))
+    errs = [run_cli(capsys, ["demo", "--config", str(conf)])[2]]
+    monkeypatch.setenv(f"HEARTHGATE_{section.upper()}_{key.upper()}", raw)
+    errs.append(run_cli(capsys, ["demo"])[2])
+    errs.append(run_cli(capsys, ["campaign", "--runs", "1",
+                                 "--scenario", str(scenario)])[2])
+    assert errs == [f"demo: {reason}\n", f"demo: {reason}\n",
+                    f"campaign: {reason}\n"]
 
 
 def test_campaign_with_scenario_file(tmp_path, capsys):

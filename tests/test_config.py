@@ -10,9 +10,9 @@ from hearthgate.ledger import READ_ALL, READ_NONE, ChannelName, OrgRole
 def test_defaults():
     cfg = load_config(None, env={})
     assert cfg.seed == 7
-    assert cfg.totp_step == 30
-    assert cfg.mu == 200.0
-    assert cfg.kem == "x25519"
+    assert cfg.spec.totp_step == 30
+    assert cfg.spec.mu == 200.0
+    assert cfg.spec.kem_algo == "x25519"
     assert cfg.access_overrides == {}
 
 
@@ -25,10 +25,10 @@ def test_file_values(tmp_path):
     )
     cfg = load_config(str(path), env={})
     assert cfg.seed == 42
-    assert cfg.totp_step == 15
-    assert cfg.kem == "ml-kem-512"
-    assert cfg.mu == 150.0
-    assert cfg.max_block_txs == 10
+    assert cfg.spec.totp_step == 15
+    assert cfg.spec.kem_algo == "ml-kem-512"
+    assert cfg.spec.mu == 150.0
+    assert cfg.spec.max_block_txs == 10
     assert cfg.snapshot == "out.snapshot"
     assert cfg.provisioning_delay == 2.0
 
@@ -74,7 +74,7 @@ def test_env_overrides_file(tmp_path):
     cfg = load_config(str(path), env={"HEARTHGATE_CORE_SEED": "9",
                                       "HEARTHGATE_LEDGER_MU": "120"})
     assert cfg.seed == 9
-    assert cfg.mu == 120.0
+    assert cfg.spec.mu == 120.0
 
 
 @pytest.mark.parametrize("name, raw", [
@@ -103,7 +103,7 @@ def test_env_unknown_rejected():
 def test_env_multiword_key():
     cfg = load_config(None, env={"HEARTHGATE_LEDGER_MAX_BLOCK_TXS": "7",
                                  "HEARTHGATE_DEMO_PROVISIONING_DELAY": "1.5"})
-    assert cfg.max_block_txs == 7
+    assert cfg.spec.max_block_txs == 7
     assert cfg.provisioning_delay == 1.5
 
 
@@ -149,7 +149,7 @@ def test_unknown_kem_rejected():
 
 @pytest.mark.parametrize("name", sorted(crypto._KEM_BACKENDS))
 def test_every_kem_backend_loads(name):
-    assert load_config(None, env={"HEARTHGATE_CORE_KEM": name}).kem == name
+    assert load_config(None, env={"HEARTHGATE_CORE_KEM": name}).spec.kem_algo == name
 
 
 def test_missing_file():

@@ -157,8 +157,9 @@ def test_keygen_rejects_nonpositive_ttl():
     with pytest.raises(ValueError):
         crypto.sig_keygen(RoleTag.SERVER_FOR_AUTH, -1, rng7(), NOW)
     for keygen in (crypto.kem_keygen, crypto.sig_keygen):
-        with pytest.raises(ValueError):
-            keygen(RoleTag.SERVER_FOR_AUTH, float("nan"), rng7(), NOW)
+        for ttl in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                keygen(RoleTag.SERVER_FOR_AUTH, ttl, rng7(), NOW)
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +747,21 @@ def test_expired_keys_rejected_everywhere():
         crypto.sign(sig_pair, b"m", late)
     with pytest.raises(KeyExpired):
         crypto.verify(sig_pair.public, b"m", sig, late)
+
+
+@pytest.mark.parametrize("window", [
+    {"ttl": float("inf")}, {"ttl": float("nan")},
+    {"created_at": float("nan")}, {"created_at": float("inf")},
+], ids=lambda w: "-".join(f"{k}={v}" for k, v in w.items()))
+def test_peer_key_with_non_finite_window_is_malformed(window):
+    # ``now > created_at + ttl`` is False for each of these, so such a key
+    # would never expire.
+    for algo, pair in (
+            ("x25519", crypto.kem_keygen(RoleTag.SERVER_FOR_AUTH, DAY, rng7(), NOW)),
+            (crypto.SIG_ALGO, crypto.sig_keygen(RoleTag.SERVER_FOR_AUTH, DAY, rng7(), NOW))):
+        key = dataclasses.replace(pair.public, **window)
+        with pytest.raises(MalformedKey, match="not finite"):
+            crypto.check_public_key(key, algo, now=1e12)
 
 
 def test_key_valid_at_exact_ttl_boundary():

@@ -516,6 +516,10 @@ def test_scenario_loader(tmp_path):
                  '{"revoke": 1}',
                  '{"api_address": 5}',
                  '{"kem_algo": "ml-kem-768"}',
+                 # a reading and retries the run would refuse mid-run
+                 '{"reports": [["temperature_c", NaN, "C"]], "retries": -3}',
+                 '{"reports": [["temperature_c", -Infinity, "C"]]}',
+                 '{"retries": -1}',
                  '["devices"]'):
         bad.write_text(text)
         with pytest.raises(ScenarioInvalid):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
@@ -775,8 +776,14 @@ def _expired(key):
     lambda pub: dataclasses.replace(pub, sig=dataclasses.replace(pub.sig, algo="x25519")),
     lambda pub: dataclasses.replace(pub, sig=dataclasses.replace(pub.sig, key=b"short")),
     lambda pub: dataclasses.replace(pub, sig=_expired(pub.sig)),
+    # windows that never close: ``now > created_at + ttl`` stays False
+    lambda pub: dataclasses.replace(pub, kem=dataclasses.replace(pub.kem, ttl=math.inf)),
+    lambda pub: dataclasses.replace(pub, kem=dataclasses.replace(pub.kem, ttl=math.nan)),
+    lambda pub: dataclasses.replace(pub, sig=dataclasses.replace(pub.sig, created_at=math.nan)),
+    lambda pub: dataclasses.replace(pub, sig=dataclasses.replace(pub.sig, created_at=math.inf)),
 ], ids=["kem-5-bytes", "kem-rot13", "kem-expired", "sig-not-ed25519",
-        "sig-5-bytes", "sig-expired"])
+        "sig-5-bytes", "sig-expired", "kem-ttl-inf", "kem-ttl-nan",
+        "sig-created-nan", "sig-created-inf"])
 def test_unusable_device_keys_rejected_before_token_or_ledger(bundle):
     w = World()
     w.session()
