@@ -39,7 +39,6 @@ ACTIVATION_REJECTED = "ActivationRejected"
 CONNECTED_NOTICE = "ConnectedNotice"
 DATA_ACCEPTED = "DataAccepted"
 DATA_REJECTED = "DataRejected"
-RISK_ALERT_RAISED = "RiskAlertRaised"
 DEVICE_REVOKED = "DeviceRevoked"
 REVOCATION_REJECTED = "RevocationRejected"
 LEDGER_COMMIT = "LedgerCommit"

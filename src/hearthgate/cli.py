@@ -1,5 +1,7 @@
 """Operator command line: demo, attack, campaign, bench, verify-ledger.
 
+``demo`` is one :meth:`harness.World.run`, narrated step by step from its trace.
+
 Exit codes: 0 success (for ``attack``, success means the attack was
 defeated); 1 a demo step failed; 2 usage, configuration, or missing-input
 error, or an unwritable ``--out``: :func:`main` alone turns each into one
@@ -11,24 +13,17 @@ violation, which indicates an implementation bug, not an operator error).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from . import __version__, bench, harness, ledger, risk, wire
+from . import __version__, bench, harness, ledger, risk
+from . import channels as ch
 from .channels import REJECTION_KINDS
 from .config import Config, ConfigError, load_config
 from .crypto import CryptoError
 from .ledger import ChannelName, OrgRole
-from .roles import (
-    DevicePhase,
-    Outgoing,
-    ProtocolError,
-    deliver,
-    deliver_token,
-    establish_session,
-    provision_device,
-    receive,
-)
+from .roles import ProtocolError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -42,129 +37,112 @@ DEMO_ORGS = ledger.CORE_ORGS + (
     ("fire-dept", OrgRole.EMERGENCY_SERVICE),
 )
 
+DEMO_READINGS = (("temperature_c", 21.5, "C"), ("temperature_c", 82.0, "C"))
+
+# Each demo step, the trace event that completes it (a LedgerCommit is matched
+# by its channel too), and its line, filled from the event's fields and the run.
+DEMO_STEPS = (
+    ("login and mutual authentication", ch.SESSION_ESTABLISHED, None,
+     "session {session} established, both nonces verified"),
+    ("transient token", ch.TOKEN_ISSUED, None,
+     "8-digit token issued ({totp_step} s step); api {api}"),
+    ("device provisioning", ch.DEVICE_PROVISIONED, None,
+     "device {uid} provisioned over the link key"),
+    ("device registration", ch.DEVICE_REQUEST_ACCEPTED, None,
+     "request accepted: signature valid, token fresh and unused"),
+    ("identity channel record", ch.LEDGER_COMMIT, "identity",
+     "device record committed (identity height {height}, status {status})"),
+    ("activation", ch.DEVICE_ACTIVATED, None,
+     "long-lived token and dedicated server key delivered; device active"),
+    ("data report (normal)", ch.LEDGER_COMMIT, "data",
+     "{reading} committed (data height {height}); risk alerts so far: {alerts}"),
+    ("data report (anomalous)", ch.LEDGER_COMMIT, "data",
+     "{reading} committed (data height {height}); {alert}"),
+    ("revocation", ch.DEVICE_REVOKED, None,
+     "device deactivated; key added to the revocation list; "
+     "identity records: {records}"),
+)
+
 
 def run_demo(cfg: Config) -> tuple[int, list[str], harness.World]:
-    """The scripted end-to-end flow, narrated over one :class:`harness.World`
-    built from ``cfg``; returns (exit code, transcript, world)."""
+    """One :meth:`harness.World.run` of the demo's device, built from ``cfg``
+    and narrated from its trace; returns (exit code, transcript, world).
+
+    A step passes when the trace holds its event; the first step without
+    one fails, with the first rejection traced after the step before it, or
+    else the error the run raised. A commit whose risk hook raised fails its
+    step too. The snapshot is written only once every other step passed.
+    """
     lines = [f"hearthgate demo v{__version__} (seed {cfg.seed}, kem {cfg.spec.kem_algo})"]
     rules = risk.load_rules(cfg.rules) if cfg.rules else None
-    world = harness.World(cfg.spec, cfg.seed, rules=rules, direct=True,
+    spec = dataclasses.replace(cfg.spec, reports=DEMO_READINGS, revoke=True)
+    world = harness.World(spec, cfg.seed, rules=rules, direct=True,
                           orgs=DEMO_ORGS,
                           access_overrides=cfg.access_overrides)
-    network, server, clock = world.network, world.server, world.clock
-    auth, device = world.auths[0], world.devices[0]
-    h_s = world.h_s[auth.name]
-    network.register_device_origin(device.uid.hex, "acme-devices")
+    network = world.network
+    network.register_device_origin(world.devices[0].uid.hex, "acme-devices")
     fire_sub = network.subscribe(ChannelName.RISK_MANAGEMENT, "fire-dept")
-    session_id = None
-    replies = []
-    step_no = 0
+    try:
+        world.run(None)
+        run_error = None
+    except (ProtocolError, CryptoError, ledger.LedgerError) as exc:
+        run_error = f"{type(exc).__name__}: {exc}"
 
-    def step(label: str, fn) -> bool:
-        nonlocal step_no
-        step_no += 1
-        clock.advance(1.0)
-        try:
-            detail = fn()
-        except (ProtocolError, CryptoError, ledger.LedgerError, OSError) as exc:
-            lines.append(f"[{step_no}] {label}: FAILED "
-                         f"{type(exc).__name__}: {exc}")
-            return False
-        lines.append(f"[{step_no}] {label}: {detail}")
-        return True
+    fire_events = [alert.entry_height for _, alert in fire_sub.poll()]
 
-    def to_server(out: Outgoing):
-        """Deliver a device's message to the server; a rejection raises."""
-        return receive(server, "public", wire.encode(out.message), out.src)
+    def failed(n: int, label: str, reason: str):
+        lines.append(f"[{n}] {label}: FAILED {reason}")
+        lines.append(f"demo failed at step {n} ({label})")
+        return EXIT_FAILURE, lines, world
 
-    def s_login():
-        nonlocal session_id
-        session_id = establish_session(auth, server, h_s)
-        return f"session {session_id} established, both nonces verified"
+    events = iter(world.trace.events)
+    for n, (label, kind, channel, template) in enumerate(DEMO_STEPS, 1):
+        rejected = None
+        for event in events:
+            if event.kind == kind and event.get("channel") == channel:
+                reason = event.get("hook_error")
+                break
+            if event.kind in REJECTION_KINDS and rejected is None:
+                rejected = event
+        else:
+            reason = (": ".join(filter(None, (rejected.get("error"),
+                                              rejected.get("detail"))))
+                      if rejected else run_error or f"no {kind} traced")
+        if reason is not None:
+            return failed(n, label, reason)
+        fields = dict(event.fields, totp_step=spec.totp_step,
+                      api=world.server.api_address)
+        try:  # what the server org reads, which an [access] override may bar
+            if channel == "data":
+                height = int(event.get("height"))
+                entry = network.chains[ChannelName.DATA][height].txs[0].payload
+                alerts = network.query(ChannelName.RISK_MANAGEMENT, "server-org")
+                mine = [a for a in alerts if a.entry_height == height]
+                fields.update(
+                    reading=f"{entry.metric}={entry.value} {entry.unit}",
+                    alerts=sum(a.entry_height <= height for a in alerts),
+                    alert=(f"alert severity={mine[-1].severity} "
+                           f"notified={','.join(mine[-1].notified_roles)}; "
+                           f"fire-dept events: {fire_events.count(height)}"
+                           if mine else "no rule matched"))
+            elif kind == ch.DEVICE_REVOKED:
+                records = network.query(ChannelName.IDENTITY, "server-org")
+                fields["records"] = ",".join(r.status.value for r in records)
+        except ledger.PolicyDenied as exc:
+            return failed(n, label, f"PolicyDenied: {exc}")
+        lines.append(f"[{n}] {label}: {template.format_map(fields)}")
 
-    def s_token():
-        deliver_token(auth, server, session_id, h_s)
-        return (f"8-digit token issued ({cfg.spec.totp_step} s step); "
-                f"api {server.api_address}")
-
-    def s_provision():
-        provision_device(auth, device)
-        detail = f"device {device.uid.hex} provisioned over the link key"
-        if cfg.provisioning_delay > 0:
-            clock.advance(cfg.provisioning_delay)
-            detail += f" (then {cfg.provisioning_delay:g}s delay)"
-        return detail
-
-    def s_register():
-        nonlocal replies
-        replies = to_server(device.build_registration_request())
-        return "request accepted: signature valid, token fresh and unused"
-
-    def s_record():
-        height = len(network.chains[ChannelName.IDENTITY]) - 1
-        return f"device record committed (identity height {height}, status active)"
-
-    def s_activate():
-        for out in replies:
-            world.send_outgoing(out)
-        world.pump(strategy=None)  # direct wiring: no adversary decides
-        if device.phase is not DevicePhase.ACTIVE:
-            raise ProtocolError(f"device still {device.phase.value}")
-        return "long-lived token and dedicated server key delivered; device active"
-
-    def s_report_normal():
-        to_server(device.build_data_report("temperature_c", 21.5, "C"))
-        height = len(network.chains[ChannelName.DATA]) - 1
-        alerts = len(network.chains[ChannelName.RISK_MANAGEMENT]) - 1
-        return (f"temperature_c=21.5 C committed (data height {height}); "
-                f"risk alerts so far: {alerts}")
-
-    def s_report_hot():
-        to_server(device.build_data_report("temperature_c", 82.0, "C"))
-        network.settle()
-        data_h = len(network.chains[ChannelName.DATA]) - 1
-        alerts = network.query(ChannelName.RISK_MANAGEMENT, "server-org")
-        events = fire_sub.poll()
-        if not alerts:
-            return (f"temperature_c=82.0 C committed (data height {data_h}); "
-                    f"no rule matched")
-        alert = alerts[-1]
-        return (f"temperature_c=82.0 C committed (data height {data_h}); "
-                f"alert severity={alert.severity} "
-                f"notified={','.join(alert.notified_roles)}; "
-                f"fire-dept events: {len(events)}")
-
-    def s_revoke():
-        deliver(h_s, auth, server, auth.build_revocation(device.uid.hex))
-        statuses = [r.status.value for r in
-                    network.query(ChannelName.IDENTITY, "server-org")]
-        return (f"device deactivated; key added to the revocation list; "
-                f"identity records: {','.join(statuses)}")
-
-    def s_snapshot():
-        network.settle()
+    n, label = len(DEMO_STEPS) + 1, "ledger snapshot"
+    if run_error is not None:
+        return failed(n, label, run_error)
+    try:
         ledger.write_snapshot(network, cfg.snapshot)
         ok, detail = ledger.verify_snapshot(cfg.snapshot)
-        if not ok:
-            raise ledger.SnapshotError(detail)
-        return f"written to {cfg.snapshot} (all channels verify)"
-
-    steps = [
-        ("login and mutual authentication", s_login),
-        ("transient token", s_token),
-        ("device provisioning", s_provision),
-        ("device registration", s_register),
-        ("identity channel record", s_record),
-        ("activation", s_activate),
-        ("data report (normal)", s_report_normal),
-        ("data report (anomalous)", s_report_hot),
-        ("revocation", s_revoke),
-        ("ledger snapshot", s_snapshot),
-    ]
-    for label, fn in steps:
-        if not step(label, fn):
-            lines.append(f"demo failed at step {step_no} ({label})")
-            return EXIT_FAILURE, lines, world
+    except (ledger.LedgerError, OSError) as exc:
+        return failed(n, label, f"{type(exc).__name__}: {exc}")
+    if not ok:
+        return failed(n, label, f"SnapshotError: {detail}")
+    lines.append(f"[{n}] {label}: written to {cfg.snapshot} (all channels verify)")
     lines.append("demo complete: all steps ok")
     return EXIT_OK, lines, world
 
@@ -209,6 +187,8 @@ def _parse_weights(text: str | None) -> dict[str, float] | None:
 
 def cmd_attack(args) -> int:
     if args.list:
+        if args.script or args.script_file or args.scenario or args.out:
+            raise ValueError("--list takes no --script, --script-file, --scenario or --out")
         for name, script in sorted(harness.ATTACK_SCRIPTS.items()):
             print(f"{name:28s} {script.description}")
         return EXIT_OK

@@ -36,7 +36,6 @@ class Config:
     rules: str | None = None  # path to a JSON rule file; built-ins if absent
     # [demo]
     snapshot: str = "demo.snapshot"
-    provisioning_delay: float = 0.0
     # [access] channel.role -> "none" | "own" | "all" [+ ",write"]
     access_overrides: dict = field(default_factory=dict)
 
@@ -45,7 +44,7 @@ _SCHEMA = {
     "core": {"seed": int, "totp_step": int, "key_ttl": float, "kem": str},
     "ledger": {"mu": float, "max_block_txs": int, "block_interval": float},
     "risk": {"rules": str},
-    "demo": {"snapshot": str, "provisioning_delay": float},
+    "demo": {"snapshot": str},
 }
 
 

@@ -1,8 +1,9 @@
 """Adversarial scenario runner and security-property checkers.
 
-``run_scenario`` drives a full onboarding (plus optional data reports and
+``World.run`` drives a full onboarding (plus optional data reports and
 revocation) under a chosen adversary strategy, producing a deterministic
-trace for a given seed. Every message travels as ``wire`` bytes, through
+trace for a given seed; ``run_scenario`` and the ``demo`` command both run
+through it. Every message travels as ``wire`` bytes, through
 adversary custody on the public channel and straight to its peer on an
 authenticator's secure channel, and ends in ``roles.receive``, which decodes
 it and calls the handler its table names. Three checkers then decide the
@@ -255,6 +256,50 @@ class World:
             if not retried:
                 return
 
+    def run(self, adversary) -> None:
+        """Onboard every device in waves that each fit in one TOTP step (see
+        ``_wave_size``), send the spec's reports, revoke if it says so, and
+        settle the ledger. ``adversary`` is a strategy; ``None`` on a direct
+        world; or a callable ``world -> strategy``, called once after the
+        first wave is provisioned, so it can forge from provisioned state. A
+        builder's error (an expired key, say) is raised: none was traced."""
+        strategy = adversary
+        pairs = list(zip(self.auths, self.devices))
+        while pairs:
+            size = _wave_size(self)
+            wave, pairs = pairs[:size], pairs[size:]
+            for auth, device in wave:
+                h_s = self.h_s[auth.name]
+                session_id = establish_session(auth, self.server, h_s)
+                self.clock.advance(PHASE_DT)
+                deliver_token(auth, self.server, session_id, h_s)
+                reg = self.server.pending[-1]
+                provision_device(auth, device, token_term=token_secret(
+                    session_id, reg.issued_digits))
+                self.clock.advance(PHASE_DT)
+            if callable(strategy):
+                strategy = strategy(self)
+            for _, device in wave:
+                self.send_outgoing(device.build_registration_request())
+            self.pump(strategy)
+
+        self.clock.advance(PHASE_DT)
+        for device in self.devices:
+            if device.phase is DevicePhase.ACTIVE:
+                for metric, value, unit in self.spec.reports:
+                    self.send_outgoing(device.build_data_report(metric, value, unit))
+        self.pump(strategy)
+
+        if self.spec.revoke:
+            self.clock.advance(PHASE_DT)
+            for auth, device in zip(self.auths, self.devices):
+                if device.uid.hex in self.server.registry:
+                    self.send_outgoing(Outgoing(
+                        "secure", self.server.name,
+                        auth.build_revocation(device.uid.hex), src=auth.name))
+            self.pump(strategy)
+        self.network.settle()
+
     # -- protected secrets -------------------------------------------------------
 
     def protected_terms(self) -> set[Term]:
@@ -358,57 +403,11 @@ def _wave_size(world: World) -> int:
 
 
 def run_scenario(spec: ScenarioSpec, adversary, seed: int) -> RunResult:
-    """Run one scenario under an adversary strategy.
-
-    Devices onboard in waves that each fit in one TOTP step: a wave is
-    provisioned, its registrations sent and pumped before the step of its
-    first token ends, then the next wave starts. ``adversary`` is a strategy
-    object; ``None`` for direct, adversary-free wiring; or a callable
-    ``world -> strategy`` for strategies that need run context. The callable
-    runs once, after the first wave is provisioned and before any
-    registration is sent, so it can forge messages from provisioned state.
-    Alerts come from ``risk.DEFAULT_RULES``. Deterministic: the same (spec,
-    adversary, seed) produces a byte-identical trace.
-    """
+    """:meth:`World.run` on a fresh world, direct when ``adversary`` is None,
+    with ``risk.DEFAULT_RULES``. The same (spec, adversary, seed) produces a
+    byte-identical trace."""
     world = World(spec, seed, direct=adversary is None)
-    strategy = adversary
-
-    pairs = list(zip(world.auths, world.devices))
-    while pairs:
-        size = _wave_size(world)
-        wave, pairs = pairs[:size], pairs[size:]
-        for auth, device in wave:
-            h_s = world.h_s[auth.name]
-            session_id = establish_session(auth, world.server, h_s)
-            world.clock.advance(PHASE_DT)
-            deliver_token(auth, world.server, session_id, h_s)
-            reg = world.server.pending[-1]
-            provision_device(auth, device, token_term=token_secret(
-                session_id, reg.issued_digits))
-            world.clock.advance(PHASE_DT)
-        if callable(strategy):
-            strategy = strategy(world)
-        for _, device in wave:
-            world.send_outgoing(device.build_registration_request())
-        world.pump(strategy)
-
-    world.clock.advance(PHASE_DT)
-    for device in world.devices:
-        if device.phase is DevicePhase.ACTIVE:
-            for metric, value, unit in spec.reports:
-                world.send_outgoing(device.build_data_report(metric, value, unit))
-    world.pump(strategy)
-
-    if spec.revoke:
-        world.clock.advance(PHASE_DT)
-        for auth, device in zip(world.auths, world.devices):
-            if device.uid.hex in world.server.registry:
-                world.send_outgoing(Outgoing(
-                    "secure", world.server.name,
-                    auth.build_revocation(device.uid.hex), src=auth.name))
-        world.pump(strategy)
-
-    world.network.settle()
+    world.run(adversary)
     world.grant_public_atoms()
     return RunResult(world=world, trace=world.trace, knowledge=world.knowledge,
                      protected=world.protected_terms())

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hearthgate import channels, cli, harness, ledger
+from hearthgate import channels, cli, harness, ledger, risk
 from hearthgate.cli import EXIT_CORRUPT, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from hearthgate.config import load_config
 from hearthgate.ledger import ChannelName
@@ -51,13 +51,48 @@ def test_demo_seed_changes_transcript(tmp_path, capsys):
 def test_demo_clock_skew_fails_token_check(tmp_path, capsys):
     conf = tmp_path / "hg.conf"
     conf.write_text("[core]\ntotp_step = 1\n"
-                    "[demo]\nprovisioning_delay = 2.0\n"
-                    f"snapshot = {tmp_path / 'x.snapshot'}\n")
+                    f"[demo]\nsnapshot = {tmp_path / 'x.snapshot'}\n")
     code, out, _ = run_cli(capsys, ["demo", "--config", str(conf)])
     assert code == EXIT_FAILURE
-    assert "TokenExpired" in out
-    assert "1-second step" in out
-    assert "demo failed at step" in out
+    assert ("[4] device registration: FAILED TokenExpired: token outside its "
+            "validity step") in out
+    assert "demo failed at step 4" in out
+
+
+def test_demo_fails_on_a_raised_error(tmp_path, capsys, monkeypatch):
+    # Keys that expire mid-run: the builder raises, and no handler traces it.
+    monkeypatch.setenv("HEARTHGATE_CORE_KEY_TTL", "1.5")
+    snap = tmp_path / "x.snapshot"
+    code, out, _ = run_cli(capsys, ["demo", "--snapshot", str(snap)])
+    assert code == EXIT_FAILURE
+    assert "\n[4] device registration: FAILED KeyExpired" in out
+    assert "demo failed at step 4" in out
+    assert not snap.exists()
+
+
+def test_demo_fails_on_a_risk_hook_error(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("rule engine down")
+
+    monkeypatch.setattr(risk, "evaluate", broken)
+    snap = tmp_path / "x.snapshot"
+    code, out, _ = run_cli(capsys, ["demo", "--snapshot", str(snap)])
+    assert code == EXIT_FAILURE
+    assert ("[7] data report (normal): FAILED ValueError: rule engine down"
+            in out)
+    assert "demo failed at step 7" in out
+    assert "all steps ok" not in out and not snap.exists()
+
+
+def test_demo_fails_where_the_server_may_not_read(tmp_path, capsys):
+    conf = tmp_path / "hg.conf"
+    conf.write_text("[access]\nrisk_management.server = none\n"
+                    f"[demo]\nsnapshot = {tmp_path / 'x.snapshot'}\n")
+    code, out, _ = run_cli(capsys, ["demo", "--config", str(conf)])
+    assert code == EXIT_FAILURE
+    assert ("[7] data report (normal): FAILED PolicyDenied: role server may "
+            "not read channel risk_management") in out
+    assert not (tmp_path / "x.snapshot").exists()
 
 
 def test_demo_lifecycle_state(tmp_path):
@@ -205,6 +240,17 @@ def test_attack_list(capsys):
     assert code == EXIT_OK
     for name in ("replay-device-request", "drop-activation"):
         assert name in out
+
+
+def test_attack_list_refuses_other_options(tmp_path, capsys):
+    out_path = tmp_path / "o.json"
+    for argv in (["--out", str(out_path)], ["--script", "replay-device-request"],
+                 ["--script-file", "s.json"], ["--scenario", "s.json"]):
+        code, out, err = run_cli(capsys, ["attack", "--list", *argv])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("attack: --list takes no --script, --script-file, "
+                       "--scenario or --out\n")
+    assert not out_path.exists()
 
 
 def test_campaign_command(tmp_path, capsys):

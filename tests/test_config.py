@@ -21,7 +21,7 @@ def test_file_values(tmp_path):
     path.write_text(
         "[core]\nseed = 42\ntotp_step = 15\nkem = ml-kem-512\n"
         "[ledger]\nmu = 150\nmax_block_txs = 10\nblock_interval = 0.05\n"
-        "[demo]\nsnapshot = out.snapshot\nprovisioning_delay = 2.0\n"
+        "[demo]\nsnapshot = out.snapshot\n"
     )
     cfg = load_config(str(path), env={})
     assert cfg.seed == 42
@@ -30,7 +30,6 @@ def test_file_values(tmp_path):
     assert cfg.spec.mu == 150.0
     assert cfg.spec.max_block_txs == 10
     assert cfg.snapshot == "out.snapshot"
-    assert cfg.provisioning_delay == 2.0
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -45,6 +44,15 @@ def test_demo_retries_key_removed(tmp_path):
     path.write_text("[demo]\nretries = 1\n")
     with pytest.raises(ConfigError, match="retries"):
         load_config(str(path), env={})
+
+
+def test_demo_provisioning_delay_key_removed(tmp_path):
+    path = tmp_path / "hg.conf"
+    path.write_text("[demo]\nprovisioning_delay = 2.0\n")
+    with pytest.raises(ConfigError, match="provisioning_delay"):
+        load_config(str(path), env={})
+    with pytest.raises(ConfigError, match="PROVISIONING_DELAY"):
+        load_config(None, env={"HEARTHGATE_DEMO_PROVISIONING_DELAY": "2.0"})
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -80,7 +88,7 @@ def test_env_overrides_file(tmp_path):
 @pytest.mark.parametrize("name, raw", [
     ("HEARTHGATE_LEDGER_MU", "nan"), ("HEARTHGATE_LEDGER_MU", "inf"),
     ("HEARTHGATE_LEDGER_BLOCK_INTERVAL", "nan"), ("HEARTHGATE_CORE_KEY_TTL", "-inf"),
-    ("HEARTHGATE_DEMO_PROVISIONING_DELAY", "nan"),
+    ("HEARTHGATE_CORE_KEY_TTL", "nan"),
 ])
 def test_env_non_finite_number_rejected(name, raw):
     # ``nan <= 0`` is False, so a positivity check alone let NaN through.
@@ -102,9 +110,9 @@ def test_env_unknown_rejected():
 
 def test_env_multiword_key():
     cfg = load_config(None, env={"HEARTHGATE_LEDGER_MAX_BLOCK_TXS": "7",
-                                 "HEARTHGATE_DEMO_PROVISIONING_DELAY": "1.5"})
+                                 "HEARTHGATE_LEDGER_BLOCK_INTERVAL": "0.5"})
     assert cfg.spec.max_block_txs == 7
-    assert cfg.provisioning_delay == 1.5
+    assert cfg.spec.block_interval == 0.5
 
 
 def test_access_overrides(tmp_path):
