@@ -9,10 +9,11 @@ delivery happens only when an adversary strategy decides it does.
 The adversary is symbolic. For each observed message it records a term
 describing the plaintext structure, so "what can the attacker derive" is
 computed exactly by a closure over decomposition rules rather than guessed
-from byte matching: tuples split, ciphertexts open only when the matching
-secret key is known, signatures reveal what they sign but can never be
-forged, hashes never invert. The concrete bytes stay in custody, where
-replay and tampering take them from.
+from byte matching. The term language is what the public path carries:
+atoms, secrets, tuples, hybrid encryptions and signatures. Tuples split,
+ciphertexts open only when the matching secret key is known, and signatures
+reveal what they sign but can never be forged. The concrete bytes stay in
+custody, where replay and tampering take them from.
 """
 
 from __future__ import annotations
@@ -128,26 +129,12 @@ class Enc:
 
 
 @dataclass(frozen=True)
-class SymEnc:
-    """AEAD under the symmetric key identified by ``key_id``."""
-    key_id: str
-    payload: "Term"
-
-
-@dataclass(frozen=True)
 class SigT:
-    """Signature by the signing keypair ``key_id``; reveals but cannot be forged."""
-    key_id: str
+    """A signature over ``payload``; reveals it but cannot be forged."""
     payload: "Term"
 
 
-@dataclass(frozen=True)
-class HashT:
-    """One-way digest; never inverted by the closure."""
-    payload: "Term"
-
-
-Term = Union[Atom, Secret, Tup, Enc, SymEnc, SigT, HashT]
+Term = Union[Atom, Secret, Tup, Enc, SigT]
 
 
 def kem_secret(key_id: str) -> Secret:
@@ -183,8 +170,8 @@ def derive_closure(knowledge: AdversaryKnowledge) -> AdversaryKnowledge:
     """Fixpoint of the decomposition rules over the knowledge set.
 
     Rules: tuples split into components; an encryption opens iff the matching
-    secret key is in the set; signatures reveal their payload; hashes do not
-    invert. The result is monotone and idempotent.
+    secret key is in the set; signatures reveal their payload. The result is
+    monotone and idempotent.
     """
     terms = set(knowledge.terms)
     changed = True
@@ -195,8 +182,6 @@ def derive_closure(knowledge: AdversaryKnowledge) -> AdversaryKnowledge:
             if isinstance(term, Tup):
                 derived.extend(term.items)
             elif isinstance(term, Enc) and kem_secret(term.key_id) in terms:
-                derived.append(term.payload)
-            elif isinstance(term, SymEnc) and sym_secret(term.key_id) in terms:
                 derived.append(term.payload)
             elif isinstance(term, SigT):
                 derived.append(term.payload)
@@ -277,7 +262,7 @@ def check_rule(rule) -> dict:
 
     A rule is ``{"on": <message index>, "action": <name>, ...params}`` with a
     name from ``SCRIPT_ACTIONS``. ``on``, and ``bit`` or ``seconds`` when
-    given, are integers (``seconds`` not negative); ``tamper`` flips ``bit``
+    given, are integers, none negative; ``tamper`` flips ``bit``
     (default 0), ``delay`` waits ``seconds`` (default 40), and ``inject``
     sends bytes ``data`` to the string ``dst``; a rule carries no other key.
     Raises ``ValueError``.
@@ -294,8 +279,8 @@ def check_rule(rule) -> dict:
     for key in ("on", "bit", "seconds"):
         if key in rule and type(rule[key]) is not int:  # bool is not an index
             raise ValueError(f"{key!r} must be an integer, got {rule[key]!r}")
-    if rule.get("seconds", 0) < 0:
-        raise ValueError(f"'seconds' must not be negative, got {rule['seconds']}")
+        if rule.get(key, 0) < 0:
+            raise ValueError(f"{key!r} must not be negative, got {rule[key]}")
     if action == "inject" and not (isinstance(rule.get("dst"), str)
                                    and isinstance(rule.get("data"), bytes)):
         raise ValueError("inject needs a string 'dst' and bytes 'data'")

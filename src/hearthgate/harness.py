@@ -58,7 +58,6 @@ from .roles import (
     establish_session,
     provision_device,
     receive,
-    token_secret,
 )
 from .runtime import SimClock, is_json_type, seeded_rng
 
@@ -273,9 +272,7 @@ class World:
                 session_id = establish_session(auth, self.server, h_s)
                 self.clock.advance(PHASE_DT)
                 deliver_token(auth, self.server, session_id, h_s)
-                reg = self.server.pending[-1]
-                provision_device(auth, device, token_term=token_secret(
-                    session_id, reg.issued_digits))
+                provision_device(auth, device)
                 self.clock.advance(PHASE_DT)
             if callable(strategy):
                 strategy = strategy(self)

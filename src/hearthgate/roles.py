@@ -19,6 +19,11 @@ Each received input is recognised whole, by one helper, before a handler
 acts on it: :func:`_open` and ``Server._receive`` (routed by key id) decrypt
 and decode, :func:`_check_bundle` checks a key bundle. A data report sealed
 to one device's key but naming another device is refused.
+
+Each public message carries the ``channels`` term of what its bytes hold,
+built only from what its sender holds: a registration request names its
+token by the digest of the encrypted token it carries, which the device
+cannot open.
 """
 
 from __future__ import annotations
@@ -143,6 +148,7 @@ def uid_atom(uid_hex: str) -> Atom:
     return Atom(f"uid:{uid_hex}")
 
 
+# Unused by the roles; perfbench's fleet driver still calls it (ROADMAP item 7).
 def token_secret(session_id: str, digits: str) -> Secret:
     return Secret(f"token:{session_id}:{digits}")
 
@@ -349,14 +355,12 @@ class Device:
         self.server_public: RolePublic | None = None
         self._encrypted_token: crypto.HybridCiphertext | None = None
         self._token_signature: crypto.Signature | None = None
-        self._token_term: Term | None = None
         # Activation material.
         self.device_token: bytes | None = None
         self.server_device_public: RolePublic | None = None
 
     @_traced(ch.MESSAGE_REJECTED)
-    def receive_provision(self, msg: wire.Message,
-                          token_term: Term | None = None) -> None:
+    def receive_provision(self, msg: wire.Message) -> None:
         now = self.clock.now()
         if self.phase is not DevicePhase.UNPROVISIONED:
             raise Malformed(f"provision in phase {self.phase.value}")
@@ -374,7 +378,6 @@ class Device:
         self.server_public = server_public
         self._encrypted_token = encrypted_token
         self._token_signature = signature
-        self._token_term = token_term
         self.keys = crypto.generate_role_keys(RoleTag.DEVICE_FOR_SERVER,
                                               self.key_ttl, self.rng, now,
                                               kem_algo=self.kem_algo)
@@ -383,14 +386,13 @@ class Device:
 
     def _request_term(self) -> Term:
         server_kid = self.server_public.kem.key_id
-        token_t = self._token_term if self._token_term is not None else \
-            Secret(f"token:opaque:{_digest8(wire.encode_hybrid(self._encrypted_token))}")
-        enc_token_t = Enc(server_kid, token_t)
+        enc_token_t = Enc(server_kid, Secret(
+            f"token:opaque:{_digest8(wire.encode_hybrid(self._encrypted_token))}"))
         return Enc(server_kid, Tup((
             bundle_atom(self.keys.public),
             uid_atom(self.uid.hex),
             enc_token_t,
-            SigT(self._token_signature.signer_tag.name, enc_token_t),
+            SigT(enc_token_t),
         )))
 
     def _registration_request(self, **trace_fields: str) -> Outgoing:
@@ -864,15 +866,15 @@ def _recognise(role, path: str, data: bytes) -> tuple[wire.Message, str]:
     return message, name
 
 
-def receive(role, path: str, data: bytes, src: str, **extra):
+def receive(role, path: str, data: bytes, src: str):
     """Hand bytes from ``src`` to ``role``'s handler for their kind on ``path``
     and return its result; a rejection is traced once and raises. A server
     handler is also told ``src``: the device to answer, or the authenticator
-    whose secure channel the message came on. ``extra`` are keywords for it."""
+    whose secure channel the message came on."""
     message, name = _recognise(role, path, data)
     if isinstance(role, Server):
-        return getattr(role, name)(message, src, **extra)
-    return getattr(role, name)(message, **extra)
+        return getattr(role, name)(message, src)
+    return getattr(role, name)(message)
 
 
 def deliver(h_s: ch.SecureChannel, sender, receiver, message: wire.Message) -> None:
@@ -901,5 +903,6 @@ def deliver_token(auth: Authenticator, server: Server, session_id: str,
 def provision_device(auth: Authenticator, device: Device,
                      token_term: Term | None = None) -> None:
     """Hand the provisioning package to the device over the shared link key."""
+    # ``token_term`` is ignored; perfbench's fleet driver still passes it.
     receive(device, "secure", wire.encode(auth.build_provision(device.name)),
-            auth.name, token_term=token_term)
+            auth.name)

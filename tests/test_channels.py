@@ -10,19 +10,16 @@ from hearthgate.channels import (
     Atom,
     DeliverAll,
     Enc,
-    HashT,
     PublicChannel,
     Randomized,
     Scripted,
     Secret,
     SecureChannel,
     SigT,
-    SymEnc,
     Trace,
     Tup,
     derive_closure,
     kem_secret,
-    sym_secret,
 )
 from hearthgate.runtime import seeded_rng
 
@@ -150,40 +147,33 @@ def test_closure_with_secret_key_opens_ciphertext():
 
 
 def test_closure_opens_nested_structures():
-    inner = Tup((Secret("a"), SymEnc("link", Secret("b"))))
+    inner = Tup((Secret("a"), Enc("k2", Secret("b"))))
     k = AdversaryKnowledge(terms=[Enc("k1", inner), kem_secret("k1")])
     closed = derive_closure(k)
     assert Secret("a") in closed.terms
-    assert Secret("b") not in closed.terms  # link key unknown
-    k.grant(sym_secret("link"))
+    assert Secret("b") not in closed.terms  # inner key unknown
+    k.grant(kem_secret("k2"))
     assert Secret("b") in derive_closure(k).terms
 
 
 def test_closure_signature_reveals_payload_but_no_forgery():
-    k = AdversaryKnowledge(terms=[SigT("s1", Atom("signed-blob"))])
+    k = AdversaryKnowledge(terms=[SigT(Atom("signed-blob"))])
     closed = derive_closure(k)
     assert Atom("signed-blob") in closed.terms
     # Nothing in the closure fabricates signatures over new payloads.
-    assert SigT("s1", Atom("other")) not in closed.terms
-
-
-def test_closure_never_inverts_hashes():
-    k = AdversaryKnowledge(terms=[HashT(Secret("preimage"))])
-    assert Secret("preimage") not in derive_closure(k).terms
+    assert SigT(Atom("other")) not in closed.terms
 
 
 def _term_strategy():
     atoms = st.builds(Atom, st.sampled_from(["a", "b", "pk:k1"]))
-    secrets = st.builds(Secret, st.sampled_from(["x", "y", "sk:k1", "sym:s"]))
+    secrets = st.builds(Secret, st.sampled_from(["x", "y", "sk:k1", "sk:k2"]))
     base = atoms | secrets
     return st.recursive(
         base,
         lambda children: st.one_of(
             st.builds(Tup, st.tuples(children, children)),
             st.builds(Enc, st.sampled_from(["k1", "k2"]), children),
-            st.builds(SymEnc, st.sampled_from(["s", "t"]), children),
-            st.builds(SigT, st.sampled_from(["s1"]), children),
-            st.builds(HashT, children),
+            st.builds(SigT, children),
         ),
         max_leaves=6,
     )
@@ -206,6 +196,20 @@ def test_closure_monotone_in_inputs(terms, extra):
     small = derive_closure(AdversaryKnowledge(terms=terms))
     large = derive_closure(AdversaryKnowledge(terms=terms | extra))
     assert small.terms <= large.terms
+
+
+def _subterms(term) -> set:
+    children = term.items if isinstance(term, Tup) else \
+        (term.payload,) if isinstance(term, (Enc, SigT)) else ()
+    return {term}.union(*map(_subterms, children))
+
+
+@given(terms=st.sets(_term_strategy(), max_size=8))
+@settings(max_examples=100)
+def test_closure_only_decomposes(terms):
+    # No rule builds a term: everything derived is part of an observed one.
+    closed = derive_closure(AdversaryKnowledge(terms=terms))
+    assert closed.terms <= set().union(*map(_subterms, terms))
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,8 @@ MALFORMED_RULES = {
     "string on": {"on": "0", "action": "drop"},
     "string bit": {"on": 0, "action": "tamper", "bit": "x"},
     "negative seconds": {"on": 0, "action": "delay", "seconds": -1},
+    "negative on": {"on": -1, "action": "drop"},
+    "negative bit": {"on": 0, "action": "tamper", "bit": -5},
     "misspelt seconds": {"on": 0, "action": "delay", "second": 5},
     "bit on a drop": {"on": 0, "action": "drop", "bit": 3},
     "unknown action": {"on": 0, "action": "vanish"},

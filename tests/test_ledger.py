@@ -457,6 +457,44 @@ def test_snapshot_verification_applies_the_payload_check(tmp_path):
         False, "channel data: block 1: tx 0: value must be finite")
 
 
+def _snapshot_with_data(seed: int, path) -> ledger.LedgerNetwork:
+    """A demo consortium with two data blocks committed, written to ``path``."""
+    rng = seeded_rng(seed)
+    net, orgs = make_network(rng, max_block_txs=1)
+    for i in range(2):
+        tx = make_transaction(ChannelName.DATA, sample_entry(rng),
+                              orgs["server-org"], NOW + i)
+        net.submit(tx, NOW + i)
+    net.settle()
+    ledger.write_snapshot(net, str(path))
+    return net
+
+
+# Both probes call ``verify_snapshot`` as ROADMAP item 2 plans it; today it
+# takes neither keyword, and without them both snapshots verify as ok.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_snapshot_missing_its_newest_block_fails_against_earlier_tips(tmp_path):
+    path = tmp_path / "ledger.snapshot"
+    net = _snapshot_with_data(27, path)
+    tips = {channel: (chain[-1].height, chain[-1].block_hash)
+            for channel, chain in net.chains.items()}
+    newest = f"B data {tips[ChannelName.DATA][0]} "
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(ln for ln in lines if not ln.startswith(newest)) + "\n")
+    ok, detail = ledger.verify_snapshot(str(path), tips=tips)
+    assert not ok, detail
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_snapshot_of_another_consortium_fails_against_the_trust_root(tmp_path):
+    net = _snapshot_with_data(28, tmp_path / "ours.snapshot")
+    other = tmp_path / "other.snapshot"
+    impostor = _snapshot_with_data(29, other)
+    assert impostor.membership.known() == net.membership.known()
+    ok, detail = ledger.verify_snapshot(str(other), trust=net.membership)
+    assert not ok, detail
+
+
 def test_submit_maps_uncheckable_credentials_to_bad_signature():
     rng = seeded_rng(21)
     net, orgs = ledger.build_consortium(ledger.CORE_ORGS, rng, 0.0)

@@ -49,9 +49,7 @@ MAKERS = {
     "Secret": lambda: channels.Secret("sk:k"),
     "Tup": lambda: channels.Tup((ATOM, ATOM)),
     "Enc": lambda: channels.Enc("k", ATOM),
-    "SymEnc": lambda: channels.SymEnc("k", ATOM),
-    "SigT": lambda: channels.SigT("k", ATOM),
-    "HashT": lambda: channels.HashT(ATOM),
+    "SigT": lambda: channels.SigT(ATOM),
     "KeyPair": _pair,
     "PublicKey": lambda: _pair().public,
 }
