@@ -6,14 +6,15 @@ a hand-off straight to the peer, which the adversary cannot see). The
 device-to-server path is public: every message enters adversary custody, and
 delivery happens only when an adversary strategy decides it does.
 
-The adversary is symbolic. For each observed message it records a term
-describing the plaintext structure, so "what can the attacker derive" is
-computed exactly by a closure over decomposition rules rather than guessed
-from byte matching. The term language is what the public path carries:
-atoms, secrets, tuples, hybrid encryptions and signatures. Tuples split,
+The adversary is symbolic. Custody holds bytes only; the runner records, for
+each message it puts there, a term describing the plaintext structure in
+the adversary's knowledge, so "what can the attacker derive" is computed
+exactly by a closure over decomposition rules rather than guessed from byte
+matching. The term language is what the public path carries: atoms,
+secrets, tuples, hybrid encryptions and signatures. Tuples split,
 ciphertexts open only when the matching secret key is known, and signatures
-reveal what they sign but can never be forged. The concrete bytes stay in
-custody, where replay and tampering take them from.
+reveal what they sign but can never be forged. Replay and tampering take
+their bytes from custody.
 """
 
 from __future__ import annotations
@@ -145,10 +146,6 @@ def sig_secret(key_id: str) -> Secret:
     return Secret(f"sig-sk:{key_id}")
 
 
-def sym_secret(key_id: str) -> Secret:
-    return Secret(f"sym:{key_id}")
-
-
 class AdversaryKnowledge:
     """The Dolev-Yao knowledge set: the terms the adversary has observed or
     been granted. Its bytes live elsewhere: replay re-sends a custody entry
@@ -219,24 +216,20 @@ class CustodyEntry:
     src: str
     dst: str
     data: bytes
-    term: Term
     replays_left: int = 1
 
 
 class PublicChannel:
     """Hostile path: every message passes through adversary custody."""
 
-    def __init__(self, knowledge: AdversaryKnowledge):
-        self.knowledge = knowledge
+    def __init__(self):
         self.pending: list[CustodyEntry] = []
         self._next_index = 0
 
-    def send(self, src: str, dst: str, data: bytes, term: Term) -> CustodyEntry:
-        entry = CustodyEntry(self._next_index, src, dst, data, term)
+    def send(self, src: str, dst: str, data: bytes) -> CustodyEntry:
+        entry = CustodyEntry(self._next_index, src, dst, data)
         self._next_index += 1
         self.pending.append(entry)
-        # Observation is immediate: custody means the adversary saw it.
-        self.knowledge.observe(term)
         return entry
 
     def take(self, index: int) -> CustodyEntry:

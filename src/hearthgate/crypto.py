@@ -649,10 +649,5 @@ def gen_link_key(rng: Rng) -> bytes:
     return rng.bytes(LINK_KEY_LEN)
 
 
-def link_key_id(link_key: bytes) -> str:
-    """The id that names a link key as a symbolic secret."""
-    return _key_id("link", link_key)
-
-
 def gen_totp_secret(rng: Rng) -> bytes:
     return rng.bytes(TOTP_SECRET_LEN)

@@ -43,7 +43,6 @@ from .channels import (
     derive_closure,
     kem_secret,
     sig_secret,
-    sym_secret,
 )
 from .roles import (
     Authenticator,
@@ -153,7 +152,7 @@ class World:
         self.clock = SimClock()
         self.trace = Trace()
         self.knowledge = AdversaryKnowledge()
-        self.h_p = PublicChannel(self.knowledge)
+        self.h_p = PublicChannel()
         self.adv_rng = self.rng.child("adversary")
 
         self.network, self.orgs = ledger.build_consortium(
@@ -171,7 +170,6 @@ class World:
         self.auths: list[Authenticator] = []
         self.devices: list[Device] = []
         self.h_s: dict[str, SecureChannel] = {}
-        self.link_keys: list[bytes] = []
         for i in range(spec.devices):
             auth = Authenticator(self.rng.child(f"auth-{i}"), self.clock,
                                  self.trace, name=f"auth-{i}",
@@ -183,7 +181,6 @@ class World:
             auth.provision_link_key(device.name, link)
             self.auths.append(auth)
             self.devices.append(device)
-            self.link_keys.append(link)
             self.h_s[auth.name] = SecureChannel(auth.name, "server")
         # Session id -> authenticator, for callers that record one; routing
         # goes by the name a secure Outgoing carries and never reads it.
@@ -201,7 +198,9 @@ class World:
             # Direct wiring is still a wire: FIFO, just adversary-free.
             self._direct_queue.append((out.dst, wire.encode(out.message), out.src))
         else:
-            self.h_p.send(out.src, out.dst, wire.encode(out.message), out.term)
+            # Observation is immediate: custody means the adversary saw it.
+            self.h_p.send(out.src, out.dst, wire.encode(out.message))
+            self.knowledge.observe(out.term)
 
     def dispatch(self, dst: str, data: bytes, reply_to: str) -> None:
         role = self.by_name.get(dst)
@@ -230,7 +229,7 @@ class World:
             self.clock.advance(rule["seconds"])
         self.dispatch(entry.dst, bytes(data), entry.src)
         if action == "replay" and entry.replays_left > 0:
-            copy = self.h_p.send(entry.src, entry.dst, entry.data, entry.term)
+            copy = self.h_p.send(entry.src, entry.dst, entry.data)
             copy.replays_left = entry.replays_left - 1
 
     def pump(self, strategy) -> None:
@@ -261,7 +260,7 @@ class World:
         settle the ledger. ``adversary`` is a strategy; ``None`` on a direct
         world; or a callable ``world -> strategy``, called once after the
         first wave is provisioned, so it can forge from provisioned state. A
-        builder's error (an expired key, say) is raised: none was traced."""
+        builder's error (an expired key, say) is traced, then raised."""
         strategy = adversary
         pairs = list(zip(self.auths, self.devices))
         while pairs:
@@ -312,8 +311,6 @@ class World:
             # public keys sit in the adversary's base knowledge.
             terms.add(entry.activation_term)
             terms.add(entry.activation_term.items[0])
-        for link in self.link_keys:
-            terms.add(sym_secret(crypto.link_key_id(link)))
         return terms
 
     def grant_public_atoms(self) -> None:

@@ -12,8 +12,9 @@ receiving role, kind); anything else is one traced ``MessageRejected``.
 Handlers return their replies instead of touching channels, which keeps each
 role unit-testable: :func:`deliver` hands a secure-path message and each
 reply straight across its channel, and the runner routes :class:`Outgoing`
-messages. Every handler rejects by raising: :func:`_traced` records each
-``ProtocolError`` or ``CryptoError`` once, as one rejection event.
+messages. Every handler and message builder rejects by raising:
+:func:`_traced` records each ``ProtocolError`` or ``CryptoError`` once, as
+one rejection event.
 
 Each received input is recognised whole, by one helper, before a handler
 acts on it: :func:`_open` and ``Server._receive`` (routed by key id) decrypt
@@ -187,8 +188,9 @@ def _check_bundle(public: RolePublic, kem_algo: str, now: float, what: str,
 
 
 def _traced(kind: str):
-    """Decorate a role's message handler: record a ProtocolError or CryptoError
-    it raises once, as ``kind`` with ``error=<class name>``, and re-raise it."""
+    """Decorate a role's message handler or message builder: record a
+    ProtocolError or CryptoError it raises once, as ``kind`` with
+    ``error=<class name>``, and re-raise it."""
     def decorate(handler):
         @functools.wraps(handler)
         def traced(self, *args, **kwargs):
@@ -271,6 +273,7 @@ class Authenticator:
         self._pending_nonce = None
         self.phase = AuthPhase.SESSION_ESTABLISHED
 
+    @_traced(ch.MESSAGE_REJECTED)
     def request_token(self) -> None:
         if self.phase not in (AuthPhase.SESSION_ESTABLISHED,
                               AuthPhase.DEVICE_CONNECTED):
@@ -286,6 +289,7 @@ class Authenticator:
             self.keys.kem, msg.value, wire.TOKEN_PAYLOAD.decode, now,
             "token delivery")
 
+    @_traced(ch.MESSAGE_REJECTED)
     def build_provision(self, device_name: str) -> wire.Message:
         """Package (api address, server keys, encrypted token, signature) for
         the device under the shared link key."""
@@ -318,6 +322,7 @@ class Authenticator:
         self.phase = AuthPhase.DEVICE_CONNECTED
         self.trace.record(self.name, ch.CONNECTED_NOTICE, uid=uid.hex())
 
+    @_traced(ch.MESSAGE_REJECTED)
     def build_revocation(self, uid_hex: str) -> wire.Message:
         now = self.clock.now()
         if self.phase is AuthPhase.IDLE or self.server_public is None:
@@ -408,6 +413,7 @@ class Device:
                         wire.Message(wire.Kind.RegistrationRequest, ct),
                         self._request_term(), src=self.name)
 
+    @_traced(ch.MESSAGE_REJECTED)
     def build_registration_request(self) -> Outgoing:
         if self.phase is not DevicePhase.PROVISIONED:
             raise NotProvisioned(f"cannot register in phase {self.phase.value}")
@@ -416,6 +422,7 @@ class Device:
     def wants_retry(self) -> bool:
         return self.phase is DevicePhase.REQUEST_SENT and self.retries_left > 0
 
+    @_traced(ch.MESSAGE_REJECTED)
     def retry_request(self) -> Outgoing:
         """Re-send the registration request after silence; extension beyond the
         base flow, bounded by the configured retry budget."""
@@ -439,6 +446,7 @@ class Device:
         self.phase = DevicePhase.ACTIVE
         self.trace.record(self.name, ch.DEVICE_ACTIVATED, uid=self.uid.hex)
 
+    @_traced(ch.MESSAGE_REJECTED)
     def build_data_report(self, metric: str, value: float, unit: str) -> Outgoing:
         now = self.clock.now()
         if self.phase is not DevicePhase.ACTIVE:
@@ -449,7 +457,7 @@ class Device:
                                    self.rng, now)
         term = Enc(self.server_device_public.kem.key_id, Tup((
             uid_atom(self.uid.hex),
-            Atom(f"reading:{metric}={value!r}"),
+            Atom(f"reading:{metric}={value!r} {unit}"),
             device_token_secret(self.device_token),
         )))
         return Outgoing("public", "server", wire.Message(wire.Kind.DataReport, ct),

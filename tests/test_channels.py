@@ -21,6 +21,7 @@ from hearthgate.channels import (
     derive_closure,
     kem_secret,
 )
+from hearthgate.roles import Outgoing
 from hearthgate.runtime import seeded_rng
 
 
@@ -37,21 +38,28 @@ def test_secure_channel_hands_off_between_its_endpoints_only():
 def test_secure_traffic_invisible_to_adversary(monkeypatch):
     # A whole run: only the device's own messages pass through custody, and
     # the adversary learns no encryption it did not see there.
-    sends = []
-    send = PublicChannel.send
+    sends, public = [], []
+    send, send_outgoing = PublicChannel.send, harness.World.send_outgoing
 
-    def recorded(channel, src, dst, data, term):
-        sends.append(send(channel, src, dst, data, term))
+    def recorded(channel, src, dst, data):
+        sends.append(send(channel, src, dst, data))
         return sends[-1]
 
+    def routed(world, out):
+        if out.path == "public":
+            public.append(out)
+        send_outgoing(world, out)
+
     monkeypatch.setattr(PublicChannel, "send", recorded)
+    monkeypatch.setattr(harness.World, "send_outgoing", routed)
     spec = harness.ScenarioSpec(devices=2, revoke=True)
     result = harness.run_scenario(spec, DeliverAll(), seed=7)
     assert {wire.decode(entry.data).kind for entry in sends} == {
         wire.Kind.RegistrationRequest, wire.Kind.ActivationResponse,
         wire.Kind.DataReport}
+    assert len(sends) == len(public)
     assert {t for t in result.knowledge.terms if isinstance(t, Enc)} == \
-        {entry.term for entry in sends}
+        {out.term for out in public}
     kinds = [e.kind for e in result.trace.events]
     for kind in (ch.SESSION_ESTABLISHED, ch.DEVICE_PROVISIONED,
                  ch.CONNECTED_NOTICE, ch.DEVICE_REVOKED):
@@ -59,23 +67,27 @@ def test_secure_traffic_invisible_to_adversary(monkeypatch):
 
 
 def test_public_channel_observation_is_immediate():
-    knowledge = AdversaryKnowledge()
-    hp = PublicChannel(knowledge)
-    entry = hp.send("device", "server", b"ciphertext-bytes",
-                    Enc("k1", Secret("payload")))
-    assert entry.data == b"ciphertext-bytes"
-    assert Enc("k1", Secret("payload")) in knowledge.terms
-    assert hp.pending == [entry]
+    # Custody holds the bytes; the world records their term as it puts them
+    # there, and a replay re-sends the bytes without observing anything new.
+    world = harness.World(harness.ScenarioSpec(), seed=7)
+    term = Enc("k1", Secret("payload"))
+    message = wire.Message(wire.Kind.NonceChallenge, bytes(16))
+    world.send_outgoing(Outgoing("public", "server", message, term, src="device-0"))
+    entry = world.h_p.pending[-1]
+    assert entry.data == wire.encode(message)
+    assert world.knowledge.terms == {term}
+    world.execute({"on": entry.index, "action": "replay"})
+    assert [e.data for e in world.h_p.pending] == [entry.data]
+    assert world.knowledge.terms == {term}
 
 
 def test_deliver_all_behaves_like_reliable_channel():
-    knowledge = AdversaryKnowledge()
-    hp = PublicChannel(knowledge)
+    hp = PublicChannel()
     rng = seeded_rng(0)
     strategy = DeliverAll()
     sent = []
     for i in range(5):
-        sent.append(hp.send("device", "server", bytes([i]), Atom(f"m{i}")))
+        sent.append(hp.send("device", "server", bytes([i])))
     delivered = []
     while (rule := strategy.decide(hp, rng)) is not None:
         delivered.append(hp.take(rule["on"]).data)
@@ -83,19 +95,18 @@ def test_deliver_all_behaves_like_reliable_channel():
 
 
 def test_scripted_replay_delivers_twice():
-    knowledge = AdversaryKnowledge()
-    hp = PublicChannel(knowledge)
+    hp = PublicChannel()
     rng = seeded_rng(0)
-    hp.send("device", "server", b"msg", Atom("m"))
+    hp.send("device", "server", b"msg")
     strategy = Scripted([{"on": 0, "action": "replay"}])
     assert strategy.decide(hp, rng) == {"on": 0, "action": "replay"}
 
 
 def test_scripted_stop_withholds_its_index_and_every_later_one():
-    hp = PublicChannel(AdversaryKnowledge())
+    hp = PublicChannel()
     rng = seeded_rng(0)
     for i in range(3):
-        hp.send("device", "server", bytes([i]), Atom(f"m{i}"))
+        hp.send("device", "server", bytes([i]))
     strategy = Scripted([{"on": 0, "action": "drop"},
                          {"on": 2, "action": "stop"}])
     played = []
@@ -104,15 +115,15 @@ def test_scripted_stop_withholds_its_index_and_every_later_one():
         hp.take(rule["on"])
     assert played == ["drop idx=0", "deliver idx=1"]
     for i in range(3, 5):  # later messages, a retry say, stay withheld too
-        hp.send("device", "server", bytes([i]), Atom(f"m{i}"))
+        hp.send("device", "server", bytes([i]))
         assert strategy.decide(hp, rng) is None
     assert [e.index for e in hp.pending] == [2, 3, 4]
 
 
 def test_randomized_decides_in_script_rules():
-    hp = PublicChannel(AdversaryKnowledge())
+    hp = PublicChannel()
     for i in range(4):
-        hp.send("device", "server", bytes(8), Atom(f"m{i}"))
+        hp.send("device", "server", bytes(8))
     strategy = Randomized(lambda: b"forged", weights=dict.fromkeys(ch.DEFAULT_WEIGHTS, 1.0))
     rng = seeded_rng(3)
     actions = set()

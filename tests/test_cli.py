@@ -60,7 +60,7 @@ def test_demo_clock_skew_fails_token_check(tmp_path, capsys):
 
 
 def test_demo_fails_on_a_raised_error(tmp_path, capsys, monkeypatch):
-    # Keys that expire mid-run: the builder raises, and no handler traces it.
+    # Keys that expire mid-run: the builder traces its rejection and raises.
     monkeypatch.setenv("HEARTHGATE_CORE_KEY_TTL", "1.5")
     snap = tmp_path / "x.snapshot"
     code, out, _ = run_cli(capsys, ["demo", "--snapshot", str(snap)])

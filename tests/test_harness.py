@@ -12,7 +12,6 @@ from hearthgate import crypto, harness, roles, wire
 from hearthgate.channels import (
     AdversaryKnowledge,
     DeliverAll,
-    PublicChannel,
     Scripted,
     Trace,
     derive_closure,
@@ -43,15 +42,18 @@ from wire_fixtures import build_fixture_messages
 
 @pytest.fixture
 def public_sends(monkeypatch) -> list[tuple]:
-    """Every ``(src, dst, data, term)`` sent on a public channel."""
+    """Every ``(src, dst, data, term)`` a world put into public custody, with
+    the term it recorded as observed."""
     sends = []
-    send = PublicChannel.send
+    send_outgoing = harness.World.send_outgoing
 
-    def recorded(channel, *args):
-        sends.append(args)
-        return send(channel, *args)
+    def recorded(world, out):
+        send_outgoing(world, out)
+        if out.path == "public" and not world.direct:
+            entry = world.h_p.pending[-1]  # the send just appended it
+            sends.append((entry.src, entry.dst, entry.data, out.term))
 
-    monkeypatch.setattr(PublicChannel, "send", recorded)
+    monkeypatch.setattr(harness.World, "send_outgoing", recorded)
     return sends
 
 

@@ -11,6 +11,7 @@ blocks it commits, and the ``wire`` rows decode what they encode.
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -60,6 +61,14 @@ def test_self_pair_gives_every_committed_row(monkeypatch):
         assert row["registered"] == row["devices"] == 1
         assert set(row["wall_ms"]) == PAIRED
         assert set(row["wall_ms_per_device"]) == {"rev", "this"}
+
+
+def test_meta_counts_src_lines_as_wc_does():
+    files = sorted((ROOT / "src" / "hearthgate").glob("*.py"))
+    wc = subprocess.run(["wc", "-l", *map(str, files)], capture_output=True,
+                        text=True, check=True)
+    total = int(wc.stdout.splitlines()[-1].split()[0])
+    assert perf.machine_meta()["src_lines"] == perf.src_lines() == total
 
 
 def test_commit_row_settles_one_full_block_per_call():

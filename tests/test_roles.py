@@ -1029,6 +1029,31 @@ def _notice_expired_auth_key(w, monkeypatch):
     return lambda: w.auth.handle_connected_notice(notice)
 
 
+def _token_before_session(w, monkeypatch):
+    return w.auth.request_token
+
+
+def _provision_without_token(w, monkeypatch):
+    w.session()
+    return lambda: w.auth.build_provision("device-1")
+
+
+def _revocation_before_session(w, monkeypatch):
+    return lambda: w.auth.build_revocation("00" * 16)
+
+
+def _registration_unprovisioned(w, monkeypatch):
+    return w.device.build_registration_request
+
+
+def _retry_without_request(w, monkeypatch):
+    return w.device.retry_request
+
+
+def _report_before_activation(w, monkeypatch):
+    return lambda: w.device.build_data_report("temperature_c", 21.5, "C")
+
+
 @pytest.mark.parametrize("setup, role, kind, error", [
     (_hello_expired_auth_key, "server", ch.MESSAGE_REJECTED, Malformed),
     (_nonce_response_replayed, "server", ch.MESSAGE_REJECTED, NonceMismatch),
@@ -1053,6 +1078,13 @@ def _notice_expired_auth_key(w, monkeypatch):
      KeyExpired),
     (_notice_twice, "authenticator", ch.MESSAGE_REJECTED, NoSession),
     (_notice_expired_auth_key, "authenticator", ch.MESSAGE_REJECTED, KeyExpired),
+    # Builders: an error raised while making a message is traced too.
+    (_token_before_session, "authenticator", ch.MESSAGE_REJECTED, NoSession),
+    (_provision_without_token, "authenticator", ch.MESSAGE_REJECTED, NoSession),
+    (_revocation_before_session, "authenticator", ch.MESSAGE_REJECTED, NoSession),
+    (_registration_unprovisioned, "device-1", ch.MESSAGE_REJECTED, NotProvisioned),
+    (_retry_without_request, "device-1", ch.MESSAGE_REJECTED, NotProvisioned),
+    (_report_before_activation, "device-1", ch.MESSAGE_REJECTED, NotProvisioned),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_each_failed_handler_call_traces_one_rejection(setup, role, kind, error,
                                                       monkeypatch):
@@ -1093,9 +1125,34 @@ def test_rejection_kinds_are_named_only_by_traced_decorators():
         "handle_registration": ch.DEVICE_REQUEST_REJECTED,
         "handle_data_report": ch.DATA_REJECTED,
         "handle_revocation": ch.REVOCATION_REJECTED,
+        "request_token": ch.MESSAGE_REJECTED,
+        "build_provision": ch.MESSAGE_REJECTED,
+        "build_revocation": ch.MESSAGE_REJECTED,
+        "build_registration_request": ch.MESSAGE_REJECTED,
+        "retry_request": ch.MESSAGE_REJECTED,
+        "build_data_report": ch.MESSAGE_REJECTED,
     }
     assert set(decorated.values()) <= set(ch.REJECTION_KINDS)
     elsewhere = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr.endswith("_REJECTED")
                  and id(node) not in in_decorators]
     assert elsewhere == []
+
+
+def test_an_expired_key_is_traced_before_it_leaves_the_run(monkeypatch):
+    # The server's session keys expire at 1.5 s, before the device seals its
+    # request to them at 2 s: the builder's error ends the run, traced.
+    worlds = []
+    run = harness.World.run
+
+    def kept_run(world, adversary):
+        worlds.append(world)
+        run(world, adversary)
+
+    monkeypatch.setattr(harness.World, "run", kept_run)
+    spec = harness.ScenarioSpec(devices=1, reports=(), key_ttl=1.5)
+    with pytest.raises(KeyExpired):
+        harness.run_scenario(spec, None, 7)
+    last = worlds[0].trace.events[-1]
+    assert (last.role, last.kind, last.get("error")) == \
+        ("device-0", ch.MESSAGE_REJECTED, "KeyExpired")

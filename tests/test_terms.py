@@ -1,11 +1,13 @@
 """Every public term is what its bytes say.
 
-Each message a world puts on its public channel carries a symbolic term, which
-the adversary's closure reads. These tests rebuild that term from the
-message's bytes alone: ``wire.decode``, then ``crypto.hybrid_decrypt`` under
-the key its key id names in the world's key table (session, registry-entry
-and device KEM keys), then the payload record, one layer after another. The
-rebuilt term must equal the term the sender attached.
+Public custody holds bytes; for each message a world puts there it records the
+sender's symbolic term in the adversary's knowledge, which the closure reads.
+These tests rebuild that term from the message's bytes alone:
+``wire.decode``, then ``crypto.hybrid_decrypt`` under the key its key id
+names in the world's key table (session, registry-entry and device KEM keys),
+then the payload record, one layer after another. The rebuilt term must equal
+the term the world observed for those bytes; a replayed copy is checked
+against its original's term.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ def term_from_bytes(entry: CustodyEntry, keys: dict[str, crypto.KeyPair],
     elif kind is wire.Kind.ActivationResponse:
         inner = activation_term(*wire.ACTIVATION_PAYLOAD.decode(raw))
     elif kind is wire.Kind.DataReport:
-        uid, metric, value, _, token = wire.DATA_PAYLOAD.decode(raw)
-        inner = Tup((uid_atom(uid.hex()), Atom(f"reading:{metric}={value!r}"),
+        uid, metric, value, unit, token = wire.DATA_PAYLOAD.decode(raw)
+        inner = Tup((uid_atom(uid.hex()), Atom(f"reading:{metric}={value!r} {unit}"),
                      device_token_secret(token)))
     else:
         pytest.fail(f"{_name(entry)}: no term for a public {kind.name}")
@@ -96,19 +98,25 @@ def compared(monkeypatch) -> list[CustodyEntry]:
     run = harness.World.run
 
     def checked_run(world, adversary):
-        sends: list[tuple[float, CustodyEntry]] = []
-        send = world.h_p.send
+        sends: list[tuple[float, CustodyEntry]] = []  # replays included
+        observed: dict[bytes, Term] = {}
+        send, observe = world.h_p.send, world.knowledge.observe
 
         def recorded(*args):
             entry = send(*args)
             sends.append((world.clock.now(), entry))
             return entry
 
+        def recorded_observe(term):  # observes the custody send just made
+            observe(term)
+            observed[sends[-1][1].data] = term
+
         world.h_p.send = recorded
+        world.knowledge.observe = recorded_observe
         run(world, adversary)
         keys = key_table(world)
         for now, entry in sends:
-            assert term_from_bytes(entry, keys, now) == entry.term, _name(entry)
+            assert term_from_bytes(entry, keys, now) == observed[entry.data], _name(entry)
             checked.append(entry)
 
     monkeypatch.setattr(harness.World, "run", checked_run)

@@ -42,8 +42,9 @@ Scenario: ``run_scenario`` under DeliverAll, N devices onboarding and
 reporting once each, in ms.
 
 Runs go to ``BENCH_kem.json`` and ``BENCH_scenario.json`` with the machine's
-library versions, its usable CPU count and the git commit (``-dirty`` when a
-tracked file other than the ``BENCH_*.json`` results differs from it). Each
+library versions, its usable CPU count, the git commit (``-dirty`` when a
+tracked file other than the ``BENCH_*.json`` results differs from it) and
+``src_lines``, the line count of ``src/hearthgate/*.py``. Each
 file keeps one run per commit, replacing an earlier run of the same commit.
 """
 
@@ -452,7 +453,13 @@ def machine_meta() -> dict:
             "openssl": backend.openssl_version_text(),
             "libsodium": crypto.sodium_version(),   # Ed25519; OpenSSL does the rest
             "numpy": numpy.__version__, "nproc": len(os.sched_getaffinity(0)),
-            "git_commit": git_commit()}
+            "git_commit": git_commit(), "src_lines": src_lines()}
+
+
+def src_lines() -> int:
+    """Lines of ``src/hearthgate/*.py``, summed as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (ROOT / "src" / "hearthgate").glob("*.py"))
 
 
 def write_run(path: pathlib.Path, run: dict) -> None:
